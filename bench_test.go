@@ -36,13 +36,13 @@ var (
 func getBenchWorld(b *testing.B) *World {
 	b.Helper()
 	benchOnce.Do(func() {
-		w, err := NewWorld(
-			WithSeed(1),
-			WithCatalogSize(20000),
-			WithPanelSize(600),
-			WithProfileMedian(200),
-			WithActivityGrid(256),
-		)
+		cfg := DefaultWorldConfig()
+		cfg.Population.Seed = 1
+		cfg.Population.CatalogSize = 20000
+		cfg.Population.PanelSize = 600
+		cfg.Population.ProfileMedian = 200
+		cfg.Population.ActivityGrid = 256
+		w, err := NewWorldFromConfig(cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -813,11 +813,11 @@ func BenchmarkUniquenessEstimate(b *testing.B) {
 	w := getBenchWorld(b)
 	src := core.NewModelSource(w.Model())
 	collect := func(naive bool) *core.Samples {
-		s, err := core.Collect(w.PanelUsers(), core.Random{}, src,
-			core.CollectConfig{Seed: rng.New(1), DisableColumnKernel: naive})
+		s, err := core.Collect(w.PanelUsers(), core.Random{}, src, core.CollectConfig{Seed: rng.New(1)})
 		if err != nil {
 			b.Fatal(err)
 		}
+		s.DisableColumnKernel = naive
 		return s
 	}
 	run := func(b *testing.B, s *core.Samples) {
@@ -850,13 +850,13 @@ func BenchmarkUniquenessEstimate(b *testing.B) {
 // rates, panel) at bench scale.
 func BenchmarkWorldConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := NewWorld(
-			WithSeed(uint64(i)),
-			WithCatalogSize(10000),
-			WithPanelSize(200),
-			WithProfileMedian(150),
-			WithActivityGrid(192),
-		)
+		cfg := DefaultWorldConfig()
+		cfg.Population.Seed = uint64(i)
+		cfg.Population.CatalogSize = 10000
+		cfg.Population.PanelSize = 200
+		cfg.Population.ProfileMedian = 150
+		cfg.Population.ActivityGrid = 192
+		w, err := NewWorldFromConfig(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("calibrate: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagCache, cliflags.FlagCacheCap, cliflags.FlagCacheMode),
+		cliflags.Without(cliflags.FlagCacheCap, cliflags.FlagCacheMode),
 		cliflags.Usage(cliflags.FlagCatalog, "catalog size"),
 		cliflags.Usage(cliflags.FlagSeed, "master seed"))
 	var (
@@ -86,7 +86,6 @@ func main() {
 		scfg := core.DefaultStudyConfig(root.Derive(fmt.Sprintf("study/%.3f", sigma)))
 		scfg.BootstrapIters = *boot
 		scfg.Parallelism = cfg.Parallelism
-		scfg.DisableColumnKernel = cfg.Kernels.DisableColumnKernel
 		start = time.Now()
 		res, err := core.RunStudy(panel.Users, core.NewModelSource(model), scfg)
 		if err != nil {

@@ -15,7 +15,7 @@
 // -admit-rate puts per-ad-account admission control (HTTP 429 with
 // Retry-After) in front of the API, throttling the multi-account probe
 // floods cmd/fbadsload replays; tokens are charged proportional to the
-// spec's predicted row-kernel work (serving.SpecCost) unless -admit-flat.
+// spec's predicted row-kernel work (serving.SpecCost).
 // -max-inflight bounds concurrent requests server-wide, shedding the excess
 // with 503 + Retry-After (serving.Gate) — overload protection distinct from
 // the per-account 429s.
@@ -80,9 +80,8 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("fbadsd: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers, cliflags.FlagColumnKernel),
-		cliflags.With(cliflags.FlagPopulation),
-		cliflags.Usage(cliflags.FlagCache, "enable the reach-estimate audience cache (false = recompute every query; results are identical)"))
+		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers),
+		cliflags.With(cliflags.FlagPopulation))
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		era         = flag.String("era", "2017", "platform era: 2017, 2020 or workaround")
@@ -92,7 +91,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "backend shards: split the population by user-ID range and serve reach by scatter-gather (1 = single-world backend)")
 		admitRate   = flag.Float64("admit-rate", 0, "per-ad-account admission limit in tokens/second, enforced with 429 + Retry-After in front of the API (0 = no admission control)")
 		admitBurst  = flag.Float64("admit-burst", 0, "admission token-bucket capacity (0 = 2x admit-rate)")
-		admitFlat   = flag.Bool("admit-flat", false, "charge every admitted request a flat 1 token instead of its spec-complexity cost (serving.SpecCost)")
 		maxInflight = flag.Int("max-inflight", 0, "bound on concurrently served requests; the excess is shed with 503 + Retry-After (0 = unbounded)")
 
 		shardOf        = flag.String("shard-of", "", "serve one shard's RPC instead of the Marketing API: \"i/n\" builds shard i of an n-shard topology (listen address: -shard-listen)")
@@ -209,10 +207,7 @@ func main() {
 	}
 	handler := http.Handler(srv)
 	if *admitRate > 0 {
-		ac := serving.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst}
-		if !*admitFlat {
-			ac.Cost = adsapi.AdmissionCost
-		}
+		ac := serving.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst, Cost: adsapi.AdmissionCost}
 		handler = serving.NewAdmission(ac, handler)
 	}
 	if *maxInflight > 0 {

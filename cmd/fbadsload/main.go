@@ -46,7 +46,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fbadsload: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers, cliflags.FlagColumnKernel),
+		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers),
 		cliflags.With(cliflags.FlagPopulation),
 		cliflags.Usage(cliflags.FlagCatalog, "interest catalog size (must match the target server's -catalog)"),
 		cliflags.Usage(cliflags.FlagSeed, "world and workload seed"))
@@ -61,7 +61,6 @@ func main() {
 		era         = flag.String("era", "2017", "platform era for the in-process server: 2017, 2020 or workaround")
 		admitRate   = flag.Float64("admit-rate", 0, "in-process server's per-account admission limit in tokens/second (0 = no admission control)")
 		admitBurst  = flag.Float64("admit-burst", 0, "admission token-bucket capacity (0 = 2x admit-rate)")
-		admitFlat   = flag.Bool("admit-flat", false, "charge a flat 1 token per request instead of spec-complexity cost")
 		maxInflight = flag.Int("max-inflight", 0, "in-process server's bound on concurrently served requests; excess shed with 503 + Retry-After (0 = unbounded)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request context deadline each probe carries (0 = none); expired probes tally as deadline_exceeded")
 		token       = flag.String("token", "", "access token sent with every request (and required by the in-process server when set)")
@@ -148,10 +147,7 @@ func main() {
 		}
 		handler := http.Handler(srv)
 		if *admitRate > 0 {
-			ac := serving.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst}
-			if !*admitFlat {
-				ac.Cost = adsapi.AdmissionCost
-			}
+			ac := serving.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst, Cost: adsapi.AdmissionCost}
 			handler = serving.NewAdmission(ac, handler)
 		}
 		if *maxInflight > 0 {

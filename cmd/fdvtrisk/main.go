@@ -18,7 +18,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fdvtrisk: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagCacheCap, cliflags.FlagColumnKernel),
+		cliflags.Without(cliflags.FlagCacheCap),
 		cliflags.Defaults(func(c *nanotarget.WorldConfig) {
 			c.Population.CatalogSize = 30_000
 			c.Population.PanelSize = 200

@@ -31,7 +31,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagCache, cliflags.FlagCacheCap, cliflags.FlagCacheMode))
+		cliflags.Without(cliflags.FlagCacheCap, cliflags.FlagCacheMode))
 	var (
 		fig       = flag.Int("fig", 0, "figure number: 1, 2, 8, 9 or 10 (0 = all)")
 		table     = flag.Int("table", 0, "table number: 3 or 4 (0 = none unless -fig 0)")

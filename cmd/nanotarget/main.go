@@ -24,7 +24,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nanotarget: ")
 	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagCacheCap, cliflags.FlagColumnKernel),
+		cliflags.Without(cliflags.FlagCacheCap),
 		cliflags.With(cliflags.FlagPopulation),
 		cliflags.Defaults(func(c *nanotarget.WorldConfig) { c.Population.Population = 2_800_000_000 }),
 		cliflags.Usage(cliflags.FlagPopulation, "worldwide user base (the 2020 experiment era)"),

@@ -47,13 +47,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("study completed in %v\n", time.Since(start).Round(time.Millisecond))
-	if st := w.AudienceCacheStats(); !cfg.Cache.Disabled {
-		total := st.Total()
-		fmt.Printf("audience cache (%s): %.1f%% hit rate (%d hits, %d misses, %d evictions, %d/%d entries)\n",
-			cfg.Cache.Mode, 100*total.HitRate(), total.Hits, total.Misses, total.Evictions, total.Entries, total.Capacity)
-		fmt.Printf("  per level: prefix %d/%d set %d/%d demo %d/%d (hits/misses)\n",
-			st.Prefix.Hits, st.Prefix.Misses, st.Set.Hits, st.Set.Misses, st.Demo.Hits, st.Demo.Misses)
-	}
+	st := w.AudienceCacheStats()
+	total := st.Total()
+	fmt.Printf("audience cache (%s): %.1f%% hit rate (%d hits, %d misses, %d evictions, %d/%d entries)\n",
+		cfg.Cache.Mode, 100*total.HitRate(), total.Hits, total.Misses, total.Evictions, total.Entries, total.Capacity)
+	fmt.Printf("  per level: prefix %d/%d set %d/%d demo %d/%d (hits/misses)\n",
+		st.Prefix.Hits, st.Prefix.Misses, st.Set.Hits, st.Set.Misses, st.Demo.Hits, st.Demo.Misses)
 	fmt.Println()
 
 	// Table 1 with the paper's values alongside.

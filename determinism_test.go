@@ -7,6 +7,7 @@ package nanotarget
 // parallelism and caching may only change wall time.
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"nanotarget/internal/audience"
 	"nanotarget/internal/core"
 	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 	"nanotarget/internal/stats"
 )
@@ -31,14 +33,14 @@ func detWorld(t *testing.T, seed uint64) *World {
 // invalidates every golden pin.
 func detWorldCache(t *testing.T, seed uint64, cache bool) *World {
 	t.Helper()
-	w, err := NewWorld(
-		WithSeed(seed),
-		WithCatalogSize(4000),
-		WithPanelSize(150),
-		WithProfileMedian(120),
-		WithActivityGrid(128),
-		WithAudienceCache(cache),
-	)
+	cfg := DefaultWorldConfig()
+	cfg.Population.Seed = seed
+	cfg.Population.CatalogSize = 4000
+	cfg.Population.PanelSize = 150
+	cfg.Population.ProfileMedian = 120
+	cfg.Population.ActivityGrid = 128
+	cfg.Cache.Disabled = !cache
+	w, err := NewWorldFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,38 +290,32 @@ func TestAudienceCachePolicyEvaluationIsByteIdentical(t *testing.T) {
 
 // TestRowKernelIsByteIdentical gates the inclusion-row kernel: a world
 // evaluating on precomputed rows (the default) must produce byte-identical
-// output to a world computing exp() inline (WithRowKernel(false)), across
-// the full §4 pipeline — sample collection for both selection strategies,
-// N_P estimation — plus the flexible_spec union path, which is the one
-// evaluation shape the audience cache never covers. This is the "hoisted,
-// not reformulated" contract of internal/population/rows.go.
+// output to the same model rebuilt with population.Config.DisableRowKernel
+// (exp() computed inline), across the full §4 pipeline — sample collection
+// for both selection strategies over the same panel, N_P estimation — plus
+// the flexible_spec union path, which is the one evaluation shape the
+// audience cache never covers. This is the "hoisted, not reformulated"
+// contract of internal/population/rows.go.
 func TestRowKernelIsByteIdentical(t *testing.T) {
 	for _, seed := range determinismSeeds {
-		build := func(rows bool) *World {
-			w, err := NewWorld(
-				WithSeed(seed),
-				WithCatalogSize(4000),
-				WithPanelSize(150),
-				WithProfileMedian(120),
-				WithActivityGrid(128),
-				WithRowKernel(rows),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
+		wOn := detWorld(t, seed)
+		mcfg := wOn.Model().Config()
+		mcfg.DisableRowKernel = true
+		off, err := population.NewModel(mcfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wOn, wOff := build(true), build(false)
-		if !wOn.Model().RowKernelEnabled() || wOff.Model().RowKernelEnabled() {
-			t.Fatal("row-kernel knob did not take effect")
+		if !wOn.Model().RowKernelEnabled() || off.RowKernelEnabled() {
+			t.Fatal("row-kernel switch did not take effect")
 		}
+		offEngine := audience.Cached(off)
 		for _, sel := range []core.Selector{core.LeastPopular{}, core.Random{}} {
 			rows, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(wOn.Audience()),
 				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exp, err := core.Collect(wOff.PanelUsers(), sel, core.NewEngineSource(wOff.Audience()),
+			exp, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(offEngine),
 				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +360,7 @@ func TestRowKernelIsByteIdentical(t *testing.T) {
 				clauses[c] = clause
 			}
 			a := wOn.Model().UnionConjunctionShare(clauses)
-			b := wOff.Model().UnionConjunctionShare(clauses)
+			b := off.UnionConjunctionShare(clauses)
 			if !sameFloat(a, b) {
 				t.Fatalf("seed %d trial %d: union kernel %v != inline-exp %v", seed, trial, a, b)
 			}
@@ -375,45 +371,25 @@ func TestRowKernelIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestColumnKernelIsByteIdentical gates the columnar bootstrap kernel: a
-// world estimating on presorted panel columns and counting quantiles (the
-// default) must produce byte-identical output to a world running the naive
-// gather-copy-sort resample path (WithColumnKernel(false)) — VAS vectors at
-// every study quantile, N_P point estimates and bootstrap percentile CIs,
-// for both selection strategies, at workers 1 and 4. This is the "multiset
-// quantile of a resample equals the quantile of its sorted expansion"
-// contract of internal/core/columns.go.
+// TestColumnKernelIsByteIdentical gates the columnar bootstrap kernel:
+// samples estimated on presorted panel columns with counting quantiles (the
+// default) must produce byte-identical output to the same samples run down
+// the naive gather-copy-sort resample path (core.Samples.DisableColumnKernel)
+// — VAS vectors at every study quantile, N_P point estimates and bootstrap
+// percentile CIs, for both selection strategies, at workers 1 and 4, and
+// every row of the façade's §4 study. This is the "multiset quantile of a
+// resample equals the quantile of its sorted expansion" contract of
+// internal/core/columns.go.
 func TestColumnKernelIsByteIdentical(t *testing.T) {
 	for _, seed := range determinismSeeds {
-		build := func(kernel bool) *World {
-			w, err := NewWorld(
-				WithSeed(seed),
-				WithCatalogSize(4000),
-				WithPanelSize(150),
-				WithProfileMedian(120),
-				WithActivityGrid(128),
-				WithColumnKernel(kernel),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		wOn, wOff := build(true), build(false)
+		w := detWorld(t, seed)
 		for _, sel := range []core.Selector{core.LeastPopular{}, core.Random{}} {
-			kernel, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(wOn.Audience()),
+			kernel, err := core.Collect(w.PanelUsers(), sel, core.NewEngineSource(w.Audience()),
 				core.CollectConfig{Seed: rng.New(seed)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := core.Collect(wOff.PanelUsers(), sel, core.NewEngineSource(wOff.Audience()),
-				core.CollectConfig{Seed: rng.New(seed), DisableColumnKernel: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kernel.DisableColumnKernel || !naive.DisableColumnKernel {
-				t.Fatal("column-kernel knob did not take effect")
-			}
+			naive := naiveColumns(kernel)
 			for _, q := range []float64{0.5, 0.8, 0.9, 0.95} {
 				a, b := kernel.VAS(q), naive.VAS(q)
 				for n := range a {
@@ -445,27 +421,43 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 				t.Fatalf("seed %d %s: SampleCountAt diverged between index and scan", seed, sel.Name())
 			}
 		}
-		// The World-level knob must actually thread through the façade:
-		// the full §4 study (collection + point fits + bootstrap CIs for
-		// both strategies and every P) run on the WithColumnKernel(true)
-		// world must be byte-identical to the WithColumnKernel(false) one.
-		studyOn, err := wOn.EstimateUniqueness(UniquenessOptions{BootstrapIters: 150})
+		// The façade's full §4 study (collection + point fits + bootstrap
+		// CIs for both strategies) runs on the kernel; every row, at every
+		// P the study estimates, must equal the naive path re-estimating
+		// the study's own samples from the same bootstrap stream
+		// (core.RunStudy's "boot/<strategy>/<P>" derivation).
+		const iters = 150
+		study, err := w.EstimateUniqueness(UniquenessOptions{BootstrapIters: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
-		studyOff, err := wOff.EstimateUniqueness(UniquenessOptions{BootstrapIters: 150})
-		if err != nil {
-			t.Fatal(err)
+		rows := study.Estimates()
+		if len(rows) == 0 {
+			t.Fatalf("seed %d: study produced no rows", seed)
 		}
-		a, b := studyOn.Estimates(), studyOff.Estimates()
-		if len(a) != len(b) || len(a) == 0 {
-			t.Fatalf("seed %d: study row counts differ (%d vs %d)", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: façade study row %d diverged:\nkernel %+v\nnaive  %+v", seed, i, a[i], b[i])
+		for _, row := range rows {
+			est, err := core.EstimateNP(naiveColumns(study.samples[row.Strategy]), row.P, core.EstimateConfig{
+				BootstrapIters: iters, CILevel: 0.95,
+				Rand: w.root.Derive("uniqueness").Derive(fmt.Sprintf("boot/%s/%.3f", row.Strategy, row.P)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(row.NP, est.NP) || !sameFloat(row.CILo, est.CI.Lo) ||
+				!sameFloat(row.CIHi, est.CI.Hi) || !sameFloat(row.R2, est.R2) {
+				t.Fatalf("seed %d: façade study row %s P=%v diverged:\nkernel %+v\nnaive  %+v",
+					seed, row.Strategy, row.P, row, est)
 			}
 		}
+	}
+}
+
+// naiveColumns returns samples sharing s's collected audience sizes whose
+// quantiles take the naive sort-per-resample path.
+func naiveColumns(s *core.Samples) *core.Samples {
+	return &core.Samples{
+		AS: s.AS, MaxN: s.MaxN, FloorValue: s.FloorValue, Strategy: s.Strategy,
+		DisableColumnKernel: true,
 	}
 }
 

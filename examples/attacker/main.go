@@ -18,13 +18,13 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	world, err := nanotarget.NewWorld(
-		nanotarget.WithSeed(11),
-		nanotarget.WithCatalogSize(8000),
-		nanotarget.WithPanelSize(300),
-		nanotarget.WithProfileMedian(120),
-		nanotarget.WithPopulation(2_800_000_000), // the 2020 worldwide base
-	)
+	cfg := nanotarget.DefaultWorldConfig()
+	cfg.Population.Seed = 11
+	cfg.Population.CatalogSize = 8000
+	cfg.Population.PanelSize = 300
+	cfg.Population.ProfileMedian = 120
+	cfg.Population.Population = 2_800_000_000 // the 2020 worldwide base
+	world, err := nanotarget.NewWorldFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

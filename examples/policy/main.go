@@ -15,12 +15,12 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	world, err := nanotarget.NewWorld(
-		nanotarget.WithSeed(31),
-		nanotarget.WithCatalogSize(8000),
-		nanotarget.WithPanelSize(300),
-		nanotarget.WithProfileMedian(120),
-	)
+	cfg := nanotarget.DefaultWorldConfig()
+	cfg.Population.Seed = 31
+	cfg.Population.CatalogSize = 8000
+	cfg.Population.PanelSize = 300
+	cfg.Population.ProfileMedian = 120
+	world, err := nanotarget.NewWorldFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,12 +23,12 @@ func main() {
 	// A deterministic synthetic Facebook: interest ecosystem calibrated to
 	// the paper's Fig 2, a research panel shaped like the paper's §3
 	// dataset, and 1.5B modeled users.
-	world, err := nanotarget.NewWorld(
-		nanotarget.WithSeed(42),
-		nanotarget.WithCatalogSize(8000),
-		nanotarget.WithPanelSize(400),
-		nanotarget.WithProfileMedian(120),
-	)
+	cfg := nanotarget.DefaultWorldConfig()
+	cfg.Population.Seed = 42
+	cfg.Population.CatalogSize = 8000
+	cfg.Population.PanelSize = 400
+	cfg.Population.ProfileMedian = 120
+	world, err := nanotarget.NewWorldFromConfig(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

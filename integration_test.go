@@ -16,6 +16,7 @@ import (
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
+	"nanotarget/internal/serving"
 )
 
 // TestHTTPStudyMatchesInProcess runs the §4 collection through the simulated
@@ -27,7 +28,11 @@ func TestHTTPStudyMatchesInProcess(t *testing.T) {
 		t.Skip("HTTP study in -short mode")
 	}
 	w := demoWorld(t)
-	srv, err := adsapi.NewServer(adsapi.ServerConfig{Model: w.Model()})
+	backend, err := serving.NewLocalBackend(w.Model(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := adsapi.NewServer(adsapi.ServerConfig{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

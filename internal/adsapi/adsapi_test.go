@@ -10,6 +10,7 @@ import (
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
+	"nanotarget/internal/serving"
 )
 
 func testModel(t testing.TB) *population.Model {
@@ -29,10 +30,21 @@ func testModel(t testing.TB) *population.Model {
 	return m
 }
 
+// localBackend serves m through a cached exact-mode audience engine.
+func localBackend(t testing.TB, m *population.Model) *serving.LocalBackend {
+	t.Helper()
+	b, err := serving.NewLocalBackend(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// testServer starts cfg over HTTP; a nil Backend serves a fresh testModel.
 func testServer(t testing.TB, cfg ServerConfig) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Model == nil {
-		cfg.Model = testModel(t)
+	if cfg.Backend == nil {
+		cfg.Backend = localBackend(t, testModel(t))
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -102,7 +114,7 @@ func TestReachEstimateBasic(t *testing.T) {
 
 func TestReachMatchesModel(t *testing.T) {
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m)})
 	c := testClient(t, ts, "")
 	ids := []interest.ID{3, 70, 500}
 	viaHTTP, err := c.ReachEstimate(context.Background(), ConjunctionSpec(es(), ids))
@@ -124,7 +136,7 @@ func TestReachFloorByEra(t *testing.T) {
 	m := testModel(t)
 	rare := m.Catalog().RarestFirst()[:25]
 	for _, era := range []Era{Era2017, EraWorkaround, Era2020} {
-		_, ts := testServer(t, ServerConfig{Model: m, Era: era})
+		_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m), Era: era})
 		c := testClient(t, ts, "")
 		spec := ConjunctionSpec(GeoLocations{Worldwide: era.AllowWorldwide, Countries: pick(era)}, rare)
 		reach, err := c.ReachEstimate(context.Background(), spec)
@@ -273,7 +285,7 @@ func TestRateLimitExhaustion(t *testing.T) {
 
 func TestSearchInterests(t *testing.T) {
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m)})
 	c := testClient(t, ts, "")
 	res, err := c.SearchInterests(context.Background(), "coffee", 5)
 	if err != nil {
@@ -346,7 +358,7 @@ func TestCampaignLifecycleAndInsights(t *testing.T) {
 
 func TestNarrowAudienceWarning(t *testing.T) {
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m)})
 	c := testClient(t, ts, "")
 	rare := m.Catalog().RarestFirst()[:20]
 	camp, err := c.CreateCampaign(context.Background(), CampaignParams{
@@ -387,7 +399,7 @@ func TestAccountDisabled(t *testing.T) {
 func TestUnionSemantics(t *testing.T) {
 	// OR within a clause must yield reach >= either single interest.
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m)})
 	c := testClient(t, ts, "")
 	ctx := context.Background()
 	a, b := interest.ID(10), interest.ID(20)
@@ -411,7 +423,7 @@ func TestUnionSemantics(t *testing.T) {
 
 func TestRoundReach(t *testing.T) {
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m, RoundReach: true})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m), RoundReach: true})
 	c := testClient(t, ts, "")
 	reach, err := c.ReachEstimate(context.Background(), ConjunctionSpec(es(), []interest.ID{1}))
 	if err != nil {
@@ -443,7 +455,7 @@ func TestRoundSignificant(t *testing.T) {
 
 func TestSourceAdapterAgainstModelSource(t *testing.T) {
 	m := testModel(t)
-	_, ts := testServer(t, ServerConfig{Model: m})
+	_, ts := testServer(t, ServerConfig{Backend: localBackend(t, m)})
 	c := testClient(t, ts, "")
 	src := &Source{Client: c, Geo: es(), MinReach: Era2017.MinReach}
 	if src.Floor() != 20 {
@@ -467,6 +479,6 @@ func TestClientValidation(t *testing.T) {
 
 func TestServerValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{}); err == nil {
-		t.Fatal("missing model accepted")
+		t.Fatal("missing backend accepted")
 	}
 }

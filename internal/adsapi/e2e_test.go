@@ -14,17 +14,19 @@ import (
 
 	"nanotarget/internal/audience"
 	"nanotarget/internal/rng"
+	"nanotarget/internal/serving"
 )
 
 func TestEndToEndSessionBothModes(t *testing.T) {
 	for _, mode := range []audience.Mode{audience.ModeExact, audience.ModeCanonical} {
 		t.Run(mode.String(), func(t *testing.T) {
 			const token = "s3cret-e2e"
-			srv, ts := testServer(t, ServerConfig{
-				Model:     testModel(t),
-				Tokens:    []string{token},
-				CacheMode: mode,
-			})
+			m := testModel(t)
+			backend, err := serving.NewLocalBackend(m, audience.New(m, audience.Options{Mode: mode}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, ts := testServer(t, ServerConfig{Backend: backend, Tokens: []string{token}})
 
 			// --- auth: a bad token must be rejected with the FB OAuth error,
 			// the real token accepted.

@@ -20,6 +20,7 @@ import (
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
+	"nanotarget/internal/serving"
 )
 
 // fuzzWorld builds one small model + server shared by every fuzz iteration
@@ -47,7 +48,11 @@ func fuzzServer(f *testing.F) (*population.Model, *httptest.Server) {
 		if err != nil {
 			panic(err)
 		}
-		srv, err := NewServer(ServerConfig{Model: m})
+		backend, err := serving.NewLocalBackend(m, nil)
+		if err != nil {
+			panic(err)
+		}
+		srv, err := NewServer(ServerConfig{Backend: backend})
 		if err != nil {
 			panic(err)
 		}

@@ -169,7 +169,7 @@ func fetchReachBody(t *testing.T, base string, spec TargetingSpec) []byte {
 // Retry-After seconds.
 func TestClientRetriesAdmission429(t *testing.T) {
 	m := testModel(t)
-	real, err := NewServer(ServerConfig{Model: m})
+	real, err := NewServer(ServerConfig{Backend: localBackend(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestClientBacksOff429WithoutRetryAfter(t *testing.T) {
 // the retry admissible.
 func TestClientSurvivesAdmissionEndToEnd(t *testing.T) {
 	m := testModel(t)
-	api, err := NewServer(ServerConfig{Model: m})
+	api, err := NewServer(ServerConfig{Backend: localBackend(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}

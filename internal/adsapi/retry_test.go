@@ -14,7 +14,7 @@ import (
 // once the backend recovers.
 func TestClientRetriesServerErrors(t *testing.T) {
 	m := testModel(t)
-	real, err := NewServer(ServerConfig{Model: m})
+	real, err := NewServer(ServerConfig{Backend: localBackend(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}

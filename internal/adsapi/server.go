@@ -11,38 +11,17 @@ import (
 	"time"
 
 	"nanotarget/internal/audience"
-	"nanotarget/internal/population"
 	"nanotarget/internal/serving"
 )
 
 // ServerConfig configures the simulated Marketing API server.
 type ServerConfig struct {
 	// Backend serves every reach computation: catalog lookups, demographic
-	// bases and flexible-spec union shares. Wire a serving.LocalBackend for
-	// the classic single-world server or a serving.ShardedBackend for the
-	// scatter-gather tier (fbadsd -shards N). Exactly one of Backend and
-	// Model must be set.
+	// bases and flexible-spec union shares. Required. Wire a
+	// serving.LocalBackend for the single-world server, a
+	// serving.ShardedBackend for the in-process scatter-gather tier
+	// (fbadsd -shards N) or a serving.ProxyBackend for shard processes.
 	Backend serving.ReachBackend
-	// Model is the legacy single-world configuration: when Backend is nil,
-	// the server wraps Model (and Audience, if given) in a
-	// serving.LocalBackend itself. Behaviour and bytes are identical to
-	// wiring the LocalBackend explicitly.
-	Model *population.Model
-	// Audience optionally supplies the audience engine the legacy Model
-	// path runs reach estimates through. Nil builds a cached engine over
-	// Model (the default: attacker probe loops re-query overlapping
-	// conjunction prefixes constantly, so hit rates are high). Pass
-	// audience.Disabled(model) for the uncached legacy behaviour; estimates
-	// are bit-identical either way in the engine's exact mode. Ignored when
-	// Backend is set.
-	Audience *audience.Engine
-	// CacheMode selects the caching contract of the default engine built
-	// when Audience is nil: audience.ModeExact (default, byte-identical) or
-	// audience.ModeCanonical (permutation-invariant set-level caching, so
-	// the Faizullabhoy–Korolova permuted re-probe workload hits; estimates
-	// may differ from exact within audience.MaxCanonicalRelativeError).
-	// Ignored when Audience is supplied — the engine's own mode governs.
-	CacheMode audience.Mode
 	// Era selects platform rules (default Era2017).
 	Era Era
 	// Tokens is the set of valid access tokens. Empty disables auth
@@ -98,11 +77,8 @@ type bucket struct {
 
 // NewServer validates the config and builds the handler.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Backend == nil && cfg.Model == nil {
-		return nil, errors.New("adsapi: ServerConfig needs a Backend or a Model")
-	}
-	if cfg.Backend != nil && (cfg.Model != nil || cfg.Audience != nil) {
-		return nil, errors.New("adsapi: ServerConfig.Backend excludes Model/Audience — wire the backend's own model")
+	if cfg.Backend == nil {
+		return nil, errors.New("adsapi: ServerConfig needs a Backend")
 	}
 	if cfg.Era.Name == "" {
 		cfg.Era = Era2017
@@ -117,17 +93,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	backend := cfg.Backend
-	if backend == nil {
-		engine := cfg.Audience
-		if engine == nil {
-			engine = audience.New(cfg.Model, audience.Options{Mode: cfg.CacheMode})
-		}
-		local, err := serving.NewLocalBackend(cfg.Model, engine)
-		if err != nil {
-			return nil, errors.New("adsapi: ServerConfig.Audience is backed by a different model")
-		}
-		backend = local
-	}
 	if cfg.PrewarmRows {
 		// Construction-time warm-up has no caller to give up: Background is
 		// correct here, not a missing propagation.

@@ -41,7 +41,7 @@ func TestServerConcurrentStress(t *testing.T) {
 		return now
 	}
 	srv, ts := testServer(t, ServerConfig{
-		Model:     model,
+		Backend:   localBackend(t, model),
 		Tokens:    []string{token},
 		RateLimit: rateLimit,
 		RateBurst: rateBurst,
@@ -63,7 +63,7 @@ func TestServerConcurrentStress(t *testing.T) {
 
 	// Ground truth, queried once through a rate-unlimited server sharing
 	// nothing with the stressed one.
-	_, calm := testServer(t, ServerConfig{Model: model})
+	_, calm := testServer(t, ServerConfig{Backend: localBackend(t, model)})
 	calmClient := testClient(t, calm, "")
 	want := make([]int64, len(specs))
 	for i, spec := range specs {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
@@ -37,7 +38,7 @@ func testEngine(t testing.TB, m *population.Model) (*Engine, *weblog.Logger) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(DefaultDeliveryConfig(), m, logger)
+	eng, err := NewEngineWithAudience(DefaultDeliveryConfig(), audience.Disabled(m), logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +267,16 @@ func TestNewEngineValidation(t *testing.T) {
 	m, _ := testWorld(t)
 	clock := simclock.NewSim(time.Unix(0, 0))
 	logger, _ := weblog.NewLogger([]byte("0123456789abcdef0123456789abcdef"), clock)
-	if _, err := NewEngine(DefaultDeliveryConfig(), nil, logger); err == nil {
-		t.Error("nil model accepted")
+	aud := audience.Disabled(m)
+	if _, err := NewEngineWithAudience(DefaultDeliveryConfig(), nil, logger); err == nil {
+		t.Error("nil audience engine accepted")
 	}
-	if _, err := NewEngine(DefaultDeliveryConfig(), m, nil); err == nil {
+	if _, err := NewEngineWithAudience(DefaultDeliveryConfig(), aud, nil); err == nil {
 		t.Error("nil logger accepted")
 	}
 	bad := DefaultDeliveryConfig()
 	bad.OpportunityRate = 0
-	if _, err := NewEngine(bad, m, logger); err == nil {
+	if _, err := NewEngineWithAudience(bad, aud, logger); err == nil {
 		t.Error("zero opportunity rate accepted")
 	}
 }

@@ -78,16 +78,6 @@ type Engine struct {
 	clicks *weblog.Logger
 }
 
-// NewEngine validates dependencies and runs delivery against an uncached
-// audience oracle (the legacy path); use NewEngineWithAudience to share a
-// cached engine across campaigns.
-func NewEngine(cfg DeliveryConfig, m *population.Model, clicks *weblog.Logger) (*Engine, error) {
-	if m == nil {
-		return nil, errors.New("campaign: model is required")
-	}
-	return NewEngineWithAudience(cfg, audience.Disabled(m), clicks)
-}
-
 // NewEngineWithAudience validates dependencies; the audience engine supplies
 // (and may cache) every audience-size evaluation.
 func NewEngineWithAudience(cfg DeliveryConfig, aud *audience.Engine, clicks *weblog.Logger) (*Engine, error) {

@@ -1,17 +1,14 @@
 // Package cliflags is the single flag surface for world construction: one
 // RegisterWorldFlags call binds the shared -catalog/-panel/-seed/-workers/
-// -cache/-cachecap/-cache-mode/-column-kernel/-population flags straight
-// into a worldcfg.Config, replacing the per-tool flag blocks the seven cmd
-// tools used to duplicate. Flag names, default values and semantics are
-// byte-for-byte what the tools always exposed; per-tool differences (which
-// flags exist, their defaults, their usage wording) are expressed with
-// Options instead of copies.
+// -cachecap/-cache-mode/-population flags straight into a worldcfg.Config,
+// replacing the per-tool flag blocks the seven cmd tools used to duplicate.
+// Per-tool differences (which flags exist, their defaults, their usage
+// wording) are expressed with Options instead of copies.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
-	"strconv"
 
 	"nanotarget/internal/audience"
 	"nanotarget/internal/worldcfg"
@@ -19,23 +16,20 @@ import (
 
 // The registrable flag names.
 const (
-	FlagCatalog      = "catalog"
-	FlagPanel        = "panel"
-	FlagSeed         = "seed"
-	FlagWorkers      = "workers"
-	FlagCache        = "cache"
-	FlagCacheCap     = "cachecap"
-	FlagCacheMode    = "cache-mode"
-	FlagColumnKernel = "column-kernel"
-	FlagPopulation   = "population"
+	FlagCatalog    = "catalog"
+	FlagPanel      = "panel"
+	FlagSeed       = "seed"
+	FlagWorkers    = "workers"
+	FlagCacheCap   = "cachecap"
+	FlagCacheMode  = "cache-mode"
+	FlagPopulation = "population"
 )
 
 // defaultSet is what RegisterWorldFlags registers without options — the
 // full shared surface of the study tools (cmd/uniqueness exposes exactly
 // this set). FlagPopulation is opt-in via With.
 var defaultSet = []string{
-	FlagCatalog, FlagPanel, FlagSeed, FlagWorkers,
-	FlagCache, FlagCacheCap, FlagCacheMode, FlagColumnKernel,
+	FlagCatalog, FlagPanel, FlagSeed, FlagWorkers, FlagCacheCap, FlagCacheMode,
 }
 
 type registration struct {
@@ -87,15 +81,13 @@ func RegisterWorldFlags(fs *flag.FlagSet, opts ...Option) *worldcfg.Config {
 		cfg:     worldcfg.Default(),
 		include: make(map[string]bool, len(defaultSet)),
 		usage: map[string]string{
-			FlagCatalog:      "interest catalog size",
-			FlagPanel:        "panel size",
-			FlagSeed:         "world seed",
-			FlagWorkers:      "worker goroutines for collection and bootstrap (0 = one per core, 1 = sequential)",
-			FlagCache:        "enable the shared audience-query cache (false = uncached legacy path; results are identical)",
-			FlagCacheCap:     "audience cache capacity in conjunction prefixes (0 = default)",
-			FlagCacheMode:    "audience cache contract: exact (byte-identical ordered path) or canonical (permutation-invariant set cache; bounded relative error)",
-			FlagColumnKernel: "enable the columnar bootstrap kernel (false = naive sort-per-resample path; results are identical)",
-			FlagPopulation:   "modeled user base",
+			FlagCatalog:    "interest catalog size",
+			FlagPanel:      "panel size",
+			FlagSeed:       "world seed",
+			FlagWorkers:    "worker goroutines for collection and bootstrap (0 = one per core, 1 = sequential)",
+			FlagCacheCap:   "audience cache capacity in conjunction prefixes (0 = default)",
+			FlagCacheMode:  "audience cache contract: exact (byte-identical ordered path) or canonical (permutation-invariant set cache; bounded relative error)",
+			FlagPopulation: "modeled user base",
 		},
 	}
 	for _, n := range defaultSet {
@@ -114,43 +106,13 @@ func RegisterWorldFlags(fs *flag.FlagSet, opts ...Option) *worldcfg.Config {
 	reg(FlagPanel, func(u string) { fs.IntVar(&cfg.Population.PanelSize, FlagPanel, cfg.Population.PanelSize, u) })
 	reg(FlagSeed, func(u string) { fs.Uint64Var(&cfg.Population.Seed, FlagSeed, cfg.Population.Seed, u) })
 	reg(FlagWorkers, func(u string) { fs.IntVar(&cfg.Parallelism, FlagWorkers, cfg.Parallelism, u) })
-	reg(FlagCache, func(u string) { fs.Var(&invertedBool{target: &cfg.Cache.Disabled}, FlagCache, u) })
 	reg(FlagCacheCap, func(u string) { fs.IntVar(&cfg.Cache.Capacity, FlagCacheCap, cfg.Cache.Capacity, u) })
 	reg(FlagCacheMode, func(u string) { fs.Var(&modeValue{target: &cfg.Cache.Mode}, FlagCacheMode, u) })
-	reg(FlagColumnKernel, func(u string) {
-		fs.Var(&invertedBool{target: &cfg.Kernels.DisableColumnKernel}, FlagColumnKernel, u)
-	})
 	reg(FlagPopulation, func(u string) {
 		fs.Int64Var(&cfg.Population.Population, FlagPopulation, cfg.Population.Population, u)
 	})
 	return cfg
 }
-
-// invertedBool is a boolean flag whose flag-level value is the negation of
-// the bound config field: -cache=true (the default) means Disabled=false.
-// Registering through Var keeps flag.PrintDefaults showing "(default true)".
-type invertedBool struct{ target *bool }
-
-func (v *invertedBool) String() string {
-	if v.target == nil {
-		// The zero Value the flag package probes with: distinct from the
-		// registered default so PrintDefaults shows "(default true)".
-		return ""
-	}
-	return strconv.FormatBool(!*v.target)
-}
-
-func (v *invertedBool) Set(s string) error {
-	b, err := strconv.ParseBool(s)
-	if err != nil {
-		return err
-	}
-	*v.target = !b
-	return nil
-}
-
-// IsBoolFlag lets the flag package accept the bare -cache form.
-func (v *invertedBool) IsBoolFlag() bool { return true }
 
 // modeValue parses -cache-mode into an audience.Mode at flag-parse time, so
 // a bad value fails with the usual flag diagnostics instead of after world
@@ -159,7 +121,8 @@ type modeValue struct{ target *audience.Mode }
 
 func (v *modeValue) String() string {
 	if v.target == nil {
-		// Zero-probe instance (see invertedBool.String).
+		// The zero Value the flag package probes with: distinct from the
+		// registered default so PrintDefaults shows the default.
 		return ""
 	}
 	return v.target.String()

@@ -3,6 +3,7 @@ package cliflags
 import (
 	"bytes"
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,18 +18,16 @@ func newSet(t *testing.T) *flag.FlagSet {
 	return fs
 }
 
-// TestDefaultSurface pins the shared flag surface: names, default values and
-// the parse-free config matching worldcfg.Default().
+// TestDefaultSurface pins the shared flag surface: exactly the registered
+// names, and the parse-free config matching worldcfg.Default().
 func TestDefaultSurface(t *testing.T) {
 	fs := newSet(t)
 	cfg := RegisterWorldFlags(fs)
-	for _, name := range []string{"catalog", "panel", "seed", "workers", "cache", "cachecap", "cache-mode", "column-kernel"} {
-		if fs.Lookup(name) == nil {
-			t.Errorf("default surface is missing -%s", name)
-		}
-	}
-	if fs.Lookup("population") != nil {
-		t.Error("-population must be opt-in via With")
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"cache-mode", "cachecap", "catalog", "panel", "seed", "workers"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("default surface = %v, want %v", got, want)
 	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
@@ -43,8 +42,7 @@ func TestParseBindsEveryFlag(t *testing.T) {
 	cfg := RegisterWorldFlags(fs, With(FlagPopulation))
 	err := fs.Parse([]string{
 		"-catalog", "123", "-panel", "45", "-seed", "9", "-workers", "3",
-		"-cache=false", "-cachecap", "77", "-cache-mode", "canonical",
-		"-column-kernel=false", "-population", "1000000",
+		"-cachecap", "77", "-cache-mode", "canonical", "-population", "1000000",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,36 +52,31 @@ func TestParseBindsEveryFlag(t *testing.T) {
 		cfg.Population.Population != 1000000 {
 		t.Fatalf("scalar flags did not bind: %+v", *cfg)
 	}
-	if !cfg.Cache.Disabled {
-		t.Error("-cache=false must set Cache.Disabled")
-	}
 	if cfg.Cache.Capacity != 77 {
 		t.Errorf("Cache.Capacity = %d", cfg.Cache.Capacity)
 	}
 	if cfg.Cache.Mode != audience.ModeCanonical {
 		t.Errorf("Cache.Mode = %v", cfg.Cache.Mode)
 	}
-	if !cfg.Kernels.DisableColumnKernel {
-		t.Error("-column-kernel=false must set Kernels.DisableColumnKernel")
-	}
 }
 
-func TestInvertedBoolBareForm(t *testing.T) {
-	fs := newSet(t)
-	cfg := RegisterWorldFlags(fs)
-	cfg.Cache.Disabled = true // Defaults could flip it; the bare flag re-enables
-	if err := fs.Parse([]string{"-cache"}); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Cache.Disabled {
-		t.Error("bare -cache must enable the cache")
+// TestRemovedOracleFlagsFailToParse: the uncached and naive-bootstrap
+// reference paths are test oracles, not tool options, so no tool accepts
+// the flags that used to select them.
+func TestRemovedOracleFlagsFailToParse(t *testing.T) {
+	for _, arg := range []string{"-cache=false", "-column-kernel=false"} {
+		fs := newSet(t)
+		RegisterWorldFlags(fs, With(FlagPopulation))
+		if err := fs.Parse([]string{arg}); err == nil {
+			t.Errorf("%s parsed; the flag must no longer exist", arg)
+		}
 	}
 }
 
 func TestWithoutDropsFlags(t *testing.T) {
 	fs := newSet(t)
-	RegisterWorldFlags(fs, Without(FlagCache, FlagCacheCap, FlagCacheMode))
-	for _, name := range []string{"cache", "cachecap", "cache-mode"} {
+	RegisterWorldFlags(fs, Without(FlagCacheCap, FlagCacheMode))
+	for _, name := range []string{"cachecap", "cache-mode"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("-%s should have been dropped", name)
 		}
@@ -118,19 +111,16 @@ func TestUsageOverride(t *testing.T) {
 	}
 }
 
-// TestPrintDefaultsShowsBoolAndModeDefaults guards the flag.Value plumbing:
+// TestPrintDefaultsShowsModeDefault guards the flag.Value plumbing:
 // PrintDefaults probes a zero Value, and ours must render "" there so the
-// registered defaults ("true", "exact") still display.
-func TestPrintDefaultsShowsBoolAndModeDefaults(t *testing.T) {
+// registered default ("exact") still displays.
+func TestPrintDefaultsShowsModeDefault(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var buf bytes.Buffer
 	fs.SetOutput(&buf)
 	RegisterWorldFlags(fs)
 	fs.PrintDefaults()
 	help := buf.String()
-	if !strings.Contains(help, "-cache\t") && !strings.Contains(help, "(default true)") {
-		t.Errorf("help does not show the cache default:\n%s", help)
-	}
 	if !strings.Contains(help, "default exact") {
 		t.Errorf("help does not show the cache-mode default:\n%s", help)
 	}

@@ -117,9 +117,9 @@ func TestResamplePermutationMetamorphic(t *testing.T) {
 	}
 }
 
-// TestEstimateNPKnobIsByteIdentical flips DisableColumnKernel on one
-// collected table: point estimate, CI bounds and R² must not move by a bit,
-// at workers 1 and 4.
+// TestEstimateNPKnobIsByteIdentical flips Samples.DisableColumnKernel on
+// one collected table: point estimate, CI bounds and R² must not move by a
+// bit, at workers 1 and 4.
 func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
 	users := panelUsers(40, 30)
 	src := powerLawSource(1.7, 1e7, 20)
@@ -128,13 +128,11 @@ func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11), DisableColumnKernel: true})
+		naive, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kernel.DisableColumnKernel || !naive.DisableColumnKernel {
-			t.Fatal("CollectConfig.DisableColumnKernel did not take effect")
-		}
+		naive.DisableColumnKernel = true
 		ek, err := EstimateNP(kernel, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -82,11 +82,10 @@ func CollectWithDemographics(users []*population.User, sel Selector, ms *ModelSo
 	}
 	m := ms.Model
 	s := &Samples{
-		AS:                  make([][]float64, len(users)),
-		MaxN:                maxN,
-		FloorValue:          float64(ms.Floor()),
-		Strategy:            sel.Name() + "+demo",
-		DisableColumnKernel: cfg.DisableColumnKernel,
+		AS:         make([][]float64, len(users)),
+		MaxN:       maxN,
+		FloorValue: float64(ms.Floor()),
+		Strategy:   sel.Name() + "+demo",
 	}
 	err := parallel.ForEach(context.Background(), len(users), cfg.Parallelism, func(ui int) error {
 		u := users[ui]
@@ -161,9 +160,6 @@ type DemoStudyConfig struct {
 	// goroutines (0 = one per core, 1 = sequential) without changing the
 	// result.
 	Parallelism int
-	// DisableColumnKernel restores the naive sort-per-resample bootstrap
-	// path (see Samples.DisableColumnKernel; bit-identical either way).
-	DisableColumnKernel bool
 }
 
 // RunDemographicStudy estimates both variants with a shared selection seed
@@ -173,9 +169,7 @@ func RunDemographicStudy(users []*population.User, ms *ModelSource, know Knowled
 		return DemographicStudy{}, errors.New("core: seed is required")
 	}
 	seed, p, boot, workers := cfg.Seed, cfg.P, cfg.BootstrapIters, cfg.Parallelism
-	baseSamples, err := Collect(users, Random{}, ms, CollectConfig{
-		Seed: seed.Derive("plain"), Parallelism: workers, DisableColumnKernel: cfg.DisableColumnKernel,
-	})
+	baseSamples, err := Collect(users, Random{}, ms, CollectConfig{Seed: seed.Derive("plain"), Parallelism: workers})
 	if err != nil {
 		return DemographicStudy{}, fmt.Errorf("core: interest-only collection: %w", err)
 	}
@@ -185,9 +179,7 @@ func RunDemographicStudy(users []*population.User, ms *ModelSource, know Knowled
 	if err != nil {
 		return DemographicStudy{}, err
 	}
-	demoSamples, err := CollectWithDemographics(users, Random{}, ms, know, CollectConfig{
-		Seed: seed.Derive("plain"), Parallelism: workers, DisableColumnKernel: cfg.DisableColumnKernel,
-	})
+	demoSamples, err := CollectWithDemographics(users, Random{}, ms, know, CollectConfig{Seed: seed.Derive("plain"), Parallelism: workers})
 	if err != nil {
 		return DemographicStudy{}, fmt.Errorf("core: demographic collection: %w", err)
 	}

@@ -36,8 +36,10 @@ type Samples struct {
 	// Results are bit-identical either way (the kernel hoists the sort out
 	// of the loop, it does not reformulate the quantile — gated in
 	// determinism_test.go); only wall time and the column-index memory
-	// (12 bytes per non-NaN cell) change. The kernel is ON by default.
-	// Must not be flipped concurrently with quantile queries.
+	// (12 bytes per non-NaN cell) change. The kernel is ON by default; this
+	// field is its only switch, which tests and benchmarks flip to run the
+	// naive path as their reference. Must not be flipped concurrently with
+	// quantile queries.
 	DisableColumnKernel bool
 
 	// Columnar-kernel state: the lazily built presorted index and the
@@ -62,10 +64,6 @@ type CollectConfig struct {
 	// any value. The audience source must be safe for concurrent queries
 	// when Parallelism != 1 (ModelSource is: model queries are read-only).
 	Parallelism int
-	// DisableColumnKernel is copied onto the collected Samples: true
-	// restores the naive sort-per-resample quantile path (see
-	// Samples.DisableColumnKernel; results are bit-identical either way).
-	DisableColumnKernel bool
 }
 
 // Collect runs the §4.1 data collection: for every panel user, select up to
@@ -87,11 +85,10 @@ func Collect(users []*population.User, sel Selector, src AudienceSource, cfg Col
 	}
 	cat := catalogOf(src)
 	s := &Samples{
-		AS:                  make([][]float64, len(users)),
-		MaxN:                maxN,
-		FloorValue:          float64(src.Floor()),
-		Strategy:            sel.Name(),
-		DisableColumnKernel: cfg.DisableColumnKernel,
+		AS:         make([][]float64, len(users)),
+		MaxN:       maxN,
+		FloorValue: float64(src.Floor()),
+		Strategy:   sel.Name(),
 	}
 	prefix, hasPrefix := src.(PrefixSource)
 	err := parallel.ForEach(context.Background(), len(users), cfg.Parallelism, func(ui int) error {

@@ -40,9 +40,6 @@ type StudyConfig struct {
 	// Parallelism is the worker count for collection and bootstrap
 	// (0 = one per core, 1 = sequential); results are identical either way.
 	Parallelism int
-	// DisableColumnKernel restores the naive sort-per-resample bootstrap
-	// path (see Samples.DisableColumnKernel; bit-identical either way).
-	DisableColumnKernel bool
 }
 
 // DefaultStudyConfig mirrors the paper's Table 1 setup.
@@ -68,10 +65,9 @@ func RunStudy(users []*population.User, src AudienceSource, cfg StudyConfig) (*S
 	res := &StudyResult{Samples: make(map[string]*Samples, len(cfg.Selectors))}
 	for _, sel := range cfg.Selectors {
 		samples, err := Collect(users, sel, src, CollectConfig{
-			MaxN:                cfg.MaxN,
-			Seed:                cfg.Rand.Derive("collect/" + sel.Name()),
-			Parallelism:         cfg.Parallelism,
-			DisableColumnKernel: cfg.DisableColumnKernel,
+			MaxN:        cfg.MaxN,
+			Seed:        cfg.Rand.Derive("collect/" + sel.Name()),
+			Parallelism: cfg.Parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: collecting %s samples: %w", sel.Name(), err)
@@ -139,9 +135,6 @@ type GroupConfig struct {
 	// its random streams from its own (group, selector) labels, never from
 	// execution order.
 	Parallelism int
-	// DisableColumnKernel restores the naive sort-per-resample bootstrap
-	// path (see Samples.DisableColumnKernel; bit-identical either way).
-	DisableColumnKernel bool
 	// WorldwideAudiences reproduces the legacy (pre-conditional) behaviour
 	// for comparison figures: every group's audience queries stay worldwide
 	// even though the panel is subset per group. The default (false) narrows
@@ -222,9 +215,8 @@ func RunGroupAnalysis(users []*population.User, src AudienceSource, cfg GroupCon
 	return parallel.Map(context.Background(), len(jobs), cfg.Parallelism, func(i int) (GroupResult, error) {
 		j := jobs[i]
 		samples, err := Collect(j.sub, j.sel, j.src, CollectConfig{
-			Seed:                cfg.Rand.Derive("group/" + j.g.Label + "/" + j.sel.Name()),
-			Parallelism:         cfg.Parallelism,
-			DisableColumnKernel: cfg.DisableColumnKernel,
+			Seed:        cfg.Rand.Derive("group/" + j.g.Label + "/" + j.sel.Name()),
+			Parallelism: cfg.Parallelism,
 		})
 		if err != nil {
 			return GroupResult{}, err

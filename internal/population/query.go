@@ -241,7 +241,17 @@ func (m *Model) ConditionalAudienceFromShare(f DemoFilter, p float64) float64 {
 // caches both factors under separate keys). Bit-identical to the one-shot
 // form whenever demoShare carries the exact bits DemoShare(f) returns.
 func (m *Model) ConditionalAudienceFromShares(demoShare, p float64) float64 {
-	base := float64(m.pop)*demoShare - 1
+	return ConditionalAudience(m.pop, demoShare, p)
+}
+
+// ConditionalAudience composes the §4.1 conditional audience expectation
+// 1 + max(0, pop·demoShare − 1)·p from a population size and already
+// evaluated demographic and conjunction shares. It is the one definition of
+// that arithmetic: the model, the audience engine and the sharded serving
+// backends (which gather the two shares across shards first) all call it,
+// so their answers can only differ by the shares fed in.
+func ConditionalAudience(pop int64, demoShare, p float64) float64 {
+	base := float64(pop)*demoShare - 1
 	if base < 0 {
 		base = 0
 	}

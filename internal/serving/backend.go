@@ -77,8 +77,7 @@ type ReachBackend interface {
 	WarmRows(ctx context.Context)
 }
 
-// LocalBackend is the single-world ReachBackend: one model, one engine —
-// exactly the serving path adsapi.ServerConfig.Model used to hard-wire.
+// LocalBackend is the single-world ReachBackend: one model, one engine.
 type LocalBackend struct {
 	model  *population.Model
 	engine *audience.Engine

@@ -215,9 +215,9 @@ func TestShardServerAbandonsDeadCaller(t *testing.T) {
 	srv, _ := shardHandler(t, cfg, 0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathCond, shardPathWarm} {
+	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathWarm} {
 		body := `{"clauses": [[1]]}`
-		if path == shardPathConj || path == shardPathCond {
+		if path == shardPathConj {
 			body = `{"ids": [1]}`
 		}
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)

@@ -198,24 +198,6 @@ func (h *healthMonitor) deadShards() (dead []bool, urls []string) {
 	return dead, urls
 }
 
-func (h *healthMonitor) anyShardDead() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, reps := range h.shards {
-		allDown := true
-		for _, s := range reps {
-			if s.up {
-				allDown = false
-				break
-			}
-		}
-		if allDown {
-			return true
-		}
-	}
-	return false
-}
-
 // markDown records a replica failure (probe or data path).
 func (h *healthMonitor) markDown(shard, replica int, err error) {
 	h.mu.Lock()
@@ -286,7 +268,11 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 // the survivors serve the byte-identical world. The adsapi server stamps
 // reach responses "degraded": true while this holds.
 func (p *ProxyBackend) Degraded() bool {
-	return p.policy == PolicyRenormalize && p.health.anyShardDead()
+	if p.policy != PolicyRenormalize {
+		return false
+	}
+	_, deadURLs := p.health.deadShards()
+	return len(deadURLs) > 0
 }
 
 // ProbeNow runs one synchronous health-probe round: every replica's
@@ -313,10 +299,16 @@ func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 			wg.Add(1)
 			go func(i, r int) {
 				defer wg.Done()
-				if err := p.probeReplica(ctx, i, r); err != nil {
-					p.health.markDown(i, r, err)
-				} else {
+				err := p.probeReplica(ctx, i, r)
+				switch {
+				case err == nil:
 					p.health.markUp(i, r)
+				case ctx.Err() != nil:
+					// The prober itself gave up (StartHealth's loop is
+					// stopping): the aborted probe says nothing about the
+					// replica, so its verdict stands.
+				default:
+					p.health.markDown(i, r, err)
 				}
 			}(i, r)
 		}

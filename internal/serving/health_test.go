@@ -300,6 +300,21 @@ func TestStartHealthRecoversShard(t *testing.T) {
 	}
 }
 
+// TestProbeAbortedByCallerKeepsVerdict: a probe round whose context ends
+// (StartHealth's loop stopping) must not mark live replicas down — the
+// aborted probe says nothing about them.
+func TestProbeAbortedByCallerKeepsVerdict(t *testing.T) {
+	cfg := smallConfig(1)
+	urls := startShardTopology(t, cfg, 2)
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	proxy.ProbeNow(ctx)
+	if st := proxy.HealthStats(); st.Up != 2 || st.Rounds != 1 {
+		t.Fatalf("an aborted probe round changed replica verdicts: %+v", st)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -79,7 +79,6 @@ const (
 	shardPathDemo   = "/shard/v1/demoshare"
 	shardPathUnion  = "/shard/v1/unionshare"
 	shardPathConj   = "/shard/v1/conjunctionshare"
-	shardPathCond   = "/shard/v1/conditionalaudience"
 	shardPathStats  = "/shard/v1/stats"
 	shardPathWarm   = "/shard/v1/warmrows"
 )
@@ -106,11 +105,6 @@ type shardShareRequest struct {
 	Filter  *population.DemoFilter `json:"filter,omitempty"`
 	Clauses [][]interest.ID        `json:"clauses,omitempty"`
 	IDs     []interest.ID          `json:"ids,omitempty"`
-	// Population overrides the composition population for
-	// /conditionalaudience (a single-shard deployment serves the global
-	// quantity by passing the topology population). Zero composes over the
-	// shard-local model population.
-	Population int64 `json:"population,omitempty"`
 }
 
 type shardShareResponse struct {
@@ -142,21 +136,18 @@ type ShardInfo struct {
 // index's — and to every other replica built from the same (cfg, index,
 // count), which is what makes proxy-side replica failover exact.
 func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, ShardInfo, error) {
-	if count < 1 {
-		return nil, ShardInfo{}, fmt.Errorf("serving: shard count %d must be >= 1", count)
+	pop := cfg.Population.Population
+	if err := checkShardCount(count, pop); err != nil {
+		return nil, ShardInfo{}, err
 	}
 	if index < 0 || index >= count {
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard index %d outside [0, %d)", index, count)
-	}
-	pop := cfg.Population.Population
-	if int64(count) > pop {
-		return nil, ShardInfo{}, fmt.Errorf("serving: %d shards exceed population %d", count, pop)
 	}
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
 		return nil, ShardInfo{}, err
 	}
-	r := ShardRange{Lo: pop * int64(index) / int64(count), Hi: pop * int64(index+1) / int64(count)}
+	r := shardRange(pop, index, count)
 	model, err := cfg.BuildModel(cat, r.Size())
 	if err != nil {
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard %d: %w", index, err)
@@ -191,7 +182,6 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	mux.HandleFunc("POST "+shardPathDemo, s.handleDemoShare)
 	mux.HandleFunc("POST "+shardPathUnion, s.handleUnionShare)
 	mux.HandleFunc("POST "+shardPathConj, s.handleConjunctionShare)
-	mux.HandleFunc("POST "+shardPathCond, s.handleConditionalAudience)
 	mux.HandleFunc("GET "+shardPathStats, s.handleStats)
 	mux.HandleFunc("POST "+shardPathWarm, s.handleWarmRows)
 	s.mux = mux
@@ -327,40 +317,6 @@ func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Requ
 		return
 	}
 	s.writeJSON(w, shardShareResponse{Share: s.backend.Engine().ConjunctionShare(req.IDs)})
-}
-
-// handleConditionalAudience serves the §4.1 conditional audience. With no
-// population override it rides the engine's cached composite level — exact
-// for this shard's own world. A caller that wants the GLOBAL quantity from a
-// single-shard topology passes the total population; a multi-shard proxy
-// does not call this endpoint at all (composition must happen after the
-// factor shares are gathered, so it scatters /demoshare and
-// /conjunctionshare instead).
-func (s *ShardServer) handleConditionalAudience(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
-		return
-	}
-	var f population.DemoFilter
-	if req.Filter != nil {
-		f = *req.Filter
-	}
-	if req.Population < 0 {
-		s.writeError(w, http.StatusBadRequest, "negative population override")
-		return
-	}
-	var v float64
-	if req.Population == 0 || req.Population == s.backend.Population() {
-		v = s.backend.ConditionalAudience(r.Context(), f, req.IDs)
-	} else {
-		e := s.backend.Engine()
-		base := float64(req.Population)*e.DemoShare(f) - 1
-		if base < 0 {
-			base = 0
-		}
-		v = 1 + base*e.ConjunctionShare(req.IDs)
-	}
-	s.writeJSON(w, shardShareResponse{Share: v})
 }
 
 func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -527,8 +483,8 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		return nil, errors.New("serving: ProxyConfig needs at least one shard URL")
 	}
 	pop := cfg.Population.Population
-	if int64(n) > pop {
-		return nil, fmt.Errorf("serving: %d shards exceed population %d", n, pop)
+	if err := checkShardCount(n, pop); err != nil {
+		return nil, err
 	}
 	if pc.Timeout <= 0 {
 		pc.Timeout = 10 * time.Second
@@ -594,8 +550,8 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 			}
 			shards[i][r] = u
 		}
-		ranges[i] = ShardRange{Lo: pop * int64(i) / int64(n), Hi: pop * int64(i+1) / int64(n)}
-		weights[i] = float64(ranges[i].Size()) / float64(pop)
+		ranges[i] = shardRange(pop, i, n)
+		weights[i] = ranges[i].weight(pop)
 	}
 	if pc.Breaker.Now == nil {
 		pc.Breaker.Now = pc.Now
@@ -646,28 +602,6 @@ func defaultJitter(seed uint64) func(shard, replica, attempt int) float64 {
 // NumShards returns the topology's shard count.
 func (p *ProxyBackend) NumShards() int { return len(p.shards) }
 
-// Topology returns the replica base URLs, per shard in shard order.
-func (p *ProxyBackend) Topology() [][]string {
-	out := make([][]string, len(p.shards))
-	for i, reps := range p.shards {
-		out[i] = append([]string(nil), reps...)
-	}
-	return out
-}
-
-// URLs returns each shard's preferred (first) replica base URL in shard
-// order — the full replica sets are in Topology.
-func (p *ProxyBackend) URLs() []string {
-	urls := make([]string, len(p.shards))
-	for i, reps := range p.shards {
-		urls[i] = reps[0]
-	}
-	return urls
-}
-
-// Policy returns the configured degradation policy.
-func (p *ProxyBackend) Policy() Policy { return p.policy }
-
 // Catalog implements ReachBackend: the proxy's locally generated catalog,
 // bit-identical to every shard's.
 func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
@@ -688,17 +622,13 @@ func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) 
 }
 
 // ConditionalAudience implements ReachBackend: both factor shares are
-// scatter-gathered and composed with the GLOBAL population — the identical
-// arithmetic ShardedBackend.ConditionalAudience applies, so healthy-topology
-// answers match it byte-for-byte.
+// scatter-gathered and composed with the GLOBAL population by
+// population.ConditionalAudience — the call ShardedBackend.ConditionalAudience
+// makes, so healthy-topology answers match it byte-for-byte.
 func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
 	demo := p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
 	conj := p.gatherShare(ctx, shardPathConj, shardShareRequest{IDs: ids})
-	base := float64(p.pop)*demo - 1
-	if base < 0 {
-		base = 0
-	}
-	return 1 + base*conj
+	return population.ConditionalAudience(p.pop, demo, conj)
 }
 
 // AudienceStats implements ReachBackend: the fold of every reachable shard's
@@ -735,7 +665,7 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 		for r := range p.shards[i] {
 			i, r := i, r
 			units = append(units, func() error {
-				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, mustMarshal(&shardShareRequest{}), nil)
+				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, []byte("{}"), nil)
 				return nil
 			})
 		}
@@ -1134,16 +1064,6 @@ func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body [
 		return nil, 0, nil, err
 	}
 	return data, resp.StatusCode, resp.Header, nil
-}
-
-// mustMarshal marshals a plain request struct (cannot fail for the fixed
-// shapes the proxy sends).
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 func truncate(b []byte) string {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"nanotarget/internal/interest"
-	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
@@ -236,8 +235,8 @@ func TestNewProxyBackendErrors(t *testing.T) {
 }
 
 // TestShardServerEndpoints exercises the RPC surface directly: health
-// identity, share endpoints, the conditionalaudience population override,
-// and the rejection paths (malformed body, unknown interest, wrong method).
+// identity, share endpoints, and the rejection paths (malformed body,
+// unknown interest, wrong method).
 func TestShardServerEndpoints(t *testing.T) {
 	cfg := smallConfig(1)
 	b, info, err := NewShardBackend(cfg, 0, 2)
@@ -277,19 +276,6 @@ func TestShardServerEndpoints(t *testing.T) {
 		t.Fatalf("ConjunctionShare over RPC = %v, local %v", out.Share, want)
 	}
 
-	// The population override: shard-local by default, global on request.
-	ids := []interest.ID{1}
-	postJSON(t, ts.URL+shardPathCond, shardShareRequest{IDs: ids}, &out)
-	if want := b.ConditionalAudience(context.Background(), population.DemoFilter{}, ids); out.Share != want {
-		t.Fatalf("shard-local ConditionalAudience = %v, local %v", out.Share, want)
-	}
-	local := out.Share
-	postJSON(t, ts.URL+shardPathCond,
-		shardShareRequest{IDs: ids, Population: cfg.Population.Population}, &out)
-	if out.Share <= local {
-		t.Fatalf("global-population ConditionalAudience %v should exceed shard-local %v", out.Share, local)
-	}
-
 	for _, tc := range []struct {
 		name, method, path, body string
 		wantStatus               int
@@ -298,7 +284,6 @@ func TestShardServerEndpoints(t *testing.T) {
 		{"unknown field", http.MethodPost, shardPathUnion, `{"bogus": 1}`, http.StatusBadRequest},
 		{"unknown interest", http.MethodPost, shardPathUnion, `{"clauses": [[999999]]}`, http.StatusBadRequest},
 		{"unknown conjunction id", http.MethodPost, shardPathConj, `{"ids": [999999]}`, http.StatusBadRequest},
-		{"negative population", http.MethodPost, shardPathCond, `{"population": -1}`, http.StatusBadRequest},
 		{"wrong method", http.MethodGet, shardPathUnion, "", http.StatusMethodNotAllowed},
 		{"health wrong method", http.MethodPost, shardPathHealth, "", http.StatusMethodNotAllowed},
 	} {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,15 +208,27 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 
 	// The injected Sleep kills the hedge target the first time the proxy
 	// sleeps — which is the hedge arm (the hung primary produces no retries) —
-	// so the hedge launches at a freshly dead replica.
-	var once sync.Once
+	// so the hedge launches at a freshly dead replica. Later hedge-delay
+	// sleeps block until the race ends: were the re-armed timer to fire at
+	// once, it could launch the live replica before the victim's retry
+	// fails, and the victim's call would then be canceled by the live win
+	// (a neutral verdict) instead of marking it down. Retry sleeps return
+	// at once.
+	const hedgeAfter = time.Microsecond
+	var sleeps atomic.Int32
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
 		Shards:     [][]string{{hung.URL, victim.URL(), live.URL}},
-		HedgeAfter: time.Microsecond,
+		HedgeAfter: hedgeAfter,
 		MaxRetries: 1, RetryBase: time.Millisecond,
 		Jitter: zeroJitter,
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			once.Do(victim.Kill)
+			switch {
+			case sleeps.Add(1) == 1:
+				victim.Kill()
+			case d == hedgeAfter:
+				<-ctx.Done()
+				return ctx.Err()
+			}
 			return nil
 		},
 	})

@@ -19,6 +19,29 @@ type ShardRange struct {
 // Size returns the number of users in the range.
 func (r ShardRange) Size() int64 { return r.Hi - r.Lo }
 
+// weight is the range's population mass: its share of pop users.
+func (r ShardRange) weight(pop int64) float64 { return float64(r.Size()) / float64(pop) }
+
+// shardRange is the user-ID range [pop·i/n, pop·(i+1)/n) shard i of n owns.
+// The integer arithmetic makes the n ranges tile [0, pop) exactly, and every
+// builder of a shard (in-process, shard process, proxy) calls this one
+// function, so they all agree on the split.
+func shardRange(pop int64, i, n int) ShardRange {
+	return ShardRange{Lo: pop * int64(i) / int64(n), Hi: pop * int64(i+1) / int64(n)}
+}
+
+// checkShardCount rejects topologies with no shards or with more shards
+// than users (a shard must own at least one user).
+func checkShardCount(n int, pop int64) error {
+	if n < 1 {
+		return fmt.Errorf("serving: shard count %d must be >= 1", n)
+	}
+	if int64(n) > pop {
+		return fmt.Errorf("serving: %d shards exceed population %d", n, pop)
+	}
+	return nil
+}
+
 // shard is one backend world: its user-ID range, the range's population
 // mass, and the shard-local model/engine pair (own row-kernel state, own
 // audience cache).
@@ -54,26 +77,23 @@ type ShardedBackend struct {
 // an aborted boot (SIGINT during a multi-minute bench-scale build) stops
 // calibrating shards instead of finishing work nobody wants.
 func NewShardedBackend(ctx context.Context, cfg worldcfg.Config, n int) (*ShardedBackend, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("serving: shard count %d must be >= 1", n)
-	}
 	pop := cfg.Population.Population
-	if int64(n) > pop {
-		return nil, fmt.Errorf("serving: %d shards exceed population %d", n, pop)
+	if err := checkShardCount(n, pop); err != nil {
+		return nil, err
 	}
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
 		return nil, err
 	}
 	shards, err := parallel.Map(ctx, n, cfg.Parallelism, func(i int) (*shard, error) {
-		r := ShardRange{Lo: pop * int64(i) / int64(n), Hi: pop * int64(i+1) / int64(n)}
+		r := shardRange(pop, i, n)
 		model, err := cfg.BuildModel(cat, r.Size())
 		if err != nil {
 			return nil, fmt.Errorf("serving: shard %d: %w", i, err)
 		}
 		return &shard{
 			rng:    r,
-			weight: float64(r.Size()) / float64(pop),
+			weight: r.weight(pop),
 			model:  model,
 			engine: cfg.NewEngine(model),
 		}, nil
@@ -139,19 +159,14 @@ func (b *ShardedBackend) UnionShare(ctx context.Context, clauses [][]interest.ID
 
 // ConditionalAudience implements ReachBackend: both factor shares are
 // scatter-gathered (each served from the shards' cached demo and conjunction
-// levels) and composed with the global population — the same
-// 1 + max(0, Pop·demoShare − 1)·conjShare arithmetic the local engine's
-// ExpectedAudienceConditional applies, so one shard reproduces the local
-// path byte-identically and more shards deviate only by the gathers'
-// reassociation.
+// levels) and composed with the global population by
+// population.ConditionalAudience — the arithmetic the local engine applies,
+// so one shard reproduces the local path byte-identically and more shards
+// deviate only by the gathers' reassociation.
 func (b *ShardedBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
 	demo := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
 	conj := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.ConjunctionShare(ids) })
-	base := float64(b.pop)*demo - 1
-	if base < 0 {
-		base = 0
-	}
-	return 1 + base*conj
+	return population.ConditionalAudience(b.pop, demo, conj)
 }
 
 // AudienceStats implements ReachBackend: the fold of every shard's cache

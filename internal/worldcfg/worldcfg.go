@@ -61,30 +61,17 @@ type CacheParams struct {
 	Mode audience.Mode
 }
 
-// KernelParams toggles the two evaluation kernels. Both default to on; both
-// are bit-identical to their naive paths (gated in determinism_test.go).
-type KernelParams struct {
-	// DisableRowKernel turns off the population model's precomputed
-	// inclusion-row kernel.
-	DisableRowKernel bool
-	// DisableColumnKernel turns off the estimator's presorted columnar
-	// bootstrap kernel.
-	DisableColumnKernel bool
-}
-
 // Config is the complete world-construction configuration.
 type Config struct {
 	Population PopulationParams
 	Cache      CacheParams
-	Kernels    KernelParams
 	// Parallelism is the worker count for studies and experiments
 	// (0 = one per core, 1 = sequential). Results are byte-identical for
 	// any value under a fixed seed.
 	Parallelism int
 }
 
-// Default returns the paper's full-scale configuration — the exact defaults
-// nanotarget.NewWorld has always used.
+// Default returns the paper's full-scale configuration.
 func Default() Config {
 	return Config{
 		Population: PopulationParams{
@@ -137,7 +124,6 @@ func (c Config) BuildModel(cat *interest.Catalog, pop int64) (*population.Model,
 	if c.Population.ActivityGrid > 0 {
 		pcfg.ActivityGridSize = c.Population.ActivityGrid
 	}
-	pcfg.DisableRowKernel = c.Kernels.DisableRowKernel
 	model, err := population.NewModel(pcfg)
 	if err != nil {
 		return nil, fmt.Errorf("worldcfg: building population model: %w", err)

@@ -39,7 +39,6 @@ func TestBuildCatalogDeterminism(t *testing.T) {
 	perturbed := cfg
 	perturbed.Cache.Disabled = true
 	perturbed.Parallelism = 7
-	perturbed.Kernels.DisableColumnKernel = true
 	b, err := perturbed.BuildCatalog()
 	if err != nil {
 		t.Fatal(err)

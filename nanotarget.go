@@ -38,22 +38,20 @@ import (
 
 // World is a calibrated synthetic Facebook with a research panel.
 type World struct {
-	model           *population.Model
-	audience        *audience.Engine
-	panel           *fdvt.Panel
-	root            *rng.Rand
-	parallelism     int
-	columnKernelOff bool
+	model       *population.Model
+	audience    *audience.Engine
+	panel       *fdvt.Panel
+	root        *rng.Rand
+	parallelism int
 }
 
 // WorldConfig is the complete, grouped world-construction configuration:
 // PopulationParams (seed, catalog, user base, panel), CacheParams (the
-// audience-query cache), KernelParams (the two evaluation kernels) and the
-// Parallelism knob. It is shared — by alias — with the serving tier
-// (internal/serving builds every shard from the same struct) and the cmd
-// flag surface (internal/cliflags registers flags straight into it). Start
-// from DefaultWorldConfig and adjust fields, or use the With* options, which
-// are thin adapters over the same struct.
+// audience-query cache) and the Parallelism knob. It is shared — by alias —
+// with the serving tier (internal/serving builds every shard from the same
+// struct) and the cmd flag surface (internal/cliflags registers flags
+// straight into it). Start from DefaultWorldConfig, adjust fields, and pass
+// the result to NewWorldFromConfig.
 type WorldConfig = worldcfg.Config
 
 // PopulationParams groups the synthetic-population knobs of a WorldConfig.
@@ -62,120 +60,19 @@ type PopulationParams = worldcfg.PopulationParams
 // CacheParams groups the audience-cache knobs of a WorldConfig.
 type CacheParams = worldcfg.CacheParams
 
-// KernelParams groups the evaluation-kernel toggles of a WorldConfig.
-type KernelParams = worldcfg.KernelParams
-
-// DefaultWorldConfig returns the paper's full-scale configuration — the
-// defaults NewWorld applies before its options.
+// DefaultWorldConfig returns the paper's full-scale configuration: seed 1,
+// the 98,982-interest catalog, a 1.5e9-user base (the paper's 2017
+// top-50-country base; the 2020 experiment used 2.8e9), the 2,390-user panel
+// with a 426-interest median profile, a 512-point activity grid, the exact
+// audience cache, and one worker per core. Building it takes ≈5s; examples
+// shrink CatalogSize, PanelSize and ProfileMedian together for fast demo
+// worlds.
 func DefaultWorldConfig() WorldConfig { return worldcfg.Default() }
 
-// Option customizes world construction by editing a WorldConfig.
-type Option func(*WorldConfig)
-
-// WithSeed fixes the master seed (default 1). Identical seeds produce
-// bit-identical worlds, panels, studies and experiments.
-func WithSeed(seed uint64) Option { return func(c *WorldConfig) { c.Population.Seed = seed } }
-
-// WithCatalogSize sets the number of interests (default 98,982, the paper's
-// dataset). Smaller catalogs build faster but shift uniqueness downward.
-func WithCatalogSize(n int) Option { return func(c *WorldConfig) { c.Population.CatalogSize = n } }
-
-// WithPopulation sets the modeled user-base size (default 1.5e9, the
-// paper's 2017 top-50-country base; the 2020 experiment used 2.8e9).
-func WithPopulation(n int64) Option { return func(c *WorldConfig) { c.Population.Population = n } }
-
-// WithActivitySigma overrides the calibrated activity spread.
-func WithActivitySigma(sigma float64) Option {
-	return func(c *WorldConfig) { c.Population.ActivitySigma = sigma }
-}
-
-// WithActivityGrid sets the quadrature resolution (default 512).
-func WithActivityGrid(n int) Option { return func(c *WorldConfig) { c.Population.ActivityGrid = n } }
-
-// WithPanelSize sets the FDVT panel size (default 2,390).
-func WithPanelSize(n int) Option { return func(c *WorldConfig) { c.Population.PanelSize = n } }
-
-// WithProfileMedian sets the median interests-per-panel-user (default 426).
-// Scale this down together with WithCatalogSize for fast demo worlds.
-func WithProfileMedian(m float64) Option {
-	return func(c *WorldConfig) { c.Population.ProfileMedian = m }
-}
-
-// WithAudienceCache toggles the shared audience-query cache (default on).
-// Off reproduces the pre-engine behaviour: every audience evaluation
-// recomputes the full activity-grid product. Results are byte-identical
-// either way under a fixed seed (the engine's determinism contract, gated
-// by determinism_test.go); only wall time changes.
-func WithAudienceCache(on bool) Option { return func(c *WorldConfig) { c.Cache.Disabled = !on } }
-
-// WithAudienceCacheCapacity sets how many conjunction prefixes the audience
-// cache retains (default audience.DefaultCapacity). Each entry holds one
-// survivor vector of ActivityGrid float64s.
-func WithAudienceCacheCapacity(n int) Option {
-	return func(c *WorldConfig) { c.Cache.Capacity = n }
-}
-
-// WithAudienceCacheMode selects the audience cache contract (default
-// audience.ModeExact: every cached result bit-identical to an uncached
-// evaluation of the same ordered query). audience.ModeCanonical adds the
-// sort-canonicalized set-level cache — permuted re-probes of one interest
-// set hit a single entry — at the price of a documented relative error
-// bound (audience.MaxCanonicalRelativeError) against the exact path. See
-// the audience package docs for when each contract is appropriate.
-func WithAudienceCacheMode(m audience.Mode) Option {
-	return func(c *WorldConfig) { c.Cache.Mode = m }
-}
-
-// WithRowKernel toggles the population model's precomputed inclusion-row
-// kernel (default on). The kernel hoists the per-grid-point exp() of every
-// audience evaluation into lazily materialized, interned per-interest rows,
-// turning cold conjunction and flexible_spec-union evaluation into
-// contiguous multiply loops. Results are bit-identical either way under a
-// fixed seed (the kernel hoists the exact inline expressions — gated in
-// determinism_test.go); only wall time and row-table memory
-// (ActivityGrid × 8 bytes per touched interest) change.
-func WithRowKernel(on bool) Option {
-	return func(c *WorldConfig) { c.Kernels.DisableRowKernel = !on }
-}
-
-// WithColumnKernel toggles the estimator's presorted columnar bootstrap
-// kernel (default on). The kernel presorts each combination size's panel
-// column once and turns every bootstrap resample's quantile into a
-// sort-free counting walk (internal/core/columns.go), so a 10k-iteration
-// EstimateNP never sorts. Results are bit-identical either way under a
-// fixed seed — the kernel selects the exact order statistics the naive
-// sort would have and applies the same interpolation arithmetic (gated in
-// determinism_test.go); only wall time and the column-index memory
-// (12 bytes per collected sample) change.
-func WithColumnKernel(on bool) Option {
-	return func(c *WorldConfig) { c.Kernels.DisableColumnKernel = !on }
-}
-
-// WithParallelism sets the worker count used by every study and experiment
-// the world runs (default 0 = runtime.GOMAXPROCS(0), i.e. one worker per
-// core; 1 = sequential execution on the caller's goroutine). Results are
-// byte-identical for any value under a fixed seed: each task derives its
-// random stream from the task's stable identity (user, bootstrap iteration,
-// campaign creative), never from execution order.
-func WithParallelism(n int) Option { return func(c *WorldConfig) { c.Parallelism = n } }
-
-// NewWorld builds a calibrated world and panel. With default options this
-// reproduces the paper's full-scale setting (≈5s of construction); examples
-// use smaller options. It is DefaultWorldConfig + opts fed to
-// NewWorldFromConfig.
-func NewWorld(opts ...Option) (*World, error) {
-	cfg := DefaultWorldConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewWorldFromConfig(cfg)
-}
-
-// NewWorldFromConfig builds a calibrated world and panel from an explicit
-// configuration — the constructor behind NewWorld, exposed for callers that
-// assemble a WorldConfig directly (internal/cliflags-driven tools, the
-// serving tier's shard builder). Identical configs produce bit-identical
-// worlds.
+// NewWorldFromConfig builds a calibrated world and panel. Identical configs
+// produce bit-identical worlds, panels, studies and experiments; the
+// Parallelism knob changes only wall time (every task derives its random
+// stream from its stable identity, never from execution order).
 func NewWorldFromConfig(cfg WorldConfig) (*World, error) {
 	root := cfg.Root()
 	cat, err := cfg.BuildCatalog()
@@ -200,12 +97,11 @@ func NewWorldFromConfig(cfg WorldConfig) (*World, error) {
 		return nil, fmt.Errorf("nanotarget: building panel: %w", err)
 	}
 	return &World{
-		model:           model,
-		audience:        cfg.NewEngine(model),
-		panel:           panel,
-		root:            root,
-		parallelism:     cfg.Parallelism,
-		columnKernelOff: cfg.Kernels.DisableColumnKernel,
+		model:       model,
+		audience:    cfg.NewEngine(model),
+		panel:       panel,
+		root:        root,
+		parallelism: cfg.Parallelism,
 	}, nil
 }
 
@@ -243,7 +139,7 @@ func (w *World) Model() *population.Model { return w.model }
 func (w *World) Audience() *audience.Engine { return w.audience }
 
 // AudienceCacheStats snapshots the per-level audience cache counters (zero
-// value when the cache is disabled via WithAudienceCache(false)).
+// value when WorldConfig.Cache.Disabled).
 func (w *World) AudienceCacheStats() audience.Stats { return w.audience.Stats() }
 
 // AudienceCacheMode reports the cache contract the world was built with.
@@ -254,7 +150,7 @@ func (w *World) AudienceCacheMode() audience.Mode { return w.audience.Mode() }
 // exp() cost — the serving-deployment trade documented in
 // internal/population/rows.go: catalog × grid × 8 bytes of memory (~400 MiB
 // at the full paper scale, ~80 MiB for a 20k-interest catalog at the default
-// 512-point grid). No-op when the kernel is off (WithRowKernel(false)).
+// 512-point grid).
 func (w *World) WarmAudienceRows() { w.model.WarmAllRows() }
 
 // PanelUsers exposes the panel for advanced, in-module use.
@@ -456,14 +352,13 @@ func (w *World) EstimateUniqueness(opts UniquenessOptions) (*UniquenessStudy, er
 		}
 	}
 	cfg := core.StudyConfig{
-		Ps:                  opts.Ps,
-		Selectors:           selectors,
-		MaxN:                core.MaxCombinationInterests,
-		BootstrapIters:      opts.BootstrapIters,
-		CILevel:             0.95,
-		Rand:                w.root.Derive("uniqueness"),
-		Parallelism:         w.workers(opts.Parallelism),
-		DisableColumnKernel: w.columnKernelOff,
+		Ps:             opts.Ps,
+		Selectors:      selectors,
+		MaxN:           core.MaxCombinationInterests,
+		BootstrapIters: opts.BootstrapIters,
+		CILevel:        0.95,
+		Rand:           w.root.Derive("uniqueness"),
+		Parallelism:    w.workers(opts.Parallelism),
 	}
 	res, err := core.RunStudy(w.panel.Users, core.NewEngineSource(w.audience), cfg)
 	if err != nil {
@@ -547,14 +442,13 @@ func (w *World) GroupUniquenessWithOptions(g Grouping, opts GroupUniquenessOptio
 		opts.BootstrapIters = 500
 	}
 	res, err := core.RunGroupAnalysis(w.panel.Users, core.NewEngineSource(w.audience), core.GroupConfig{
-		Groups:              groups,
-		Selectors:           []core.Selector{core.LeastPopular{}, core.Random{}},
-		P:                   opts.P,
-		BootstrapIters:      opts.BootstrapIters,
-		Rand:                w.root.Derive("groups"),
-		Parallelism:         w.workers(opts.Parallelism),
-		DisableColumnKernel: w.columnKernelOff,
-		WorldwideAudiences:  opts.WorldwideAudiences,
+		Groups:             groups,
+		Selectors:          []core.Selector{core.LeastPopular{}, core.Random{}},
+		P:                  opts.P,
+		BootstrapIters:     opts.BootstrapIters,
+		Rand:               w.root.Derive("groups"),
+		Parallelism:        w.workers(opts.Parallelism),
+		WorldwideAudiences: opts.WorldwideAudiences,
 	})
 	if err != nil {
 		return nil, err
@@ -624,11 +518,10 @@ func (w *World) EstimateDemographicBoost(opts DemographicKnowledgeOptions) (Demo
 		core.NewEngineSource(w.audience),
 		know.Fn(),
 		core.DemoStudyConfig{
-			P:                   opts.P,
-			BootstrapIters:      opts.BootstrapIters,
-			Seed:                w.root.Derive("demoboost"),
-			Parallelism:         w.parallelism,
-			DisableColumnKernel: w.columnKernelOff,
+			P:              opts.P,
+			BootstrapIters: opts.BootstrapIters,
+			Seed:           w.root.Derive("demoboost"),
+			Parallelism:    w.parallelism,
 		},
 	)
 	if err != nil {
@@ -678,9 +571,8 @@ func (w *World) UniquenessUnderFloors(floors []int64, p float64, bootstrapIters 
 		src.MinReach = floor
 		seed := w.root.Derive(fmt.Sprintf("floorpolicy/%d", floor))
 		samples, err := core.Collect(w.panel.Users, core.Random{}, src, core.CollectConfig{
-			Seed:                seed.Derive("collect"),
-			Parallelism:         w.parallelism,
-			DisableColumnKernel: w.columnKernelOff,
+			Seed:        seed.Derive("collect"),
+			Parallelism: w.parallelism,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("nanotarget: floor %d collection: %w", floor, err)

@@ -9,13 +9,13 @@ import (
 // demoWorld builds a fast, small world shared by the facade tests.
 func demoWorld(t testing.TB) *World {
 	t.Helper()
-	w, err := NewWorld(
-		WithSeed(7),
-		WithCatalogSize(4000),
-		WithPanelSize(150),
-		WithProfileMedian(80),
-		WithActivityGrid(160),
-	)
+	cfg := DefaultWorldConfig()
+	cfg.Population.Seed = 7
+	cfg.Population.CatalogSize = 4000
+	cfg.Population.PanelSize = 150
+	cfg.Population.ProfileMedian = 80
+	cfg.Population.ActivityGrid = 160
+	w, err := NewWorldFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,14 @@ func TestEstimateDemographicBoost(t *testing.T) {
 }
 
 func TestNewWorldErrors(t *testing.T) {
-	if _, err := NewWorld(WithCatalogSize(0)); err == nil {
+	cfg := DefaultWorldConfig()
+	cfg.Population.CatalogSize = 0
+	if _, err := NewWorldFromConfig(cfg); err == nil {
 		t.Fatal("zero catalog accepted")
 	}
-	if _, err := NewWorld(WithCatalogSize(100), WithPanelSize(0)); err == nil {
+	cfg.Population.CatalogSize = 100
+	cfg.Population.PanelSize = 0
+	if _, err := NewWorldFromConfig(cfg); err == nil {
 		t.Fatal("zero panel accepted")
 	}
 }
