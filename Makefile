@@ -65,6 +65,7 @@ FUZZ_TARGETS = \
 	FuzzTargetingSpecParse:./internal/adsapi \
 	FuzzParseFBInterestID:./internal/adsapi \
 	FuzzReachEstimateHandler:./internal/adsapi \
+	FuzzShardShareRequest:./internal/serving \
 	FuzzConjunctionKey:./internal/audience \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \

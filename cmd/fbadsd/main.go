@@ -226,15 +226,15 @@ func main() {
 	log.Fatal(http.ListenAndServe(*addr, handler))
 }
 
-// chaosClient builds the proxy's HTTP client, wrapping the transport in a
-// loadgen.FlakyTransport latency injector when -chaos-slow-shard is set:
-// every RPC aimed at the named shard — any of its replicas — sleeps the
-// configured duration (or until the propagated deadline expires — the
-// injected sleep honors the request context). An empty spec returns a plain
-// client.
+// chaosClient builds the proxy's HTTP client when -chaos-slow-shard is set:
+// a loadgen.FlakyTransport latency injector over serving.NewShardTransport,
+// under which every RPC aimed at the named shard — any of its replicas —
+// sleeps the configured duration (or until the propagated deadline expires
+// — the injected sleep honors the request context). An empty spec returns
+// nil, leaving the proxy its default pooled client.
 func chaosClient(spec string, topo [][]string) (*http.Client, error) {
 	if spec == "" {
-		return &http.Client{}, nil
+		return nil, nil
 	}
 	var index int
 	var dur time.Duration
@@ -258,6 +258,7 @@ func chaosClient(spec string, topo [][]string) (*http.Client, error) {
 	}
 	log.Printf("CHAOS: delaying shard %d (%s) RPCs by %v", index, strings.Join(targets, "|"), dur)
 	return &http.Client{Transport: &loadgen.FlakyTransport{
+		Base:  serving.NewShardTransport(),
 		Delay: dur,
 		DelayPred: func(r *http.Request) bool {
 			for _, target := range targets {

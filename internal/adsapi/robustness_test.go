@@ -55,10 +55,7 @@ type panicBackend struct {
 	err error
 }
 
-func (b *panicBackend) DemoShare(context.Context, population.DemoFilter) float64 {
-	panic(&serving.CanceledError{Err: b.err})
-}
-func (b *panicBackend) UnionShare(context.Context, [][]interest.ID) float64 {
+func (b *panicBackend) ReachShares(context.Context, population.DemoFilter, [][]interest.ID) (float64, float64) {
 	panic(&serving.CanceledError{Err: b.err})
 }
 func (b *panicBackend) ConditionalAudience(context.Context, population.DemoFilter, []interest.ID) float64 {

@@ -347,12 +347,11 @@ func (s *Server) estimateReach(ctx context.Context, spec TargetingSpec) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	filter := spec.DemoFilter()
-	base := float64(s.backend.Population())*s.backend.DemoShare(ctx, filter) - 1
+	demo, share := s.backend.ReachShares(ctx, spec.DemoFilter(), clauses)
+	base := float64(s.backend.Population())*demo - 1
 	if base < 0 {
 		base = 0
 	}
-	share := s.backend.UnionShare(ctx, clauses)
 	reach := int64(1 + base*share + 0.5)
 	if reach < s.era.MinReach {
 		reach = s.era.MinReach

@@ -81,7 +81,9 @@ type Config struct {
 	RequestTimeout time.Duration
 
 	// Client overrides the HTTP client (tests aim it at an httptest
-	// server's transport). Nil uses a fresh client with Timeout.
+	// server's transport). Nil uses a fresh client with Timeout whose
+	// transport keeps one idle connection per concurrent worker, so the run
+	// measures the server rather than its own connection churn.
 	Client *http.Client
 }
 
@@ -125,6 +127,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// newTransport returns the default client's transport: built from scratch,
+// not cloned from http.DefaultTransport (which a caller may have replaced),
+// with an idle pool per host of one connection per worker. The default
+// transport's pool of 2 closes and re-dials connections whenever more than
+// two workers finish at once.
+func newTransport(workers int) *http.Transport {
+	return &http.Transport{
+		Proxy:               http.ProxyFromEnvironment,
+		MaxIdleConnsPerHost: workers,
+		IdleConnTimeout:     90 * time.Second,
+	}
+}
+
 // Run replays the configured workload and reports latency and throughput.
 // Individual request failures are counted, not fatal; Run errors only on a
 // misconfiguration (no BaseURL, catalog too small) or a canceled context.
@@ -137,9 +152,12 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: catalog size %d cannot cover %d distinct interests per account",
 			cfg.CatalogSize, cfg.Interests)
 	}
+	workers := parallel.Workers(cfg.Concurrency)
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
+		transport := newTransport(workers)
+		defer transport.CloseIdleConnections()
+		client = &http.Client{Timeout: cfg.Timeout, Transport: transport}
 	}
 
 	sets := accountSets(cfg)
@@ -155,7 +173,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	var ok, degraded, rejected, rateLimited, shed, deadline, failed atomic.Int64
 	start := time.Now()
-	err := parallel.ForEach(ctx, n, parallel.Workers(cfg.Concurrency), func(i int) error {
+	err := parallel.ForEach(ctx, n, workers, func(i int) error {
 		rctx := ctx
 		if cfg.RequestTimeout > 0 {
 			var cancel context.CancelFunc

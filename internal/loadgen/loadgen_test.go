@@ -2,9 +2,12 @@ package loadgen
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,5 +303,70 @@ func TestFetchServingHealth(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /serving/health: HTTP %d, want 405", resp.StatusCode)
+	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestRunReusesConnections: Run's default client keeps one idle connection
+// per worker, so a flood opens at most Concurrency connections, counted at
+// the server's listener. The server answers each round of Concurrency
+// requests together, with empty bodies, which hands every connection back
+// to the client's pool at once: the burst a smaller pool (http.DefaultTransport
+// keeps 2 per host) answers by closing connections and re-dialing them.
+// Holding each round until it is complete also makes every worker dial once
+// up front, so the bound is exact.
+func TestRunReusesConnections(t *testing.T) {
+	const concurrency = 64
+	var mu sync.Mutex
+	arrived, round := 0, make(chan struct{})
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		mine := round
+		if arrived++; arrived == concurrency {
+			close(round)
+			arrived, round = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		select {
+		case <-mine:
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+
+	res, err := Run(context.Background(), Config{
+		BaseURL:          ts.URL,
+		Accounts:         2 * concurrency,
+		ProbesPerAccount: 10,
+		Interests:        5,
+		CatalogSize:      300,
+		Concurrency:      concurrency,
+		Seed:             3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK != res.Requests || res.Requests != 20*concurrency {
+		t.Fatalf("unexpected outcome split: %+v", res)
+	}
+	if n := ln.accepted.Load(); n < 1 || n > concurrency {
+		t.Fatalf("flood of %d requests at concurrency %d opened %d connections, want 1..%d",
+			res.Requests, concurrency, n, concurrency)
 	}
 }

@@ -57,11 +57,12 @@ type ReachBackend interface {
 	Catalog() *interest.Catalog
 	// Population is the total modeled user-base size across the backend.
 	Population() int64
-	// DemoShare returns the population share matching a demographic filter.
-	DemoShare(ctx context.Context, f population.DemoFilter) float64
-	// UnionShare returns the population share matching a flexible-spec
-	// union of interest conjunctions.
-	UnionShare(ctx context.Context, clauses [][]interest.ID) float64
+	// ReachShares returns both factors of one reach estimate: the population
+	// share matching a demographic filter and the share matching a
+	// flexible-spec union of interest conjunctions. Sharded backends gather
+	// both in one scatter, so the two factors always come from the same
+	// set of shards.
+	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64)
 	// ConditionalAudience returns the §4.1 conditional audience expectation
 	// of a conjunction inside a demographic slice — 1 + max(0, Pop·demoShare
 	// − 1)·conjShare, the quantity the group-conditional Appendix C
@@ -117,28 +118,35 @@ func (b *LocalBackend) Catalog() *interest.Catalog { return b.model.Catalog() }
 // Population implements ReachBackend.
 func (b *LocalBackend) Population() int64 { return b.model.Population() }
 
-// DemoShare implements ReachBackend. The local engine is CPU-bound with no
-// cancellation points, so ctx is accepted for the contract and ignored —
+// ReachShares implements ReachBackend. The local engine is CPU-bound with
+// no cancellation points, so ctx is accepted for the contract and ignored —
 // a local evaluation finishes in microseconds either way.
+func (b *LocalBackend) ReachShares(_ context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	return b.engine.DemoShare(f), b.engine.UnionShare(clauses)
+}
+
+// DemoShare returns the population share matching a demographic filter
+// (ctx ignored; see ReachShares).
 func (b *LocalBackend) DemoShare(_ context.Context, f population.DemoFilter) float64 {
 	return b.engine.DemoShare(f)
 }
 
-// UnionShare implements ReachBackend (ctx ignored; see DemoShare).
+// UnionShare returns the population share matching a union of interest
+// conjunctions (ctx ignored; see ReachShares).
 func (b *LocalBackend) UnionShare(_ context.Context, clauses [][]interest.ID) float64 {
 	return b.engine.UnionShare(clauses)
 }
 
 // ConditionalAudience implements ReachBackend via the engine's composite
-// (DemoFilter, conjunction) demo-level cache (ctx ignored; see DemoShare).
+// (DemoFilter, conjunction) demo-level cache (ctx ignored; see ReachShares).
 func (b *LocalBackend) ConditionalAudience(_ context.Context, f population.DemoFilter, ids []interest.ID) float64 {
 	return b.engine.ExpectedAudienceConditional(f, ids)
 }
 
-// AudienceStats implements ReachBackend (ctx ignored; see DemoShare).
+// AudienceStats implements ReachBackend (ctx ignored; see ReachShares).
 func (b *LocalBackend) AudienceStats(context.Context) audience.Stats { return b.engine.Stats() }
 
-// WarmRows implements ReachBackend (ctx ignored; see DemoShare).
+// WarmRows implements ReachBackend (ctx ignored; see ReachShares).
 func (b *LocalBackend) WarmRows(context.Context) { b.model.WarmAllRows() }
 
 // Model exposes the backing model (test and wiring use).

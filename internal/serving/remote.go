@@ -34,15 +34,33 @@
 // # Exactness
 //
 // The proxy folds per-shard shares exactly like the in-process
-// ShardedBackend: weight_s · share_s summed in shard-index order, with the
-// same single-shard short-circuit. A shard process builds its model with the
-// same range arithmetic and share-based calibration (NewShardBackend ==
-// ShardedBackend's per-shard construction), so its shares are bit-identical
-// to the in-process shard's; and Go's encoding/json round-trips float64
-// exactly (shortest-representation encoding, exact parse), so the wire adds
-// no error. Healthy-topology proxy answers are therefore byte-identical to
-// ShardedBackend at the same shard split — property-gated in remote_test.go
-// over replicas {1,2} × shards {1,2,3} × seeds {0,1,42}, hedging armed.
+// ShardedBackend — both call foldShares: weight_s · share_s summed in
+// shard-index order, with the same single-shard short-circuit. A shard
+// process builds its model with the same range arithmetic and share-based
+// calibration (NewShardBackend == ShardedBackend's per-shard construction),
+// so its shares are bit-identical to the in-process shard's; and Go's
+// encoding/json round-trips float64 exactly (shortest-representation
+// encoding, exact parse), so the wire adds no error. Healthy-topology proxy
+// answers are therefore byte-identical to ShardedBackend at the same shard
+// split — property-gated in remote_test.go over replicas {1,2} × shards
+// {1,2,3} × seeds {0,1,42}, hedging armed.
+//
+// The fused reach-shares RPC keeps that argument intact. A shard answers
+// it with the same two engine calls the single-share endpoints make, in
+// the same order, so each component is the bit-identical single share; and
+// the proxy folds each component on its own through the same fold, fail
+// and renormalize rules as a single-share gather. What fusing adds is that
+// both factors of one estimate come from the SAME set of live shards: one
+// RPC per shard either delivers both shares or neither, so a shard cannot
+// die between the demographic and the interest gather and leave an
+// estimate that multiplies factors renormalized over different shards.
+//
+// # Connections
+//
+// Every RPC and health probe of the default proxy client rides one
+// keep-alive transport (NewShardTransport) whose idle pool per replica host
+// covers the proxy's peak concurrent RPCs, so a reach estimate costs one
+// round trip per shard on a connection that is already open.
 package serving
 
 import (
@@ -78,10 +96,34 @@ const (
 	shardPathHealth = "/shard/v1/health"
 	shardPathDemo   = "/shard/v1/demoshare"
 	shardPathUnion  = "/shard/v1/unionshare"
+	shardPathReach  = "/shard/v1/reachshares"
 	shardPathConj   = "/shard/v1/conjunctionshare"
 	shardPathStats  = "/shard/v1/stats"
 	shardPathWarm   = "/shard/v1/warmrows"
 )
+
+// shardIdleConnsPerHost is the shard transport's idle-connection pool per
+// replica host. It must cover the proxy's peak concurrent RPCs to one
+// replica — each in-flight estimate holds one RPC per shard, so that is the
+// API tier's in-flight cap (fbadsd -max-inflight, e.g. 256) — so a burst
+// hands every connection back to the pool instead of closing the overflow
+// and re-dialing it on the next burst.
+const shardIdleConnsPerHost = 256
+
+// NewShardTransport returns the keep-alive transport for shard RPCs and
+// health probes: the default proxy client's transport, and the base a
+// fault-injecting wrapper should delegate to. It is built from scratch
+// rather than cloned from http.DefaultTransport, which a caller may have
+// replaced with a wrapper. Shard traffic goes direct (no environment
+// proxy), the total idle pool is unlimited, and neither dials nor the
+// client carry a timeout: every RPC's and probe's context already carries
+// its deadline.
+func NewShardTransport() *http.Transport {
+	return &http.Transport{
+		MaxIdleConnsPerHost: shardIdleConnsPerHost,
+		IdleConnTimeout:     90 * time.Second,
+	}
+}
 
 // ShardHealthInfo is the health endpoint's payload: enough identity for the
 // proxy to verify the shard serves the same world at the same split before
@@ -100,7 +142,8 @@ type ShardHealthInfo struct {
 }
 
 // shardShareRequest is the request body shared by the share endpoints; each
-// endpoint reads the fields it needs.
+// endpoint reads the fields it needs (the fused reach-shares endpoint reads
+// Filter and Clauses).
 type shardShareRequest struct {
 	Filter  *population.DemoFilter `json:"filter,omitempty"`
 	Clauses [][]interest.ID        `json:"clauses,omitempty"`
@@ -181,6 +224,7 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	mux.HandleFunc("GET "+shardPathHealth, s.handleHealth)
 	mux.HandleFunc("POST "+shardPathDemo, s.handleDemoShare)
 	mux.HandleFunc("POST "+shardPathUnion, s.handleUnionShare)
+	mux.HandleFunc("POST "+shardPathReach, s.handleReachShares)
 	mux.HandleFunc("POST "+shardPathConj, s.handleConjunctionShare)
 	mux.HandleFunc("GET "+shardPathStats, s.handleStats)
 	mux.HandleFunc("POST "+shardPathWarm, s.handleWarmRows)
@@ -311,6 +355,22 @@ func (s *ShardServer) handleUnionShare(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, shardShareResponse{Share: s.backend.UnionShare(r.Context(), req.Clauses)})
 }
 
+// handleReachShares serves the fused RPC: both factors of one reach
+// estimate, from the same engine calls, in the same order, as the two
+// single-share endpoints.
+func (s *ShardServer) handleReachShares(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeShareRequest(w, r)
+	if !ok || s.deadlineExpired(w, r) {
+		return
+	}
+	var f population.DemoFilter
+	if req.Filter != nil {
+		f = *req.Filter
+	}
+	demo, union := s.backend.ReachShares(r.Context(), f, req.Clauses)
+	s.writeJSON(w, sharePair{Demo: demo, Union: union})
+}
+
 func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeShareRequest(w, r)
 	if !ok || s.deadlineExpired(w, r) {
@@ -405,8 +465,8 @@ type ProxyConfig struct {
 	// Now falls back to ProxyConfig.Now.
 	Breaker BreakerConfig
 	// Client overrides the HTTP client — tests inject flaky transports
-	// through it. Nil uses a plain client (per-request contexts carry the
-	// timeouts).
+	// through it. Nil uses a client over NewShardTransport (per-request
+	// contexts carry the timeouts).
 	Client *http.Client
 	// Now supplies time for health bookkeeping; defaults to time.Now.
 	Now func() time.Time
@@ -416,11 +476,13 @@ type ProxyConfig struct {
 }
 
 // ProxyBackend implements ReachBackend over N shard PROCESSES: the network
-// counterpart of ShardedBackend. Every share query scatters the shard RPC to
+// counterpart of ShardedBackend. Every share query scatters ONE shard RPC to
 // all live shards (per-RPC timeout, bounded jittered retry under a shared
-// per-query budget) and folds the answers weight_s · share_s in shard-index
-// order — with a healthy topology, byte-identical to ShardedBackend at the
-// same shard split (see the package comment's exactness argument).
+// per-query budget; a reach estimate's two factor shares travel together in
+// the fused reach-shares RPC) and folds the answers weight_s · share_s in
+// shard-index order — with a healthy topology, byte-identical to
+// ShardedBackend at the same shard split (see the package comment's
+// exactness argument).
 //
 // A shard may be served by several replicas (ProxyConfig.Shards). Each
 // replica carries its own health state and circuit breaker; the RPC goes to
@@ -514,7 +576,7 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		pc.ProbeTimeout = 2 * time.Second
 	}
 	if pc.Client == nil {
-		pc.Client = &http.Client{}
+		pc.Client = &http.Client{Transport: NewShardTransport()}
 	}
 	if pc.Now == nil {
 		pc.Now = time.Now
@@ -609,14 +671,27 @@ func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
 // Population implements ReachBackend.
 func (p *ProxyBackend) Population() int64 { return p.pop }
 
-// DemoShare implements ReachBackend. Like every proxy share method it panics
-// with *UnavailableError when the topology cannot serve under the policy,
-// and with *CanceledError when the caller's context ends mid-gather.
+// ReachShares implements ReachBackend with one fused RPC per shard: every
+// shard answers both factor shares, and each factor is folded on its own
+// (fold), so the pair always comes from one set of live shards. Like every
+// proxy share method it panics with *UnavailableError when the topology
+// cannot serve under the policy, and with *CanceledError when the caller's
+// context ends mid-gather.
+func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	pairs, live := gather[sharePair](ctx, p, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses})
+	demo = p.fold(live, func(i int) float64 { return pairs[i].Demo })
+	union = p.fold(live, func(i int) float64 { return pairs[i].Union })
+	return demo, union
+}
+
+// DemoShare returns the population share matching a demographic filter,
+// gathered on its own.
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
 	return p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
 }
 
-// UnionShare implements ReachBackend.
+// UnionShare returns the population share matching a union of interest
+// conjunctions, gathered on its own.
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
 	return p.gatherShare(ctx, shardPathUnion, shardShareRequest{Clauses: clauses})
 }
@@ -673,44 +748,43 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
 }
 
-// gatherShare scatters one share RPC across the topology and folds the
-// answers. Per shard the RPC runs against the shard's replica set
-// (callShard): only a shard with NO usable replica counts as failed. The
-// fold is deterministic (shard-index order) in every mode:
+// gatherShare scatters a one-share RPC and folds the answers.
+func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardShareRequest) float64 {
+	shares, live := gather[shardShareResponse](ctx, p, path, req)
+	return p.fold(live, func(i int) float64 { return shares[i].Share })
+}
+
+// gather scatters one share RPC across the topology and returns each
+// shard's decoded answer in shard-index order, with the shards that
+// answered marked in live (nil when every shard answered). Per shard the
+// RPC runs against the shard's replica set (callShard): only a shard with
+// NO usable replica counts as failed. The policy is applied here, once per
+// RPC, so every share folded from one gather sees the same live set:
 //
-//   - all shards answered: Σ weight_s · share_s — ShardedBackend's exact
-//     arithmetic, with the same single-shard short-circuit;
 //   - PolicyFail and any shard dead or failing: panic *UnavailableError
 //     (the HTTP tier's 503, naming the dead shard's replica URLs);
-//   - PolicyRenormalize: dead shards (every replica down) are skipped,
-//     shards whose whole replica set fails the RPC are excluded, and the
-//     live terms are renormalized — Σ_live weight_s · share_s / Σ_live
-//     weight_s, or the bare share when a single shard survives. Zero live
-//     shards panic *UnavailableError.
+//   - PolicyRenormalize: dead shards (every replica down) are skipped and
+//     shards whose whole replica set fails the RPC are excluded from live;
+//     zero live shards panic *UnavailableError.
 //
 // The caller's ctx threads into every RPC; if it ends mid-gather the method
-// panics *CanceledError instead of folding partial answers, and the
+// panics *CanceledError instead of returning partial answers, and the
 // failures it caused are not held against the replicas.
-func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardShareRequest) float64 {
+func gather[T any](ctx context.Context, p *ProxyBackend, path string, req shardShareRequest) (answers []T, live []bool) {
 	n := len(p.shards)
 	dead, deadURLs := p.health.deadShards()
 	if p.policy == PolicyFail && len(deadURLs) > 0 {
 		panic(&UnavailableError{Down: deadURLs})
 	}
 	bud := p.newQueryBudget()
-	shares := make([]float64, n)
+	answers = make([]T, n)
 	errs := make([]error, n)
 	_ = parallel.ForEach(ctx, n, n, func(i int) error {
 		if dead[i] {
 			errs[i] = errors.New("skipped: every replica marked down")
 			return nil
 		}
-		var out shardShareResponse
-		if err := p.callShard(ctx, i, http.MethodPost, path, &req, &out, bud); err != nil {
-			errs[i] = err
-			return nil
-		}
-		shares[i] = out.Share
+		errs[i] = p.callShard(ctx, i, http.MethodPost, path, &req, &answers[i], bud)
 		return nil
 	})
 	if err := ctx.Err(); err != nil {
@@ -718,42 +792,51 @@ func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardSh
 	}
 
 	var failedURLs []string
-	live := 0
-	lastLive := -1
+	live = make([]bool, n)
+	survivors := 0
 	for i, err := range errs {
 		if err != nil {
 			failedURLs = append(failedURLs, p.shards[i]...)
 		} else {
-			live++
-			lastLive = i
+			live[i] = true
+			survivors++
 		}
 	}
 	if len(failedURLs) == 0 {
-		// Healthy topology: ShardedBackend's exact fold.
-		if n == 1 {
-			return shares[0]
-		}
-		total := 0.0
-		for i, w := range p.weights {
-			total += w * shares[i]
-		}
-		return total
+		return answers, nil
 	}
-	if p.policy == PolicyFail || live == 0 {
+	if p.policy == PolicyFail || survivors == 0 {
 		panic(&UnavailableError{Down: failedURLs})
 	}
-	if live == 1 {
+	return answers, live
+}
+
+// fold folds one share component of a gather in shard-index order:
+//
+//   - every shard answered (live nil): foldShares, ShardedBackend's exact
+//     arithmetic, with the same single-shard short-circuit;
+//   - otherwise the live terms are renormalized — Σ_live weight_s · share_s
+//     / Σ_live weight_s, or the bare share when a single shard survives.
+func (p *ProxyBackend) fold(live []bool, share func(i int) float64) float64 {
+	if live == nil {
+		// Healthy topology: ShardedBackend's exact fold.
+		return foldShares(p.weights, share)
+	}
+	total, mass := 0.0, 0.0
+	survivors, last := 0, -1
+	for i, ok := range live {
+		if ok {
+			total += p.weights[i] * share(i)
+			mass += p.weights[i]
+			survivors++
+			last = i
+		}
+	}
+	if survivors == 1 {
 		// One survivor: its renormalized weight is exactly 1, so return the
 		// bare share (mirrors the single-shard short-circuit and avoids the
 		// (w·s)/w rounding detour).
-		return shares[lastLive]
-	}
-	total, mass := 0.0, 0.0
-	for i, err := range errs {
-		if err == nil {
-			total += p.weights[i] * shares[i]
-			mass += p.weights[i]
-		}
+		return share(last)
 	}
 	return total / mass
 }

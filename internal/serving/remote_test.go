@@ -150,6 +150,18 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy DemoShare = %v, sharded %v — must be byte-identical",
 							seed, shards, replicas, trial, got, want)
 					}
+					gotD, gotU := proxy.ReachShares(context.Background(), f, clauses)
+					wantD, wantU := sharded.ReachShares(context.Background(), f, clauses)
+					if gotD != wantD || gotU != wantU {
+						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ReachShares = (%v, %v), sharded (%v, %v) — must be byte-identical",
+							seed, shards, replicas, trial, gotD, gotU, wantD, wantU)
+					}
+					// Each fused factor is also the bit-identical single-share
+					// answer: fusing changes the round trips, not the fold.
+					if singleD, singleU := sharded.DemoShare(context.Background(), f), sharded.UnionShare(context.Background(), clauses); wantD != singleD || wantU != singleU {
+						t.Fatalf("seed %d shards=%d trial %d: sharded ReachShares = (%v, %v), single-share queries (%v, %v)",
+							seed, shards, trial, wantD, wantU, singleD, singleU)
+					}
 					conj := clauses[0]
 					if got, want := proxy.ConditionalAudience(context.Background(), f, conj), sharded.ConditionalAudience(context.Background(), f, conj); got != want {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ConditionalAudience = %v, sharded %v — must be byte-identical",

@@ -42,12 +42,33 @@ func checkShardCount(n int, pop int64) error {
 	return nil
 }
 
-// shard is one backend world: its user-ID range, the range's population
-// mass, and the shard-local model/engine pair (own row-kernel state, own
-// audience cache).
+// foldShares is the one fold of per-shard shares into a global share:
+// Σ weight_s · share_s summed in shard-index order, with a lone shard's
+// share returned bare (its weight is exactly 1.0, so the sum would return
+// it anyway). ShardedBackend and a healthy ProxyBackend gather both fold
+// through it, which is what keeps their answers byte-identical.
+func foldShares(weights []float64, share func(i int) float64) float64 {
+	if len(weights) == 1 {
+		return share(0)
+	}
+	total := 0.0
+	for i, w := range weights {
+		total += w * share(i)
+	}
+	return total
+}
+
+// sharePair is one shard's answer to a reach estimate: both factor shares.
+// It is also the fused reach-shares RPC's response body.
+type sharePair struct {
+	Demo  float64 `json:"demo"`
+	Union float64 `json:"union"`
+}
+
+// shard is one backend world: its user-ID range and the shard-local
+// model/engine pair (own row-kernel state, own audience cache).
 type shard struct {
 	rng    ShardRange
-	weight float64 // rng.Size() / total population
 	model  *population.Model
 	engine *audience.Engine
 }
@@ -65,6 +86,7 @@ type ShardedBackend struct {
 	catalog *interest.Catalog
 	pop     int64
 	shards  []*shard
+	weights []float64 // shard s's population mass, rng.Size() / pop
 	workers int
 }
 
@@ -91,17 +113,16 @@ func NewShardedBackend(ctx context.Context, cfg worldcfg.Config, n int) (*Sharde
 		if err != nil {
 			return nil, fmt.Errorf("serving: shard %d: %w", i, err)
 		}
-		return &shard{
-			rng:    r,
-			weight: r.weight(pop),
-			model:  model,
-			engine: cfg.NewEngine(model),
-		}, nil
+		return &shard{rng: r, model: model, engine: cfg.NewEngine(model)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedBackend{catalog: cat, pop: pop, shards: shards, workers: n}, nil
+	weights := make([]float64, n)
+	for i, s := range shards {
+		weights[i] = s.rng.weight(pop)
+	}
+	return &ShardedBackend{catalog: cat, pop: pop, shards: shards, weights: weights, workers: n}, nil
 }
 
 // NumShards returns the shard count.
@@ -122,37 +143,52 @@ func (b *ShardedBackend) Catalog() *interest.Catalog { return b.catalog }
 // Population implements ReachBackend.
 func (b *ShardedBackend) Population() int64 { return b.pop }
 
-// scatterGather fans eval out to every shard under the caller's context and
-// folds the per-shard shares into the global share in shard-index order.
-// eval never fails, so the only parallel.Map error is the context's: a
-// caller that gave up mid-fan-out gets *CanceledError (panic, recovered by
-// the HTTP tier) instead of a fabricated share. Shards are CPU-bound, so
-// cancellation stops UNCLAIMED shard evaluations; claimed ones finish.
-func (b *ShardedBackend) scatterGather(ctx context.Context, eval func(s *shard) float64) float64 {
+// scatter fans eval out to every shard under the caller's context and
+// returns the per-shard answers in shard-index order. eval never fails, so
+// the only parallel.Map error is the context's: a caller that gave up
+// mid-fan-out gets *CanceledError (panic, recovered by the HTTP tier)
+// instead of a fabricated share. Shards are CPU-bound, so cancellation stops
+// UNCLAIMED shard evaluations; claimed ones finish.
+func scatter[T any](ctx context.Context, b *ShardedBackend, eval func(s *shard) T) []T {
 	if len(b.shards) == 1 {
-		// Single shard: skip the fan-out; weight is exactly 1.0 so the
-		// gather arithmetic below would return the bare share anyway.
-		return eval(b.shards[0])
+		// Single shard: skip the fan-out.
+		return []T{eval(b.shards[0])}
 	}
-	shares, err := parallel.Map(ctx, len(b.shards), b.workers, func(i int) (float64, error) {
+	out, err := parallel.Map(ctx, len(b.shards), b.workers, func(i int) (T, error) {
 		return eval(b.shards[i]), nil
 	})
 	if err != nil {
 		panic(&CanceledError{Err: err})
 	}
-	total := 0.0
-	for i, s := range b.shards {
-		total += s.weight * shares[i]
-	}
-	return total
+	return out
 }
 
-// DemoShare implements ReachBackend.
+// scatterGather scatters a one-share query and folds the answers.
+func (b *ShardedBackend) scatterGather(ctx context.Context, eval func(s *shard) float64) float64 {
+	shares := scatter(ctx, b, eval)
+	return foldShares(b.weights, func(i int) float64 { return shares[i] })
+}
+
+// ReachShares implements ReachBackend: one scatter evaluates both factor
+// shares on every shard, and each factor is folded on its own by
+// foldShares — the arithmetic of DemoShare and UnionShare, so each factor
+// is byte-identical to its single-share query.
+func (b *ShardedBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
+	pairs := scatter(ctx, b, func(s *shard) sharePair {
+		return sharePair{Demo: s.engine.DemoShare(f), Union: s.engine.UnionShare(clauses)}
+	})
+	demo = foldShares(b.weights, func(i int) float64 { return pairs[i].Demo })
+	union = foldShares(b.weights, func(i int) float64 { return pairs[i].Union })
+	return demo, union
+}
+
+// DemoShare returns the population share matching a demographic filter.
 func (b *ShardedBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
 	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
 }
 
-// UnionShare implements ReachBackend.
+// UnionShare returns the population share matching a union of interest
+// conjunctions.
 func (b *ShardedBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
 	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.UnionShare(clauses) })
 }
