@@ -66,6 +66,9 @@ FUZZ_TARGETS = \
 	FuzzParseFBInterestID:./internal/adsapi \
 	FuzzReachEstimateHandler:./internal/adsapi \
 	FuzzShardShareRequest:./internal/serving \
+	FuzzParseShardTopology:./internal/serving \
+	FuzzDeadlineHeader:./internal/serving \
+	FuzzParseRetryAfter:./internal/serving \
 	FuzzConjunctionKey:./internal/audience \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \

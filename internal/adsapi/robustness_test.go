@@ -3,6 +3,7 @@ package adsapi
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -47,26 +48,25 @@ func TestAdmissionCostPricing(t *testing.T) {
 	}
 }
 
-// panicBackend serves catalog/population from a real backend but panics with
-// a configured CanceledError on every share query — the shape a deadline
-// blowing mid-gather produces.
-type panicBackend struct {
+// errBackend serves catalog/population from a real backend but fails every
+// reach estimate with a configured error — the shapes a dead topology or a
+// deadline blowing mid-gather produce.
+type errBackend struct {
 	serving.ReachBackend
 	err error
 }
 
-func (b *panicBackend) ReachShares(context.Context, population.DemoFilter, [][]interest.ID) (float64, float64) {
-	panic(&serving.CanceledError{Err: b.err})
-}
-func (b *panicBackend) ConditionalAudience(context.Context, population.DemoFilter, []interest.ID) float64 {
-	panic(&serving.CanceledError{Err: b.err})
+func (b *errBackend) ReachShares(context.Context, population.DemoFilter, [][]interest.ID) (float64, float64, error) {
+	return 0, 0, b.err
 }
 
-// TestServerMapsCanceledPanics: the HTTP tier distinguishes the two ways a
-// request dies mid-estimate — an expired deadline is the caller's budget
-// running out (504), a bare cancel is the caller leaving (503). Both carry
-// the FB error envelope.
-func TestServerMapsCanceledPanics(t *testing.T) {
+// TestServerMapsBackendErrors: the HTTP tier maps each backend failure to its
+// FB error envelope — an unservable topology is a 503 naming the down
+// shards, an expired deadline is the caller's budget running out (504) and a
+// bare cancel is the caller leaving (503) — identically on both endpoints
+// that estimate reach: GET reachestimate and POST campaigns. A campaign whose
+// estimate failed is not stored.
+func TestServerMapsBackendErrors(t *testing.T) {
 	model := testModel(t)
 	local, err := serving.NewLocalBackend(model, nil)
 	if err != nil {
@@ -74,35 +74,63 @@ func TestServerMapsCanceledPanics(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		cause   error
+		err     error
 		status  int
 		message string
 	}{
-		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout,
+		{"deadline", &serving.CanceledError{Err: context.DeadlineExceeded}, http.StatusGatewayTimeout,
 			"Request deadline exceeded before the estimate completed"},
-		{"cancel", context.Canceled, http.StatusServiceUnavailable,
+		{"cancel", &serving.CanceledError{Err: context.Canceled}, http.StatusServiceUnavailable,
 			"Request canceled before the estimate completed"},
+		{"unavailable", &serving.UnavailableError{Down: []string{"http://a", "http://b"}}, http.StatusServiceUnavailable,
+			"Service temporarily unavailable: 2 shard(s) down: http://a, http://b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer(ServerConfig{Backend: &panicBackend{ReachBackend: local, err: tc.cause}})
+			srv, err := NewServer(ServerConfig{Backend: &errBackend{ReachBackend: local, err: tc.err}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
-			status, body := rawReach(t, ts.URL, ConjunctionSpec(es(), []interest.ID{1}))
-			if status != tc.status {
-				t.Fatalf("HTTP %d, want %d (%s)", status, tc.status, body)
+			spec := ConjunctionSpec(es(), []interest.ID{1})
+			reachStatus, reachBody := rawReach(t, ts.URL, spec)
+			form := url.Values{"params": {string(marshalJSON(CampaignParams{Name: "c", Targeting: spec}))}}
+			resp, err := http.PostForm(ts.URL+"/"+APIVersion+"/act_1/campaigns", form)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var env errorEnvelope
-			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
-				t.Fatalf("body %s is not an error envelope (%v)", body, err)
+			campaignBody, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if env.Error.Code != CodeServiceUnavailable || env.Error.Type != "ApiUnknownException" {
-				t.Fatalf("error envelope %+v", env.Error)
+			for _, got := range []struct {
+				endpoint string
+				status   int
+				body     []byte
+			}{
+				{"reachestimate", reachStatus, reachBody},
+				{"campaigns", resp.StatusCode, campaignBody},
+			} {
+				if got.status != tc.status {
+					t.Fatalf("%s: HTTP %d, want %d (%s)", got.endpoint, got.status, tc.status, got.body)
+				}
+				var env errorEnvelope
+				if err := json.Unmarshal(got.body, &env); err != nil || env.Error == nil {
+					t.Fatalf("%s: body %s is not an error envelope (%v)", got.endpoint, got.body, err)
+				}
+				if env.Error.Code != CodeServiceUnavailable || env.Error.Type != "ApiUnknownException" {
+					t.Fatalf("%s: error envelope %+v", got.endpoint, env.Error)
+				}
+				if env.Error.Message != tc.message {
+					t.Fatalf("%s: message %q, want %q", got.endpoint, env.Error.Message, tc.message)
+				}
 			}
-			if env.Error.Message != tc.message {
-				t.Fatalf("message %q, want %q", env.Error.Message, tc.message)
+			if string(reachBody) != string(campaignBody) {
+				t.Fatalf("endpoints disagree: reachestimate %s, campaigns %s", reachBody, campaignBody)
+			}
+			if n := len(srv.Campaigns()); n != 0 {
+				t.Fatalf("%d campaign(s) stored after a failed estimate", n)
 			}
 		})
 	}

@@ -146,39 +146,8 @@ func (s *Server) requireAccount(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ServeHTTP implements http.Handler. ReachBackend's share methods have no
-// error returns, so backends signal exceptional outcomes by panicking:
-// *serving.UnavailableError (unservable topology) becomes a 503 naming the
-// down shards, and *serving.CanceledError (the request context ended
-// mid-query) becomes 504 for an expired deadline or 503 for a client
-// cancel — the latter mostly for the log's benefit, since a canceled client
-// is no longer reading. Handlers compute estimates before writing any
-// response bytes, so the recovery always finds an unwritten ResponseWriter.
+// ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		switch e := rec.(type) {
-		case *serving.UnavailableError:
-			s.writeError(w, http.StatusServiceUnavailable, &APIError{
-				Code: CodeServiceUnavailable, Type: "ApiUnknownException",
-				Message: fmt.Sprintf("Service temporarily unavailable: %d shard(s) down: %s",
-					len(e.Down), strings.Join(e.Down, ", "))})
-		case *serving.CanceledError:
-			status := http.StatusServiceUnavailable
-			msg := "Request canceled before the estimate completed"
-			if errors.Is(e, context.DeadlineExceeded) {
-				status = http.StatusGatewayTimeout
-				msg = "Request deadline exceeded before the estimate completed"
-			}
-			s.writeError(w, status, &APIError{
-				Code: CodeServiceUnavailable, Type: "ApiUnknownException", Message: msg})
-		default:
-			panic(rec)
-		}
-	}()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -341,13 +310,21 @@ func (s *Server) parseSpec(w http.ResponseWriter, raw string) (TargetingSpec, bo
 // Reach for a validated spec. Estimates are conditional on the audience
 // containing at least one real member — matching the platform's behaviour of
 // counting actual users, since every combination the paper queries comes
-// from a real profile (§4.1).
-func (s *Server) estimateReach(ctx context.Context, spec TargetingSpec) (int64, error) {
+// from a real profile (§4.1). It returns false after writing an error
+// response: 400 for a spec that does not convert to clauses, and
+// writeBackendError's status for a backend failure.
+func (s *Server) estimateReach(w http.ResponseWriter, r *http.Request, spec TargetingSpec) (int64, bool) {
 	clauses, err := spec.Clauses()
 	if err != nil {
-		return 0, err
+		s.writeError(w, http.StatusBadRequest, &APIError{
+			Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
+		return 0, false
 	}
-	demo, share := s.backend.ReachShares(ctx, spec.DemoFilter(), clauses)
+	demo, share, err := s.backend.ReachShares(r.Context(), spec.DemoFilter(), clauses)
+	if err != nil {
+		s.writeBackendError(w, err)
+		return 0, false
+	}
 	base := float64(s.backend.Population())*demo - 1
 	if base < 0 {
 		base = 0
@@ -359,7 +336,37 @@ func (s *Server) estimateReach(ctx context.Context, spec TargetingSpec) (int64, 
 	if s.cfg.RoundReach {
 		reach = roundSignificant(reach, 2)
 	}
-	return reach, nil
+	return reach, true
+}
+
+// writeBackendError maps a ReachBackend failure to its FB error envelope:
+// *serving.UnavailableError (unservable topology) is a 503 naming the down
+// shards, and *serving.CanceledError (the request context ended mid-query)
+// is a 504 for an expired deadline or a 503 for a client cancel — the
+// latter mostly for the log's benefit, since a canceled client is no longer
+// reading. Any other backend error is a 500.
+func (s *Server) writeBackendError(w http.ResponseWriter, err error) {
+	var ue *serving.UnavailableError
+	var ce *serving.CanceledError
+	switch {
+	case errors.As(err, &ue):
+		s.writeError(w, http.StatusServiceUnavailable, &APIError{
+			Code: CodeServiceUnavailable, Type: "ApiUnknownException",
+			Message: fmt.Sprintf("Service temporarily unavailable: %d shard(s) down: %s",
+				len(ue.Down), strings.Join(ue.Down, ", "))})
+	case errors.As(err, &ce):
+		status := http.StatusServiceUnavailable
+		msg := "Request canceled before the estimate completed"
+		if errors.Is(ce, context.DeadlineExceeded) {
+			status = http.StatusGatewayTimeout
+			msg = "Request deadline exceeded before the estimate completed"
+		}
+		s.writeError(w, status, &APIError{
+			Code: CodeServiceUnavailable, Type: "ApiUnknownException", Message: msg})
+	default:
+		s.writeError(w, http.StatusInternalServerError, &APIError{
+			Code: CodeServiceUnavailable, Type: "ApiUnknownException", Message: err.Error()})
+	}
 }
 
 func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
@@ -367,10 +374,8 @@ func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	reach, err := s.estimateReach(r.Context(), spec)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, &APIError{
-			Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
+	reach, ok := s.estimateReach(w, r, spec)
+	if !ok {
 		return
 	}
 	s.writeJSON(w, reachResponse{Data: ReachEstimate{Users: reach, EstimateReady: true},
@@ -415,10 +420,8 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 				Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
 			return
 		}
-		reach, err := s.estimateReach(r.Context(), params.Targeting)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, &APIError{
-				Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
+		reach, ok := s.estimateReach(w, r, params.Targeting)
+		if !ok {
 			return
 		}
 		threshold := s.cfg.NarrowWarningThreshold

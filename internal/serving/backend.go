@@ -47,10 +47,11 @@ import (
 // its request context so cancellation and deadlines propagate through the
 // whole serving stack. Local (CPU-bound) backends accept and ignore it;
 // network backends (ProxyBackend) thread it into every shard RPC, retry
-// sleep and backoff, and abandon work the caller no longer wants by
-// panicking with *CanceledError (recovered by the HTTP tier, like
-// *UnavailableError). Values are unaffected by the context: for any ctx
-// that stays live, results are byte-identical to an undeadlined one's.
+// sleep and backoff. Failure is a returned error, never a fabricated share:
+// *CanceledError when the caller's context ends mid-query, *UnavailableError
+// when the topology cannot serve under its degradation policy. Values are
+// unaffected by the context: for any ctx that stays live, results are
+// byte-identical to an undeadlined one's.
 type ReachBackend interface {
 	// Catalog exposes the interest ecosystem for spec validation and
 	// /search.
@@ -60,16 +61,9 @@ type ReachBackend interface {
 	// ReachShares returns both factors of one reach estimate: the population
 	// share matching a demographic filter and the share matching a
 	// flexible-spec union of interest conjunctions. Sharded backends gather
-	// both in one scatter, so the two factors always come from the same
-	// set of shards.
-	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64)
-	// ConditionalAudience returns the §4.1 conditional audience expectation
-	// of a conjunction inside a demographic slice — 1 + max(0, Pop·demoShare
-	// − 1)·conjShare, the quantity the group-conditional Appendix C
-	// collection consumes. Sharded backends compose it from scatter-gathered
-	// shares: byte-identical to the local path at one shard, within the
-	// package's 1e-12 relative bound above it.
-	ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64
+	// both in one fan-out, so the two factors always come from the same
+	// set of shards. LocalBackend never returns an error.
+	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error)
 	// AudienceStats snapshots the backend's audience-cache counters,
 	// aggregated across shards.
 	AudienceStats(ctx context.Context) audience.Stats
@@ -120,9 +114,10 @@ func (b *LocalBackend) Population() int64 { return b.model.Population() }
 
 // ReachShares implements ReachBackend. The local engine is CPU-bound with
 // no cancellation points, so ctx is accepted for the contract and ignored —
-// a local evaluation finishes in microseconds either way.
-func (b *LocalBackend) ReachShares(_ context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
-	return b.engine.DemoShare(f), b.engine.UnionShare(clauses)
+// a local evaluation finishes in microseconds either way — and the error is
+// always nil.
+func (b *LocalBackend) ReachShares(_ context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
+	return b.engine.DemoShare(f), b.engine.UnionShare(clauses), nil
 }
 
 // DemoShare returns the population share matching a demographic filter
@@ -137,8 +132,10 @@ func (b *LocalBackend) UnionShare(_ context.Context, clauses [][]interest.ID) fl
 	return b.engine.UnionShare(clauses)
 }
 
-// ConditionalAudience implements ReachBackend via the engine's composite
-// (DemoFilter, conjunction) demo-level cache (ctx ignored; see ReachShares).
+// ConditionalAudience returns the §4.1 conditional audience of a conjunction
+// inside a demographic slice, 1 + max(0, Pop·demoShare − 1)·conjShare, via
+// the engine's composite (DemoFilter, conjunction) demo-level cache (ctx
+// ignored; see ReachShares).
 func (b *LocalBackend) ConditionalAudience(_ context.Context, f population.DemoFilter, ids []interest.ID) float64 {
 	return b.engine.ExpectedAudienceConditional(f, ids)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 )
 
@@ -47,25 +49,61 @@ func TestNoBackgroundContextOnRequestPaths(t *testing.T) {
 	}
 }
 
-// expectCanceled asserts fn panics with *CanceledError and returns it.
-func expectCanceled(t *testing.T, fn func()) *CanceledError {
+// TestErrorsAreReturnedNotPanicked is the grep gate for the error contract:
+// failures reach callers as returned errors, so adsapi's production files
+// recover nothing, and this package's production files hold exactly one
+// panic( — inside must, the adapter that keeps the float64 share methods
+// for their non-ReachBackend callers.
+func TestErrorsAreReturnedNotPanicked(t *testing.T) {
+	count := func(dir, needle string) (total int, sites []string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(dir + "/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; ; {
+				i := bytes.Index(data[off:], []byte(needle))
+				if i < 0 {
+					break
+				}
+				at := off + i
+				// The enclosing top-level declaration: the last "\nfunc "
+				// before the match.
+				fn := data[bytes.LastIndex(data[:at], []byte("\nfunc "))+1:]
+				fn = fn[:bytes.IndexByte(fn, '{')]
+				sites = append(sites, fmt.Sprintf("%s:%d in %s", name, 1+bytes.Count(data[:at], []byte("\n")), fn))
+				total++
+				off = at + len(needle)
+			}
+		}
+		return total, sites
+	}
+	if n, sites := count("../adsapi", "recover()"); n != 0 {
+		t.Errorf("adsapi production code calls recover() %d time(s) (%v): backend failures are returned errors", n, sites)
+	}
+	n, sites := count(".", "panic(")
+	if n != 1 || !strings.Contains(sites[0], "func must(") {
+		t.Errorf("serving production code has %d panic( site(s) %v, want exactly one, inside must", n, sites)
+	}
+}
+
+// wantErr asserts err is (or wraps) an E and returns it.
+func wantErr[E error](t *testing.T, err error) E {
 	t.Helper()
-	var ce *CanceledError
-	func() {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				t.Fatal("expected a CanceledError panic")
-			}
-			var ok bool
-			ce, ok = rec.(*CanceledError)
-			if !ok {
-				panic(rec)
-			}
-		}()
-		fn()
-	}()
-	return ce
+	var target E
+	if !errors.As(err, &target) {
+		t.Fatalf("error %v, want %T", err, target)
+	}
+	return target
 }
 
 // hungHandler blocks every request until its caller goes away — the stuck
@@ -106,9 +144,8 @@ func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 	defer timer.Stop()
 
 	start := time.Now()
-	ce := expectCanceled(t, func() {
-		proxy.UnionShare(ctx, [][]interest.ID{{1}})
-	})
+	_, _, err := proxy.ReachShares(ctx, population.DemoFilter{}, [][]interest.ID{{1}})
+	ce := wantErr[*CanceledError](t, err)
 	elapsed := time.Since(start)
 	if !errors.Is(ce, context.Canceled) {
 		t.Fatalf("CanceledError wraps %v, want context.Canceled", ce.Err)
@@ -122,7 +159,7 @@ func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 }
 
 // TestProxyDeadlinePanicsDeadlineExceeded: same bound, via an expiring
-// deadline instead of an explicit cancel — the recovered error must
+// deadline instead of an explicit cancel — the returned error must
 // distinguish the two (the HTTP tier maps them to 504 vs 503).
 func TestProxyDeadlinePanicsDeadlineExceeded(t *testing.T) {
 	proxy, _ := startHungShardTopology(t)
@@ -130,9 +167,8 @@ func TestProxyDeadlinePanicsDeadlineExceeded(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	ce := expectCanceled(t, func() {
-		proxy.DemoShare(ctx, randomFilter(rng.New(1).Derive(t.Name())))
-	})
+	_, _, err := proxy.ReachShares(ctx, randomFilter(rng.New(1).Derive(t.Name())), nil)
+	ce := wantErr[*CanceledError](t, err)
 	if !errors.Is(ce, context.DeadlineExceeded) {
 		t.Fatalf("CanceledError wraps %v, want context.DeadlineExceeded", ce.Err)
 	}
@@ -181,9 +217,9 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 	}
 }
 
-// TestShardServerDeadlineHeaderValidation: a malformed or non-positive
-// X-Deadline-Ms is a caller bug answered 400; a generous valid one serves
-// normally.
+// TestShardServerDeadlineHeaderValidation: a malformed, non-positive or
+// overflowing X-Deadline-Ms (one whose time.Duration would wrap negative) is
+// a caller bug answered 400; a generous valid one serves normally.
 func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := shardHandler(t, cfg, 0, 1)
@@ -196,6 +232,7 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 		{"0", http.StatusBadRequest},
 		{"-5", http.StatusBadRequest},
 		{"60000", http.StatusOK},
+		{"10000000000000", http.StatusBadRequest},
 	} {
 		req := httptest.NewRequest(http.MethodPost, shardPathUnion, strings.NewReader(body))
 		req.Header.Set(DeadlineHeader, tc.header)
@@ -252,9 +289,8 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 			return nil
 		},
 	})
-	expectUnavailable(t, func() {
-		proxy.UnionShare(context.Background(), [][]interest.ID{{1}})
-	})
+	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, [][]interest.ID{{1}})
+	wantErr[*UnavailableError](t, err)
 	if len(slept) != 0 {
 		t.Fatalf("the proxy retried a 504 (%d backoff sleeps) — it must be permanent", len(slept))
 	}

@@ -3,11 +3,14 @@ package serving
 import (
 	"encoding/json"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 var fuzzShard struct {
@@ -92,6 +95,85 @@ func FuzzShardShareRequest(f *testing.F) {
 					t.Fatalf("%s %q: share out of [0, 1] in %s", path, body, rec.Body)
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseShardTopology checks the -proxy topology parser: an accepted spec
+// has one shard per comma-separated field and one replica per |-separated
+// URL, every URL non-empty and already trimmed.
+func FuzzParseShardTopology(f *testing.F) {
+	for _, seed := range []string{"u0a|u0b, u1 ,u2", "http://127.0.0.1:9001", "", ",", "a,,b", "a|", " | ", "a|b|c,d"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		shards, err := ParseShardTopology(spec)
+		if err != nil {
+			return
+		}
+		if want := strings.Count(spec, ",") + 1; len(shards) != want {
+			t.Fatalf("%q: %d shards, want %d", spec, len(shards), want)
+		}
+		for i, field := range strings.Split(spec, ",") {
+			if want := strings.Count(field, "|") + 1; len(shards[i]) != want {
+				t.Fatalf("%q: shard %d has %d replicas, want %d", spec, i, len(shards[i]), want)
+			}
+			for _, u := range shards[i] {
+				if u == "" || u != strings.TrimSpace(u) {
+					t.Fatalf("%q: shard %d replica URL %q is empty or untrimmed", spec, i, u)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDeadlineHeader sends a share RPC from a live caller with an arbitrary
+// X-Deadline-Ms value. The shard must parse the header or reject it: 200 or
+// 400, never a 5xx. The one allowed 504 is a budget under a second, which
+// can genuinely expire before compute on a loaded machine; a huge budget
+// must not wrap into an expired one.
+func FuzzDeadlineHeader(f *testing.F) {
+	for _, seed := range []string{"60000", "1000", "0", "-5", "abc", "", "+7000", "10000000000000", "9223372036854775807", "9223372036854"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		srv := fuzzShardServer(t)
+		req := httptest.NewRequest(http.MethodPost, shardPathUnion, strings.NewReader(`{"clauses": [[1]]}`))
+		req.Header.Set(DeadlineHeader, header)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest:
+		case http.StatusGatewayTimeout:
+			if ms, err := strconv.ParseInt(header, 10, 64); err != nil || ms >= 1000 {
+				t.Fatalf("%s=%q: HTTP 504 for a live caller: %s", DeadlineHeader, header, rec.Body)
+			}
+		default:
+			t.Fatalf("%s=%q: HTTP %d: %s", DeadlineHeader, header, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzParseRetryAfter checks ParseRetryAfter against big-integer arithmetic:
+// the result is never negative, it is secs·1s whenever that product fits in
+// a time.Duration, and 0 ("no advice") for anything else.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, seed := range []string{"3", "", "-1", "abc", " 7 ", "20000000000", "9223372036", "9223372037", "+4"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		got := ParseRetryAfter(h)
+		if got < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v < 0", h, got)
+		}
+		var want time.Duration
+		if secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64); err == nil && secs >= 0 {
+			if d := new(big.Int).Mul(big.NewInt(secs), big.NewInt(int64(time.Second))); d.IsInt64() {
+				want = time.Duration(d.Int64())
+			}
+		}
+		if got != want {
+			t.Fatalf("ParseRetryAfter(%q) = %v, want %v", h, got, want)
 		}
 	})
 }

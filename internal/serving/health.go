@@ -15,8 +15,8 @@ import (
 type Policy int
 
 const (
-	// PolicyFail refuses to serve while any shard is down: share methods
-	// panic with *UnavailableError (the HTTP tier turns it into a 503 whose
+	// PolicyFail refuses to serve while any shard is down: ReachShares
+	// returns *UnavailableError (the HTTP tier turns it into a 503 whose
 	// JSON body names the down shards). This is the exactness-preserving
 	// policy — a served answer is always the full-topology answer.
 	PolicyFail Policy = iota
@@ -53,10 +53,8 @@ func (p Policy) String() string {
 
 // UnavailableError reports that the proxy cannot serve: under PolicyFail any
 // dead shard (every replica down) triggers it; under PolicyRenormalize only
-// losing every shard does. ReachBackend's share methods have no error returns
-// (local backends cannot fail), so ProxyBackend panics with this type and
-// HTTP tiers recover it into a 503 response naming the down shards
-// (adsapi.Server.ServeHTTP).
+// losing every shard does. ProxyBackend.ReachShares returns it, and the HTTP
+// tier answers 503 naming the down shards (adsapi.Server.writeBackendError).
 type UnavailableError struct {
 	// Down lists the unreachable replicas' base URLs.
 	Down []string
@@ -69,10 +67,9 @@ func (e *UnavailableError) Error() string {
 }
 
 // CanceledError reports that the caller's context ended (cancel or
-// deadline) before the backend finished the query. Like UnavailableError it
-// travels by panic — ReachBackend's share methods have no error returns —
-// and the HTTP tier recovers it: 504 for an expired deadline, 503 for a
-// plain cancel (adsapi.Server.ServeHTTP).
+// deadline) before the backend finished the query. The sharded backends'
+// ReachShares return it (fanOut), and the HTTP tier answers 504 for an
+// expired deadline, 503 for a plain cancel (adsapi.Server.writeBackendError).
 type CanceledError struct {
 	// Err is the context's error (context.Canceled or
 	// context.DeadlineExceeded).

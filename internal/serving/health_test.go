@@ -106,27 +106,6 @@ func shardHandler(t *testing.T, cfg worldcfg.Config, index, count int) (*ShardSe
 	return srv, b
 }
 
-// expectUnavailable asserts fn panics with *UnavailableError and returns it.
-func expectUnavailable(t *testing.T, fn func()) *UnavailableError {
-	t.Helper()
-	var ue *UnavailableError
-	func() {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				t.Fatal("expected an UnavailableError panic")
-			}
-			var ok bool
-			ue, ok = rec.(*UnavailableError)
-			if !ok {
-				panic(rec)
-			}
-		}()
-		fn()
-	}()
-	return ue
-}
-
 // TestProxyFailoverRenormalizeVsFail is the ISSUE's failover acceptance
 // test: a 2-shard topology loses one shard mid-run. Under renormalize the
 // proxy keeps answering (the survivor's bare share, responses flagged
@@ -202,7 +181,8 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	if fs := failing.HealthStats(); fs.Down != 1 || fs.Shards[1].Up {
 		t.Fatalf("fail-policy probe missed the dead shard: %+v", fs)
 	}
-	ue := expectUnavailable(t, func() { failing.UnionShare(context.Background(), clauses) })
+	_, _, err = failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
+	ue := wantErr[*UnavailableError](t, err)
 	if len(ue.Down) != 1 || ue.Down[0] != shard1.URL() {
 		t.Fatalf("UnavailableError names %v, want [%s]", ue.Down, shard1.URL())
 	}
@@ -240,7 +220,8 @@ func TestProxyAllShardsDown(t *testing.T) {
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
 	})
 	shard.Kill()
-	ue := expectUnavailable(t, func() { proxy.DemoShare(context.Background(), population.DemoFilter{}) })
+	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, nil)
+	ue := wantErr[*UnavailableError](t, err)
 	if len(ue.Down) != 1 {
 		t.Fatalf("UnavailableError names %v", ue.Down)
 	}

@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -239,7 +240,7 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if raw := r.Header.Get(DeadlineHeader); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms <= 0 {
+		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad %s header %q", DeadlineHeader, raw))
 			return
 		}
@@ -367,7 +368,7 @@ func (s *ShardServer) handleReachShares(w http.ResponseWriter, r *http.Request) 
 	if req.Filter != nil {
 		f = *req.Filter
 	}
-	demo, union := s.backend.ReachShares(r.Context(), f, req.Clauses)
+	demo, union, _ := s.backend.ReachShares(r.Context(), f, req.Clauses) // a LocalBackend never fails
 	s.writeJSON(w, sharePair{Demo: demo, Union: union})
 }
 
@@ -492,7 +493,7 @@ type ProxyConfig struct {
 // Failure behaviour is governed by the health subsystem (health.go):
 // replicas marked down by probes are skipped, RPC failures mark replicas
 // down, and the configured Policy decides — only once a shard has NO live
-// replica — between refusing (PolicyFail panics with *UnavailableError →
+// replica — between refusing (PolicyFail returns *UnavailableError →
 // HTTP 503) and renormalizing over the live shards (PolicyRenormalize,
 // responses stamped degraded).
 type ProxyBackend struct {
@@ -673,59 +674,55 @@ func (p *ProxyBackend) Population() int64 { return p.pop }
 
 // ReachShares implements ReachBackend with one fused RPC per shard: every
 // shard answers both factor shares, and each factor is folded on its own
-// (fold), so the pair always comes from one set of live shards. Like every
-// proxy share method it panics with *UnavailableError when the topology
-// cannot serve under the policy, and with *CanceledError when the caller's
-// context ends mid-gather.
-func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
-	pairs, live := gather[sharePair](ctx, p, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses})
+// (fold), so the pair always comes from one set of live shards. It returns
+// *UnavailableError when the topology cannot serve under the policy, and
+// *CanceledError when the caller's context ends mid-gather.
+func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
+	pairs, live, err := gather[sharePair](ctx, p, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses})
+	if err != nil {
+		return 0, 0, err
+	}
 	demo = p.fold(live, func(i int) float64 { return pairs[i].Demo })
 	union = p.fold(live, func(i int) float64 { return pairs[i].Union })
-	return demo, union
+	return demo, union, nil
 }
 
 // DemoShare returns the population share matching a demographic filter,
-// gathered on its own.
+// gathered on its own (a float64 adapter; see must).
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
+	return must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
 }
 
 // UnionShare returns the population share matching a union of interest
-// conjunctions, gathered on its own.
+// conjunctions, gathered on its own (a float64 adapter; see must).
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return p.gatherShare(ctx, shardPathUnion, shardShareRequest{Clauses: clauses})
+	return must(p.share(ctx, shardPathUnion, shardShareRequest{Clauses: clauses}))
 }
 
-// ConditionalAudience implements ReachBackend: both factor shares are
-// scatter-gathered and composed with the GLOBAL population by
-// population.ConditionalAudience — the call ShardedBackend.ConditionalAudience
-// makes, so healthy-topology answers match it byte-for-byte.
+// ConditionalAudience gathers both factor shares and composes them with the
+// GLOBAL population by population.ConditionalAudience — the call
+// ShardedBackend.ConditionalAudience makes, so healthy-topology answers match
+// it byte-for-byte (a float64 adapter; see must).
 func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := p.gatherShare(ctx, shardPathDemo, shardShareRequest{Filter: &f})
-	conj := p.gatherShare(ctx, shardPathConj, shardShareRequest{IDs: ids})
+	demo := must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
+	conj := must(p.share(ctx, shardPathConj, shardShareRequest{IDs: ids}))
 	return population.ConditionalAudience(p.pop, demo, conj)
 }
 
 // AudienceStats implements ReachBackend: the fold of every reachable shard's
-// cache counters (stats are diagnostics — unreachable shards contribute
-// nothing rather than failing the call). With replicas the counters come
-// from whichever replica answered, so they describe ITS caches.
+// cache counters (stats are diagnostics — an unreachable shard, or every
+// shard once ctx ends, contributes zeros rather than failing the call). With
+// replicas the counters come from whichever replica answered, so they
+// describe ITS caches.
 func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
-	n := len(p.shards)
 	bud := p.newQueryBudget()
-	stats := make([]*audience.Stats, n)
-	_ = parallel.ForEach(ctx, n, n, func(i int) error {
-		var st audience.Stats
-		if err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, &st, bud); err == nil {
-			stats[i] = &st
-		}
-		return nil
+	stats, _, _ := fanOut(ctx, len(p.shards), len(p.shards), func(ctx context.Context, i int) (st audience.Stats, err error) {
+		err = p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, &st, bud)
+		return st, err
 	})
 	var total audience.Stats
 	for _, st := range stats {
-		if st != nil {
-			total = addStats(total, *st)
-		}
+		total = addStats(total, st)
 	}
 	return total
 }
@@ -748,67 +745,66 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
 }
 
-// gatherShare scatters a one-share RPC and folds the answers.
-func (p *ProxyBackend) gatherShare(ctx context.Context, path string, req shardShareRequest) float64 {
-	shares, live := gather[shardShareResponse](ctx, p, path, req)
-	return p.fold(live, func(i int) float64 { return shares[i].Share })
+// share gathers a one-share RPC and folds the answers.
+func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (float64, error) {
+	shares, live, err := gather[shardShareResponse](ctx, p, path, req)
+	if err != nil {
+		return 0, err
+	}
+	return p.fold(live, func(i int) float64 { return shares[i].Share }), nil
 }
 
-// gather scatters one share RPC across the topology and returns each
-// shard's decoded answer in shard-index order, with the shards that
-// answered marked in live (nil when every shard answered). Per shard the
-// RPC runs against the shard's replica set (callShard): only a shard with
-// NO usable replica counts as failed. The policy is applied here, once per
-// RPC, so every share folded from one gather sees the same live set:
-//
-//   - PolicyFail and any shard dead or failing: panic *UnavailableError
-//     (the HTTP tier's 503, naming the dead shard's replica URLs);
-//   - PolicyRenormalize: dead shards (every replica down) are skipped and
-//     shards whose whole replica set fails the RPC are excluded from live;
-//     zero live shards panic *UnavailableError.
-//
-// The caller's ctx threads into every RPC; if it ends mid-gather the method
-// panics *CanceledError instead of returning partial answers, and the
-// failures it caused are not held against the replicas.
-func gather[T any](ctx context.Context, p *ProxyBackend, path string, req shardShareRequest) (answers []T, live []bool) {
-	n := len(p.shards)
-	dead, deadURLs := p.health.deadShards()
-	if p.policy == PolicyFail && len(deadURLs) > 0 {
-		panic(&UnavailableError{Down: deadURLs})
+// gather runs one share RPC on every shard through fanOut and returns each
+// shard's decoded answer in shard-index order, with the shards that answered
+// marked in live (nil when every shard answered). Per shard the RPC runs
+// against the shard's replica set (callShard): only a shard with NO usable
+// replica counts as failed. A PolicyFail proxy that already knows a shard is
+// dead refuses before any RPC. The caller's ctx threads into every RPC; if
+// it ends mid-gather, gather returns *CanceledError instead of partial
+// answers, and the failures it caused are not held against the replicas.
+func gather[T any](ctx context.Context, p *ProxyBackend, path string, req shardShareRequest) (answers []T, live []bool, err error) {
+	if _, deadURLs := p.health.deadShards(); p.policy == PolicyFail && len(deadURLs) > 0 {
+		return nil, nil, &UnavailableError{Down: deadURLs}
 	}
 	bud := p.newQueryBudget()
-	answers = make([]T, n)
-	errs := make([]error, n)
-	_ = parallel.ForEach(ctx, n, n, func(i int) error {
-		if dead[i] {
-			errs[i] = errors.New("skipped: every replica marked down")
-			return nil
-		}
-		errs[i] = p.callShard(ctx, i, http.MethodPost, path, &req, &answers[i], bud)
-		return nil
+	answers, errs, err := fanOut(ctx, len(p.shards), len(p.shards), func(ctx context.Context, i int) (out T, err error) {
+		err = p.callShard(ctx, i, http.MethodPost, path, &req, &out, bud)
+		return out, err
 	})
-	if err := ctx.Err(); err != nil {
-		panic(&CanceledError{Err: err})
+	if err != nil {
+		return nil, nil, err
 	}
+	live, err = p.liveSet(errs)
+	return answers, live, err
+}
 
+// liveSet is the degradation policy as one function of a gather's per-shard
+// errors. It returns nil live when every shard answered; otherwise:
+//
+//   - PolicyFail: *UnavailableError naming every replica of each failed shard
+//     (the HTTP tier's 503);
+//   - PolicyRenormalize: the shards that answered, to fold over — or
+//     *UnavailableError when none did.
+//
+// Applied once per gather, so every share folded from one gather sees the
+// same live set.
+func (p *ProxyBackend) liveSet(errs []error) ([]bool, error) {
 	var failedURLs []string
-	live = make([]bool, n)
-	survivors := 0
+	live := make([]bool, len(errs))
+	failed := 0
 	for i, err := range errs {
-		if err != nil {
+		if live[i] = err == nil; !live[i] {
 			failedURLs = append(failedURLs, p.shards[i]...)
-		} else {
-			live[i] = true
-			survivors++
+			failed++
 		}
 	}
-	if len(failedURLs) == 0 {
-		return answers, nil
+	switch {
+	case failed == 0:
+		return nil, nil
+	case p.policy == PolicyFail || failed == len(errs):
+		return nil, &UnavailableError{Down: failedURLs}
 	}
-	if p.policy == PolicyFail || survivors == 0 {
-		panic(&UnavailableError{Down: failedURLs})
-	}
-	return answers, live
+	return live, nil
 }
 
 // fold folds one share component of a gather in shard-index order:
@@ -862,11 +858,8 @@ func (b *queryBudget) take() bool {
 	return b.remaining.Add(-1) >= 0
 }
 
-// callShard performs one shard RPC against the shard's replica set and
-// decodes the winning response. The preferred (lowest-index) live replica
-// serves it; on failure the next live replica takes over (exact — replicas
-// are byte-identical worlds), and with hedging armed a duplicate races the
-// slow attempt instead of waiting for it to fail. A shard-level error means
+// callShard performs one shard RPC against the shard's replica set
+// (callReplicas) and decodes the winning response. A shard-level error means
 // NO usable replica produced an answer.
 func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, in, out any, bud *queryBudget) error {
 	var body []byte
@@ -880,13 +873,7 @@ func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path st
 	if len(candidates) == 0 {
 		return fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
 	}
-	var data []byte
-	var err error
-	if p.hedgeAfter > 0 && len(candidates) > 1 {
-		data, err = p.raceReplicas(ctx, shard, candidates, method, path, body, bud)
-	} else {
-		data, err = p.failoverReplicas(ctx, shard, candidates, method, path, body, bud)
-	}
+	data, err := p.callReplicas(ctx, shard, candidates, method, path, body, bud)
 	if err != nil {
 		return err
 	}
@@ -899,39 +886,18 @@ func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path st
 	return nil
 }
 
-// failoverReplicas tries the candidate replicas strictly in order (hedging
-// disarmed): each failure hands the identical request to the next live
-// replica. Because every candidate passed the same identity probe, the
-// answer is independent of WHICH replica produced it.
-func (p *ProxyBackend) failoverReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	var lastErr error
-	for k, rep := range candidates {
-		if k > 0 {
-			p.failovers.Add(1)
-		}
-		data, err := p.callReplica(ctx, shard, rep, method, path, body, bud)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The caller is gone: the remaining replicas would only see the
-			// same dead context.
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("serving: shard %d %s: every live replica failed: %w", shard, path, lastErr)
-}
-
-// raceReplicas is the hedged call path: the preferred replica starts
-// immediately; whenever the hedge delay elapses without an answer — or a
-// running attempt fails outright — the next candidate joins the race with
-// the identical request. The first success wins and cancels the rest
-// (their breakers observe OnCanceled, a neutral verdict). Replicas being
-// byte-identical worlds is what makes "first success wins" sound: the bytes
-// cannot depend on the winner. All racing attempts debit the same shared
+// callReplicas is the replica loop. The preferred (lowest-index) live
+// replica starts immediately; the next candidate takes over with the
+// identical request whenever a running attempt fails (counted as a failover,
+// or as a hedge when hedging is armed) — and, with HedgeAfter armed and more
+// than one candidate, also whenever the hedge delay elapses without an
+// answer (a hedge). Hedged attempts race: the first success wins and cancels
+// the rest (their breakers observe OnCanceled, a neutral verdict). Replicas
+// being byte-identical worlds — every candidate passed the same identity
+// probe — is what makes failover exact and "first success wins" sound: the
+// bytes cannot depend on the winner. All attempts debit the same shared
 // retry budget, so hedging cannot multiply a brownout's retry load.
-func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -940,18 +906,29 @@ func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, candidates [
 		err   error
 	}
 	// Buffered to len(candidates): losers deliver and exit without a
-	// listener.
+	// listener, and an attempt run inline never blocks on its own send.
 	results := make(chan outcome, len(candidates))
-	launch := func(order int) {
-		rep := candidates[order]
-		go func() {
+	hedging := p.hedgeAfter > 0 && len(candidates) > 1
+	launched := 0
+	launch := func() {
+		order, rep := launched, candidates[launched]
+		launched++
+		attempt := func() {
 			data, err := p.callReplica(raceCtx, shard, rep, method, path, body, bud)
 			results <- outcome{order: order, data: data, err: err}
-		}()
+		}
+		// Only a race needs its own goroutine per attempt; failover
+		// attempts run one after another on the caller's goroutine.
+		if hedging {
+			go attempt()
+		} else {
+			attempt()
+		}
 	}
 	// The hedge timer re-arms after every fire, so topologies with 3+
-	// replicas keep escalating while nobody answers.
-	timer := make(chan struct{}, 1)
+	// replicas keep escalating while nobody answers. Disarmed, it is a nil
+	// channel that never fires.
+	var timer chan struct{}
 	armTimer := func() {
 		go func() {
 			if p.sleep(raceCtx, p.hedgeAfter) == nil {
@@ -962,22 +939,30 @@ func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, candidates [
 			}
 		}()
 	}
-	launched := 1
-	launch(0)
-	armTimer()
+	escalate := func() {
+		if hedging {
+			p.hedged.Add(1)
+		} else {
+			p.failovers.Add(1)
+		}
+		launch()
+	}
+	launch()
+	if hedging {
+		timer = make(chan struct{}, 1)
+		armTimer()
+	}
 	var lastErr error
-	for failed := 0; failed < launched || launched < len(candidates); {
+	for failed := 0; failed < launched; {
 		select {
 		case <-timer:
 			if launched < len(candidates) {
-				p.hedged.Add(1)
-				launch(launched)
-				launched++
+				escalate()
 				armTimer()
 			}
 		case res := <-results:
 			if res.err == nil {
-				if res.order > 0 {
+				if hedging && res.order > 0 {
 					p.hedgeWins.Add(1)
 				}
 				return res.data, nil
@@ -985,14 +970,14 @@ func (p *ProxyBackend) raceReplicas(ctx context.Context, shard int, candidates [
 			lastErr = res.err
 			failed++
 			if ctx.Err() != nil {
+				// The caller is gone: the remaining replicas would only see
+				// the same dead context.
 				return nil, res.err
 			}
 			if launched < len(candidates) {
 				// A failed attempt escalates immediately — waiting out the
 				// hedge delay would only add latency to a known failure.
-				p.hedged.Add(1)
-				launch(launched)
-				launched++
+				escalate()
 			}
 		}
 	}
@@ -1073,7 +1058,7 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				shard, path, status, truncate(data))
 		case status >= 500 || status == http.StatusTooManyRequests:
 			lastErr = fmt.Errorf("HTTP %d: %s", status, truncate(data))
-			serverWait = parseRetryAfter(header.Get("Retry-After"))
+			serverWait = ParseRetryAfter(header.Get("Retry-After"))
 			continue
 		case status != http.StatusOK:
 			var eb shardErrorBody
@@ -1099,15 +1084,14 @@ func (p *ProxyBackend) backoff(shard, replica, attempt int) time.Duration {
 	return wait + time.Duration(j*float64(wait)/2)
 }
 
-// parseRetryAfter reads a delay-seconds Retry-After value (the only form the
-// shard tiers emit — see Gate and Admission), mirroring the adsapi client's
-// parser. Unparseable or negative values mean "no advice".
-func parseRetryAfter(h string) time.Duration {
-	if h == "" {
-		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(h))
-	if err != nil || secs < 0 {
+// ParseRetryAfter reads a delay-seconds Retry-After value — the only form
+// this repository's servers emit (Gate, Admission). The proxy honours it on
+// shard retries and the adsapi client on API retries. Unparseable or
+// negative values, and values too large for a time.Duration, mean "no
+// advice" (0).
+func ParseRetryAfter(h string) time.Duration {
+	secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64)
+	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
 		return 0
 	}
 	return time.Duration(secs) * time.Second

@@ -150,8 +150,14 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy DemoShare = %v, sharded %v — must be byte-identical",
 							seed, shards, replicas, trial, got, want)
 					}
-					gotD, gotU := proxy.ReachShares(context.Background(), f, clauses)
-					wantD, wantU := sharded.ReachShares(context.Background(), f, clauses)
+					gotD, gotU, err := proxy.ReachShares(context.Background(), f, clauses)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantD, wantU, err := sharded.ReachShares(context.Background(), f, clauses)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if gotD != wantD || gotU != wantU {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ReachShares = (%v, %v), sharded (%v, %v) — must be byte-identical",
 							seed, shards, replicas, trial, gotD, gotU, wantD, wantU)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 )
 
 func zeroJitter(shard, replica, attempt int) float64 { return 0 }
@@ -127,7 +128,8 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	if !renorm.Degraded() {
 		t.Fatal("losing every replica of a shard must degrade under renormalize")
 	}
-	ue := expectUnavailable(t, func() { failing.UnionShare(context.Background(), clauses) })
+	_, _, err = failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
+	ue := wantErr[*UnavailableError](t, err)
 	for _, u := range []string{r0a.URL(), r0b.URL()} {
 		found := false
 		for _, d := range ue.Down {
@@ -381,9 +383,32 @@ func TestProxyHonorsShardRetryAfter(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	expectUnavailable(t, func() { proxy2.UnionShare(ctx, clauses) })
+	_, _, err := proxy2.ReachShares(ctx, population.DemoFilter{}, clauses)
+	wantErr[*UnavailableError](t, err)
 	if len(slept) != 1 || slept[0] <= 0 || slept[0] > 500*time.Millisecond {
 		t.Fatalf("60s Retry-After should be capped by the ~500ms ctx budget, got %v", slept)
+	}
+}
+
+// TestParseRetryAfter pins the one Retry-After parser the proxy and the
+// adsapi client share: delay-seconds only, and anything unparseable,
+// negative or too large for a time.Duration is "no advice" — a wrapped
+// conversion would otherwise sleep until the caller's context ends.
+func TestParseRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"3", 3 * time.Second},
+		{" 3 ", 3 * time.Second},
+		{"", 0},
+		{"-1", 0},
+		{"abc", 0},
+		{"20000000000", 0},
+	} {
+		if got := ParseRetryAfter(tc.in); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
 	}
 }
 
@@ -416,7 +441,8 @@ func TestProxyRetryBudgetExhausted(t *testing.T) {
 			return nil
 		},
 	})
-	expectUnavailable(t, func() { proxy.UnionShare(context.Background(), [][]interest.ID{{1}}) })
+	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, [][]interest.ID{{1}})
+	wantErr[*UnavailableError](t, err)
 	if sleeps > 2 {
 		t.Fatalf("budget 2 allows at most 2 retry sleeps across the fan-out, saw %d", sleeps)
 	}

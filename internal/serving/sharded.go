@@ -58,6 +58,38 @@ func foldShares(weights []float64, share func(i int) float64) float64 {
 	return total
 }
 
+// fanOut is the one shard fan-out of both sharded backends: it runs call
+// for every shard i in [0, n), at most workers at a time, and returns shard
+// i's answer and error at index i. A failing shard does not stop the others;
+// what it means is the caller's policy. If ctx ends before the fan-out
+// completes, fanOut returns *CanceledError instead of partial answers
+// (unclaimed shards are skipped; claimed ones finish or observe ctx).
+func fanOut[T any](ctx context.Context, n, workers int, call func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
+	answers := make([]T, n)
+	errs := make([]error, n)
+	// No task fails, so ForEach's only error is ctx's, checked below.
+	_ = parallel.ForEach(ctx, n, workers, func(i int) error {
+		answers[i], errs[i] = call(ctx, i)
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, &CanceledError{Err: err}
+	}
+	return answers, errs, nil
+}
+
+// must adapts an error-returning share query to the float64 share methods
+// (DemoShare, UnionShare and ConditionalAudience on ShardedBackend and
+// ProxyBackend). They sit outside ReachBackend — tests use them as exactness
+// references and perfbench's traced backend wraps the proxy's — so no
+// program path reaches this panic: the reach path returns its errors.
+func must(v float64, err error) float64 {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // sharePair is one shard's answer to a reach estimate: both factor shares.
 // It is also the fused reach-shares RPC's response body.
 type sharePair struct {
@@ -76,8 +108,8 @@ type shard struct {
 // ShardedBackend serves reach estimates from N in-process backend shards.
 // Shard s owns user-ID range [pop·s/N, pop·(s+1)/N); integer range
 // arithmetic guarantees the ranges tile [0, pop) exactly. Every query
-// scatters to all shards over internal/parallel and gathers the per-shard
-// shares as weight_s · share_s, summed in shard-index order — deterministic
+// fans out to all shards over internal/parallel (fanOut) and folds the
+// per-shard shares as weight_s · share_s, summed in shard-index order — deterministic
 // under any worker schedule, byte-identical to LocalBackend at N=1 (the
 // single term is 1.0 · share) and within 1e-12 relative at N>1 (the
 // per-shard shares are bit-identical; only the weighted sum reassociates).
@@ -143,65 +175,56 @@ func (b *ShardedBackend) Catalog() *interest.Catalog { return b.catalog }
 // Population implements ReachBackend.
 func (b *ShardedBackend) Population() int64 { return b.pop }
 
-// scatter fans eval out to every shard under the caller's context and
-// returns the per-shard answers in shard-index order. eval never fails, so
-// the only parallel.Map error is the context's: a caller that gave up
-// mid-fan-out gets *CanceledError (panic, recovered by the HTTP tier)
-// instead of a fabricated share. Shards are CPU-bound, so cancellation stops
-// UNCLAIMED shard evaluations; claimed ones finish.
-func scatter[T any](ctx context.Context, b *ShardedBackend, eval func(s *shard) T) []T {
-	if len(b.shards) == 1 {
-		// Single shard: skip the fan-out.
-		return []T{eval(b.shards[0])}
-	}
-	out, err := parallel.Map(ctx, len(b.shards), b.workers, func(i int) (T, error) {
-		return eval(b.shards[i]), nil
-	})
-	if err != nil {
-		panic(&CanceledError{Err: err})
-	}
-	return out
-}
-
-// scatterGather scatters a one-share query and folds the answers.
-func (b *ShardedBackend) scatterGather(ctx context.Context, eval func(s *shard) float64) float64 {
-	shares := scatter(ctx, b, eval)
-	return foldShares(b.weights, func(i int) float64 { return shares[i] })
-}
-
-// ReachShares implements ReachBackend: one scatter evaluates both factor
+// ReachShares implements ReachBackend: one fan-out evaluates both factor
 // shares on every shard, and each factor is folded on its own by
 // foldShares — the arithmetic of DemoShare and UnionShare, so each factor
-// is byte-identical to its single-share query.
-func (b *ShardedBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64) {
-	pairs := scatter(ctx, b, func(s *shard) sharePair {
-		return sharePair{Demo: s.engine.DemoShare(f), Union: s.engine.UnionShare(clauses)}
+// is byte-identical to its single-share query. Shard evaluation cannot
+// fail; the only error is *CanceledError from a caller that gave up.
+func (b *ShardedBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
+	pairs, _, err := fanOut(ctx, len(b.shards), b.workers, func(_ context.Context, i int) (sharePair, error) {
+		e := b.shards[i].engine
+		return sharePair{Demo: e.DemoShare(f), Union: e.UnionShare(clauses)}, nil
 	})
+	if err != nil {
+		return 0, 0, err
+	}
 	demo = foldShares(b.weights, func(i int) float64 { return pairs[i].Demo })
 	union = foldShares(b.weights, func(i int) float64 { return pairs[i].Union })
-	return demo, union
+	return demo, union, nil
 }
 
-// DemoShare returns the population share matching a demographic filter.
+// share fans a one-share query out to every shard and folds the answers.
+func (b *ShardedBackend) share(ctx context.Context, eval func(e *audience.Engine) float64) (float64, error) {
+	shares, _, err := fanOut(ctx, len(b.shards), b.workers, func(_ context.Context, i int) (float64, error) {
+		return eval(b.shards[i].engine), nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return foldShares(b.weights, func(i int) float64 { return shares[i] }), nil
+}
+
+// DemoShare returns the population share matching a demographic filter (a
+// float64 adapter; see must).
 func (b *ShardedBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
+	return must(b.share(ctx, func(e *audience.Engine) float64 { return e.DemoShare(f) }))
 }
 
 // UnionShare returns the population share matching a union of interest
-// conjunctions.
+// conjunctions (a float64 adapter; see must).
 func (b *ShardedBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return b.scatterGather(ctx, func(s *shard) float64 { return s.engine.UnionShare(clauses) })
+	return must(b.share(ctx, func(e *audience.Engine) float64 { return e.UnionShare(clauses) }))
 }
 
-// ConditionalAudience implements ReachBackend: both factor shares are
-// scatter-gathered (each served from the shards' cached demo and conjunction
-// levels) and composed with the global population by
+// ConditionalAudience composes LocalBackend.ConditionalAudience's quantity
+// from both factor shares, each folded on its own (served from the shards'
+// cached demo and conjunction levels), with the global population by
 // population.ConditionalAudience — the arithmetic the local engine applies,
 // so one shard reproduces the local path byte-identically and more shards
-// deviate only by the gathers' reassociation.
+// deviate only by the folds' reassociation (a float64 adapter; see must).
 func (b *ShardedBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.DemoShare(f) })
-	conj := b.scatterGather(ctx, func(s *shard) float64 { return s.engine.ConjunctionShare(ids) })
+	demo := must(b.share(ctx, func(e *audience.Engine) float64 { return e.DemoShare(f) }))
+	conj := must(b.share(ctx, func(e *audience.Engine) float64 { return e.ConjunctionShare(ids) }))
 	return population.ConditionalAudience(b.pop, demo, conj)
 }
 

@@ -161,12 +161,15 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 
 	f := population.DemoFilter{Countries: []string{"US"}, AgeMin: 18, AgeMax: 30}
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	liveD, liveU := b0.ReachShares(context.Background(), f, clauses)
+	liveD, liveU, _ := b0.ReachShares(context.Background(), f, clauses) // a LocalBackend never fails
 	both := func(s0, s1 float64) float64 {
 		return foldShares(proxy.weights, func(i int) float64 { return []float64{s0, s1}[i] })
 	}
 
-	demo, union := proxy.ReachShares(context.Background(), f, clauses)
+	demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if demo != both(liveD, 0.25) || union != both(liveU, 0.5) {
 		t.Fatalf("estimate while shard 1 answers = (%v, %v), want both shards folded (%v, %v)",
 			demo, union, both(liveD, 0.25), both(liveU, 0.5))
@@ -175,7 +178,10 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 		t.Fatal("degraded before shard 1 failed")
 	}
 	for k := 0; k < 3; k++ {
-		demo, union = proxy.ReachShares(context.Background(), f, clauses)
+		demo, union, err = proxy.ReachShares(context.Background(), f, clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if demo != liveD || union != liveU {
 			t.Fatalf("estimate %d after shard 1 died = (%v, %v), want the survivor's (%v, %v)",
 				k, demo, union, liveD, liveU)
