@@ -9,7 +9,7 @@ GO ?= go
 # Never lower it to make a PR pass — add tests instead.
 COVERAGE_FLOOR ?= 74.7
 
-.PHONY: all build test bench bench-smoke bench-audience bench-uniqueness bench-serving cover fuzz-smoke lint fmt clean
+.PHONY: all build test bench bench-smoke bench-audience bench-uniqueness bench-serving perfbench-smoke cover fuzz-smoke lint fmt clean
 
 all: lint build test
 
@@ -24,7 +24,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ServingLoad|ProxyBreakerFastFail' -benchtime 1x -benchmem . ./internal/core ./internal/serving
+	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ProxyBreakerFastFail' -benchtime 1x -benchmem . ./internal/core ./internal/serving
 
 # Audience-engine benchmarks (the BENCH_audience.json baseline).
 bench-audience:
@@ -37,20 +37,31 @@ bench-uniqueness:
 	$(GO) test -run '^$$' -bench 'UniquenessEstimate' -benchtime 10x -benchmem .
 	$(GO) test -run '^$$' -bench 'BootstrapResample|ColumnIndexBuild' -benchtime 200x -benchmem ./internal/core
 
-# Serving-tier load baseline (the BENCH_serving.json baseline): the
-# cmd/fbadsload permuted-probe sweep — 400 advertiser accounts x 10 permuted
-# re-probes — replayed against the in-process serving stack at shards 1 and
-# 4, plus the -proxy lane: the same flood through a real 2-process shard
-# topology behind the scatter-gather proxy (scripts/proxy_smoke.sh), which
-# also gates failover (renormalize keeps answering with a shard down, fail
-# 503s naming it) and records BENCH_serving_proxy.json. The recorded
-# throughput ratio is host-dependent (scatter-gather only wins with cores to
-# scatter across); CI gates the fields being present, not the ratio's value.
+# Serving-tier proxy lane (the BENCH_serving_proxy.json baseline): the
+# cmd/fbadsload permuted-probe flood — 400 advertiser accounts x 10 permuted
+# re-probes — through a real 2-process shard topology behind the
+# scatter-gather proxy (scripts/proxy_smoke.sh), which also gates replica
+# failover and shard failover (renormalize keeps answering with a shard
+# down, fail 503s naming it). Numbers are host-dependent; perfbench is the
+# repository's measured benchmark.
 bench-serving:
-	$(GO) run ./cmd/fbadsload -catalog 20000 -population 100000000 -accounts 400 -probes 10 -interests 18 -concurrency 8 -sweep 1,4 -json BENCH_serving.json
 	CATALOG=20000 POPULATION=100000000 ACCOUNTS=400 PROBES=10 INTERESTS=18 \
 		CONCURRENCY=8 OUT_JSON=BENCH_serving_proxy.json sh scripts/proxy_smoke.sh
-	rm -f BENCH_serving_proxy-degraded.json BENCH_serving_proxy-chaos.json BENCH_serving_proxy-replica.json
+	rm -f BENCH_serving_proxy-degraded.json BENCH_serving_proxy-replica.json
+
+# The serving smoke gate (CI runs this target): a 2-second perfbench run per
+# workload through the real fbadsd topology must answer every request
+# (failed == 0, attempted > 0) and match the in-process oracle on every
+# checked answer (correct == true). Each run's output, whose last line is
+# the result, is kept in perfbench-smoke-<workload>.json.
+perfbench-smoke:
+	@for w in reprobe fresh table1; do \
+		echo "perfbench smoke: $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 3 --seconds 2 --trace 0 \
+			> perfbench-smoke-$$w.json || exit 1; \
+		python3 -c 'import json, sys; r = json.loads(open(sys.argv[1]).read().splitlines()[-1]); print(r); sys.exit(not (r["correct"] is True and r["failed"] == 0 and r["attempted"] > 0))' \
+			perfbench-smoke-$$w.json || { echo "perfbench smoke failed on $$w" >&2; exit 1; }; \
+	done
 
 # Total-coverage gate: fails when coverage drops below COVERAGE_FLOOR.
 cover:

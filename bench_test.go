@@ -8,24 +8,17 @@ package nanotarget
 // the same code paths as the full-scale cmd tools.
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"nanotarget/internal/adsapi"
 	"nanotarget/internal/audience"
 	"nanotarget/internal/core"
 	"nanotarget/internal/countermeasures"
 	"nanotarget/internal/interest"
-	"nanotarget/internal/loadgen"
 	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
-	"nanotarget/internal/serving"
 	"nanotarget/internal/stats"
-	"nanotarget/internal/worldcfg"
 )
 
 var (
@@ -876,61 +869,5 @@ func BenchmarkTable2Render(b *testing.B) {
 		if err := rep.WriteTable2(io.Discard); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkServingLoad replays the permuted-probe abuse workload (the
-// cmd/fbadsload pattern: many advertiser accounts re-probing fixed interest
-// sets in fresh permutations over HTTP) against the full serving stack —
-// admission-free adsapi over a LocalBackend and over a 4-shard
-// scatter-gather ShardedBackend. One op is one whole workload replay; the
-// BENCH_serving.json baseline records the same workload at tool scale.
-func BenchmarkServingLoad(b *testing.B) {
-	cfg := worldcfg.Default()
-	cfg.Population.Seed = 1
-	cfg.Population.CatalogSize = 4000
-	cfg.Population.Population = 100_000_000
-	cfg.Population.ActivityGrid = 128
-
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			var (
-				backend serving.ReachBackend
-				err     error
-			)
-			if shards > 1 {
-				backend, err = serving.NewShardedBackend(context.Background(), cfg, shards)
-			} else {
-				backend, err = serving.NewLocalBackendFromConfig(cfg)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := adsapi.NewServer(adsapi.ServerConfig{Backend: backend, Era: adsapi.Era2017})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-			workload := loadgen.Config{
-				BaseURL:          ts.URL,
-				Accounts:         40,
-				ProbesPerAccount: 5,
-				Interests:        12,
-				CatalogSize:      cfg.Population.CatalogSize,
-				Concurrency:      8,
-				Seed:             1,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := loadgen.Run(context.Background(), workload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.OK != res.Requests {
-					b.Fatalf("%d of %d requests failed", res.Requests-res.OK, res.Requests)
-				}
-			}
-		})
 	}
 }

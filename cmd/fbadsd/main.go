@@ -54,10 +54,10 @@
 //
 // The proxy also runs a circuit breaker per replica (trip after
 // -breaker-failures consecutive data-RPC failures, fast-fail for
-// -breaker-open-timeout, then a half-open trial), propagates every caller's
-// deadline into the shard RPCs (X-Deadline-Ms), and -chaos-slow-shard i=dur
-// injects dur of latency into every replica of shard i's RPCs
-// (loadgen.FlakyTransport) for chaos drills — see scripts/proxy_smoke.sh.
+// -breaker-open-timeout, then a half-open trial) and propagates every
+// caller's deadline into the shard RPCs (X-Deadline-Ms). The slow-shard
+// drill for that path is a Go test (internal/adsapi); the multi-process
+// failover drill is scripts/proxy_smoke.sh.
 package main
 
 import (
@@ -71,7 +71,6 @@ import (
 
 	"nanotarget/internal/adsapi"
 	"nanotarget/internal/cliflags"
-	"nanotarget/internal/loadgen"
 	"nanotarget/internal/serving"
 	"nanotarget/internal/worldcfg"
 )
@@ -102,7 +101,6 @@ func main() {
 		breakFailures  = flag.Int("breaker-failures", 5, "consecutive shard-RPC failures that trip the proxy's per-shard circuit breaker open")
 		breakTimeout   = flag.Duration("breaker-open-timeout", 5*time.Second, "how long an open circuit breaker fast-fails before a half-open trial RPC")
 		hedgeAfter     = flag.Duration("hedge-after", 0, "hedge a shard RPC to the next live replica when the first has not answered after this long (0 = no hedging; needs replicated shards)")
-		chaosSlowShard = flag.String("chaos-slow-shard", "", "inject latency into one shard's RPCs, as i=duration (e.g. 1=300ms); chaos testing only")
 	)
 	flag.Parse()
 
@@ -145,10 +143,6 @@ func main() {
 		if terr != nil {
 			log.Fatal(terr)
 		}
-		client, cerr := chaosClient(*chaosSlowShard, topo)
-		if cerr != nil {
-			log.Fatal(cerr)
-		}
 		var proxy *serving.ProxyBackend
 		proxy, err = serving.NewProxyBackend(*cfg, serving.ProxyConfig{
 			Shards:        topo,
@@ -160,7 +154,6 @@ func main() {
 				FailureThreshold: *breakFailures,
 				OpenTimeout:      *breakTimeout,
 			},
-			Client: client,
 		})
 		if err == nil {
 			proxy.ProbeNow(context.Background())
@@ -224,51 +217,6 @@ func main() {
 	fmt.Printf("try: curl 'http://%s/v9.0/act_1/reachestimate?targeting_spec=%s'\n",
 		host, `{"geo_locations":{"countries":["ES"]}}`)
 	log.Fatal(http.ListenAndServe(*addr, handler))
-}
-
-// chaosClient builds the proxy's HTTP client when -chaos-slow-shard is set:
-// a loadgen.FlakyTransport latency injector over serving.NewShardTransport,
-// under which every RPC aimed at the named shard — any of its replicas —
-// sleeps the configured duration (or until the propagated deadline expires
-// — the injected sleep honors the request context). An empty spec returns
-// nil, leaving the proxy its default pooled client.
-func chaosClient(spec string, topo [][]string) (*http.Client, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var index int
-	var dur time.Duration
-	eq := strings.IndexByte(spec, '=')
-	if eq < 0 {
-		return nil, fmt.Errorf("-chaos-slow-shard %q: want i=duration (e.g. 1=300ms)", spec)
-	}
-	if _, err := fmt.Sscanf(spec[:eq], "%d", &index); err != nil {
-		return nil, fmt.Errorf("-chaos-slow-shard %q: bad shard index: %v", spec, err)
-	}
-	var err error
-	if dur, err = time.ParseDuration(spec[eq+1:]); err != nil {
-		return nil, fmt.Errorf("-chaos-slow-shard %q: bad duration: %v", spec, err)
-	}
-	if index < 0 || index >= len(topo) {
-		return nil, fmt.Errorf("-chaos-slow-shard %q: shard index outside [0, %d)", spec, len(topo))
-	}
-	targets := make([]string, len(topo[index]))
-	for i, u := range topo[index] {
-		targets[i] = strings.TrimSuffix(u, "/")
-	}
-	log.Printf("CHAOS: delaying shard %d (%s) RPCs by %v", index, strings.Join(targets, "|"), dur)
-	return &http.Client{Transport: &loadgen.FlakyTransport{
-		Base:  serving.NewShardTransport(),
-		Delay: dur,
-		DelayPred: func(r *http.Request) bool {
-			for _, target := range targets {
-				if strings.HasPrefix(r.URL.String(), target+"/") {
-					return true
-				}
-			}
-			return false
-		},
-	}}, nil
 }
 
 // runShard builds shard i of n and serves its RPC on listen.

@@ -1,25 +1,17 @@
-// Command fbadsload replays the permuted-probe abuse workload against the
-// serving tier: thousands of simulated advertiser accounts, each re-probing
-// a fixed random interest set in fresh permutations through
+// Command fbadsload replays the permuted-probe abuse workload against a
+// running fbadsd: thousands of simulated advertiser accounts, each
+// re-probing a fixed random interest set in fresh permutations through
 // /v9.0/act_<n>/reachestimate (the distributed variant of the §4 collection
-// pattern). It reports p50/p95/p99 latency, sustained throughput, and the
-// admission/rate-limit split.
+// pattern). It is a client only: -url names the server to flood, and
+// -catalog must match that server's catalog. It reports p50/p95/p99
+// latency, sustained throughput, the admission/shed/rate-limit/deadline
+// split and, against a shard proxy, the proxy's replica health.
 //
-// With no -url it builds the world itself and serves it in-process exactly
-// as fbadsd would — including -shards scatter-gather backends and
-// -admit-rate admission control — so shard counts are comparable on one
-// machine:
+//	fbadsd -addr :8080 &
+//	fbadsload -url http://localhost:8080 -accounts 400 -probes 10 -json run.json
 //
-//	fbadsload -catalog 20000 -accounts 500 -sweep 1,4 -json BENCH_serving.json
-//
-// With -url it drives an already-running fbadsd instead:
-//
-//	fbadsd -addr :8080 -shards 4 &
-//	fbadsload -url http://localhost:8080 -catalog 98982
-//
-// -sweep runs the same workload once per shard count and, with -json,
-// writes the BENCH_serving.json baseline (throughput ratio of the last
-// sweep entry vs the first, per-run latency percentiles).
+// scripts/proxy_smoke.sh drives it against a multi-process proxy topology;
+// perfbench measures the same traffic with an answer oracle.
 package main
 
 import (
@@ -28,164 +20,66 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
-	"nanotarget/internal/adsapi"
-	"nanotarget/internal/cliflags"
 	"nanotarget/internal/loadgen"
 	"nanotarget/internal/serving"
+	"nanotarget/internal/worldcfg"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fbadsload: ")
-	cfg := cliflags.RegisterWorldFlags(flag.CommandLine,
-		cliflags.Without(cliflags.FlagPanel, cliflags.FlagWorkers),
-		cliflags.With(cliflags.FlagPopulation),
-		cliflags.Usage(cliflags.FlagCatalog, "interest catalog size (must match the target server's -catalog)"),
-		cliflags.Usage(cliflags.FlagSeed, "world and workload seed"))
+	world := worldcfg.Default().Population
 	var (
-		targetURL   = flag.String("url", "", "target server base URL (empty = build the world and serve it in-process)")
-		shards      = flag.Int("shards", 1, "backend shards for the in-process server (ignored with -url)")
-		sweepFlag   = flag.String("sweep", "", "comma-separated shard counts to benchmark in sequence, e.g. 1,4 (in-process only)")
+		targetURL   = flag.String("url", "", "target fbadsd base URL, e.g. http://localhost:8080 (required)")
+		catalog     = flag.Int("catalog", world.CatalogSize, "interest catalog size (must match the target server's -catalog)")
+		seed        = flag.Uint64("seed", world.Seed, "workload seed (account interest sets and probe permutations)")
 		accounts    = flag.Int("accounts", 1000, "simulated advertiser accounts")
 		probes      = flag.Int("probes", 20, "permuted re-probes per account")
 		interests   = flag.Int("interests", 18, "interest-set size per account (era cap is 25)")
 		concurrency = flag.Int("concurrency", 0, "in-flight requests (0 = one per core)")
-		era         = flag.String("era", "2017", "platform era for the in-process server: 2017, 2020 or workaround")
-		admitRate   = flag.Float64("admit-rate", 0, "in-process server's per-account admission limit in tokens/second (0 = no admission control)")
-		admitBurst  = flag.Float64("admit-burst", 0, "admission token-bucket capacity (0 = 2x admit-rate)")
-		maxInflight = flag.Int("max-inflight", 0, "in-process server's bound on concurrently served requests; excess shed with 503 + Retry-After (0 = unbounded)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request context deadline each probe carries (0 = none); expired probes tally as deadline_exceeded")
-		token       = flag.String("token", "", "access token sent with every request (and required by the in-process server when set)")
-		prewarm     = flag.Bool("prewarm-rows", false, "materialize the inclusion-row table before the run starts")
-		jsonOut     = flag.String("json", "", "write the run (or sweep) as a BENCH_serving.json baseline to this path")
-		note        = flag.String("note", "", "free-form label recorded in the JSON baseline and printed with each run (e.g. \"proxy 2-process topology\")")
+		token       = flag.String("token", "", "access token sent with every request")
+		jsonOut     = flag.String("json", "", "write the run as a JSON baseline to this path")
+		note        = flag.String("note", "", "free-form label recorded in the JSON baseline and printed with the run (e.g. \"proxy 2-process topology\")")
 	)
 	flag.Parse()
-
-	eraCfg, err := parseEra(*era)
-	if err != nil {
-		log.Fatal(err)
+	if *targetURL == "" {
+		fmt.Fprintln(os.Stderr, "fbadsload: -url is required")
+		flag.Usage()
+		os.Exit(2)
 	}
 	if *note != "" {
 		log.Printf("note: %s", *note)
 	}
-	sweep := []int{*shards}
-	if *sweepFlag != "" {
-		if *targetURL != "" {
-			log.Fatal("-sweep rebuilds the in-process backend per shard count; it cannot drive an external -url")
-		}
-		if sweep, err = parseSweep(*sweepFlag); err != nil {
-			log.Fatal(err)
-		}
-	}
 
-	workload := loadgen.Config{
+	res, err := loadgen.Run(context.Background(), loadgen.Config{
+		BaseURL:          *targetURL,
 		Accounts:         *accounts,
 		ProbesPerAccount: *probes,
 		Interests:        *interests,
-		CatalogSize:      cfg.Population.CatalogSize,
+		CatalogSize:      *catalog,
 		Concurrency:      *concurrency,
-		Seed:             cfg.Population.Seed,
+		Seed:             *seed,
 		AccessToken:      *token,
 		RequestTimeout:   *reqTimeout,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	type runResult struct {
-		Shards int `json:"shards"`
-		loadgen.Result
-		// Health is the proxy's replica-level view after the run (hedge and
-		// failover tallies included); absent when the target backend is not
-		// a shard proxy.
-		Health *serving.HealthStats `json:"serving_health,omitempty"`
-	}
-	var results []runResult
-	for _, n := range sweep {
-		w := workload
-		if *targetURL != "" {
-			w.BaseURL = *targetURL
-			res, err := loadgen.Run(context.Background(), w)
-			if err != nil {
-				log.Fatal(err)
-			}
-			health := fetchHealth(*targetURL, *token)
-			results = append(results, runResult{Shards: n, Result: res, Health: health})
-			printRun(n, res, *targetURL)
-			printHealth(health)
-			continue
-		}
-
-		start := time.Now()
-		var backend serving.ReachBackend
-		if n > 1 {
-			backend, err = serving.NewShardedBackend(context.Background(), *cfg, n)
-		} else {
-			backend, err = serving.NewLocalBackendFromConfig(*cfg)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		var tokens []string
-		if *token != "" {
-			tokens = []string{*token}
-		}
-		srv, err := adsapi.NewServer(adsapi.ServerConfig{
-			Backend:     backend,
-			Era:         eraCfg,
-			Tokens:      tokens,
-			PrewarmRows: *prewarm,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler := http.Handler(srv)
-		if *admitRate > 0 {
-			ac := serving.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst, Cost: adsapi.AdmissionCost}
-			handler = serving.NewAdmission(ac, handler)
-		}
-		if *maxInflight > 0 {
-			handler = serving.NewGate(serving.GateConfig{MaxInFlight: *maxInflight}, handler)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		hs := &http.Server{Handler: handler}
-		go hs.Serve(ln)
-		log.Printf("shards=%d: world ready in %v, serving on %s",
-			n, time.Since(start).Round(time.Millisecond), ln.Addr())
-
-		w.BaseURL = "http://" + ln.Addr().String()
-		res, err := loadgen.Run(context.Background(), w)
-		health := fetchHealth(w.BaseURL, *token)
-		hs.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, runResult{Shards: n, Result: res, Health: health})
-		printRun(n, res, w.BaseURL)
-		printHealth(health)
-	}
-
-	ratio := 0.0
-	if len(results) > 1 && results[0].Throughput > 0 {
-		ratio = results[len(results)-1].Throughput / results[0].Throughput
-		fmt.Printf("\nthroughput ratio shards=%d vs shards=%d: %.2fx\n",
-			results[len(results)-1].Shards, results[0].Shards, ratio)
-	}
+	health := fetchHealth(*targetURL, *token)
+	printRun(res, *targetURL)
+	printHealth(health)
 
 	if *jsonOut == "" {
 		return
 	}
 	baseline := map[string]any{
-		"description": "Baseline for the serving-tier load benchmark (cmd/fbadsload driving the in-process fbadsd stack: scatter-gather ShardedBackend behind adsapi). Regenerate with `make bench-serving`; CI's bench-smoke job replays a scaled-down sweep on every commit and gates on the latency/throughput fields being present. Numbers are host-dependent — compare the throughput ratio across shard counts, not absolute rates, across hosts.",
+		"description": "One cmd/fbadsload run against a running fbadsd. Numbers are host-dependent; perfbench is the repository's measured benchmark.",
 		"recorded": map[string]string{
 			"date":    time.Now().Format("2006-01-02"),
 			"goos":    runtime.GOOS,
@@ -194,10 +88,15 @@ func main() {
 			"command": "fbadsload " + strings.Join(os.Args[1:], " "),
 		},
 		"workload": fmt.Sprintf(
-			"%d advertiser accounts x %d permuted re-probes of a fixed %d-interest set each (the distributed Faizullabhoy-Korolova reach-estimate abuse pattern), %d-interest catalog, population %d, era %s",
-			*accounts, *probes, *interests, cfg.Population.CatalogSize, cfg.Population.Population, eraCfg.Name),
-		"results":          results,
-		"throughput_ratio": ratio,
+			"%d advertiser accounts x %d permuted re-probes of a fixed %d-interest set each (the distributed Faizullabhoy-Korolova reach-estimate abuse pattern), %d-interest catalog",
+			*accounts, *probes, *interests, *catalog),
+		"result": struct {
+			loadgen.Result
+			// Health is the proxy's replica-level view after the run
+			// (hedge and failover tallies included); absent when the
+			// target backend is not a shard proxy.
+			Health *serving.HealthStats `json:"serving_health,omitempty"`
+		}{res, health},
 	}
 	if *note != "" {
 		baseline["note"] = *note
@@ -217,8 +116,8 @@ func main() {
 	log.Printf("wrote %s", *jsonOut)
 }
 
-func printRun(shards int, res loadgen.Result, target string) {
-	fmt.Printf("shards=%d against %s\n", shards, target)
+func printRun(res loadgen.Result, target string) {
+	fmt.Printf("against %s\n", target)
 	degraded := ""
 	if res.Degraded > 0 {
 		degraded = fmt.Sprintf(" (%d degraded)", res.Degraded)
@@ -251,32 +150,8 @@ func printHealth(st *serving.HealthStats) {
 		st.Up, st.Down, st.Hedged, st.HedgeWins, st.Failovers, st.RetryBudgetExhausted)
 }
 
-func parseEra(name string) (adsapi.Era, error) {
-	switch name {
-	case "2017":
-		return adsapi.Era2017, nil
-	case "2020":
-		return adsapi.Era2020, nil
-	case "workaround":
-		return adsapi.EraWorkaround, nil
-	}
-	return adsapi.Era{}, fmt.Errorf("unknown era %q", name)
-}
-
-func parseSweep(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -sweep entry %q (want positive shard counts like 1,4)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // cpuModel best-effort reads the host CPU model for the baseline's recorded
-// block; the benchmark contract compares ratios, not absolute times.
+// block.
 func cpuModel() string {
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err == nil {

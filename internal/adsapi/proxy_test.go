@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nanotarget/internal/interest"
 	"nanotarget/internal/serving"
 	"nanotarget/internal/worldcfg"
 )
@@ -26,13 +29,10 @@ func proxyWorld() worldcfg.Config {
 	return cfg
 }
 
-// startProxyAPI boots a 2-shard RPC topology, fronts it with a ProxyBackend
-// under the given policy, and mounts the Marketing API server on it. It
-// returns the API base URL and the second shard's httptest server (the one
-// the tests kill).
-func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Server, *serving.ProxyBackend) {
+// startShards boots the 2-shard RPC topology of cfg on httptest servers
+// and returns their base URLs and servers in shard order.
+func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*httptest.Server) {
 	t.Helper()
-	cfg := proxyWorld()
 	var shardServers []*httptest.Server
 	urls := make([]string, 2)
 	for i := 0; i < 2; i++ {
@@ -49,10 +49,14 @@ func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Serve
 		shardServers = append(shardServers, ts)
 		urls[i] = ts.URL
 	}
-	proxy, err := serving.NewProxyBackend(cfg, serving.ProxyConfig{
-		URLs: urls, Policy: policy, MaxRetries: 1, RetryBase: time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
-	})
+	return urls, shardServers
+}
+
+// startAPI mounts the Marketing API server on a proxy over cfg's world and
+// returns the API base URL.
+func startAPI(t *testing.T, cfg worldcfg.Config, pc serving.ProxyConfig) (string, *serving.ProxyBackend) {
+	t.Helper()
+	proxy, err := serving.NewProxyBackend(cfg, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +66,22 @@ func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Serve
 	}
 	ts := httptest.NewServer(api)
 	t.Cleanup(ts.Close)
-	return ts.URL, shardServers[1], proxy
+	return ts.URL, proxy
+}
+
+// startProxyAPI boots a 2-shard RPC topology, fronts it with a ProxyBackend
+// under the given policy, and mounts the Marketing API server on it. It
+// returns the API base URL and the second shard's httptest server (the one
+// the tests kill).
+func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Server, *serving.ProxyBackend) {
+	t.Helper()
+	cfg := proxyWorld()
+	urls, shardServers := startShards(t, cfg)
+	base, proxy := startAPI(t, cfg, serving.ProxyConfig{
+		URLs: urls, Policy: policy, MaxRetries: 1, RetryBase: time.Millisecond,
+		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
+	})
+	return base, shardServers[1], proxy
 }
 
 // TestServerOverProxyRenormalize: the API keeps answering through a proxy
@@ -134,6 +153,141 @@ func TestServerOverProxyFail(t *testing.T) {
 	}
 	if !strings.Contains(env.Error.Message, shard1.URL) {
 		t.Fatalf("503 body %q does not name the dead shard %s", env.Error.Message, shard1.URL)
+	}
+}
+
+// slowShard is an http.RoundTripper that delays every request to one shard
+// by delay before delegating. The delay honours the request context: an RPC
+// whose deadline ends mid-delay fails with the context error at once.
+type slowShard struct {
+	base   http.RoundTripper
+	prefix string // the slow shard's base URL plus "/"
+	delay  time.Duration
+
+	dataRPCs atomic.Int64 // requests to the slow shard other than health probes
+	cut      atomic.Int64 // delays ended early by the request context
+}
+
+func (s *slowShard) RoundTrip(r *http.Request) (*http.Response, error) {
+	if !strings.HasPrefix(r.URL.String(), s.prefix) {
+		return s.base.RoundTrip(r)
+	}
+	if !strings.HasSuffix(r.URL.Path, "/health") {
+		s.dataRPCs.Add(1)
+	}
+	timer := time.NewTimer(s.delay)
+	defer timer.Stop()
+	select {
+	case <-r.Context().Done():
+		s.cut.Add(1)
+		return nil, r.Context().Err()
+	case <-timer.C:
+	}
+	return s.base.RoundTrip(r)
+}
+
+// TestServerOverProxySlowShard is the slow-shard drill: every RPC to shard 0
+// takes 400 ms against the proxy's 100 ms RPC timeout. The per-RPC timeout
+// must cut each shard-0 RPC short, the breaker must trip after two failed
+// estimates, and the renormalize policy must answer every estimate of a
+// flood from shard 1 — 200s stamped degraded, none past a 5 s deadline.
+// Once a probe finds the slow shard alive again, the open breaker must keep
+// estimates off its wire.
+func TestServerOverProxySlowShard(t *testing.T) {
+	cfg := proxyWorld()
+	urls, _ := startShards(t, cfg)
+	slow := &slowShard{base: serving.NewShardTransport(), prefix: urls[0] + "/", delay: 400 * time.Millisecond}
+	base, proxy := startAPI(t, cfg, serving.ProxyConfig{
+		URLs:    urls,
+		Timeout: 100 * time.Millisecond,
+		Policy:  serving.PolicyRenormalize,
+		// The open timeout outlasts the drill, so the breaker cannot go
+		// half-open and send a trial RPC mid-test.
+		Breaker: serving.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute},
+		Client:  &http.Client{Transport: slow},
+	})
+	// estimate fetches one reach estimate under a 5 s deadline and reports
+	// whether it was stamped degraded; anything but a 200 fails the test.
+	estimate := func(ids ...interest.ID) (degraded bool) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		u := base + "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" +
+			url.QueryEscape(string(marshalJSON(ConjunctionSpec(es(), ids))))
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("estimate %v: %v", ids, err)
+			return false
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Degraded bool `json:"degraded"`
+		}
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
+			t.Errorf("estimate %v: HTTP %d, want a 200 reach estimate", ids, resp.StatusCode)
+		}
+		return body.Degraded
+	}
+	breaker := func() string {
+		for _, sh := range proxy.HealthStats().Shards {
+			if sh.Shard == 0 {
+				return sh.Breaker
+			}
+		}
+		return ""
+	}
+
+	// Two estimates, each losing shard 0 to the RPC timeout. Between them a
+	// probe finds the slow shard alive and marks it up again, as the health
+	// loop would.
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			proxy.ProbeNow(context.Background())
+			if proxy.Degraded() {
+				t.Fatal("probe did not mark the slow shard up again")
+			}
+		}
+		if !estimate() {
+			t.Fatalf("estimate %d with shard 0 timing out was not stamped degraded", i)
+		}
+	}
+	if cut, rpcs := slow.cut.Load(), slow.dataRPCs.Load(); rpcs == 0 || cut != rpcs {
+		t.Fatalf("the 100ms RPC timeout cut %d of %d shard-0 RPCs short, want all", cut, rpcs)
+	}
+	if got := breaker(); got != "open" {
+		t.Fatalf("shard 0 breaker %q after two failed estimates, want open", got)
+	}
+
+	// The flood: every estimate answered from the healthy shard.
+	var wg sync.WaitGroup
+	var undegraded atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for p := 0; p < 4; p++ {
+				if !estimate(interest.ID(1+w), interest.ID(10+p)) {
+					undegraded.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := undegraded.Load(); n > 0 {
+		t.Fatalf("%d of 32 flood estimates failed or were not stamped degraded", n)
+	}
+
+	// The shard is up again but its breaker is open: estimates fast-fail
+	// it without an RPC.
+	proxy.ProbeNow(context.Background())
+	before := slow.dataRPCs.Load()
+	estimate()
+	if after := slow.dataRPCs.Load(); after != before {
+		t.Fatalf("open breaker let %d RPCs reach the slow shard", after-before)
 	}
 }
 

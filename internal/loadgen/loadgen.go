@@ -172,6 +172,17 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		latencies[i] = math.NaN()
 	}
 	var ok, degraded, rejected, rateLimited, shed, deadline, failed atomic.Int64
+	// unanswered tallies a request that got no complete response. A
+	// timed-out probe is the deadline machinery working, not the transport
+	// breaking — but only while the RUN's context is live; a canceled run
+	// would misread every in-flight probe.
+	unanswered := func(err error) {
+		if ctx.Err() == nil && isTimeout(err) {
+			deadline.Add(1)
+		} else {
+			failed.Add(1)
+		}
+	}
 	start := time.Now()
 	err := parallel.ForEach(ctx, n, workers, func(i int) error {
 		rctx := ctx
@@ -188,19 +199,19 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		t0 := time.Now()
 		resp, err := client.Do(req)
 		if err != nil {
-			// A timed-out probe is the deadline machinery working, not the
-			// transport breaking — but only while the RUN's context is
-			// live; a canceled run would misread every in-flight probe.
-			if ctx.Err() == nil && isTimeout(err) {
-				deadline.Add(1)
-			} else {
-				failed.Add(1)
-			}
+			unanswered(err)
 			return nil
 		}
-		latencies[i] = float64(time.Since(t0)) / float64(time.Millisecond)
-		body, _ := io.ReadAll(resp.Body)
+		latency := float64(time.Since(t0)) / float64(time.Millisecond)
+		// A status line is not an answer: a body cut short (the server
+		// died mid-response) is a failed request whatever its status.
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			unanswered(err)
+			return nil
+		}
+		latencies[i] = latency
 		switch classify(resp.StatusCode, resp.Header, body) {
 		case outcomeOK:
 			ok.Add(1)

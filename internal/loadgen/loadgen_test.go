@@ -2,10 +2,10 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,9 +142,25 @@ func TestWorkloadDeterminism(t *testing.T) {
 	}
 }
 
+// dropEvery is a faulting http.RoundTripper: every n-th round trip fails
+// before touching the network, the rest go to http.DefaultTransport.
+type dropEvery struct {
+	n       int64
+	calls   atomic.Int64
+	dropped atomic.Int64
+}
+
+func (d *dropEvery) RoundTrip(r *http.Request) (*http.Response, error) {
+	if d.calls.Add(1)%d.n == 0 {
+		d.dropped.Add(1)
+		return nil, errors.New("injected transport fault")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // TestRunQuantilesExcludeUnansweredRequests is the quantile bugfix's
 // regression test: requests that never received a response (here, half the
-// load faulted by a FlakyTransport before reaching the wire) must not
+// load faulted by the transport before reaching the wire) must not
 // contribute zero-latency samples. Against a deliberately slow handler the
 // old behavior dragged p50 to ~0; the fix computes quantiles over answered
 // requests only, so every percentile sits at or above the handler's floor.
@@ -156,7 +172,7 @@ func TestRunQuantilesExcludeUnansweredRequests(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	flaky := &FlakyTransport{FailEvery: 2} // drop every 2nd request instantly
+	flaky := &dropEvery{n: 2} // drop every 2nd request instantly
 	res, err := Run(context.Background(), Config{
 		BaseURL:          slow.URL,
 		Accounts:         4,
@@ -176,8 +192,8 @@ func TestRunQuantilesExcludeUnansweredRequests(t *testing.T) {
 	if res.Errors != 8 || res.OK != 8 {
 		t.Fatalf("expected 8 faulted / 8 answered, got %+v", res)
 	}
-	if flaky.Failed() != 8 {
-		t.Fatalf("transport faulted %d, want 8", flaky.Failed())
+	if got := flaky.dropped.Load(); got != 8 {
+		t.Fatalf("transport faulted %d, want 8", got)
 	}
 	floorMs := float64(floor) / float64(time.Millisecond)
 	for name, q := range map[string]float64{"p50": res.P50Ms, "p95": res.P95Ms, "p99": res.P99Ms} {
@@ -188,25 +204,37 @@ func TestRunQuantilesExcludeUnansweredRequests(t *testing.T) {
 	}
 }
 
-// TestFlakyTransportPred covers the predicate mode: only matching requests
-// fault.
-func TestFlakyTransportPred(t *testing.T) {
-	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
+// TestRunCountsTruncatedBodyAsError: a 200 whose body dies mid-read (the
+// server promised 100 bytes, sent 1 and hung up) was never answered — it
+// tallies as an error, not OK, and adds no latency sample.
+func TestRunCountsTruncatedBodyAsError(t *testing.T) {
+	truncated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{")
+		buf.Flush()
 	}))
-	defer ok.Close()
-	tr := &FlakyTransport{FailPred: func(r *http.Request) bool {
-		return strings.Contains(r.URL.Path, "act_2")
-	}}
-	client := &http.Client{Transport: tr}
-	if _, err := client.Get(ok.URL + "/v9.0/act_1/reachestimate"); err != nil {
-		t.Fatalf("unmatched request faulted: %v", err)
+	defer truncated.Close()
+	res, err := Run(context.Background(), Config{
+		BaseURL:          truncated.URL,
+		Accounts:         2,
+		ProbesPerAccount: 2,
+		Interests:        3,
+		CatalogSize:      300,
+		Seed:             4,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := client.Get(ok.URL + "/v9.0/act_2/reachestimate"); err == nil {
-		t.Fatal("matched request not faulted")
+	if res.Requests != 4 || res.Errors != 4 || res.OK != 0 {
+		t.Fatalf("truncated 200s must tally as 4 errors, got %+v", res)
 	}
-	if tr.Failed() != 1 {
-		t.Fatalf("Failed() = %d, want 1", tr.Failed())
+	if res.P50Ms != 0 {
+		t.Fatalf("quantiles computed from unanswered probes: %+v", res)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// TestClassifyTable pins the response taxonomy the chaos gates depend on —
+// TestClassifyTable pins the response taxonomy the smoke gates depend on —
 // in particular that a 503 WITH Retry-After is a shed (healthy server
 // protecting itself) while a bare 503 stays an error (something broke), and
 // that FB code 17 is recognized at any status.
@@ -47,7 +47,7 @@ func TestClassifyTable(t *testing.T) {
 }
 
 // TestRunTalliesShedAndDeadline drives one account per response class and
-// checks each lands in its own Result bucket — the tallies the chaos smoke
+// checks each lands in its own Result bucket — the tallies the proxy smoke
 // gates on.
 func TestRunTalliesShedAndDeadline(t *testing.T) {
 	acct := regexp.MustCompile(`/act_(\d+)/`)
@@ -137,60 +137,5 @@ func TestRunRequestTimeoutTalliesDeadline(t *testing.T) {
 	}
 	if res.P50Ms != 0 {
 		t.Fatalf("quantiles computed from unanswered probes: %+v", res)
-	}
-}
-
-// TestFlakyTransportDelayHonorsContext is the chaos-mode promptness contract:
-// a delayed round trip whose caller deadline expires mid-sleep returns the
-// context error immediately, not after the full injected delay.
-func TestFlakyTransportDelayHonorsContext(t *testing.T) {
-	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ok.Close()
-
-	tr := &FlakyTransport{Delay: 5 * time.Second}
-	client := &http.Client{Transport: tr}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ok.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err = client.Do(req)
-	if err == nil {
-		t.Fatal("delayed request succeeded past its deadline")
-	}
-	if !isTimeout(err) {
-		t.Fatalf("mid-delay expiry surfaced as %v — loadgen would tally it an error, not a deadline", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("context expiry took %v to interrupt a 5s injected delay", elapsed)
-	}
-	if tr.Delayed() != 1 {
-		t.Fatalf("Delayed() = %d, want 1", tr.Delayed())
-	}
-}
-
-// TestFlakyTransportDelayEvery covers the counter mode: exactly every n-th
-// round trip sleeps.
-func TestFlakyTransportDelayEvery(t *testing.T) {
-	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ok.Close()
-
-	tr := &FlakyTransport{Delay: time.Millisecond, DelayEvery: 2}
-	client := &http.Client{Transport: tr}
-	for i := 0; i < 4; i++ {
-		resp, err := client.Get(ok.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	if tr.Delayed() != 2 {
-		t.Fatalf("Delayed() = %d of 4 with DelayEvery=2, want 2", tr.Delayed())
 	}
 }
