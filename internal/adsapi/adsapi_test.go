@@ -83,12 +83,31 @@ func TestFBInterestIDRoundtrip(t *testing.T) {
 			t.Fatalf("roundtrip %d -> %s -> %d", id, s, back)
 		}
 	}
-	if _, err := ParseFBInterestID("abc"); err == nil {
-		t.Fatal("malformed id accepted")
+	for _, raw := range malformedFBInterestIDs {
+		if id, err := ParseFBInterestID(raw); err == nil {
+			t.Errorf("ParseFBInterestID(%q) = %d, want an error", raw, id)
+		}
 	}
-	if _, err := ParseFBInterestID("5"); err == nil {
-		t.Fatal("out-of-range id accepted")
-	}
+}
+
+// malformedFBInterestIDs are identifiers ParseFBInterestID must reject:
+// garbage, an ID below the base, and sign, space, leading-zero,
+// trailing-byte and out-of-range spellings of (or beside) 6000000000002.
+var malformedFBInterestIDs = []string{
+	"",
+	"abc",
+	"5",
+	" 6000000000002",
+	"6000000000002 ",
+	"+6000000000002",
+	"-6000000000002",
+	"06000000000002",
+	"6000000000002xyz",
+	"6000000000002 7",
+	"6_000_000_000_002",
+	"0x57598d3ac002",
+	"6004294967298", // 2^32 past the base: would alias interest 2 as a uint32
+	"9223372036854775808",
 }
 
 func TestReachEstimateBasic(t *testing.T) {

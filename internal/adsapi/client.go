@@ -247,10 +247,17 @@ func (s *Source) PotentialReach(ids []interest.ID) (int64, error) {
 // Floor reports the platform minimum.
 func (s *Source) Floor() int64 { return s.MinReach }
 
-// unmarshalStrict decodes JSON rejecting unknown fields, so malformed client
-// payloads fail loudly instead of being silently ignored.
+// unmarshalStrict decodes exactly one JSON value, rejecting unknown fields
+// and any non-space data after the value, so malformed client payloads fail
+// loudly instead of being silently ignored or half-read.
 func unmarshalStrict(raw string, v any) error {
 	dec := json.NewDecoder(strings.NewReader(raw))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package adsapi
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"nanotarget/internal/serving"
@@ -13,7 +12,9 @@ import (
 // so a 20-interest flexible-spec union costs its real backend work while a
 // bare country probe costs the minimum.
 //
-// Parsing is deliberately lenient and unvalidated: a request whose spec is
+// The spec is decoded with the handler's own strict decoder
+// (unmarshalStrict), so a spec the handler answers is never priced at the
+// floor. It is not validated against the era: a request whose spec is
 // missing, malformed, or over era limits is priced at the 1-token floor,
 // because the handler rejects it with a cheap 400 before any backend work
 // happens — charging admission tokens for work that will not run would let
@@ -24,7 +25,7 @@ func AdmissionCost(r *http.Request) float64 {
 		return 1
 	}
 	var spec TargetingSpec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+	if err := unmarshalStrict(raw, &spec); err != nil {
 		return 1
 	}
 	clauses, err := spec.Clauses()

@@ -114,12 +114,20 @@ func FuzzParseFBInterestID(f *testing.F) {
 	f.Add("-1")
 	f.Add("abc")
 	f.Add("999999999999999999999999")
+	for _, raw := range malformedFBInterestIDs {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		id, err := ParseFBInterestID(raw)
 		if err != nil {
 			return
 		}
-		// Accepted IDs must round-trip through the canonical encoder...
+		// Accepted IDs must be in the canonical encoder's form, so no two
+		// accepted strings name one interest...
+		if canon := FBInterestID(id); canon != raw {
+			t.Fatalf("accepted non-canonical %q as id %d (canonical %q)", raw, id, canon)
+		}
+		// ...and round-trip through it.
 		back, err := ParseFBInterestID(FBInterestID(id))
 		if err != nil || back != id {
 			t.Fatalf("round trip of %q: id %d -> %d, err %v", raw, id, back, err)
@@ -129,8 +137,9 @@ func FuzzParseFBInterestID(f *testing.F) {
 
 // FuzzReachEstimateHandler drives the HTTP surface end to end with
 // arbitrary targeting_spec payloads: the server must always answer with
-// well-formed JSON (a reach payload or an API error), never panic, and
-// never report a reach below the era floor.
+// well-formed JSON (a reach payload or an API error), never panic, never
+// report a reach below the era floor, and price every spec it answers 200
+// at that spec's SpecCost — never at the floor reserved for rejects.
 func FuzzReachEstimateHandler(f *testing.F) {
 	_, ts := fuzzServer(f)
 	f.Add(`{"geo_locations":{"countries":["ES"]}}`)
@@ -138,9 +147,11 @@ func FuzzReachEstimateHandler(f *testing.F) {
 	f.Add(`{`)
 	f.Add(``)
 	f.Add(`{"geo_locations":{"countries":["ES"]},"age_min":99,"age_max":1}`)
+	f.Add(`{"flexible_spec":[{"interests":[{"id":"6000000000001"}]},{"interests":[{"id":"6000000000002"}]}],"geo_locations":{"countries":["ES"]}} trailing`)
+	f.Add(`{"geo_locations":{"countries":["ES"]}}{"x":1}`)
 	f.Fuzz(func(t *testing.T, rawSpec string) {
-		u := ts.URL + "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" + url.QueryEscape(rawSpec)
-		resp, err := http.Get(u)
+		path := "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" + url.QueryEscape(rawSpec)
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("transport error: %v", err)
 		}
@@ -157,6 +168,18 @@ func FuzzReachEstimateHandler(f *testing.F) {
 			}
 			if out.Data.Users < Era2017.MinReach {
 				t.Fatalf("reach %d below floor for spec %q", out.Data.Users, rawSpec)
+			}
+			var spec TargetingSpec
+			if err := json.Unmarshal([]byte(rawSpec), &spec); err != nil {
+				t.Fatalf("200 for a spec that is not one JSON value %q: %v", rawSpec, err)
+			}
+			clauses, err := spec.Clauses()
+			if err != nil {
+				t.Fatalf("200 for a spec without clauses %q: %v", rawSpec, err)
+			}
+			want := serving.SpecCost(spec.DemoFilter(), clauses)
+			if got := AdmissionCost(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
+				t.Fatalf("spec %q answered 200 but priced %v, want its SpecCost %v", rawSpec, got, want)
 			}
 		case http.StatusBadRequest:
 			var env errorEnvelope

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +46,39 @@ func TestAdmissionCostPricing(t *testing.T) {
 	spec := ConjunctionSpec(es(), []interest.ID{1, 2, 3})
 	if got := price(string(marshalJSON(spec))); got != 5 {
 		t.Fatalf("3-interest conjunction priced %v, want 5", got)
+	}
+}
+
+// TestTrailingSpecDataRejected: a valid spec followed by anything but
+// whitespace is a 400 Malformed targeting_spec, and admission prices it at
+// the floor — the handler and AdmissionCost decode the same way. Before the
+// strict decoder read past the first value, such a spec was answered 200
+// while admission charged it 1 token instead of its SpecCost of 5.
+func TestTrailingSpecDataRejected(t *testing.T) {
+	_, ts := testServer(t, ServerConfig{})
+	spec := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{1, 2, 3})))
+	for _, tail := range []string{"", " \n", " trailing", `{"x":1}`, "}"} {
+		raw := spec + tail
+		u := "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" + url.QueryEscape(raw)
+		resp, err := http.Get(ts.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		cost := AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil))
+		if strings.TrimSpace(tail) == "" {
+			if resp.StatusCode != http.StatusOK || cost != 5 {
+				t.Fatalf("tail %q: status %d, cost %v; want 200 priced 5 (%s)", tail, resp.StatusCode, cost, body)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Malformed targeting_spec") {
+			t.Fatalf("tail %q: status %d body %s, want 400 Malformed targeting_spec", tail, resp.StatusCode, body)
+		}
+		if cost != 1 {
+			t.Fatalf("tail %q: rejected spec priced %v, want the 1-token floor", tail, cost)
+		}
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 
 	"nanotarget/internal/geo"
 	"nanotarget/internal/interest"
@@ -28,16 +30,21 @@ const fbIDBase int64 = 6_000_000_000_000
 
 // FBInterestID converts a catalog ID to its API identifier.
 func FBInterestID(id interest.ID) string {
-	return fmt.Sprintf("%d", fbIDBase+int64(id))
+	return strconv.FormatInt(fbIDBase+int64(id), 10)
 }
 
-// ParseFBInterestID converts an API identifier back to a catalog ID.
+// ParseFBInterestID converts an API identifier back to a catalog ID. It
+// accepts only the canonical form FBInterestID writes: decimal digits with
+// no sign, leading zero, space or trailing byte, naming an ID inside the
+// catalog ID range (so no two identifiers alias one interest).
 func ParseFBInterestID(s string) (interest.ID, error) {
-	var v int64
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+	v, err := strconv.ParseInt(s, 10, 64)
+	// ParseInt also takes a sign and leading zeros; the canonical form has
+	// neither.
+	if err != nil || s[0] < '1' || s[0] > '9' {
 		return 0, fmt.Errorf("adsapi: malformed interest id %q", s)
 	}
-	if v < fbIDBase {
+	if v < fbIDBase || v-fbIDBase > math.MaxUint32 {
 		return 0, fmt.Errorf("adsapi: interest id %q out of range", s)
 	}
 	return interest.ID(v - fbIDBase), nil

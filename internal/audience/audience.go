@@ -12,10 +12,11 @@
 // query once and remembers it, across three cache levels:
 //
 //   - Prefix: interest-sequence keys are canonically encoded and interned
-//     (key.go); a sharded LRU (cache.go) holds evaluated conjunction
-//     PREFIXES. Extending a cached conjunction S to S∪{i} resumes S's
+//     (key.go); a sharded LRU (cache.go) holds evaluated ORDERED
+//     conjunctions — each asked conjunction, and every prefix of a
+//     PrefixShares walk. Extending a cached conjunction S resumes S's
 //     per-grid-point survivor weights instead of recomputing the whole
-//     activity-grid product — an O(grid) extension instead of O(|S|·grid).
+//     activity-grid product — an O(grid) extension, not O(|S|·grid).
 //   - Set (ModeCanonical only): whole-conjunction shares keyed by the
 //     SORTED interest set, so the adversarial permuted re-probes of §4 /
 //     Appendix C — semantically identical queries under arbitrary interest
@@ -74,7 +75,7 @@ import (
 	"nanotarget/internal/rng"
 )
 
-// DefaultCapacity is the default number of cached conjunction prefixes.
+// DefaultCapacity is the default number of cached ordered conjunctions.
 // At the default 512-point activity grid one entry holds ~4 KiB of survivor
 // weights, so the default cache tops out around 32 MiB.
 const DefaultCapacity = 8192
@@ -103,8 +104,8 @@ const (
 
 // Options configures an Engine.
 type Options struct {
-	// Capacity is the total number of cached prefixes across all shards
-	// (0 = DefaultCapacity). Negative disables caching entirely.
+	// Capacity is the total number of cached ordered conjunctions across
+	// all shards (0 = DefaultCapacity). Negative disables caching entirely.
 	Capacity int
 	// SetCapacity sizes the canonical set level (0 = DefaultSetCapacity).
 	// Only used in ModeCanonical.
@@ -279,7 +280,7 @@ func (e *Engine) orderedShare(ids []interest.ID, sc *scratch) float64 {
 		return ent.share
 	}
 	// Miss: single-flight the whole-conjunction evaluation. The leader
-	// resumes the deepest cached prefix and fills in the missing entries;
+	// resumes the deepest cached prefix and stores the conjunction;
 	// followers share its result.
 	share, _ := e.flightPrefix.do(sc.key, func() float64 {
 		return e.seekShare(ids, sc)
@@ -289,11 +290,10 @@ func (e *Engine) orderedShare(ids []interest.ID, sc *scratch) float64 {
 
 // seekShare evaluates the share of ids after a whole-key miss: it probes
 // prefixes LONGEST-FIRST for the deepest cached predecessor, resumes its
-// survivor weights in a pooled query and extends forward, inserting each
-// newly evaluated prefix. On the attacker's grow-by-one probe pattern the
-// backward seek hits on the first probe, so serving a chain of n prefix
-// queries costs O(n) cache probes in total instead of the O(n²) a
-// forward walk per query would pay.
+// survivor weights in a pooled query, extends to the end of ids and stores
+// ids alone — a grow-by-one chain resumes the previous query's entry on the
+// first probe, and the prefixes of a never-repeated conjunction would only
+// evict entries someone may ask for. sc.key holds ids' key on return.
 func (e *Engine) seekShare(ids []interest.ID, sc *scratch) float64 {
 	var (
 		q     *population.Query
@@ -311,15 +311,13 @@ func (e *Engine) seekShare(ids []interest.ID, sc *scratch) float64 {
 	}
 	if q == nil {
 		q = e.model.BorrowQuery()
-		sc.key = sc.key[:0]
 	}
-	var share float64
-	for i := start; i < len(ids); i++ {
-		sc.key = AppendKey(sc.key, ids[i:i+1])
-		q.And(ids[i])
-		share = q.Share()
-		e.cache.put(sc.key, share, q.Survivors(), i+1)
+	for _, id := range ids[start:] {
+		q.And(id)
 	}
+	sc.key = AppendKey(sc.key[:0], ids)
+	share := q.Share()
+	e.cache.put(sc.key, share, q.Survivors(), len(ids))
 	q.Release()
 	return share
 }

@@ -84,7 +84,7 @@ func TestPrefixExtensionReusesCachedState(t *testing.T) {
 	m := testModel(t)
 	eng := Cached(m)
 	base := []interest.ID{3, 141, 59, 265, 358, 979, 323, 846}
-	eng.ConjunctionShare(base) // cache all prefixes of base
+	eng.ConjunctionShare(base) // cache base
 	hitsBefore := eng.Stats().Prefix.Hits
 	ext := append(append([]interest.ID{}, base...), 1414, 213)
 	if got, want := eng.ConjunctionShare(ext), m.ConjunctionShare(ext); !sameBits(got, want) {
@@ -92,6 +92,40 @@ func TestPrefixExtensionReusesCachedState(t *testing.T) {
 	}
 	if eng.Stats().Prefix.Hits <= hitsBefore {
 		t.Fatal("extension should have hit the cached base prefix")
+	}
+}
+
+// TestExactMissStoresOnlyAskedConjunction checks the miss path's storage
+// rule: an 18-interest miss on a cold engine leaves exactly one entry (the
+// asked conjunction, not its 17 proper prefixes), and a grow-by-one
+// follow-up resumes that entry — one hit, one miss, one new entry — with
+// bits identical to the uncached model.
+func TestExactMissStoresOnlyAskedConjunction(t *testing.T) {
+	m := testModel(t)
+	eng := Cached(m)
+	var ids []interest.ID
+	for i := range 19 {
+		ids = append(ids, interest.ID(7+97*i)) // distinct, inside the 2000-interest catalog
+	}
+	asked, next := ids[:18], ids[:19]
+	if got, want := eng.ConjunctionShare(asked), m.ConjunctionShare(asked); !sameBits(got, want) {
+		t.Fatalf("18-interest miss: engine %v != model %v", got, want)
+	}
+	st := eng.Stats().Prefix
+	if st.Entries != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("after one 18-interest miss: %+v, want exactly one entry", st)
+	}
+	for d := 1; d < len(asked); d++ {
+		if _, ok := eng.cache.seek(AppendKey(nil, asked[:d])); ok {
+			t.Fatalf("proper prefix of length %d was cached", d)
+		}
+	}
+	if got, want := eng.ConjunctionShare(next), m.ConjunctionShare(next); !sameBits(got, want) {
+		t.Fatalf("grow-by-one follow-up: engine %v != model %v", got, want)
+	}
+	st = eng.Stats().Prefix
+	if st.Entries != 2 || st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("follow-up did not resume the cached 18-interest entry: %+v", st)
 	}
 }
 
@@ -183,7 +217,9 @@ func TestEvalBatchMatchesSequential(t *testing.T) {
 // gate. Every goroutine must observe model-identical bits.
 func TestConcurrentMixedAccess(t *testing.T) {
 	m := testModel(t)
-	eng := New(m, Options{Capacity: 256, Shards: 4}) // small: forces evictions
+	// Small: a miss inserts one entry, so 60 distinct conjunctions must
+	// overflow 8 entries per shard.
+	eng := New(m, Options{Capacity: 32, Shards: 4})
 	conjs := randomConjunctions(m, 60, 25, rng.New(31))
 	want := make([]float64, len(conjs))
 	for i, ids := range conjs {
@@ -213,7 +249,7 @@ func TestConcurrentMixedAccess(t *testing.T) {
 	}
 	st := eng.Stats().Prefix
 	if st.Evictions == 0 {
-		t.Fatalf("expected evictions with capacity 256, got stats %+v", st)
+		t.Fatalf("expected evictions with capacity 32, got stats %+v", st)
 	}
 	if st.Entries > st.Capacity {
 		t.Fatalf("cache overflowed: %+v", st)
@@ -234,7 +270,7 @@ func TestStatsAndReset(t *testing.T) {
 	eng.ConjunctionShare(ids)
 	eng.ConjunctionShare(ids)
 	st := eng.Stats().Prefix
-	if st.Misses == 0 || st.Hits == 0 || st.Entries != 3 {
+	if st.Misses == 0 || st.Hits == 0 || st.Entries != 1 {
 		t.Fatalf("unexpected stats after two evaluations: %+v", st)
 	}
 	if st.HitRate() <= 0 || st.HitRate() >= 1 {

@@ -34,7 +34,7 @@ type shard struct {
 	hits, misses, evictions uint64
 }
 
-// cache is a sharded LRU over conjunction prefixes. Sharding bounds lock
+// cache is a sharded LRU over evaluated conjunctions. Sharding bounds lock
 // contention when EvalBatch or concurrent API clients hammer the engine.
 type cache struct {
 	shards []*shard
@@ -99,7 +99,7 @@ func (c *cache) lookup(key []byte, countMiss bool) (*entry, bool) {
 	return e, ok
 }
 
-// put inserts a freshly evaluated prefix, evicting the least-recently-used
+// put inserts a freshly evaluated conjunction, evicting the least-recently-used
 // entry if the shard is full. The key bytes are interned (copied to an owned
 // string) exactly once, on first insertion.
 func (c *cache) put(key []byte, share float64, surv []float64, n int) {
@@ -200,7 +200,7 @@ func (st LevelStats) add(o LevelStats) LevelStats {
 
 // Stats is the engine-wide snapshot, one LevelStats per cache level.
 type Stats struct {
-	// Prefix is the ordered-prefix LRU: conjunction prefixes with their
+	// Prefix is the ordered-conjunction LRU: conjunctions with their
 	// survivor vectors, the level behind ConjunctionShare/PrefixShares.
 	Prefix LevelStats
 	// Set is the sort-canonicalized set-level cache (ModeCanonical only):

@@ -14,7 +14,7 @@ import "fmt"
 type Mode uint8
 
 const (
-	// ModeExact (the default) caches ordered conjunction prefixes only.
+	// ModeExact (the default) caches ordered conjunctions only.
 	// Every result is bit-identical to an uncached evaluation of the same
 	// query in the same order — the contract determinism_test.go gates.
 	// Permuted re-probes of the same interest SET are distinct queries and

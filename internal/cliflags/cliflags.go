@@ -85,7 +85,7 @@ func RegisterWorldFlags(fs *flag.FlagSet, opts ...Option) *worldcfg.Config {
 			FlagPanel:      "panel size",
 			FlagSeed:       "world seed",
 			FlagWorkers:    "worker goroutines for collection and bootstrap (0 = one per core, 1 = sequential)",
-			FlagCacheCap:   "audience cache capacity in conjunction prefixes (0 = default)",
+			FlagCacheCap:   "audience cache capacity in ordered conjunctions (0 = default)",
 			FlagCacheMode:  "audience cache contract: exact (byte-identical ordered path) or canonical (permutation-invariant set cache; bounded relative error)",
 			FlagPopulation: "modeled user base",
 		},

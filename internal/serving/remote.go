@@ -289,14 +289,20 @@ func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) 
 	w.Write(buf)
 }
 
-// decodeShareRequest reads and validates a share-request body: well-formed
-// JSON with no unknown fields, and every interest ID present in the shard's
-// catalog.
+// decodeShareRequest reads and validates a share-request body: exactly one
+// well-formed JSON value with no unknown fields and nothing after it, and
+// every interest ID present in the shard's catalog.
 func (s *ShardServer) decodeShareRequest(w http.ResponseWriter, r *http.Request) (shardShareRequest, bool) {
 	var req shardShareRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
 		return req, false
 	}
@@ -1018,10 +1024,23 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 // the remaining ctx budget: sleeping past the caller's deadline is pure
 // waste. 504 is permanent — the shard abandoned the request because the
 // forwarded deadline expired — as are other 4xx.
+//
+// When ctx ends mid-loop (a lost hedge race, or the caller leaving), the
+// call returns the context's error and callReplica keeps the breaker
+// neutral. But if the last attempt could not reach the replica at all
+// (refused, reset, timed out), that failure is already proof the replica is gone, so
+// it still marks the replica down: a race loser must not discard it.
 func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	url := p.shards[shard][replica] + path
 	var lastErr error
 	var serverWait time.Duration // Retry-After from the last failed attempt
+	var unreachable error        // the last attempt's transport failure, if it had one
+	abandon := func(err error) ([]byte, error) {
+		if unreachable != nil {
+			p.health.markDown(shard, replica, unreachable)
+		}
+		return nil, err
+	}
 	for attempt := 0; attempt <= p.maxRetries; attempt++ {
 		if attempt > 0 {
 			if !bud.take() {
@@ -1038,19 +1057,20 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				}
 			}
 			if err := p.sleep(ctx, wait); err != nil {
-				return nil, err
+				return abandon(err)
 			}
 		}
 		data, status, header, err := p.roundTrip(ctx, method, url, body)
 		if err != nil {
 			if ctx.Err() != nil {
 				// The caller is gone: retrying can only waste shard work.
-				return nil, err
+				return abandon(err)
 			}
-			lastErr = err
+			lastErr, unreachable = err, err
 			serverWait = 0
 			continue
 		}
+		unreachable = nil
 		switch {
 		case status == http.StatusGatewayTimeout:
 			// The shard honored the forwarded deadline and gave up.

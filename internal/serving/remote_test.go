@@ -300,6 +300,8 @@ func TestShardServerEndpoints(t *testing.T) {
 	}{
 		{"malformed body", http.MethodPost, shardPathUnion, "{", http.StatusBadRequest},
 		{"unknown field", http.MethodPost, shardPathUnion, `{"bogus": 1}`, http.StatusBadRequest},
+		{"trailing value", http.MethodPost, shardPathConj, `{"ids": [1]} {"ids": [2]}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, shardPathReach, `{"clauses": [[1]]} trailing`, http.StatusBadRequest},
 		{"unknown interest", http.MethodPost, shardPathUnion, `{"clauses": [[999999]]}`, http.StatusBadRequest},
 		{"unknown conjunction id", http.MethodPost, shardPathConj, `{"ids": [999999]}`, http.StatusBadRequest},
 		{"wrong method", http.MethodGet, shardPathUnion, "", http.StatusMethodNotAllowed},

@@ -60,13 +60,32 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	want := sharded.UnionShare(context.Background(), clauses)
 
+	// The hedge timer fires only once the killed replica has refused an
+	// attempt (before the kill it waits out the race). Fired at once, the
+	// hedge can win before the dead replica's dial returns, and then no
+	// call ever sees the replica fail: nothing marks it down. Retry sleeps
+	// return at once.
+	const hedgeAfter = time.Microsecond
 	mk := func(policy Policy) *ProxyBackend {
+		rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(r0a.URL(), "http://"),
+			failed: make(chan struct{}, 1)}
 		p, err := NewProxyBackend(cfg, ProxyConfig{
 			Shards: topo, Policy: policy,
 			MaxRetries: 1, RetryBase: time.Millisecond,
-			HedgeAfter: time.Microsecond,
+			HedgeAfter: hedgeAfter,
 			Jitter:     zeroJitter,
-			Sleep:      immediateSleep,
+			Client:     &http.Client{Transport: rt},
+			Sleep: func(ctx context.Context, d time.Duration) error {
+				if d != hedgeAfter {
+					return nil
+				}
+				select {
+				case <-rt.failed:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -102,6 +121,9 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 		t.Fatalf("fail-policy share after replica kill = %v, want %v", got, want)
 	}
 
+	// A race loser delivers its verdict on its own goroutine after the
+	// winner has answered; give the last one time to land.
+	waitFor(t, func() bool { return renorm.HealthStats().Down > 0 })
 	st := renorm.HealthStats()
 	if st.Down != 1 {
 		t.Fatalf("one replica dead, stats say %d down: %+v", st.Down, st)
@@ -139,6 +161,88 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("UnavailableError %v should name every replica of the dead shard (missing %s)", ue.Down, u)
+		}
+	}
+}
+
+// signalFailures is a shard transport that signals failed (without
+// blocking) whenever a round trip to host ends in a transport error, so a
+// test's hedge timer can wait until a dead replica has refused once.
+type signalFailures struct {
+	base   http.RoundTripper
+	host   string
+	failed chan struct{}
+}
+
+func (s *signalFailures) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := s.base.RoundTrip(r)
+	if err != nil && r.URL.Host == s.host {
+		select {
+		case s.failed <- struct{}{}:
+		default:
+		}
+	}
+	return resp, err
+}
+
+// TestProxyHedgeLoserReportsRefusal: a race loser that already saw its
+// replica refuse a connection still marks the replica down. The dead
+// primary refuses attempt 0 and parks in its retry backoff; the hedge then
+// fires and the live replica wins, canceling the primary mid-backoff. The
+// cancellation keeps the breaker neutral, but the refusal it already saw is
+// proof the replica is gone and must not be dropped with the lost race.
+func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
+	cfg := smallConfig(1)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // its port now refuses connections
+	liveSrv, b0 := shardHandler(t, cfg, 0, 1)
+	live := httptest.NewServer(liveSrv)
+	t.Cleanup(live.Close)
+
+	const hedgeAfter = time.Microsecond
+	rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(dead.URL, "http://"),
+		failed: make(chan struct{}, 1)}
+	proxy, err := NewProxyBackend(cfg, ProxyConfig{
+		Shards:     [][]string{{dead.URL, live.URL}},
+		HedgeAfter: hedgeAfter,
+		MaxRetries: 1, RetryBase: time.Millisecond,
+		Jitter:  zeroJitter,
+		Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
+		Client:  &http.Client{Transport: rt},
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			if d == hedgeAfter {
+				// The hedge fires once the primary has refused.
+				select {
+				case <-rt.failed:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			// The retry backoff outlasts the race.
+			<-ctx.Done()
+			return ctx.Err()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clauses := [][]interest.ID{{1, 3}}
+	want := b0.UnionShare(context.Background(), clauses)
+	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+		t.Fatalf("hedged share = %v, want %v", got, want)
+	}
+	waitFor(t, func() bool { return proxy.HealthStats().Down > 0 })
+	st := proxy.HealthStats()
+	if st.Down != 1 || st.HedgeWins != 1 {
+		t.Fatalf("the refusing primary should be the one down replica, lost to one hedge win: %+v", st)
+	}
+	for _, sh := range st.Shards {
+		if sh.Replica == 0 && (sh.Up || !strings.Contains(sh.LastError, "refused")) {
+			t.Fatalf("dead primary not recorded with its refusal: %+v", sh)
+		}
+		if sh.Breaker != "closed" {
+			t.Fatalf("replica %d breaker %s — a canceled loser must stay a neutral breaker verdict", sh.Replica, sh.Breaker)
 		}
 	}
 }
@@ -212,9 +316,9 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	// sleeps — which is the hedge arm (the hung primary produces no retries) —
 	// so the hedge launches at a freshly dead replica. Later hedge-delay
 	// sleeps block until the race ends: were the re-armed timer to fire at
-	// once, it could launch the live replica before the victim's retry
+	// once, it could launch the live replica before the victim's dial
 	// fails, and the victim's call would then be canceled by the live win
-	// (a neutral verdict) instead of marking it down. Retry sleeps return
+	// with no failure seen, instead of marking it down. Retry sleeps return
 	// at once.
 	const hedgeAfter = time.Microsecond
 	var sleeps atomic.Int32

@@ -52,8 +52,8 @@ type CacheParams struct {
 	// evaluation recomputes the full activity-grid product. Results are
 	// byte-identical either way; only wall time changes.
 	Disabled bool
-	// Capacity is how many conjunction prefixes the cache retains
-	// (0 = audience.DefaultCapacity).
+	// Capacity is how many ordered conjunctions (with their survivor
+	// weights) the cache retains (0 = audience.DefaultCapacity).
 	Capacity int
 	// Mode selects the caching contract: audience.ModeExact (byte-identical
 	// ordered path) or audience.ModeCanonical (permutation-invariant
