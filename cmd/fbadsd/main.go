@@ -10,8 +10,9 @@
 //
 // -shards N splits the population by user-ID range across N in-process
 // backend shards (each with its own audience engine and row-kernel state)
-// and serves reach by scatter-gather — byte-identical to the single-world
-// server at N=1, within 1e-12 relative at N>1 (internal/serving).
+// and answers each estimate from one shard in rotation — byte-identical to
+// the single-world server at any N, since every shard's shares are the
+// single world's (internal/serving).
 // -admit-rate puts per-ad-account admission control (HTTP 429 with
 // Retry-After) in front of the API, throttling the multi-account probe
 // floods cmd/fbadsload replays; tokens are charged proportional to the
@@ -28,13 +29,15 @@
 //
 // A -shard-of process builds only its slice of the world and serves the
 // shard RPC (/shard/v1/*) on -shard-listen — no Marketing API surface. A
-// -proxy process serves the full Marketing API by scatter-gathering those
-// shard servers; answers are byte-identical to the in-process -shards
-// topology while all shards are healthy. -degrade picks the failover
-// behaviour when probes (every -health-interval) find shards down: "fail"
-// answers 503 naming the dead shards, "renormalize" keeps serving from the
-// live shards with responses stamped "degraded": true. Every fbadsd in one
-// topology must run the same world flags (-seed/-catalog/-population/...).
+// -proxy process serves the full Marketing API by sending each estimate to
+// one of those shard servers in rotation; every answer it serves is
+// byte-identical to the single-world server. -degrade picks what happens
+// when a shard is down (found by a failed RPC or by the probes every
+// -health-interval): "fail" answers 503 naming the dead shard,
+// "renormalize" asks the next shard instead — the answer is still exact —
+// and stamps responses "degraded": true while a shard is down. Every fbadsd
+// in one topology must run the same world flags
+// (-seed/-catalog/-population/...).
 //
 // Shards may be replicated: "|" separates replicas of one shard inside the
 // comma-separated shard list,
@@ -47,7 +50,7 @@
 // Replicas of a shard are byte-identical worlds by construction (same world
 // flags, same shard index), so replica failover is EXACT: killing one
 // replica never changes or degrades an answer — -degrade only engages when
-// every replica of a shard is down. -hedge-after dur arms hedged requests:
+// no replica of a shard can answer. -hedge-after dur arms hedged requests:
 // if a shard RPC has not answered after dur, the proxy fires the same
 // request at the next live replica and the first success wins (the loser's
 // context is canceled; tallies at GET /v9.0/serving/health).
@@ -87,15 +90,15 @@ func main() {
 		tokens      = flag.String("tokens", "", "comma-separated access tokens (empty = no auth)")
 		rate        = flag.Float64("rate", 0, "per-token rate limit in requests/second (0 = unlimited)")
 		prewarm     = flag.Bool("prewarm-rows", false, "materialize the full inclusion-row table at startup (catalog x grid x 8 bytes of memory per shard; zero first-touch latency on cold estimates)")
-		shards      = flag.Int("shards", 1, "backend shards: split the population by user-ID range and serve reach by scatter-gather (1 = single-world backend)")
+		shards      = flag.Int("shards", 1, "backend shards: split the population by user-ID range and answer each estimate from one shard in rotation, byte-identical to one world (1 = single-world backend)")
 		admitRate   = flag.Float64("admit-rate", 0, "per-ad-account admission limit in tokens/second, enforced with 429 + Retry-After in front of the API (0 = no admission control)")
 		admitBurst  = flag.Float64("admit-burst", 0, "admission token-bucket capacity (0 = 2x admit-rate)")
 		maxInflight = flag.Int("max-inflight", 0, "bound on concurrently served requests; the excess is shed with 503 + Retry-After (0 = unbounded)")
 
 		shardOf        = flag.String("shard-of", "", "serve one shard's RPC instead of the Marketing API: \"i/n\" builds shard i of an n-shard topology (listen address: -shard-listen)")
 		shardListen    = flag.String("shard-listen", ":9100", "listen address of the shard RPC server (only with -shard-of)")
-		proxyURLs      = flag.String("proxy", "", "comma-separated shard base URLs, in shard order, each optionally a |-separated replica set (\"u0a|u0b,u1\"): serve the Marketing API by scatter-gathering these shard processes (mutually exclusive with -shards > 1 and -shard-of)")
-		degrade        = flag.String("degrade", "fail", "proxy degradation policy when shards are down: fail (503 naming the dead shards) or renormalize (serve from live shards, responses stamped degraded)")
+		proxyURLs      = flag.String("proxy", "", "comma-separated shard base URLs, in shard order, each optionally a |-separated replica set (\"u0a|u0b,u1\"): serve the Marketing API by sending each estimate to one of these shard processes in rotation (mutually exclusive with -shards > 1 and -shard-of)")
+		degrade        = flag.String("degrade", "fail", "proxy policy when a shard is down: fail (503 naming the dead shard) or renormalize (ask the next shard: answers stay exact, responses stamped degraded while a shard is down)")
 		healthInterval = flag.Duration("health-interval", time.Second, "proxy health-probe period")
 		rpcTimeout     = flag.Duration("rpc-timeout", 10*time.Second, "per-shard-RPC timeout of the proxy")
 		breakFailures  = flag.Int("breaker-failures", 5, "consecutive shard-RPC failures that trip the proxy's per-shard circuit breaker open")

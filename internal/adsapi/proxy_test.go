@@ -85,7 +85,8 @@ func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Serve
 }
 
 // TestServerOverProxyRenormalize: the API keeps answering through a proxy
-// that lost a shard under the renormalize policy, and stamps those responses
+// that lost a shard under the renormalize policy — the healthy answer, since
+// every shard holds the whole world's shares — and stamps those responses
 // "degraded": true (healthy responses omit the field).
 func TestServerOverProxyRenormalize(t *testing.T) {
 	base, shard1, proxy := startProxyAPI(t, serving.PolicyRenormalize)
@@ -109,27 +110,37 @@ func TestServerOverProxyRenormalize(t *testing.T) {
 	}
 
 	shard1.Close()
-	degraded, err := c.ReachEstimate(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("renormalize proxy stopped answering with one shard down: %v", err)
-	}
-	if degraded <= 0 {
-		t.Fatalf("degraded reach %d", degraded)
+	// Shard 1's death surfaces on its first turn, within one estimate per
+	// shard; the estimate fails over to shard 0.
+	for k := 0; k < 2; k++ {
+		degraded, err := c.ReachEstimate(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("renormalize proxy stopped answering with one shard down: %v", err)
+		}
+		if degraded != healthy {
+			t.Fatalf("estimate %d with shard 1 down = %d, want the healthy %d", k, degraded, healthy)
+		}
 	}
 	if !proxy.Degraded() {
 		t.Fatal("proxy not degraded after losing a shard")
 	}
 	raw = fetchReachBody(t, base, spec)
 	var resp struct {
-		Degraded bool `json:"degraded"`
+		Data     ReachEstimate `json:"data"`
+		Degraded bool          `json:"degraded"`
 	}
 	if err := json.Unmarshal(raw, &resp); err != nil || !resp.Degraded {
 		t.Fatalf("degraded response not stamped: %s (err %v)", raw, err)
 	}
+	if resp.Data.Users != healthy {
+		t.Fatalf("stamped response reach %d, want the healthy %d", resp.Data.Users, healthy)
+	}
 }
 
 // TestServerOverProxyFail: under the fail policy a down shard turns API
-// requests into 503s whose JSON body names the dead shard's URL.
+// requests into 503s whose JSON body names the dead shard's URL — from the
+// first request routed to it, which is one of the next two, and on every
+// request after.
 func TestServerOverProxyFail(t *testing.T) {
 	base, shard1, _ := startProxyAPI(t, serving.PolicyFail)
 	spec := ConjunctionSpec(es(), nil)
@@ -141,8 +152,17 @@ func TestServerOverProxyFail(t *testing.T) {
 
 	shard1.Close()
 	status, body := rawReach(t, base, spec)
+	if status == http.StatusOK {
+		// Shard 0's turn: served. The next request is shard 1's.
+		status, body = rawReach(t, base, spec)
+	}
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("fail policy with a dead shard: HTTP %d, want 503 (body %s)", status, body)
+	}
+	for k := 0; k < 2; k++ {
+		if again, _ := rawReach(t, base, spec); again != http.StatusServiceUnavailable {
+			t.Fatalf("request %d after the 503: HTTP %d, want 503 until a probe revives the shard", k, again)
+		}
 	}
 	var env errorEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
@@ -192,7 +212,8 @@ func (s *slowShard) RoundTrip(r *http.Request) (*http.Response, error) {
 // estimates, and the renormalize policy must answer every estimate of a
 // flood from shard 1 — 200s stamped degraded, none past a 5 s deadline.
 // Once a probe finds the slow shard alive again, the open breaker must keep
-// estimates off its wire.
+// estimates off its wire, and responses stay stamped: a shard whose breaker
+// is open is down.
 func TestServerOverProxySlowShard(t *testing.T) {
 	cfg := proxyWorld()
 	urls, _ := startShards(t, cfg)
@@ -241,18 +262,20 @@ func TestServerOverProxySlowShard(t *testing.T) {
 		return ""
 	}
 
-	// Two estimates, each losing shard 0 to the RPC timeout. Between them a
-	// probe finds the slow shard alive and marks it up again, as the health
-	// loop would.
-	for i := 0; i < 2; i++ {
+	// Estimates alternate between the shards. Estimates 0 and 2 are shard
+	// 0's: each loses it to the RPC timeout, fails over to shard 1 and is
+	// stamped. Before each later estimate a probe finds the slow shard
+	// alive and marks it up again, as the health loop would, so estimate 1,
+	// shard 1's, is served unstamped.
+	for i := 0; i < 3; i++ {
 		if i > 0 {
 			proxy.ProbeNow(context.Background())
 			if proxy.Degraded() {
 				t.Fatal("probe did not mark the slow shard up again")
 			}
 		}
-		if !estimate() {
-			t.Fatalf("estimate %d with shard 0 timing out was not stamped degraded", i)
+		if want := i%2 == 0; estimate() != want {
+			t.Fatalf("estimate %d: degraded stamp %v, want %v", i, !want, want)
 		}
 	}
 	if cut, rpcs := slow.cut.Load(), slow.dataRPCs.Load(); rpcs == 0 || cut != rpcs {
@@ -281,11 +304,16 @@ func TestServerOverProxySlowShard(t *testing.T) {
 		t.Fatalf("%d of 32 flood estimates failed or were not stamped degraded", n)
 	}
 
-	// The shard is up again but its breaker is open: estimates fast-fail
-	// it without an RPC.
+	// The shard is up again but its breaker is open: estimates — one per
+	// shard, so one is shard 0's turn — fast-fail it without an RPC, and
+	// are stamped degraded, since a shard behind an open breaker is down.
 	proxy.ProbeNow(context.Background())
 	before := slow.dataRPCs.Load()
-	estimate()
+	for i := 0; i < 2; i++ {
+		if !estimate() {
+			t.Fatalf("estimate %d with shard 0's breaker open was not stamped degraded", i)
+		}
+	}
 	if after := slow.dataRPCs.Load(); after != before {
 		t.Fatalf("open breaker let %d RPCs reach the slow shard", after-before)
 	}

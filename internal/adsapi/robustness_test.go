@@ -84,7 +84,7 @@ func TestTrailingSpecDataRejected(t *testing.T) {
 
 // errBackend serves catalog/population from a real backend but fails every
 // reach estimate with a configured error — the shapes a dead topology or a
-// deadline blowing mid-gather produce.
+// deadline blowing mid-estimate produce.
 type errBackend struct {
 	serving.ReachBackend
 	err error
@@ -173,7 +173,7 @@ func TestServerMapsBackendErrors(t *testing.T) {
 // TestProxySessionGoroutineCleanup is the end-to-end leak regression: a full
 // serving session — shard servers, health-probing proxy, Marketing API tier,
 // client traffic — torn down in order returns the process to its goroutine
-// baseline. Guards the probe loop, the scatter workers, and the per-request
+// baseline. Guards the probe loop, the fan-out workers, and the per-request
 // context plumbing against leaked goroutines.
 func TestProxySessionGoroutineCleanup(t *testing.T) {
 	cfg := worldcfg.Default()

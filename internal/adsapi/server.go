@@ -19,8 +19,8 @@ type ServerConfig struct {
 	// Backend serves every reach computation: catalog lookups, demographic
 	// bases and flexible-spec union shares. Required. Wire a
 	// serving.LocalBackend for the single-world server, a
-	// serving.ShardedBackend for the in-process scatter-gather tier
-	// (fbadsd -shards N) or a serving.ProxyBackend for shard processes.
+	// serving.ShardedBackend for in-process shards (fbadsd -shards N) or
+	// a serving.ProxyBackend for shard processes.
 	Backend serving.ReachBackend
 	// Era selects platform rules (default Era2017).
 	Era Era
@@ -382,10 +382,9 @@ func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
 		Degraded: s.backendDegraded()})
 }
 
-// backendDegraded reports whether the backend is serving renormalized
-// (approximate) answers — true only for a proxy backend with shards down
-// under the renormalize policy. Local and in-process sharded backends never
-// degrade.
+// backendDegraded reports whether the backend is serving with a shard down
+// — true only for a proxy backend under the renormalize policy, whose
+// answers stay exact. Local and in-process sharded backends never degrade.
 func (s *Server) backendDegraded() bool {
 	d, ok := s.backend.(interface{ Degraded() bool })
 	return ok && d.Degraded()

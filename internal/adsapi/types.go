@@ -271,9 +271,9 @@ type ReachEstimate struct {
 // reachResponse wraps ReachEstimate as the API returns it.
 type reachResponse struct {
 	Data ReachEstimate `json:"data"`
-	// Degraded marks estimates served by a proxy backend running with shards
-	// down under the renormalize policy: the number is an approximation from
-	// the live shards' renormalized weights, not the full-topology answer.
+	// Degraded marks estimates served by a proxy backend running with a shard
+	// down under the renormalize policy. The number is still exact — another
+	// shard answered — but the topology is short of a shard.
 	Degraded bool `json:"degraded,omitempty"`
 }
 

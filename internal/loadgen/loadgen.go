@@ -75,7 +75,7 @@ type Config struct {
 
 	// RequestTimeout, when positive, puts a per-request context deadline
 	// on every probe. The server propagates it through the serving stack
-	// (adsapi handler context → proxy scatter-gather → shard RPCs), so a
+	// (adsapi handler context → proxy → shard RPC), so a
 	// run with a tight RequestTimeout measures deadline behaviour, not
 	// just client-side give-up. Expired probes tally as DeadlineExceeded.
 	RequestTimeout time.Duration

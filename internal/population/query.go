@@ -248,7 +248,7 @@ func (m *Model) ConditionalAudienceFromShares(demoShare, p float64) float64 {
 // 1 + max(0, pop·demoShare − 1)·p from a population size and already
 // evaluated demographic and conjunction shares. It is the one definition of
 // that arithmetic: the model, the audience engine and the sharded serving
-// backends (which gather the two shares across shards first) all call it,
+// backends (which ask a shard for the two shares first) all call it,
 // so their answers can only differ by the shares fed in.
 func ConditionalAudience(pop int64, demoShare, p float64) float64 {
 	base := float64(pop)*demoShare - 1

@@ -1,10 +1,10 @@
 // Package serving is the multi-world serving tier behind the simulated
 // Marketing API: the ReachBackend contract the API server estimates reach
 // through, a LocalBackend wrapping one in-process model/engine pair, a
-// ShardedBackend that splits the population by user-ID range across N
-// backend shards and scatter-gathers their audience shares, and an
-// admission controller that throttles per-advertiser-account request floods
-// (the Faizullabhoy–Korolova abuse pattern) with 429 + Retry-After.
+// ShardedBackend that runs N backend shards split by user-ID range and
+// answers each query from one of them in rotation, and an admission
+// controller that throttles per-advertiser-account request floods (the
+// Faizullabhoy–Korolova abuse pattern) with 429 + Retry-After.
 //
 // # Sharding model and exactness
 //
@@ -15,17 +15,15 @@
 // not a scan over materialized users — and its calibration is share-based,
 // so a shard's model has bit-identical per-interest rates and activity grid
 // to the single-world model regardless of the shard's population count
-// (worldcfg.Config.BuildModel). A targeting spec's global audience is then
-// composed from per-shard shares multiplicatively: shard s contributes
-// weight_s · share_s where weight_s = pop_s/pop is its population mass, and
-// the aggregator sums the terms in shard-index order.
+// (worldcfg.Config.BuildModel). Every shard's share of a targeting spec is
+// therefore the single world's share, bit for bit.
 //
-// Because share_s is bit-identical across shards and to the single world,
-// exactness is preservable by construction: at N=1 the single term is
-// 1.0 · share — byte-identical to LocalBackend — and at N>1 the only
-// deviation is floating-point reassociation of the weighted sum, bounded
-// well inside 1e-12 relative error. Both bounds are gated by the property
-// tests in this package.
+// So one shard answers each query: the sharded backends pick it by an
+// atomic rotation counter and return its shares unchanged, and every answer
+// is byte-identical to LocalBackend at any shard count — gated by the
+// property tests in this package. A shard that cannot answer is routed
+// around (ProxyBackend, PolicyRenormalize) with the answer still exact;
+// what more shards buy is spread load and, over processes, availability.
 package serving
 
 import (
@@ -60,9 +58,8 @@ type ReachBackend interface {
 	Population() int64
 	// ReachShares returns both factors of one reach estimate: the population
 	// share matching a demographic filter and the share matching a
-	// flexible-spec union of interest conjunctions. Sharded backends gather
-	// both in one fan-out, so the two factors always come from the same
-	// set of shards. LocalBackend never returns an error.
+	// flexible-spec union of interest conjunctions. Sharded backends ask
+	// one shard for both, in one call. LocalBackend never returns an error.
 	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error)
 	// AudienceStats snapshots the backend's audience-cache counters,
 	// aggregated across shards.

@@ -107,7 +107,7 @@ func wantErr[E error](t *testing.T, err error) E {
 }
 
 // hungHandler blocks every request until its caller goes away — the stuck
-// shard the cancellation tests scatter into. It drains the body first: the
+// shard the cancellation tests send estimates to. It drains the body first: the
 // net/http server only watches for client disconnect (and cancels
 // r.Context()) once the request body has been consumed.
 func hungHandler() http.Handler {
@@ -117,26 +117,27 @@ func hungHandler() http.Handler {
 	})
 }
 
-// startHungShardTopology is a 2-"shard" topology whose shard 1 never
-// answers: shard 0 is a real shard server, shard 1 hangs forever.
+// startHungShardTopology is a 2-"shard" topology whose shard 0 never
+// answers: shard 0 hangs forever, shard 1 is a real shard server. Rotation
+// sends a fresh proxy's first estimate to shard 0.
 func startHungShardTopology(t *testing.T) (*ProxyBackend, func(pc ProxyConfig) *ProxyBackend) {
 	t.Helper()
 	cfg := smallConfig(1)
-	s0, _ := shardHandler(t, cfg, 0, 2)
-	real := httptest.NewServer(s0)
-	t.Cleanup(real.Close)
 	hung := httptest.NewServer(hungHandler())
 	t.Cleanup(hung.Close)
+	s1, _ := shardHandler(t, cfg, 1, 2)
+	real := httptest.NewServer(s1)
+	t.Cleanup(real.Close)
 	mk := func(pc ProxyConfig) *ProxyBackend {
-		return newTestProxy(t, cfg, []string{real.URL, hung.URL}, pc)
+		return newTestProxy(t, cfg, []string{hung.URL, real.URL}, pc)
 	}
 	return mk(ProxyConfig{Timeout: 30 * time.Second}), mk
 }
 
-// TestProxyCancelAbortsHungFanOut is the ISSUE's cancellation bound: a
-// scatter into a topology with one hung shard must abandon the gather within
-// the caller's cancellation, not the 30s per-RPC timeout — and the shard
-// must NOT be marked down for the caller's impatience.
+// TestProxyCancelAbortsHungFanOut is the cancellation bound: an estimate
+// sent to a hung shard must be abandoned within the caller's cancellation,
+// not the 30s per-RPC timeout — and the shard must NOT be marked down for
+// the caller's impatience.
 func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 	proxy, _ := startHungShardTopology(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -151,7 +152,7 @@ func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 		t.Fatalf("CanceledError wraps %v, want context.Canceled", ce.Err)
 	}
 	if elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v to abort the fan-out — the 30s RPC timeout leaked through", elapsed)
+		t.Fatalf("cancellation took %v to abort the estimate — the 30s RPC timeout leaked through", elapsed)
 	}
 	if st := proxy.HealthStats(); st.Down != 0 {
 		t.Fatalf("caller cancellation marked a shard down: %+v", st)
@@ -173,7 +174,7 @@ func TestProxyDeadlinePanicsDeadlineExceeded(t *testing.T) {
 		t.Fatalf("CanceledError wraps %v, want context.DeadlineExceeded", ce.Err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline took %v to abort the fan-out", elapsed)
+		t.Fatalf("deadline took %v to abort the estimate", elapsed)
 	}
 }
 
@@ -326,10 +327,11 @@ func TestStartHealthGoroutineExit(t *testing.T) {
 	}
 }
 
-// BenchmarkProxyBreakerFastFail measures the whole point of the breaker: a
-// gather over a topology whose dead shard's breaker is OPEN must cost
-// microseconds (one live-shard RPC plus a mutex check), not the per-RPC
-// timeout the dead shard would otherwise eat. CI gates the reported ns/op at
+// BenchmarkProxyBreakerFastFail measures the whole point of the breaker:
+// estimates over a topology whose dead shard's breaker is OPEN must cost
+// microseconds (one live-shard RPC, after a mutex check on the dead shard
+// when it is the dead shard's turn), not the per-RPC timeout the dead shard
+// would otherwise eat. CI gates the reported ns/op at
 // <= 1/10 of the 250ms per-RPC timeout configured here.
 func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	cfg := smallConfig(1)

@@ -12,23 +12,27 @@ import (
 )
 
 // Policy selects how a ProxyBackend behaves when shards are unreachable.
+// Every shard's shares equal the single world's, so under either policy a
+// served answer is exact; the policies differ in whether a down shard
+// refuses service or is routed around.
 type Policy int
 
 const (
-	// PolicyFail refuses to serve while any shard is down: ReachShares
-	// returns *UnavailableError (the HTTP tier turns it into a 503 whose
-	// JSON body names the down shards). This is the exactness-preserving
-	// policy — a served answer is always the full-topology answer.
+	// PolicyFail refuses to serve while any shard is down: an estimate whose
+	// shard cannot answer, and every estimate after it until a probe finds
+	// the shard alive again, returns *UnavailableError (the HTTP tier turns
+	// it into a 503 whose JSON body names the down shard's replicas).
 	PolicyFail Policy = iota
-	// PolicyRenormalize keeps serving from the live shards with their
-	// weights renormalized to sum to one. Answers are approximations of the
-	// full-topology share (exact only if the dead shards' shares equal the
-	// live average), so HTTP responses are stamped "degraded": true.
+	// PolicyRenormalize keeps serving: an estimate whose shard cannot answer
+	// is asked of the next shard in rotation order, and the answer is still
+	// exact. While a shard is down, HTTP responses are stamped
+	// "degraded": true — the topology is running short of a shard, not the
+	// answer short of its mass.
 	PolicyRenormalize
 )
 
 // Both policies concern SHARDS, not replicas: a shard counts as down only
-// when every one of its replicas is down. Losing a replica of a multi-replica
+// when no replica of it can answer. Losing a replica of a multi-replica
 // shard degrades nothing — the surviving replicas serve the byte-identical
 // world, so failover between them is exact.
 
@@ -68,7 +72,7 @@ func (e *UnavailableError) Error() string {
 
 // CanceledError reports that the caller's context ended (cancel or
 // deadline) before the backend finished the query. The sharded backends'
-// ReachShares return it (fanOut), and the HTTP tier answers 504 for an
+// ReachShares return it, and the HTTP tier answers 504 for an
 // expired deadline, 503 for a plain cancel (adsapi.Server.writeBackendError).
 type CanceledError struct {
 	// Err is the context's error (context.Canceled or
@@ -170,14 +174,12 @@ func (h *healthMonitor) liveReplicas(shard int) []int {
 	return live
 }
 
-// deadShards returns, as one consistent snapshot, the dead flags (a shard is
-// dead only when EVERY replica is down) and the down replicas' URLs of those
-// dead shards.
-func (h *healthMonitor) deadShards() (dead []bool, urls []string) {
+// deadURLs returns, as one consistent snapshot, the replica URLs of every
+// dead shard (a shard is dead only when EVERY replica is down).
+func (h *healthMonitor) deadURLs() (urls []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	dead = make([]bool, len(h.shards))
-	for i, reps := range h.shards {
+	for _, reps := range h.shards {
 		allDown := true
 		for _, s := range reps {
 			if s.up {
@@ -186,13 +188,12 @@ func (h *healthMonitor) deadShards() (dead []bool, urls []string) {
 			}
 		}
 		if allDown {
-			dead[i] = true
 			for _, s := range reps {
 				urls = append(urls, s.url)
 			}
 		}
 	}
-	return dead, urls
+	return urls
 }
 
 // markDown records a replica failure (probe or data path).
@@ -259,17 +260,34 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 	return st
 }
 
-// Degraded reports whether the proxy is currently serving renormalized
-// answers: PolicyRenormalize with at least one shard fully dead (every
-// replica down). A down replica of a shard with survivors does NOT degrade —
-// the survivors serve the byte-identical world. The adsapi server stamps
-// reach responses "degraded": true while this holds.
+// Degraded reports whether a PolicyRenormalize proxy is serving with a shard
+// down: a shard none of whose replicas is both marked up and past its
+// breaker. A replica a probe marked up while its breaker is still open
+// counts as down, since estimates fast-fail it. A down replica of a shard
+// with a usable sibling does NOT degrade — the sibling serves the
+// byte-identical world. Answers stay exact either way; the adsapi server
+// stamps reach responses "degraded": true while this holds.
 func (p *ProxyBackend) Degraded() bool {
 	if p.policy != PolicyRenormalize {
 		return false
 	}
-	_, deadURLs := p.health.deadShards()
-	return len(deadURLs) > 0
+	for i := range p.shards {
+		if !p.usable(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// usable reports whether shard i has a replica that is marked up and whose
+// breaker is not open.
+func (p *ProxyBackend) usable(i int) bool {
+	for _, r := range p.health.liveReplicas(i) {
+		if p.breakers[i][r].State() != BreakerOpen {
+			return true
+		}
+	}
+	return false
 }
 
 // ProbeNow runs one synchronous health-probe round: every replica's
@@ -277,7 +295,7 @@ func (p *ProxyBackend) Degraded() bool {
 // and its identity — shard index, shard count, user-ID range, catalog size,
 // total population — is checked against the proxy's own configuration, so a
 // replica serving the wrong world (or the wrong slice of the right world) is
-// treated as down rather than silently folded in. Every check compares
+// treated as down rather than asked. Every check compares
 // against the proxy's config-derived expectation, so any two replicas that
 // both pass are byte-identical worlds by construction (shard models are
 // share-calibrated pure functions of the config and range) — which is what

@@ -3,9 +3,11 @@ package serving
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -106,15 +108,14 @@ func shardHandler(t *testing.T, cfg worldcfg.Config, index, count int) (*ShardSe
 	return srv, b
 }
 
-// TestProxyFailoverRenormalizeVsFail is the ISSUE's failover acceptance
-// test: a 2-shard topology loses one shard mid-run. Under renormalize the
-// proxy keeps answering (the survivor's bare share, responses flagged
-// degraded); under fail it refuses with an UnavailableError naming the dead
-// shard. After a kill-and-restart plus probe, both serve exact answers
-// again.
+// TestProxyFailoverRenormalizeVsFail is the failover acceptance test: a
+// 2-shard topology loses one shard mid-run. Under renormalize the proxy
+// keeps answering from the survivor — the exact answer, flagged degraded;
+// under fail it refuses with an UnavailableError naming the dead shard.
+// After a kill-and-restart plus probe, both serve undegraded again.
 func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	cfg := smallConfig(42)
-	s0, b0 := shardHandler(t, cfg, 0, 2)
+	s0, _ := shardHandler(t, cfg, 0, 2)
 	s1, _ := shardHandler(t, cfg, 1, 2)
 	shard0 := startRestartableShard(t, s0)
 	shard1 := startRestartableShard(t, s1)
@@ -157,15 +158,13 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	shard1.Kill()
 	clock.Advance(time.Second)
 
-	// Renormalize: the first scatter discovers the death on the data path,
-	// still answers from the survivor (bare share — weight renormalized to
-	// exactly 1), and flips Degraded.
-	// (In this simulator the shard models are share-calibrated, so the
-	// survivor's share happens to equal the full answer too — the assert
-	// pins the fold to the survivor, the Degraded flag records the honesty.)
-	got := renorm.UnionShare(context.Background(), clauses)
-	if wantLive := b0.UnionShare(context.Background(), clauses); got != wantLive {
-		t.Fatalf("degraded share = %v, want live shard's %v", got, wantLive)
+	// Renormalize: the first estimate whose turn is shard 1's — one of the
+	// next two — discovers the death on the data path, fails over to the
+	// survivor, whose share is the exact answer, and flips Degraded.
+	for k := 0; k < renorm.NumShards(); k++ {
+		if got := renorm.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("estimate %d with shard 1 dead = %v, want %v", k, got, want)
+		}
 	}
 	if !renorm.Degraded() {
 		t.Fatal("renormalize proxy should report degraded after losing a shard")
@@ -187,8 +186,8 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 		t.Fatalf("UnavailableError names %v, want [%s]", ue.Down, shard1.URL())
 	}
 
-	// The data path must NOT resurrect a shard: queries against the still
-	// renormalizing proxy leave shard 1 down.
+	// The data path must NOT resurrect a shard: queries against the
+	// renormalize proxy leave shard 1 down.
 	renorm.UnionShare(context.Background(), clauses)
 	if !renorm.Degraded() {
 		t.Fatal("shard came back without a probe")
@@ -209,7 +208,126 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	}
 }
 
-// TestProxyAllShardsDown: renormalize has nothing to renormalize over when
+// hostLog is a shard transport that records the host of every data RPC
+// attempt (health probes excluded), in order.
+type hostLog struct {
+	base  http.RoundTripper
+	mu    sync.Mutex
+	hosts []string
+}
+
+func (l *hostLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != shardPathHealth {
+		l.mu.Lock()
+		l.hosts = append(l.hosts, r.URL.Host)
+		l.mu.Unlock()
+	}
+	return l.base.RoundTrip(r)
+}
+
+// take returns the hosts recorded since the last take.
+func (l *hostLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.hosts
+	l.hosts = nil
+	return out
+}
+
+// TestProxyFailsOverAcrossShards: every shard holds the whole world's
+// shares, so an estimate whose shard is dead is answered exactly by the next
+// shard in rotation order. Over a 3-shard topology with shard 1 killed,
+// renormalize answers every estimate byte-identical to LocalBackend —
+// estimate 1, shard 1's turn, from shard 2 — and stamps degraded from then
+// on, sending no further RPC to the corpse. Fail refuses estimate 1 naming
+// shard 1 and keeps refusing, on healthy shards' turns too, until a probe
+// finds shard 1 back.
+func TestProxyFailsOverAcrossShards(t *testing.T) {
+	cfg := smallConfig(0)
+	ctx := context.Background()
+	local, err := NewLocalBackendFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	shards := make([]*restartableShard, n)
+	urls := make([]string, n)
+	hosts := make([]string, n)
+	for i := range shards {
+		srv, _ := shardHandler(t, cfg, i, n)
+		shards[i] = startRestartableShard(t, srv)
+		urls[i] = shards[i].URL()
+		hosts[i] = strings.TrimPrefix(urls[i], "http://")
+	}
+	log := &hostLog{base: NewShardTransport()}
+	pc := ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Client: &http.Client{Transport: log}}
+	pc.Policy = PolicyRenormalize
+	renorm := newTestProxy(t, cfg, urls, pc)
+	pc.Policy = PolicyFail
+	failing := newTestProxy(t, cfg, urls, pc)
+
+	f := population.DemoFilter{Countries: []string{"ES"}, AgeMin: 25, AgeMax: 40}
+	clauses := [][]interest.ID{{4, 5}, {6}}
+	wantD, wantU, _ := local.ReachShares(ctx, f, clauses) // a LocalBackend never fails
+	exact := func(p *ProxyBackend, what string) {
+		t.Helper()
+		demo, union, err := p.ReachShares(ctx, f, clauses)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if demo != wantD || union != wantU {
+			t.Fatalf("%s = (%v, %v), LocalBackend (%v, %v) — must be byte-identical", what, demo, union, wantD, wantU)
+		}
+	}
+	shards[1].Kill()
+
+	// Estimate k's turn is shard k mod 3. Shard 1 refuses both attempts of
+	// estimate 1, which moves on to shard 2; estimate 4 skips the shard
+	// marked down without touching its wire.
+	for k, want := range [][]string{
+		{hosts[0]},
+		{hosts[1], hosts[1], hosts[2]},
+		{hosts[2]},
+		{hosts[0]},
+		{hosts[2]},
+	} {
+		exact(renorm, fmt.Sprintf("renormalize estimate %d", k))
+		if got := log.take(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("renormalize estimate %d sent RPCs to %v, want %v", k, got, want)
+		}
+		if renorm.Degraded() != (k >= 1) {
+			t.Fatalf("renormalize estimate %d: Degraded = %v, want %v", k, renorm.Degraded(), k >= 1)
+		}
+	}
+
+	// Fail: estimate 0 is served, estimate 1 is refused naming shard 1, and
+	// estimate 2 — shard 2's turn — is refused before any RPC.
+	exact(failing, "fail-policy estimate 0")
+	log.take()
+	for k := 1; k <= 2; k++ {
+		_, _, err := failing.ReachShares(ctx, f, clauses)
+		ue := wantErr[*UnavailableError](t, err)
+		if !reflect.DeepEqual(ue.Down, []string{urls[1]}) {
+			t.Fatalf("fail-policy estimate %d: UnavailableError names %v, want [%s]", k, ue.Down, urls[1])
+		}
+		if got := log.take(); k == 2 && len(got) != 0 {
+			t.Fatalf("fail-policy estimate 2 sent RPCs to %v after refusing", got)
+		}
+	}
+
+	shards[1].Restart()
+	for _, p := range []*ProxyBackend{renorm, failing} {
+		p.ProbeNow(ctx)
+		for k := 0; k < n; k++ {
+			exact(p, fmt.Sprintf("%v estimate %d after restart", p.policy, k))
+		}
+		if p.Degraded() {
+			t.Fatalf("%v proxy degraded after restart: %+v", p.policy, p.HealthStats())
+		}
+	}
+}
+
+// TestProxyAllShardsDown: renormalize has no shard to fail over to when
 // every shard is gone — the proxy must refuse rather than fabricate.
 func TestProxyAllShardsDown(t *testing.T) {
 	cfg := smallConfig(1)

@@ -1,10 +1,10 @@
 // Process-sharded serving: the network topology behind `fbadsd -shard-of` /
 // `-proxy`. A ShardServer exposes one shard's reach primitives over a small
-// JSON-over-HTTP RPC; a ProxyBackend implements ReachBackend by
-// scatter-gathering those RPCs across N shard processes — each optionally
-// replicated — with per-RPC timeouts, bounded jittered retry, hedged
-// requests, health-checked degradation (health.go) and per-replica circuit
-// breakers (breaker.go).
+// JSON-over-HTTP RPC; a ProxyBackend implements ReachBackend over N shard
+// processes — each optionally replicated — by sending each estimate to one
+// shard in rotation, with per-RPC timeouts, bounded jittered retry, hedged
+// requests, health-checked failover across shards (health.go) and
+// per-replica circuit breakers (breaker.go).
 //
 // # Replication and hedging
 //
@@ -18,10 +18,9 @@
 // over to the next live replica, and with HedgeAfter armed it additionally
 // fires the SAME request at the next live replica once the hedge delay
 // elapses without an answer — first success wins and the losers' contexts
-// are canceled (their breakers see OnCanceled, not OnFailure). Degradation
-// policies engage only when EVERY replica of a shard is down: losing one
-// replica of a replicated shard keeps answers bit-identical and
-// un-degraded.
+// are canceled (their breakers see OnCanceled, not OnFailure). Only when
+// EVERY replica of the chosen shard fails does the degradation policy
+// decide between trying the next shard and refusing.
 //
 // # Deadline propagation
 //
@@ -33,34 +32,27 @@
 //
 // # Exactness
 //
-// The proxy folds per-shard shares exactly like the in-process
-// ShardedBackend — both call foldShares: weight_s · share_s summed in
-// shard-index order, with the same single-shard short-circuit. A shard
-// process builds its model with the same range arithmetic and share-based
-// calibration (NewShardBackend == ShardedBackend's per-shard construction),
-// so its shares are bit-identical to the in-process shard's; and Go's
-// encoding/json round-trips float64 exactly (shortest-representation
-// encoding, exact parse), so the wire adds no error. Healthy-topology proxy
-// answers are therefore byte-identical to ShardedBackend at the same shard
-// split — property-gated in remote_test.go over replicas {1,2} × shards
-// {1,2,3} × seeds {0,1,42}, hedging armed.
+// A shard process builds its model with the same range arithmetic and
+// share-based calibration as ShardedBackend (NewShardBackend), so its
+// shares equal the single world's bit for bit — every shard's, every
+// replica's. Go's encoding/json round-trips float64 exactly
+// (shortest-representation encoding, exact parse), so the wire adds no
+// error either. The proxy therefore returns the answering shard's pair
+// unchanged, and every answer it serves — healthy, after replica failover,
+// or after failing over to another shard — is byte-identical to
+// LocalBackend's: property-gated in remote_test.go over replicas {1,2} ×
+// shards {1,2,3} × seeds {0,1,42}, hedging armed.
 //
-// The fused reach-shares RPC keeps that argument intact. A shard answers
-// it with the same two engine calls the single-share endpoints make, in
-// the same order, so each component is the bit-identical single share; and
-// the proxy folds each component on its own through the same fold, fail
-// and renormalize rules as a single-share gather. What fusing adds is that
-// both factors of one estimate come from the SAME set of live shards: one
-// RPC per shard either delivers both shares or neither, so a shard cannot
-// die between the demographic and the interest gather and leave an
-// estimate that multiplies factors renormalized over different shards.
+// The fused reach-shares RPC carries both factors of one estimate, computed
+// by the same two engine calls the single-share endpoints make, so one RPC
+// answers an estimate.
 //
 // # Connections
 //
 // Every RPC and health probe of the default proxy client rides one
 // keep-alive transport (NewShardTransport) whose idle pool per replica host
 // covers the proxy's peak concurrent RPCs, so a reach estimate costs one
-// round trip per shard on a connection that is already open.
+// round trip on a connection that is already open.
 package serving
 
 import (
@@ -105,7 +97,7 @@ const (
 
 // shardIdleConnsPerHost is the shard transport's idle-connection pool per
 // replica host. It must cover the proxy's peak concurrent RPCs to one
-// replica — each in-flight estimate holds one RPC per shard, so that is the
+// replica — each in-flight estimate holds at most one RPC, so that is the
 // API tier's in-flight cap (fbadsd -max-inflight, e.g. 256) — so a burst
 // hands every connection back to the pool instead of closing the overflow
 // and re-dialing it on the next burst.
@@ -128,7 +120,7 @@ func NewShardTransport() *http.Transport {
 
 // ShardHealthInfo is the health endpoint's payload: enough identity for the
 // proxy to verify the shard serves the same world at the same split before
-// folding its shares in (ProbeNow rejects mismatches as down).
+// asking it (ProbeNow rejects mismatches as down).
 type ShardHealthInfo struct {
 	Status string `json:"status"`
 	Shard  int    `json:"shard"`
@@ -153,6 +145,13 @@ type shardShareRequest struct {
 
 type shardShareResponse struct {
 	Share float64 `json:"share"`
+}
+
+// sharePair is one shard's answer to a reach estimate, both factor shares:
+// the fused reach-shares RPC's response body.
+type sharePair struct {
+	Demo  float64 `json:"demo"`
+	Union float64 `json:"union"`
 }
 
 type shardErrorBody struct {
@@ -439,9 +438,9 @@ type ProxyConfig struct {
 	// RetryBase is the initial retry backoff, doubled per retry and
 	// stretched by Jitter (default 50ms).
 	RetryBase time.Duration
-	// RetryBudget caps the TOTAL retries one query may spend across its
-	// whole shard fan-out, so a brownout cannot amplify incoming load by
-	// shards × MaxRetries. Exhaustion fails the RPC that wanted the retry
+	// RetryBudget caps the TOTAL retries one query may spend across every
+	// shard and replica it tries, so a brownout cannot amplify incoming load
+	// by shards × MaxRetries. Exhaustion fails the RPC that wanted the retry
 	// (tallied as HealthStats.RetryBudgetExhausted) and counts as that
 	// shard's failure. 0 defaults to 2 × MaxRetries; negative disables the
 	// cap.
@@ -459,8 +458,8 @@ type ProxyConfig struct {
 	// arriving in synchronized bursts. Nil uses a deterministic source
 	// derived from the world seed; tests inject a constant.
 	Jitter func(shard, replica, attempt int) float64
-	// Policy selects the degradation behaviour when whole shards (every
-	// replica) are down (default PolicyFail).
+	// Policy selects what an estimate does when its shard (every replica)
+	// cannot answer: refuse, or try the next shard (default PolicyFail).
 	Policy Policy
 	// ProbeInterval is StartHealth's probe period (default 1s).
 	ProbeInterval time.Duration
@@ -483,13 +482,12 @@ type ProxyConfig struct {
 }
 
 // ProxyBackend implements ReachBackend over N shard PROCESSES: the network
-// counterpart of ShardedBackend. Every share query scatters ONE shard RPC to
-// all live shards (per-RPC timeout, bounded jittered retry under a shared
+// counterpart of ShardedBackend. Every share query is ONE shard RPC to the
+// shard whose turn it is (per-RPC timeout, bounded jittered retry under a
 // per-query budget; a reach estimate's two factor shares travel together in
-// the fused reach-shares RPC) and folds the answers weight_s · share_s in
-// shard-index order — with a healthy topology, byte-identical to
-// ShardedBackend at the same shard split (see the package comment's
-// exactness argument).
+// the fused reach-shares RPC), and the answer is that shard's, unchanged —
+// byte-identical to LocalBackend (see the package comment's exactness
+// argument).
 //
 // A shard may be served by several replicas (ProxyConfig.Shards). Each
 // replica carries its own health state and circuit breaker; the RPC goes to
@@ -498,16 +496,17 @@ type ProxyConfig struct {
 //
 // Failure behaviour is governed by the health subsystem (health.go):
 // replicas marked down by probes are skipped, RPC failures mark replicas
-// down, and the configured Policy decides — only once a shard has NO live
-// replica — between refusing (PolicyFail returns *UnavailableError →
-// HTTP 503) and renormalizing over the live shards (PolicyRenormalize,
-// responses stamped degraded).
+// down, and the configured Policy decides — only once the chosen shard has
+// NO replica that answers — between refusing (PolicyFail returns
+// *UnavailableError → HTTP 503) and asking the next shard
+// (PolicyRenormalize: the answer stays exact, and responses are stamped
+// degraded while a shard is down).
 type ProxyBackend struct {
 	catalog *interest.Catalog
 	pop     int64
 	shards  [][]string
 	ranges  []ShardRange
-	weights []float64
+	turn    rotation
 
 	timeout       time.Duration
 	maxRetries    int
@@ -533,10 +532,10 @@ type ProxyBackend struct {
 // NewProxyBackend builds the proxy's local view of the world described by
 // cfg: the interest catalog is generated locally (bit-identical to every
 // shard's — catalog generation is a pure function of the config), shard
-// ranges and weights come from the same integer range arithmetic
-// ShardedBackend uses, and all reach arithmetic composes scatter-gathered
-// shares. No shard is contacted during construction; replicas start
-// optimistically up and the first probe or scatter corrects that.
+// ranges come from the same integer range arithmetic ShardedBackend uses
+// (the health probes check each shard's against them). No shard is
+// contacted during construction; replicas start optimistically up and the
+// first probe or RPC corrects that.
 func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error) {
 	if len(pc.URLs) > 0 && len(pc.Shards) > 0 {
 		return nil, errors.New("serving: set ProxyConfig.URLs or ProxyConfig.Shards, not both")
@@ -606,7 +605,6 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	}
 	shards := make([][]string, n)
 	ranges := make([]ShardRange, n)
-	weights := make([]float64, n)
 	for i, reps := range topo {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("serving: shard %d has no replica URLs", i)
@@ -620,7 +618,6 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 			shards[i][r] = u
 		}
 		ranges[i] = shardRange(pop, i, n)
-		weights[i] = ranges[i].weight(pop)
 	}
 	if pc.Breaker.Now == nil {
 		pc.Breaker.Now = pc.Now
@@ -637,7 +634,6 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		pop:           pop,
 		shards:        shards,
 		ranges:        ranges,
-		weights:       weights,
 		timeout:       pc.Timeout,
 		maxRetries:    pc.MaxRetries,
 		retryBase:     pc.RetryBase,
@@ -678,37 +674,51 @@ func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
 // Population implements ReachBackend.
 func (p *ProxyBackend) Population() int64 { return p.pop }
 
-// ReachShares implements ReachBackend with one fused RPC per shard: every
-// shard answers both factor shares, and each factor is folded on its own
-// (fold), so the pair always comes from one set of live shards. It returns
-// *UnavailableError when the topology cannot serve under the policy, and
-// *CanceledError when the caller's context ends mid-gather.
+// ReachShares implements ReachBackend with one fused RPC to one shard
+// (ask): the answering shard's pair is the estimate, unchanged. It returns
+// *UnavailableError when no shard may answer under the policy, and
+// *CanceledError when the caller's context ends first.
 func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
-	pairs, live, err := gather[sharePair](ctx, p, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses})
-	if err != nil {
-		return 0, 0, err
-	}
-	demo = p.fold(live, func(i int) float64 { return pairs[i].Demo })
-	union = p.fold(live, func(i int) float64 { return pairs[i].Union })
-	return demo, union, nil
+	var pair sharePair
+	err = p.ask(ctx, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}, &pair)
+	return pair.Demo, pair.Union, err
 }
 
-// DemoShare returns the population share matching a demographic filter,
-// gathered on its own (a float64 adapter; see must).
+// must adapts an error-returning share query to the float64 share methods
+// (DemoShare, UnionShare and ConditionalAudience). They sit outside
+// ReachBackend — tests use them as exactness references and perfbench's
+// traced backend wraps them — so no program path reaches this panic: the
+// reach path returns its errors.
+func must(v float64, err error) float64 {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// share asks one shard a one-share RPC (ask).
+func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (float64, error) {
+	var out shardShareResponse
+	err := p.ask(ctx, path, req, &out)
+	return out.Share, err
+}
+
+// DemoShare returns the population share matching a demographic filter, from
+// one shard (a float64 adapter; see must).
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
 	return must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
 }
 
 // UnionShare returns the population share matching a union of interest
-// conjunctions, gathered on its own (a float64 adapter; see must).
+// conjunctions, from one shard (a float64 adapter; see must).
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
 	return must(p.share(ctx, shardPathUnion, shardShareRequest{Clauses: clauses}))
 }
 
-// ConditionalAudience gathers both factor shares and composes them with the
+// ConditionalAudience asks for both factor shares and composes them with the
 // GLOBAL population by population.ConditionalAudience — the call
-// ShardedBackend.ConditionalAudience makes, so healthy-topology answers match
-// it byte-for-byte (a float64 adapter; see must).
+// ShardedBackend.ConditionalAudience makes, so answers match it
+// byte-for-byte (a float64 adapter; see must).
 func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
 	demo := must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
 	conj := must(p.share(ctx, shardPathConj, shardShareRequest{IDs: ids}))
@@ -751,100 +761,50 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
 }
 
-// share gathers a one-share RPC and folds the answers.
-func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (float64, error) {
-	shares, live, err := gather[shardShareResponse](ctx, p, path, req)
-	if err != nil {
-		return 0, err
+// ask sends one share RPC to the shard whose turn it is and decodes its
+// answer into out. Per shard the RPC runs against the shard's replica set
+// (callShard): only a shard with NO usable replica counts as failed. Then
+// the policy decides:
+//
+//   - PolicyFail: *UnavailableError naming that shard's replicas (the HTTP
+//     tier's 503). A PolicyFail proxy that already knows a shard is dead
+//     refuses before any RPC, so it keeps refusing until a probe revives it.
+//   - PolicyRenormalize: the next shard in rotation order is asked, under
+//     the same retry budget; the answer is exact whichever shard gives it.
+//     *UnavailableError names every replica only when no shard answers.
+//
+// The caller's ctx threads into every RPC; if it ends first, ask returns
+// *CanceledError, and the failures it caused are not held against the
+// replicas.
+func (p *ProxyBackend) ask(ctx context.Context, path string, req shardShareRequest, out any) error {
+	if p.policy == PolicyFail {
+		if down := p.health.deadURLs(); len(down) > 0 {
+			return &UnavailableError{Down: down}
+		}
 	}
-	return p.fold(live, func(i int) float64 { return shares[i].Share }), nil
-}
-
-// gather runs one share RPC on every shard through fanOut and returns each
-// shard's decoded answer in shard-index order, with the shards that answered
-// marked in live (nil when every shard answered). Per shard the RPC runs
-// against the shard's replica set (callShard): only a shard with NO usable
-// replica counts as failed. A PolicyFail proxy that already knows a shard is
-// dead refuses before any RPC. The caller's ctx threads into every RPC; if
-// it ends mid-gather, gather returns *CanceledError instead of partial
-// answers, and the failures it caused are not held against the replicas.
-func gather[T any](ctx context.Context, p *ProxyBackend, path string, req shardShareRequest) (answers []T, live []bool, err error) {
-	if _, deadURLs := p.health.deadShards(); p.policy == PolicyFail && len(deadURLs) > 0 {
-		return nil, nil, &UnavailableError{Down: deadURLs}
-	}
+	n := len(p.shards)
+	first := p.turn.pick(n)
 	bud := p.newQueryBudget()
-	answers, errs, err := fanOut(ctx, len(p.shards), len(p.shards), func(ctx context.Context, i int) (out T, err error) {
-		err = p.callShard(ctx, i, http.MethodPost, path, &req, &out, bud)
-		return out, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	live, err = p.liveSet(errs)
-	return answers, live, err
-}
-
-// liveSet is the degradation policy as one function of a gather's per-shard
-// errors. It returns nil live when every shard answered; otherwise:
-//
-//   - PolicyFail: *UnavailableError naming every replica of each failed shard
-//     (the HTTP tier's 503);
-//   - PolicyRenormalize: the shards that answered, to fold over — or
-//     *UnavailableError when none did.
-//
-// Applied once per gather, so every share folded from one gather sees the
-// same live set.
-func (p *ProxyBackend) liveSet(errs []error) ([]bool, error) {
-	var failedURLs []string
-	live := make([]bool, len(errs))
-	failed := 0
-	for i, err := range errs {
-		if live[i] = err == nil; !live[i] {
-			failedURLs = append(failedURLs, p.shards[i]...)
-			failed++
+	var down []string
+	for k := 0; k < n; k++ {
+		i := (first + k) % n
+		err := p.callShard(ctx, i, http.MethodPost, path, &req, out, bud)
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil {
+			return &CanceledError{Err: ctx.Err()}
+		}
+		down = append(down, p.shards[i]...)
+		if p.policy == PolicyFail {
+			break
 		}
 	}
-	switch {
-	case failed == 0:
-		return nil, nil
-	case p.policy == PolicyFail || failed == len(errs):
-		return nil, &UnavailableError{Down: failedURLs}
-	}
-	return live, nil
+	return &UnavailableError{Down: down}
 }
 
-// fold folds one share component of a gather in shard-index order:
-//
-//   - every shard answered (live nil): foldShares, ShardedBackend's exact
-//     arithmetic, with the same single-shard short-circuit;
-//   - otherwise the live terms are renormalized — Σ_live weight_s · share_s
-//     / Σ_live weight_s, or the bare share when a single shard survives.
-func (p *ProxyBackend) fold(live []bool, share func(i int) float64) float64 {
-	if live == nil {
-		// Healthy topology: ShardedBackend's exact fold.
-		return foldShares(p.weights, share)
-	}
-	total, mass := 0.0, 0.0
-	survivors, last := 0, -1
-	for i, ok := range live {
-		if ok {
-			total += p.weights[i] * share(i)
-			mass += p.weights[i]
-			survivors++
-			last = i
-		}
-	}
-	if survivors == 1 {
-		// One survivor: its renormalized weight is exactly 1, so return the
-		// bare share (mirrors the single-shard short-circuit and avoids the
-		// (w·s)/w rounding detour).
-		return share(last)
-	}
-	return total / mass
-}
-
-// queryBudget is one query's shared retry allowance across its whole shard
-// fan-out; a nil budget is uncapped.
+// queryBudget is one query's shared retry allowance across every shard and
+// replica it tries; a nil budget is uncapped.
 type queryBudget struct{ remaining atomic.Int64 }
 
 func (p *ProxyBackend) newQueryBudget() *queryBudget {

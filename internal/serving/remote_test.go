@@ -86,15 +86,16 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 	return p
 }
 
-// TestProxyMatchesShardedBackend is the tentpole's acceptance property: for
+// TestProxyMatchesShardedBackend is the proxy's exactness property: for
 // random conjunctions/unions, demo filters and conditional audiences, the
 // network proxy's answers over httptest shard processes are BYTE-IDENTICAL
-// to the in-process ShardedBackend at the same shard split — across
-// replicas {1,2} × shards {1,2,3} × seeds {0,1,42}. This is the whole
-// exactness argument for the topology: per-shard shares survive the JSON
-// hop exactly, and the proxy folds them with ShardedBackend's arithmetic —
-// independent of WHICH replica of a shard answers, because the replicas are
-// byte-identical worlds.
+// to the in-process ShardedBackend at the same shard split and to
+// LocalBackend — across replicas {1,2} × shards {1,2,3} × seeds {0,1,42}.
+// This is the whole exactness argument for the topology: every shard's
+// shares are the single world's and survive the JSON hop exactly, so the
+// answer is independent of WHICH shard, and which replica of it, answers.
+// A counting transport sees one reach-shares RPC per estimate at one
+// replica (with two, hedges duplicate RPCs on purpose).
 //
 // The full robustness stack is deliberately LIVE while the property runs —
 // per-replica circuit breakers at their twitchiest (threshold 1) on the
@@ -106,6 +107,10 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 func TestProxyMatchesShardedBackend(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42} {
 		cfg := smallConfig(seed)
+		local, err := NewLocalBackendFromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, shards := range []int{1, 2, 3} {
 			for _, replicas := range []int{1, 2} {
 				sharded, err := NewShardedBackend(context.Background(), cfg, shards)
@@ -121,9 +126,11 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 							Cost: func(*http.Request) float64 { return 2 },
 						}, h))
 				})
+				ct := &countingTransport{base: NewShardTransport(), calls: map[string]map[string]int{}}
 				pc := ProxyConfig{
 					Shards:  topo,
 					Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
+					Client:  &http.Client{Transport: ct},
 				}
 				if replicas > 1 {
 					// Hedge essentially immediately: the injected Sleep makes
@@ -150,9 +157,14 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy DemoShare = %v, sharded %v — must be byte-identical",
 							seed, shards, replicas, trial, got, want)
 					}
+					before := ct.total()
 					gotD, gotU, err := proxy.ReachShares(context.Background(), f, clauses)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if rpcs := ct.total() - before; replicas == 1 && rpcs != 1 {
+						t.Fatalf("seed %d shards=%d trial %d: estimate took %d RPCs, want 1",
+							seed, shards, trial, rpcs)
 					}
 					wantD, wantU, err := sharded.ReachShares(context.Background(), f, clauses)
 					if err != nil {
@@ -162,8 +174,12 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ReachShares = (%v, %v), sharded (%v, %v) — must be byte-identical",
 							seed, shards, replicas, trial, gotD, gotU, wantD, wantU)
 					}
+					if localD, localU, _ := local.ReachShares(context.Background(), f, clauses); gotD != localD || gotU != localU {
+						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy ReachShares = (%v, %v), LocalBackend (%v, %v) — must be byte-identical",
+							seed, shards, replicas, trial, gotD, gotU, localD, localU)
+					}
 					// Each fused factor is also the bit-identical single-share
-					// answer: fusing changes the round trips, not the fold.
+					// answer: fusing changes the round trips, not the answer.
 					if singleD, singleU := sharded.DemoShare(context.Background(), f), sharded.UnionShare(context.Background(), clauses); wantD != singleD || wantU != singleU {
 						t.Fatalf("seed %d shards=%d trial %d: sharded ReachShares = (%v, %v), single-share queries (%v, %v)",
 							seed, shards, trial, wantD, wantU, singleD, singleU)
@@ -200,9 +216,12 @@ func TestProxyStatsAndWarmRows(t *testing.T) {
 	urls := startShardTopology(t, cfg, 2)
 	proxy := newTestProxy(t, cfg, urls, ProxyConfig{})
 	proxy.WarmRows(context.Background())
+	// Each query goes to one shard in rotation, so 2·N queries ask every
+	// shard twice: one miss, then one hit.
 	clauses := [][]interest.ID{{1}, {3}}
-	proxy.UnionShare(context.Background(), clauses)
-	proxy.UnionShare(context.Background(), clauses)
+	for k := 0; k < 2*proxy.NumShards(); k++ {
+		proxy.UnionShare(context.Background(), clauses)
+	}
 	st := proxy.AudienceStats(context.Background())
 	if st.Prefix.Misses+st.Set.Misses == 0 {
 		t.Fatalf("no misses recorded across shards: %+v", st)

@@ -42,12 +42,13 @@ func TestParseShardTopology(t *testing.T) {
 // under BOTH policies — while HealthStats records the dead replica and at
 // least one hedge win (the race escalates off the corpse onto the
 // survivor). Only killing the WHOLE replica set engages the policy:
-// renormalize then degrades, fail refuses naming every replica.
+// renormalize then fails over to the other shard, still exact, and stamps
+// degraded; fail refuses naming every replica.
 func TestProxyReplicaFailoverExact(t *testing.T) {
 	cfg := smallConfig(7)
 	s0a, _ := shardHandler(t, cfg, 0, 2)
 	s0b, _ := shardHandler(t, cfg, 0, 2)
-	s1, b1 := shardHandler(t, cfg, 1, 2)
+	s1, _ := shardHandler(t, cfg, 1, 2)
 	r0a := startRestartableShard(t, s0a)
 	r0b := startRestartableShard(t, s0b)
 	sh1 := startRestartableShard(t, s1)
@@ -142,16 +143,30 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 			st.Hedged, st.HedgeWins)
 	}
 
-	// Whole shard death: the policy finally engages.
+	// Whole shard death: the policy finally engages once an estimate's turn
+	// is shard 0's, which one estimate per shard guarantees. Renormalize
+	// fails over to shard 1 with the exact answer.
 	r0b.Kill()
-	if got, wantLive := renorm.UnionShare(context.Background(), clauses), b1.UnionShare(context.Background(), clauses); got != wantLive {
-		t.Fatalf("whole-shard-dead renormalized share = %v, want survivor's %v", got, wantLive)
+	for k := 0; k < renorm.NumShards(); k++ {
+		if got := renorm.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("estimate %d with shard 0 dead = %v, want %v — cross-shard failover must be exact", k, got, want)
+		}
 	}
 	if !renorm.Degraded() {
 		t.Fatal("losing every replica of a shard must degrade under renormalize")
 	}
-	_, _, err = failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
-	ue := wantErr[*UnavailableError](t, err)
+	var ue *UnavailableError
+	for k := 0; k < failing.NumShards() && ue == nil; k++ {
+		_, union, err := failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
+		if err != nil {
+			ue = wantErr[*UnavailableError](t, err)
+		} else if union != want {
+			t.Fatalf("fail-policy estimate %d from the live shard = %v, want %v", k, union, want)
+		}
+	}
+	if ue == nil {
+		t.Fatal("fail policy served every estimate with shard 0 dead")
+	}
 	for _, u := range []string{r0a.URL(), r0b.URL()} {
 		found := false
 		for _, d := range ue.Down {

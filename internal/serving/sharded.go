@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
@@ -18,9 +19,6 @@ type ShardRange struct {
 
 // Size returns the number of users in the range.
 func (r ShardRange) Size() int64 { return r.Hi - r.Lo }
-
-// weight is the range's population mass: its share of pop users.
-func (r ShardRange) weight(pop int64) float64 { return float64(r.Size()) / float64(pop) }
 
 // shardRange is the user-ID range [pop·i/n, pop·(i+1)/n) shard i of n owns.
 // The integer arithmetic makes the n ranges tile [0, pop) exactly, and every
@@ -42,28 +40,20 @@ func checkShardCount(n int, pop int64) error {
 	return nil
 }
 
-// foldShares is the one fold of per-shard shares into a global share:
-// Σ weight_s · share_s summed in shard-index order, with a lone shard's
-// share returned bare (its weight is exactly 1.0, so the sum would return
-// it anyway). ShardedBackend and a healthy ProxyBackend gather both fold
-// through it, which is what keeps their answers byte-identical.
-func foldShares(weights []float64, share func(i int) float64) float64 {
-	if len(weights) == 1 {
-		return share(0)
-	}
-	total := 0.0
-	for i, w := range weights {
-		total += w * share(i)
-	}
-	return total
-}
+// rotation hands out the shard that answers the next estimate: 0, 1, …,
+// n-1, 0, … in call order, safe for concurrent use. Every shard's shares
+// equal the single world's bit for bit, so which shard answers never
+// changes an answer; rotating only spreads the work.
+type rotation struct{ next atomic.Uint64 }
 
-// fanOut is the one shard fan-out of both sharded backends: it runs call
-// for every shard i in [0, n), at most workers at a time, and returns shard
-// i's answer and error at index i. A failing shard does not stop the others;
-// what it means is the caller's policy. If ctx ends before the fan-out
-// completes, fanOut returns *CanceledError instead of partial answers
-// (unclaimed shards are skipped; claimed ones finish or observe ctx).
+func (r *rotation) pick(n int) int { return int((r.next.Add(1) - 1) % uint64(n)) }
+
+// fanOut runs call for every shard i in [0, n), at most workers at a time,
+// and returns shard i's answer and error at index i — the proxy's
+// AudienceStats fan-out. A failing shard does not stop the others. If ctx
+// ends before the fan-out completes, fanOut returns *CanceledError instead
+// of partial answers (unclaimed shards are skipped; claimed ones finish or
+// observe ctx).
 func fanOut[T any](ctx context.Context, n, workers int, call func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
 	answers := make([]T, n)
 	errs := make([]error, n)
@@ -78,25 +68,6 @@ func fanOut[T any](ctx context.Context, n, workers int, call func(ctx context.Co
 	return answers, errs, nil
 }
 
-// must adapts an error-returning share query to the float64 share methods
-// (DemoShare, UnionShare and ConditionalAudience on ShardedBackend and
-// ProxyBackend). They sit outside ReachBackend — tests use them as exactness
-// references and perfbench's traced backend wraps the proxy's — so no
-// program path reaches this panic: the reach path returns its errors.
-func must(v float64, err error) float64 {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// sharePair is one shard's answer to a reach estimate: both factor shares.
-// It is also the fused reach-shares RPC's response body.
-type sharePair struct {
-	Demo  float64 `json:"demo"`
-	Union float64 `json:"union"`
-}
-
 // shard is one backend world: its user-ID range and the shard-local
 // model/engine pair (own row-kernel state, own audience cache).
 type shard struct {
@@ -107,19 +78,17 @@ type shard struct {
 
 // ShardedBackend serves reach estimates from N in-process backend shards.
 // Shard s owns user-ID range [pop·s/N, pop·(s+1)/N); integer range
-// arithmetic guarantees the ranges tile [0, pop) exactly. Every query
-// fans out to all shards over internal/parallel (fanOut) and folds the
-// per-shard shares as weight_s · share_s, summed in shard-index order — deterministic
-// under any worker schedule, byte-identical to LocalBackend at N=1 (the
-// single term is 1.0 · share) and within 1e-12 relative at N>1 (the
-// per-shard shares are bit-identical; only the weighted sum reassociates).
-// See the package comment for the full exactness argument.
+// arithmetic guarantees the ranges tile [0, pop) exactly. Every shard's
+// model has the single world's rates and grid, so its shares are the single
+// world's bit for bit: each query is answered by ONE shard, picked in
+// rotation, and every answer is byte-identical to LocalBackend's at any N.
+// See the package comment for the exactness argument.
 type ShardedBackend struct {
 	catalog *interest.Catalog
 	pop     int64
 	shards  []*shard
-	weights []float64 // shard s's population mass, rng.Size() / pop
 	workers int
+	turn    rotation
 }
 
 // NewShardedBackend builds n shards from one world configuration — the same
@@ -150,11 +119,7 @@ func NewShardedBackend(ctx context.Context, cfg worldcfg.Config, n int) (*Sharde
 	if err != nil {
 		return nil, err
 	}
-	weights := make([]float64, n)
-	for i, s := range shards {
-		weights[i] = s.rng.weight(pop)
-	}
-	return &ShardedBackend{catalog: cat, pop: pop, shards: shards, weights: weights, workers: n}, nil
+	return &ShardedBackend{catalog: cat, pop: pop, shards: shards, workers: n}, nil
 }
 
 // NumShards returns the shard count.
@@ -175,57 +140,44 @@ func (b *ShardedBackend) Catalog() *interest.Catalog { return b.catalog }
 // Population implements ReachBackend.
 func (b *ShardedBackend) Population() int64 { return b.pop }
 
-// ReachShares implements ReachBackend: one fan-out evaluates both factor
-// shares on every shard, and each factor is folded on its own by
-// foldShares — the arithmetic of DemoShare and UnionShare, so each factor
-// is byte-identical to its single-share query. Shard evaluation cannot
-// fail; the only error is *CanceledError from a caller that gave up.
+// engine is the engine of the shard whose turn it is to answer.
+func (b *ShardedBackend) engine() *audience.Engine {
+	return b.shards[b.turn.pick(len(b.shards))].engine
+}
+
+// ReachShares implements ReachBackend: one shard evaluates both factor
+// shares with the calls LocalBackend makes, so the pair is byte-identical
+// to LocalBackend's. Shard evaluation cannot fail; the only error is
+// *CanceledError for a caller that gave up before the shard was asked.
 func (b *ShardedBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
-	pairs, _, err := fanOut(ctx, len(b.shards), b.workers, func(_ context.Context, i int) (sharePair, error) {
-		e := b.shards[i].engine
-		return sharePair{Demo: e.DemoShare(f), Union: e.UnionShare(clauses)}, nil
-	})
-	if err != nil {
-		return 0, 0, err
+	if err := ctx.Err(); err != nil {
+		return 0, 0, &CanceledError{Err: err}
 	}
-	demo = foldShares(b.weights, func(i int) float64 { return pairs[i].Demo })
-	union = foldShares(b.weights, func(i int) float64 { return pairs[i].Union })
-	return demo, union, nil
+	e := b.engine()
+	return e.DemoShare(f), e.UnionShare(clauses), nil
 }
 
-// share fans a one-share query out to every shard and folds the answers.
-func (b *ShardedBackend) share(ctx context.Context, eval func(e *audience.Engine) float64) (float64, error) {
-	shares, _, err := fanOut(ctx, len(b.shards), b.workers, func(_ context.Context, i int) (float64, error) {
-		return eval(b.shards[i].engine), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return foldShares(b.weights, func(i int) float64 { return shares[i] }), nil
-}
-
-// DemoShare returns the population share matching a demographic filter (a
-// float64 adapter; see must).
-func (b *ShardedBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return must(b.share(ctx, func(e *audience.Engine) float64 { return e.DemoShare(f) }))
+// DemoShare returns the population share matching a demographic filter, from
+// one shard (ctx ignored: in-process evaluation has no cancellation points).
+func (b *ShardedBackend) DemoShare(_ context.Context, f population.DemoFilter) float64 {
+	return b.engine().DemoShare(f)
 }
 
 // UnionShare returns the population share matching a union of interest
-// conjunctions (a float64 adapter; see must).
-func (b *ShardedBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return must(b.share(ctx, func(e *audience.Engine) float64 { return e.UnionShare(clauses) }))
+// conjunctions, from one shard (ctx ignored; see DemoShare).
+func (b *ShardedBackend) UnionShare(_ context.Context, clauses [][]interest.ID) float64 {
+	return b.engine().UnionShare(clauses)
 }
 
 // ConditionalAudience composes LocalBackend.ConditionalAudience's quantity
-// from both factor shares, each folded on its own (served from the shards'
-// cached demo and conjunction levels), with the global population by
+// from one shard's two factor shares (served from its cached demo and
+// conjunction levels) and the global population by
 // population.ConditionalAudience — the arithmetic the local engine applies,
-// so one shard reproduces the local path byte-identically and more shards
-// deviate only by the folds' reassociation (a float64 adapter; see must).
-func (b *ShardedBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := must(b.share(ctx, func(e *audience.Engine) float64 { return e.DemoShare(f) }))
-	conj := must(b.share(ctx, func(e *audience.Engine) float64 { return e.ConjunctionShare(ids) }))
-	return population.ConditionalAudience(b.pop, demo, conj)
+// so the answer is byte-identical to the local path (ctx ignored; see
+// DemoShare).
+func (b *ShardedBackend) ConditionalAudience(_ context.Context, f population.DemoFilter, ids []interest.ID) float64 {
+	e := b.engine()
+	return population.ConditionalAudience(b.pop, e.DemoShare(f), e.ConjunctionShare(ids))
 }
 
 // AudienceStats implements ReachBackend: the fold of every shard's cache
