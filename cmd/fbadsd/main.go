@@ -219,7 +219,23 @@ func main() {
 	}
 	fmt.Printf("try: curl 'http://%s/v9.0/act_1/reachestimate?targeting_spec=%s'\n",
 		host, `{"geo_locations":{"countries":["ES"]}}`)
-	log.Fatal(http.ListenAndServe(*addr, handler))
+	log.Fatal(newHTTPServer(*addr, handler).ListenAndServe())
+}
+
+// Listener timeouts shared by both fbadsd modes. readHeaderTimeout closes a
+// connection whose request headers stall, so a slow-header client holds a
+// socket and a goroutine that long at most. idleTimeout retires kept-alive
+// connections; it exceeds the shard proxy's 90 s idle-pool timeout, so the
+// client side closes an idle connection before the server does.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the HTTP server for either mode: the Marketing API or
+// a shard's RPC.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // runShard builds shard i of n and serves its RPC on listen.
@@ -241,5 +257,5 @@ func runShard(cfg worldcfg.Config, spec, listen string) {
 		index, count, time.Since(start).Round(time.Millisecond),
 		info.Range.Lo, info.Range.Hi, info.TotalPopulation, backend.Catalog().Len())
 	log.Printf("shard RPC listening on %s", listen)
-	log.Fatal(http.ListenAndServe(listen, srv))
+	log.Fatal(newHTTPServer(listen, srv).ListenAndServe())
 }

@@ -9,6 +9,7 @@ package adsapi
 // -fuzztime 60s.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -138,10 +139,13 @@ func FuzzParseFBInterestID(f *testing.F) {
 // FuzzReachEstimateHandler drives the HTTP surface end to end with
 // arbitrary targeting_spec payloads: the server must always answer with
 // well-formed JSON (a reach payload or an API error), never panic, never
-// report a reach below the era floor, and price every spec it answers 200
-// at that spec's SpecCost — never at the floor reserved for rejects.
+// report a reach below the era floor, answer byte-identically behind
+// AdmissionCost-priced admission (which hands the server its parse), and
+// price every spec it answers 200 at that spec's SpecCost — never at the
+// floor reserved for rejects.
 func FuzzReachEstimateHandler(f *testing.F) {
 	_, ts := fuzzServer(f)
+	front := serving.NewAdmission(serving.AdmissionConfig{Rate: 1e9, Cost: AdmissionCost}, fuzzWorld.srv)
 	f.Add(`{"geo_locations":{"countries":["ES"]}}`)
 	f.Add(`{"flexible_spec":[{"interests":[{"id":"6000000000007"}]}],"geo_locations":{"countries":["US","ES"]}}`)
 	f.Add(`{`)
@@ -159,6 +163,12 @@ func FuzzReachEstimateHandler(f *testing.F) {
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("reading body: %v", err)
+		}
+		admitted := httptest.NewRecorder()
+		front.ServeHTTP(admitted, httptest.NewRequest(http.MethodGet, path, nil))
+		if admitted.Code != resp.StatusCode || !bytes.Equal(admitted.Body.Bytes(), body) {
+			t.Fatalf("spec %q: bare server HTTP %d %q, behind admission HTTP %d %q",
+				rawSpec, resp.StatusCode, body, admitted.Code, admitted.Body)
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
@@ -178,7 +188,7 @@ func FuzzReachEstimateHandler(f *testing.F) {
 				t.Fatalf("200 for a spec without clauses %q: %v", rawSpec, err)
 			}
 			want := serving.SpecCost(spec.DemoFilter(), clauses)
-			if got := AdmissionCost(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
+			if got, _ := AdmissionCost(httptest.NewRequest(http.MethodGet, path, nil)); got != want {
 				t.Fatalf("spec %q answered 200 but priced %v, want its SpecCost %v", rawSpec, got, want)
 			}
 		case http.StatusBadRequest:

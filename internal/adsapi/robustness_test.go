@@ -1,6 +1,7 @@
 package adsapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -18,63 +19,157 @@ import (
 	"nanotarget/internal/worldcfg"
 )
 
-// TestAdmissionCostPricing pins AdmissionCost's contract: a request the
-// handler will reject cheaply (missing/malformed/unknown-ID spec) is priced
-// at the 1-token floor, and a valid spec is priced at its SpecCost.
+// serveBareAndAdmitted serves GET u through srv alone and through srv behind
+// AdmissionCost-priced admission, and fails unless both answer with the same
+// status and a byte-identical body: sharing the admission parse with the
+// handler must not change an answer or an error.
+func serveBareAndAdmitted(t *testing.T, srv *Server, u string) *httptest.ResponseRecorder {
+	t.Helper()
+	bare := httptest.NewRecorder()
+	srv.ServeHTTP(bare, httptest.NewRequest(http.MethodGet, u, nil))
+	admitted := httptest.NewRecorder()
+	front := serving.NewAdmission(serving.AdmissionConfig{Rate: 1e9, Cost: AdmissionCost}, srv)
+	front.ServeHTTP(admitted, httptest.NewRequest(http.MethodGet, u, nil))
+	if bare.Code != admitted.Code || !bytes.Equal(bare.Body.Bytes(), admitted.Body.Bytes()) {
+		t.Fatalf("%s: bare server HTTP %d %s, behind admission HTTP %d %s",
+			u, bare.Code, bare.Body, admitted.Code, admitted.Body)
+	}
+	return bare
+}
+
+// reachURL is the reach-estimate path for a raw targeting_spec ("" omits it).
+func reachURL(rawSpec string) string {
+	u := "/" + APIVersion + "/act_1/reachestimate"
+	if rawSpec != "" {
+		u += "?targeting_spec=" + url.QueryEscape(rawSpec)
+	}
+	return u
+}
+
+// TestAdmissionCostPricing pins AdmissionCost's contract over a corpus of
+// answered and rejected specs: a request the handler rejects before any
+// backend work (missing/malformed/unconvertible spec) is priced at the
+// 1-token floor, any other spec at its SpecCost — the era is not checked
+// while pricing — and every request is answered byte-identically with and
+// without admission in front.
 func TestAdmissionCostPricing(t *testing.T) {
-	price := func(query string) float64 {
-		u := "/" + APIVersion + "/act_1/reachestimate"
-		if query != "" {
-			u += "?targeting_spec=" + url.QueryEscape(query)
+	srv, _ := testServer(t, ServerConfig{})
+	conj := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{1, 2, 3})))
+	tooMany := make([]interest.ID, Era2017.MaxInterests+1)
+	for i := range tooMany {
+		tooMany[i] = interest.ID(i + 1)
+	}
+	manyGeo := GeoLocations{}
+	for i := 0; i <= Era2017.MaxLocations; i++ {
+		manyGeo.Countries = append(manyGeo.Countries, "ES")
+	}
+	for _, tc := range []struct {
+		name, spec string
+		cost       float64
+		status     int
+		message    string // substring of the answer body
+	}{
+		// 1 base + 1 country term + 3 singleton-clause row passes.
+		{"conjunction", conj, 5, http.StatusOK, `"users":`},
+		// 1 base + 1 country + (2 rows + 1 fold) + 1 row.
+		{"union", `{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"6000000000001"},{"id":"6000000000002"}]},{"interests":[{"id":"6000000000003"}]}]}`,
+			6, http.StatusOK, `"users":`},
+		{"missing", "", 1, http.StatusBadRequest, "Missing targeting_spec"},
+		{"malformed", "{not json", 1, http.StatusBadRequest, "Malformed targeting_spec"},
+		{"trailing data", conj + " trailing", 1, http.StatusBadRequest, "Malformed targeting_spec"},
+		{"unknown field", `{"geo_locations":{"countries":["ES"]},"bogus":1}`, 1, http.StatusBadRequest,
+			"Malformed targeting_spec: json: unknown field"},
+		{"too many interests", string(marshalJSON(ConjunctionSpec(es(), tooMany))),
+			2 + float64(len(tooMany)), http.StatusBadRequest, "at most 25 interests allowed"},
+		{"too many locations", string(marshalJSON(TargetingSpec{GeoLocations: manyGeo})), 2,
+			http.StatusBadRequest, "at most 50 locations allowed"},
+		{"unknown country", `{"geo_locations":{"countries":["XX"]}}`, 2, http.StatusBadRequest,
+			`unknown country \"XX\"`},
+		// Specs that decode but cannot convert to clauses die in the
+		// handler's 400 path — floor too.
+		{"non-canonical interest id", `{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"06000000000001"}]}]}`,
+			1, http.StatusBadRequest, "malformed interest id"},
+		{"garbage interest id", `{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"abc","name":"x"}]}]}`,
+			1, http.StatusBadRequest, "malformed interest id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := reachURL(tc.spec)
+			if got, _ := AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil)); got != tc.cost {
+				t.Fatalf("priced %v, want %v", got, tc.cost)
+			}
+			rec := serveBareAndAdmitted(t, srv, u)
+			if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.message) {
+				t.Fatalf("HTTP %d %s, want %d containing %q", rec.Code, rec.Body, tc.status, tc.message)
+			}
+		})
+	}
+}
+
+// TestAdmissionParseServesPricedSpec: the handler answers from the parse
+// AdmissionCost attached and never decodes the query again. Rewriting the
+// priced request's query to another valid spec does not change the answer:
+// the server still estimates the spec that was priced, whether it is handed
+// the priced request directly or through Admission.
+func TestAdmissionParseServesPricedSpec(t *testing.T) {
+	srv, _ := testServer(t, ServerConfig{})
+	priced := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{1, 2, 3})))
+	other := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{4})))
+	answer := func(rawSpec string) string {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, reachURL(rawSpec), nil))
+		return rec.Body.String()
+	}
+	want, otherAnswer := answer(priced), answer(other)
+	if want == otherAnswer {
+		t.Fatalf("both specs answer %s; the rewrite would go unseen", want)
+	}
+	// priceThenRewrite prices r, then points the returned request's query
+	// at the other spec.
+	priceThenRewrite := func(r *http.Request) (float64, *http.Request) {
+		cost, r := AdmissionCost(r)
+		if cost != 5 {
+			t.Errorf("priced %v, want 5", cost)
 		}
-		return AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil))
+		r.URL.RawQuery = "targeting_spec=" + url.QueryEscape(other)
+		return cost, r
 	}
-	if got := price(""); got != 1 {
-		t.Fatalf("missing spec priced %v, want the 1-token floor", got)
-	}
-	if got := price("{not json"); got != 1 {
-		t.Fatalf("malformed spec priced %v, want the 1-token floor", got)
-	}
-	// A spec that parses but cannot convert to clauses (bad FB interest ID)
-	// dies in the handler's 400 path — floor too.
-	bad := `{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"abc","name":"x"}]}]}`
-	if got := price(bad); got != 1 {
-		t.Fatalf("unconvertible spec priced %v, want the 1-token floor", got)
-	}
-	// A valid conjunction is priced at its kernel work: 1 base + 1 country
-	// term + 3 singleton-clause row passes.
-	spec := ConjunctionSpec(es(), []interest.ID{1, 2, 3})
-	if got := price(string(marshalJSON(spec))); got != 5 {
-		t.Fatalf("3-interest conjunction priced %v, want 5", got)
+	front := serving.NewAdmission(serving.AdmissionConfig{Rate: 1e9, Cost: priceThenRewrite}, srv)
+	for _, via := range []string{"direct", "admission"} {
+		req := httptest.NewRequest(http.MethodGet, reachURL(priced), nil)
+		rec := httptest.NewRecorder()
+		if via == "direct" {
+			_, r := priceThenRewrite(req)
+			srv.ServeHTTP(rec, r)
+		} else {
+			front.ServeHTTP(rec, req)
+		}
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("%s: rewritten request answered HTTP %d %s, want the priced spec's %s (the other spec answers %s)",
+				via, rec.Code, rec.Body, want, otherAnswer)
+		}
 	}
 }
 
 // TestTrailingSpecDataRejected: a valid spec followed by anything but
 // whitespace is a 400 Malformed targeting_spec, and admission prices it at
-// the floor — the handler and AdmissionCost decode the same way. Before the
-// strict decoder read past the first value, such a spec was answered 200
-// while admission charged it 1 token instead of its SpecCost of 5.
+// the floor — the handler and AdmissionCost share one strict decode. Before
+// the strict decoder read past the first value, such a spec was answered
+// 200 while admission charged it 1 token instead of its SpecCost of 5.
 func TestTrailingSpecDataRejected(t *testing.T) {
-	_, ts := testServer(t, ServerConfig{})
+	srv, _ := testServer(t, ServerConfig{})
 	spec := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{1, 2, 3})))
 	for _, tail := range []string{"", " \n", " trailing", `{"x":1}`, "}"} {
-		raw := spec + tail
-		u := "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" + url.QueryEscape(raw)
-		resp, err := http.Get(ts.URL + u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cost := AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil))
+		u := reachURL(spec + tail)
+		rec := serveBareAndAdmitted(t, srv, u)
+		cost, _ := AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil))
 		if strings.TrimSpace(tail) == "" {
-			if resp.StatusCode != http.StatusOK || cost != 5 {
-				t.Fatalf("tail %q: status %d, cost %v; want 200 priced 5 (%s)", tail, resp.StatusCode, cost, body)
+			if rec.Code != http.StatusOK || cost != 5 {
+				t.Fatalf("tail %q: status %d, cost %v; want 200 priced 5 (%s)", tail, rec.Code, cost, rec.Body)
 			}
 			continue
 		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Malformed targeting_spec") {
-			t.Fatalf("tail %q: status %d body %s, want 400 Malformed targeting_spec", tail, resp.StatusCode, body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "Malformed targeting_spec") {
+			t.Fatalf("tail %q: status %d body %s, want 400 Malformed targeting_spec", tail, rec.Code, rec.Body)
 		}
 		if cost != 1 {
 			t.Fatalf("tail %q: rejected spec priced %v, want the 1-token floor", tail, cost)

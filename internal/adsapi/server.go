@@ -5,12 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"nanotarget/internal/audience"
+	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 	"nanotarget/internal/serving"
 )
 
@@ -123,10 +126,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// withAuth wraps a handler with token auth, account state and rate limiting.
+// withAuth wraps a handler with token auth, account state and rate limiting;
+// it reads the token from the edge parse, attaching one if no pricer did.
 func (s *Server) withAuth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.authorize(w, r) {
+		p, r := parseEdge(r)
+		if !s.authorize(w, p.query.Get("access_token")) {
 			return
 		}
 		h(w, r)
@@ -240,8 +245,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 // authorize validates the token and charges the rate limiter. It returns
 // false after writing an error response.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
-	token := r.URL.Query().Get("access_token")
+func (s *Server) authorize(w http.ResponseWriter, token string) bool {
 	if len(s.tokens) > 0 && !s.tokens[token] {
 		s.writeError(w, http.StatusUnauthorized, &APIError{
 			Code: CodeAuth, Type: "OAuthException",
@@ -279,48 +283,72 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (s *Server) parseSpec(w http.ResponseWriter, raw string) (TargetingSpec, bool) {
-	var spec TargetingSpec
-	if raw == "" {
-		s.writeError(w, http.StatusBadRequest, &APIError{
-			Code: CodeInvalidParam, Type: "OAuthException",
-			Message: "Missing targeting_spec"})
-		return spec, false
+// edgeParse is one request's query, parsed once at the API edge: admission
+// prices from it (AdmissionCost), withAuth reads the token from it and the
+// reach-estimate handler answers from it, so the targeting_spec is
+// URL-decoded once and strict-decoded once per request.
+type edgeParse struct {
+	query url.Values
+	reachQuery
+	specErr *APIError // a missing or malformed targeting_spec: the first 400
+}
+
+type edgeParseKey struct{}
+
+// parseEdge returns r's edge parse and the request carrying it: the parse r
+// already carries, or a new one attached to a shallow copy of r.
+func parseEdge(r *http.Request) (*edgeParse, *http.Request) {
+	if p, ok := r.Context().Value(edgeParseKey{}).(*edgeParse); ok {
+		return p, r
 	}
-	if err := unmarshalStrict(raw, &spec); err != nil {
-		s.writeError(w, http.StatusBadRequest, &APIError{
-			Code: CodeInvalidParam, Type: "OAuthException",
-			Message: "Malformed targeting_spec: " + err.Error()})
-		return spec, false
+	p := &edgeParse{query: r.URL.Query()}
+	if raw := p.query.Get("targeting_spec"); raw == "" {
+		p.specErr = &APIError{Code: CodeInvalidParam, Type: "OAuthException", Message: "Missing targeting_spec"}
+	} else if err := unmarshalStrict(raw, &p.spec); err != nil {
+		p.specErr = &APIError{Code: CodeInvalidParam, Type: "OAuthException",
+			Message: "Malformed targeting_spec: " + err.Error()}
+	} else {
+		p.reachQuery = newReachQuery(p.spec)
 	}
-	if err := spec.Validate(s.era, s.backend.Catalog()); err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) {
-			s.writeError(w, http.StatusBadRequest, ae)
-		} else {
-			s.writeError(w, http.StatusBadRequest, &APIError{
-				Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
-		}
-		return spec, false
-	}
-	return spec, true
+	return p, r.WithContext(context.WithValue(r.Context(), edgeParseKey{}, p))
+}
+
+// reachQuery is a decoded targeting spec converted once for estimation: its
+// demographic filter and catalog-ID clauses, or the conversion error.
+type reachQuery struct {
+	spec       TargetingSpec
+	demo       population.DemoFilter
+	clauses    [][]interest.ID
+	clausesErr error
+}
+
+func newReachQuery(spec TargetingSpec) reachQuery {
+	q := reachQuery{spec: spec, demo: spec.DemoFilter()}
+	q.clauses, q.clausesErr = spec.Clauses()
+	return q
 }
 
 // estimateReach computes the floored (and optionally rounded) Potential
-// Reach for a validated spec. Estimates are conditional on the audience
+// Reach for a decoded spec. Estimates are conditional on the audience
 // containing at least one real member — matching the platform's behaviour of
 // counting actual users, since every combination the paper queries comes
 // from a real profile (§4.1). It returns false after writing an error
-// response: 400 for a spec that does not convert to clauses, and
-// writeBackendError's status for a backend failure.
-func (s *Server) estimateReach(w http.ResponseWriter, r *http.Request, spec TargetingSpec) (int64, bool) {
-	clauses, err := spec.Clauses()
+// response: 400 for a spec that fails Validate or does not convert to
+// clauses, and writeBackendError's status for a backend failure.
+func (s *Server) estimateReach(w http.ResponseWriter, r *http.Request, q reachQuery) (int64, bool) {
+	err := q.spec.Validate(s.era, s.backend.Catalog())
+	if err == nil {
+		err = q.clausesErr
+	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, &APIError{
-			Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
+		var ae *APIError
+		if !errors.As(err, &ae) {
+			ae = &APIError{Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()}
+		}
+		s.writeError(w, http.StatusBadRequest, ae)
 		return 0, false
 	}
-	demo, share, err := s.backend.ReachShares(r.Context(), spec.DemoFilter(), clauses)
+	demo, share, err := s.backend.ReachShares(r.Context(), q.demo, q.clauses)
 	if err != nil {
 		s.writeBackendError(w, err)
 		return 0, false
@@ -370,11 +398,12 @@ func (s *Server) writeBackendError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
-	spec, ok := s.parseSpec(w, r.URL.Query().Get("targeting_spec"))
-	if !ok {
+	p, r := parseEdge(r)
+	if p.specErr != nil {
+		s.writeError(w, http.StatusBadRequest, p.specErr)
 		return
 	}
-	reach, ok := s.estimateReach(w, r, spec)
+	reach, ok := s.estimateReach(w, r, p.reachQuery)
 	if !ok {
 		return
 	}
@@ -409,17 +438,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 				Message: "Malformed params: " + err.Error()})
 			return
 		}
-		if err := params.Targeting.Validate(s.era, s.backend.Catalog()); err != nil {
-			var ae *APIError
-			if errors.As(err, &ae) {
-				s.writeError(w, http.StatusBadRequest, ae)
-				return
-			}
-			s.writeError(w, http.StatusBadRequest, &APIError{
-				Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()})
-			return
-		}
-		reach, ok := s.estimateReach(w, r, params.Targeting)
+		reach, ok := s.estimateReach(w, r, newReachQuery(params.Targeting))
 		if !ok {
 			return
 		}
@@ -456,15 +475,15 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if q.Get("type") != "adinterest" {
+	p, _ := parseEdge(r)
+	if p.query.Get("type") != "adinterest" {
 		s.writeError(w, http.StatusBadRequest, &APIError{
 			Code: CodeInvalidParam, Type: "OAuthException",
 			Message: "Unsupported search type"})
 		return
 	}
 	limit := 25
-	if raw := q.Get("limit"); raw != "" {
+	if raw := p.query.Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			s.writeError(w, http.StatusBadRequest, &APIError{
@@ -476,7 +495,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	cat := s.backend.Catalog()
 	var results []SearchResult
-	for _, in := range cat.Search(q.Get("q"), limit) {
+	for _, in := range cat.Search(p.query.Get("q"), limit) {
 		results = append(results, SearchResult{
 			ID:           FBInterestID(in.ID),
 			Name:         in.Name,

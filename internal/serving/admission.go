@@ -23,14 +23,15 @@ type AdmissionConfig struct {
 	Rate float64
 	// Burst is the token-bucket capacity (default 2×Rate, minimum 1).
 	Burst float64
-	// Cost prices a request in tokens — wire serving.SpecCost through
-	// adsapi.AdmissionCost so a 20-interest flexible-spec union is charged
-	// its actual row-kernel work instead of the flat 1 a bare demographic
-	// probe costs. Nil charges every request 1 token (the legacy flat
-	// policy). Returns are clamped to [1, Burst]: a spec can never cost
-	// less than a request, and a single spec pricier than the whole bucket
-	// must still be admittable from a full bucket.
-	Cost func(*http.Request) float64
+	// Cost prices a request in tokens and returns the request the inner
+	// handler receives. adsapi.AdmissionCost charges serving.SpecCost, the
+	// row-kernel work, and returns the request carrying its parse for the
+	// handler to share; a fixed-cost pricer returns its argument. Nil
+	// charges every request 1 token (the legacy flat policy). Costs are
+	// clamped to [1, Burst]: a spec can never cost less than a request, and
+	// a single spec pricier than the whole bucket must still be admittable
+	// from a full bucket.
+	Cost func(*http.Request) (float64, *http.Request)
 	// Now supplies time; defaults to time.Now. Injectable for tests.
 	Now func() time.Time
 }
@@ -126,7 +127,7 @@ func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	key := AccountKey(r)
 	cost := 1.0
 	if a.cfg.Cost != nil {
-		cost = a.cfg.Cost(r)
+		cost, r = a.cfg.Cost(r)
 		if cost < 1 {
 			cost = 1
 		}

@@ -21,7 +21,7 @@ func TestAdmissionCostCharging(t *testing.T) {
 	inner := &okHandler{}
 	a := NewAdmission(AdmissionConfig{
 		Rate: 1, Burst: 6, Now: clock.Now,
-		Cost: func(*http.Request) float64 { return 3 },
+		Cost: func(r *http.Request) (float64, *http.Request) { return 3, r },
 	}, inner)
 	req := func() *http.Request { return httptest.NewRequest("GET", "/v9.0/act_5/reachestimate", nil) }
 
@@ -75,7 +75,7 @@ func TestAdmissionCostClamping(t *testing.T) {
 	// Floor: cost 0.25 is charged as 1 — burst 2 admits exactly twice.
 	low := NewAdmission(AdmissionConfig{
 		Rate: 1, Burst: 2, Now: clock.Now,
-		Cost: func(*http.Request) float64 { return 0.25 },
+		Cost: func(r *http.Request) (float64, *http.Request) { return 0.25, r },
 	}, &okHandler{})
 	hit := func(a *Admission) int {
 		rec := httptest.NewRecorder()
@@ -98,7 +98,7 @@ func TestAdmissionCostClamping(t *testing.T) {
 	// once from a full bucket instead of never.
 	high := NewAdmission(AdmissionConfig{
 		Rate: 1, Burst: 4, Now: clock.Now,
-		Cost: func(*http.Request) float64 { return 100 },
+		Cost: func(r *http.Request) (float64, *http.Request) { return 100, r },
 	}, &okHandler{})
 	if hit(high) != http.StatusOK {
 		t.Fatal("over-burst cost not clamped: request rejected from a full bucket")
@@ -195,7 +195,7 @@ func TestAdmissionRetryAfterHeaderMatchesWait(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1770000000, 0)}
 	a := NewAdmission(AdmissionConfig{
 		Rate: 0.8, Burst: 3, Now: clock.Now,
-		Cost: func(*http.Request) float64 { return 2 },
+		Cost: func(r *http.Request) (float64, *http.Request) { return 2, r },
 	}, &okHandler{})
 	req := func() *http.Request { return httptest.NewRequest("GET", "/v9.0/act_2/reachestimate", nil) }
 

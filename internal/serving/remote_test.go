@@ -123,7 +123,7 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 					return NewGate(GateConfig{MaxInFlight: 64},
 						NewAdmission(AdmissionConfig{
 							Rate: 1e6, Burst: 1e6,
-							Cost: func(*http.Request) float64 { return 2 },
+							Cost: func(r *http.Request) (float64, *http.Request) { return 2, r },
 						}, h))
 				})
 				ct := &countingTransport{base: NewShardTransport(), calls: map[string]map[string]int{}}
