@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -238,11 +239,30 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
+// parseShardOf parses -shard-of's "i/n": exactly two unsigned decimal
+// integers around one slash, with no sign, space or other byte.
+// NewShardBackend range-checks the pair.
+func parseShardOf(spec string) (index, count int, err error) {
+	i, n, ok := strings.Cut(spec, "/")
+	index, okI := parseUnsigned(i)
+	count, okN := parseUnsigned(n)
+	if !ok || !okI || !okN {
+		return 0, 0, fmt.Errorf("-shard-of %q: want i/n (e.g. 0/2)", spec)
+	}
+	return index, count, nil
+}
+
+// parseUnsigned parses a non-empty run of decimal digits that fits an int.
+func parseUnsigned(s string) (int, bool) {
+	v, err := strconv.Atoi(s)
+	return v, err == nil && strings.TrimLeft(s, "0123456789") == ""
+}
+
 // runShard builds shard i of n and serves its RPC on listen.
 func runShard(cfg worldcfg.Config, spec, listen string) {
-	var index, count int
-	if _, err := fmt.Sscanf(spec, "%d/%d", &index, &count); err != nil {
-		log.Fatalf("-shard-of %q: want i/n (e.g. 0/2)", spec)
+	index, count, err := parseShardOf(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
 	start := time.Now()
 	backend, info, err := serving.NewShardBackend(cfg, index, count)

@@ -9,6 +9,43 @@ import (
 	"time"
 )
 
+// TestParseShardOf: -shard-of takes exactly two unsigned decimal integers
+// around one slash; anything else — extra fields, trailing bytes, spaces,
+// signs, overflow — is refused rather than starting a shard.
+func TestParseShardOf(t *testing.T) {
+	for _, tc := range []struct {
+		spec         string
+		index, count int
+		ok           bool
+	}{
+		{"0/2", 0, 2, true},
+		{"1/2", 1, 2, true},
+		{"12/100", 12, 100, true},
+		{"007/8", 7, 8, true},
+		// Out-of-range pairs parse; NewShardBackend refuses them.
+		{"3/2", 3, 2, true},
+		{"1/2/3", 0, 0, false},
+		{"0/2junk", 0, 0, false},
+		{" 0/2", 0, 0, false},
+		{"0/2 ", 0, 0, false},
+		{"0 /2", 0, 0, false},
+		{"+1/2", 0, 0, false},
+		{"-1/2", 0, 0, false},
+		{"1/-2", 0, 0, false},
+		{"0x1/2", 0, 0, false},
+		{"/2", 0, 0, false},
+		{"1/", 0, 0, false},
+		{"1", 0, 0, false},
+		{"", 0, 0, false},
+		{"99999999999999999999/2", 0, 0, false},
+	} {
+		index, count, err := parseShardOf(tc.spec)
+		if ok := err == nil; ok != tc.ok || index != tc.index || count != tc.count {
+			t.Errorf("parseShardOf(%q) = %d, %d, %v; want %d, %d, ok %v", tc.spec, index, count, err, tc.index, tc.count, tc.ok)
+		}
+	}
+}
+
 // TestStalledHeaderClosedAtReadHeaderTimeout: fbadsd's servers carry the
 // listener timeouts, and a connection that stops mid-header is closed once
 // ReadHeaderTimeout passes, without a response. The test shortens the

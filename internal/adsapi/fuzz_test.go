@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -105,6 +106,82 @@ func FuzzTargetingSpecParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzTargetingSpecFastPath checks the reflection-free spec decoder against
+// its reference: whenever decodeSpecFast accepts an input, unmarshalStrict
+// accepts it too and decodes a reflect.DeepEqual spec. Inputs the fast
+// decoder declines go to unmarshalStrict alone, so they need no check.
+func FuzzTargetingSpecFastPath(f *testing.F) {
+	for _, tc := range admissionCostCorpus() {
+		f.Add(tc.spec)
+	}
+	for _, tc := range fastPathCases {
+		f.Add(tc.raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		fast, ok := decodeSpecFast(raw)
+		if !ok {
+			return
+		}
+		var want TargetingSpec
+		if err := unmarshalStrict(raw, &want); err != nil {
+			t.Fatalf("fast path accepted %q, unmarshalStrict rejects it: %v", raw, err)
+		}
+		if !reflect.DeepEqual(fast, want) {
+			t.Fatalf("spec %q: fast path decoded %#v, unmarshalStrict %#v", raw, fast, want)
+		}
+	})
+}
+
+// fastPathCases pin which specs take the fast path: the canonical forms
+// clients send must, and everything outside the subset must fall back.
+var fastPathCases = []struct {
+	raw  string
+	fast bool
+}{
+	{`{}`, true},
+	{`{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"6000000000001"}]},{"interests":[{"id":"6000000000002","name":"x y"}]}]}`, true},
+	{" {\n\t\"geo_locations\" : {\"worldwide\":true, \"countries\":[]}, \"genders\":[1,2],\"age_min\":-0,\"age_max\":999999999 }\r\n", true},
+	{`{"genders":[],"flexible_spec":[],"geo_locations":{"worldwide":false}}`, true},
+	{`{"flexible_spec":[{},{"interests":[]},{"interests":[{}]}]}`, true},
+	{`null`, false},
+	{`{"geo_locations":null}`, false},
+	{`{"geo_locations":{"countries":["E\u0053"]}}`, false},
+	{`{"geo_locations":{"countries":["ÉS"]}}`, false},
+	{`{"Genders":[1]}`, false},
+	{`{"age_min":18,"age_min":20}`, false},
+	{`{"geo_locations":{"countries":["ES"],"countries":["FR"]}}`, false},
+	{`{"age_min":1000000000}`, false},
+	{`{"age_min":018}`, false},
+	{`{"age_min":18.0}`, false},
+	{`{"age_min":1e1}`, false},
+	{`{"age_min":+1}`, false},
+	{`{"bogus":1}`, false},
+	{`{"age_min":18,}`, false},
+	{`{"age_min":18} {}`, false},
+	{`{"geo_locations":{"worldwide":1}}`, false},
+	{`{"flexible_spec":[{"interests":[{"id":6000000000001}]}]}`, false},
+}
+
+// TestTargetingSpecFastPath checks fastPathCases: a spec in the subset
+// decodes on the fast path to unmarshalStrict's value, and any other is
+// declined.
+func TestTargetingSpecFastPath(t *testing.T) {
+	for _, tc := range fastPathCases {
+		fast, ok := decodeSpecFast(tc.raw)
+		if ok != tc.fast {
+			t.Errorf("%q: fast path %v, want %v", tc.raw, ok, tc.fast)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var want TargetingSpec
+		if err := unmarshalStrict(tc.raw, &want); err != nil || !reflect.DeepEqual(fast, want) {
+			t.Errorf("%q: fast path %#v, unmarshalStrict %#v (err %v)", tc.raw, fast, want, err)
+		}
+	}
 }
 
 // FuzzParseFBInterestID checks the ID codec never panics and stays a

@@ -46,14 +46,19 @@ func reachURL(rawSpec string) string {
 	return u
 }
 
-// TestAdmissionCostPricing pins AdmissionCost's contract over a corpus of
-// answered and rejected specs: a request the handler rejects before any
-// backend work (missing/malformed/unconvertible spec) is priced at the
-// 1-token floor, any other spec at its SpecCost — the era is not checked
-// while pricing — and every request is answered byte-identically with and
-// without admission in front.
-func TestAdmissionCostPricing(t *testing.T) {
-	srv, _ := testServer(t, ServerConfig{})
+// admissionCase is one row of the admission-pricing corpus: a raw
+// targeting_spec, its admission price, and the answer's status and a
+// substring of its body.
+type admissionCase struct {
+	name, spec string
+	cost       float64
+	status     int
+	message    string // substring of the answer body
+}
+
+// admissionCostCorpus is TestAdmissionCostPricing's table, which also seeds
+// FuzzTargetingSpecFastPath.
+func admissionCostCorpus() []admissionCase {
 	conj := string(marshalJSON(ConjunctionSpec(es(), []interest.ID{1, 2, 3})))
 	tooMany := make([]interest.ID, Era2017.MaxInterests+1)
 	for i := range tooMany {
@@ -63,12 +68,7 @@ func TestAdmissionCostPricing(t *testing.T) {
 	for i := 0; i <= Era2017.MaxLocations; i++ {
 		manyGeo.Countries = append(manyGeo.Countries, "ES")
 	}
-	for _, tc := range []struct {
-		name, spec string
-		cost       float64
-		status     int
-		message    string // substring of the answer body
-	}{
+	return []admissionCase{
 		// 1 base + 1 country term + 3 singleton-clause row passes.
 		{"conjunction", conj, 5, http.StatusOK, `"users":`},
 		// 1 base + 1 country + (2 rows + 1 fold) + 1 row.
@@ -91,7 +91,18 @@ func TestAdmissionCostPricing(t *testing.T) {
 			1, http.StatusBadRequest, "malformed interest id"},
 		{"garbage interest id", `{"geo_locations":{"countries":["ES"]},"flexible_spec":[{"interests":[{"id":"abc","name":"x"}]}]}`,
 			1, http.StatusBadRequest, "malformed interest id"},
-	} {
+	}
+}
+
+// TestAdmissionCostPricing pins AdmissionCost's contract over a corpus of
+// answered and rejected specs: a request the handler rejects before any
+// backend work (missing/malformed/unconvertible spec) is priced at the
+// 1-token floor, any other spec at its SpecCost — the era is not checked
+// while pricing — and every request is answered byte-identically with and
+// without admission in front.
+func TestAdmissionCostPricing(t *testing.T) {
+	srv, _ := testServer(t, ServerConfig{})
+	for _, tc := range admissionCostCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			u := reachURL(tc.spec)
 			if got, _ := AdmissionCost(httptest.NewRequest(http.MethodGet, u, nil)); got != tc.cost {

@@ -286,7 +286,7 @@ func (s *Server) authorize(w http.ResponseWriter, token string) bool {
 // edgeParse is one request's query, parsed once at the API edge: admission
 // prices from it (AdmissionCost), withAuth reads the token from it and the
 // reach-estimate handler answers from it, so the targeting_spec is
-// URL-decoded once and strict-decoded once per request.
+// URL-decoded once and decoded once per request.
 type edgeParse struct {
 	query url.Values
 	reachQuery
@@ -296,13 +296,19 @@ type edgeParse struct {
 type edgeParseKey struct{}
 
 // parseEdge returns r's edge parse and the request carrying it: the parse r
-// already carries, or a new one attached to a shallow copy of r.
+// already carries, or a new one attached to a shallow copy of r. The spec
+// goes through the reflection-free decodeSpecFast when it is in the
+// canonical subset; anything else — every malformed spec included — goes
+// through unmarshalStrict, which words each 400.
 func parseEdge(r *http.Request) (*edgeParse, *http.Request) {
 	if p, ok := r.Context().Value(edgeParseKey{}).(*edgeParse); ok {
 		return p, r
 	}
 	p := &edgeParse{query: r.URL.Query()}
-	if raw := p.query.Get("targeting_spec"); raw == "" {
+	raw := p.query.Get("targeting_spec")
+	if spec, ok := decodeSpecFast(raw); ok {
+		p.reachQuery = newReachQuery(spec)
+	} else if raw == "" {
 		p.specErr = &APIError{Code: CodeInvalidParam, Type: "OAuthException", Message: "Missing targeting_spec"}
 	} else if err := unmarshalStrict(raw, &p.spec); err != nil {
 		p.specErr = &APIError{Code: CodeInvalidParam, Type: "OAuthException",

@@ -224,7 +224,7 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := shardHandler(t, cfg, 0, 1)
-	body := `{"clauses": [[1]]}`
+	body := string(shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode())
 	for _, tc := range []struct {
 		header string
 		want   int
@@ -254,10 +254,11 @@ func TestShardServerAbandonsDeadCaller(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathWarm} {
-		body := `{"clauses": [[1]]}`
+		share := shardShareRequest{Clauses: [][]interest.ID{{1}}}
 		if path == shardPathConj {
-			body = `{"ids": [1]}`
+			share = shardShareRequest{IDs: []interest.ID{1}}
 		}
+		body := string(share.encode())
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)

@@ -1,16 +1,22 @@
 package serving
 
 import (
-	"encoding/json"
+	"bytes"
+	"hash/fnv"
 	"math"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
+	"nanotarget/internal/rng"
 )
 
 var fuzzShard struct {
@@ -44,59 +50,100 @@ func fuzzShardServer(t testing.TB) *ShardServer {
 // spec's union) evaluates to the weights' sum, 1 + 2.2e-16 in this world.
 const shareRoundingSlack = 1e-12
 
-// FuzzShardShareRequest drives the shard RPC decoder with arbitrary bodies on
-// every share endpoint, the fused reach-shares one included. Whatever the
-// body, the shard must not panic or answer 5xx (a bad body is the caller's
-// fault: 4xx), and every 200 must carry finite shares in [0, 1], up to the
-// grid's rounding above 1 (shareRoundingSlack).
+// FuzzShardShareRequest drives the shard RPC decoder with arbitrary binary
+// bodies on every share endpoint, the fused reach-shares one included.
+// Whatever the body, the shard must not panic or answer 5xx (a bad body is
+// the caller's fault: 4xx), and every 200 must carry exactly the endpoint's
+// shares, each finite and in [0, 1] up to the grid's rounding above 1
+// (shareRoundingSlack). Separately, a request generated from the input must
+// come back from encode and decodeShareBody unchanged.
 func FuzzShardShareRequest(f *testing.F) {
-	for _, seed := range []string{
-		`{}`,
-		`{"filter": {"Countries": ["US"], "AgeMin": 18, "AgeMax": 30}, "clauses": [[1, 2], [3]]}`,
-		`{"filter": {"Genders": [1], "AgeMin": 65, "AgeMax": 13}}`,
-		`{"clauses": [[]]}`,
-		`{"clauses": [[1], [1], [299]]}`,
-		`{"ids": [1, 2, 3]}`,
-		`{"ids": []}`,
-		`{"filter": {"Countries": ["ZZ", ""], "Genders": [-7, 99], "AgeMin": -5}}`,
-		`{"clauses": [[0]]}`,
-		`{"bogus": 1}`,
-		`{`,
-		``,
+	for _, req := range []shardShareRequest{
+		{},
+		{Filter: &population.DemoFilter{Countries: []string{"US"}, AgeMin: 18, AgeMax: 30}, Clauses: [][]interest.ID{{1, 2}, {3}}},
+		{Filter: &population.DemoFilter{Genders: []population.Gender{population.GenderMale}, AgeMin: 65, AgeMax: 13}},
+		{Clauses: [][]interest.ID{{}}},
+		{Clauses: [][]interest.ID{{1}, {1}, {299}}},
+		{IDs: []interest.ID{1, 2, 3}},
+		{Filter: &population.DemoFilter{Countries: []string{"ZZ", ""}, Genders: []population.Gender{7, 99}, AgeMin: -5}},
+		{Clauses: [][]interest.ID{{0}}},
 	} {
-		f.Add(seed)
+		f.Add(req.encode())
 	}
-	paths := []string{shardPathDemo, shardPathUnion, shardPathReach, shardPathConj}
-	f.Fuzz(func(t *testing.T, body string) {
+	// Raw garbage: empty, one byte, an old build's JSON body and a clause
+	// count far beyond the body.
+	for _, raw := range []string{"", "\x00", `{"clauses": [[1]]}`, "\x00\xff\xff\xff\xff\x0f"} {
+		f.Add([]byte(raw))
+	}
+	paths := map[string]int{shardPathDemo: 1, shardPathUnion: 1, shardPathReach: 2, shardPathConj: 1}
+	f.Fuzz(func(t *testing.T, body []byte) {
 		srv := fuzzShardServer(t)
-		for _, path := range paths {
+		for path, n := range paths {
 			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			if rec.Code >= 500 {
 				t.Fatalf("%s %q: HTTP %d: %s", path, body, rec.Code, rec.Body)
 			}
 			if rec.Code != http.StatusOK {
 				continue
 			}
-			var out struct {
-				Share *float64 `json:"share"`
-				Demo  *float64 `json:"demo"`
-				Union *float64 `json:"union"`
+			shares := make([]float64, n)
+			ptrs := make([]*float64, n)
+			for i := range shares {
+				ptrs[i] = &shares[i]
 			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-				t.Fatalf("%s %q: undecodable 200 body %s: %v", path, body, rec.Body, err)
-			}
-			shares := []*float64{out.Share}
-			if path == shardPathReach {
-				shares = []*float64{out.Demo, out.Union}
+			if err := decodeShares(rec.Body.Bytes(), ptrs...); err != nil {
+				t.Fatalf("%s %q: 200 body %x: %v", path, body, rec.Body, err)
 			}
 			for _, s := range shares {
-				if s == nil || math.IsNaN(*s) || *s < 0 || *s > 1+shareRoundingSlack {
-					t.Fatalf("%s %q: share out of [0, 1] in %s", path, body, rec.Body)
+				if math.IsNaN(s) || s < 0 || s > 1+shareRoundingSlack {
+					t.Fatalf("%s %q: share %v out of [0, 1]", path, body, s)
 				}
 			}
 		}
+
+		want := generatedShareRequest(body)
+		got, err := decodeShareBody(want.encode())
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip of %+v: got %+v, err %v", want, got, err)
+		}
 	})
+}
+
+// generatedShareRequest draws a request from a stream seeded by data:
+// any-length country and gender lists, ages of either sign, IDs up to
+// MaxUint32, and empty lists nil, as decodeShareBody returns them (an empty
+// clause inside a list stays an empty non-nil slice).
+func generatedShareRequest(data []byte) shardShareRequest {
+	h := fnv.New64a()
+	h.Write(data)
+	r := rng.New(h.Sum64())
+	ids := func() []interest.ID {
+		out := make([]interest.ID, r.Intn(4))
+		for i := range out {
+			out[i] = interest.ID(r.Uint64())
+		}
+		return out
+	}
+	var req shardShareRequest
+	if r.Intn(2) == 1 {
+		var f population.DemoFilter
+		for range r.Intn(3) {
+			f.Countries = append(f.Countries, strconv.Itoa(r.Intn(1000)))
+		}
+		for range r.Intn(3) {
+			f.Genders = append(f.Genders, population.Gender(r.Uint64()))
+		}
+		f.AgeMin, f.AgeMax = int(r.Uint64()), int(r.Uint64())
+		req.Filter = &f
+	}
+	for range r.Intn(4) {
+		req.Clauses = append(req.Clauses, ids())
+	}
+	if list := ids(); len(list) > 0 {
+		req.IDs = list
+	}
+	return req
 }
 
 // FuzzParseShardTopology checks the -proxy topology parser: an accepted spec
@@ -138,7 +185,8 @@ func FuzzDeadlineHeader(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, header string) {
 		srv := fuzzShardServer(t)
-		req := httptest.NewRequest(http.MethodPost, shardPathUnion, strings.NewReader(`{"clauses": [[1]]}`))
+		body := shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode()
+		req := httptest.NewRequest(http.MethodPost, shardPathUnion, bytes.NewReader(body))
 		req.Header.Set(DeadlineHeader, header)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)

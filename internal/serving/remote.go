@@ -1,10 +1,10 @@
 // Process-sharded serving: the network topology behind `fbadsd -shard-of` /
 // `-proxy`. A ShardServer exposes one shard's reach primitives over a small
-// JSON-over-HTTP RPC; a ProxyBackend implements ReachBackend over N shard
-// processes — each optionally replicated — by sending each estimate to one
-// shard in rotation, with per-RPC timeouts, bounded jittered retry, hedged
-// requests, health-checked failover across shards (health.go) and
-// per-replica circuit breakers (breaker.go).
+// HTTP RPC with binary share bodies; a ProxyBackend implements ReachBackend
+// over N shard processes — each optionally replicated — by sending each
+// estimate to one shard in rotation, with per-RPC timeouts, bounded jittered
+// retry, hedged requests, health-checked failover across shards (health.go)
+// and per-replica circuit breakers (breaker.go).
 //
 // # Replication and hedging
 //
@@ -35,17 +35,30 @@
 // A shard process builds its model with the same range arithmetic and
 // share-based calibration as ShardedBackend (NewShardBackend), so its
 // shares equal the single world's bit for bit — every shard's, every
-// replica's. Go's encoding/json round-trips float64 exactly
-// (shortest-representation encoding, exact parse), so the wire adds no
-// error either. The proxy therefore returns the answering shard's pair
-// unchanged, and every answer it serves — healthy, after replica failover,
-// or after failing over to another shard — is byte-identical to
-// LocalBackend's: property-gated in remote_test.go over replicas {1,2} ×
-// shards {1,2,3} × seeds {0,1,42}, hedging armed.
+// replica's. A share answer carries each float64's IEEE-754 bits (see
+// "Share bodies"), so the wire adds no error either. The proxy therefore
+// returns the answering shard's pair unchanged, and every answer it serves —
+// healthy, after replica failover, or after failing over to another shard —
+// is byte-identical to LocalBackend's: property-gated in remote_test.go
+// over replicas {1,2} × shards {1,2,3} × seeds {0,1,42}, hedging armed.
 //
 // The fused reach-shares RPC carries both factors of one estimate, computed
 // by the same two engine calls the single-share endpoints make, so one RPC
 // answers an estimate.
+//
+// # Share bodies
+//
+// The share RPCs (reachshares, demoshare, unionshare, conjunctionshare)
+// carry binary bodies, so neither side runs reflection on the hot path. A
+// request is a filter flag byte (0 none, 1 present); the filter in its
+// self-delimiting key encoding (population.DemoFilter.AppendKey:
+// length-prefixed countries, one byte per gender, varint ages); the clauses
+// as a uvarint count of uvarint-counted uvarint ID lists; and the
+// conjunction IDs as one uvarint-counted uvarint ID list. A 200 answer is
+// the IEEE-754 bits of each share, 8 bytes little-endian per share; the
+// proxy refuses any other length as a bad response, so a build speaking the
+// old JSON bodies fails loudly on either side instead of turning into a
+// number. Error bodies stay JSON, as do health, stats and warmrows.
 //
 // # Connections
 //
@@ -58,6 +71,7 @@ package serving
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,24 +148,142 @@ type ShardHealthInfo struct {
 	CatalogSize     int   `json:"catalog_size"`
 }
 
-// shardShareRequest is the request body shared by the share endpoints; each
+// shardShareRequest is the request shared by the share endpoints; each
 // endpoint reads the fields it needs (the fused reach-shares endpoint reads
-// Filter and Clauses).
+// Filter and Clauses). Its wire form is binary (see "Share bodies").
 type shardShareRequest struct {
-	Filter  *population.DemoFilter `json:"filter,omitempty"`
-	Clauses [][]interest.ID        `json:"clauses,omitempty"`
-	IDs     []interest.ID          `json:"ids,omitempty"`
+	Filter  *population.DemoFilter
+	Clauses [][]interest.ID
+	IDs     []interest.ID
 }
 
-type shardShareResponse struct {
-	Share float64 `json:"share"`
+// maxShareBody bounds a share request body; the shard refuses a longer one.
+const maxShareBody = 1 << 20
+
+// encode returns the request's binary body.
+func (req shardShareRequest) encode() []byte {
+	// 256 bytes holds a paper-sized query (a country list and ~25
+	// interests) without regrowing.
+	b := make([]byte, 1, 256)
+	if req.Filter != nil {
+		b[0] = 1
+		b = req.Filter.AppendKey(b)
+	}
+	b = binary.AppendUvarint(b, uint64(len(req.Clauses)))
+	for _, c := range req.Clauses {
+		b = appendIDs(b, c)
+	}
+	return appendIDs(b, req.IDs)
 }
 
-// sharePair is one shard's answer to a reach estimate, both factor shares:
-// the fused reach-shares RPC's response body.
-type sharePair struct {
-	Demo  float64 `json:"demo"`
-	Union float64 `json:"union"`
+func appendIDs(b []byte, ids []interest.ID) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(id))
+	}
+	return b
+}
+
+// decodeShareBody inverts encode. It rejects a bad filter flag, a truncated
+// body, trailing bytes, an ID above MaxUint32, and any count larger than the
+// bytes left (every element takes at least one byte), so no count can drive
+// a huge allocation. An empty clause list or ID list decodes to nil.
+func decodeShareBody(body []byte) (shardShareRequest, error) {
+	var req shardShareRequest
+	if len(body) == 0 {
+		return req, errors.New("empty body")
+	}
+	switch body[0] {
+	case 0:
+		body = body[1:]
+	case 1:
+		f, rest, err := population.DecodeDemoFilterKey(body[1:])
+		if err != nil {
+			return req, err
+		}
+		req.Filter, body = &f, rest
+	default:
+		return req, fmt.Errorf("bad filter flag %d", body[0])
+	}
+	// Every ID the body names fits one backing array sized by the bytes
+	// left; the lists are windows onto it.
+	d := idReader{b: body, ids: make([]interest.ID, 0, len(body))}
+	if n := d.count(); n > 0 {
+		req.Clauses = make([][]interest.ID, n)
+		for i := range req.Clauses {
+			req.Clauses[i] = d.list()
+		}
+	}
+	if ids := d.list(); len(ids) > 0 {
+		req.IDs = ids
+	}
+	switch {
+	case d.err != nil:
+		return shardShareRequest{}, d.err
+	case len(d.b) > 0:
+		return shardShareRequest{}, fmt.Errorf("%d trailing bytes", len(d.b))
+	}
+	return req, nil
+}
+
+// idReader reads a share body's uvarint counts and ID lists, keeping the
+// first error.
+type idReader struct {
+	b   []byte
+	ids []interest.ID // backing for every list read
+	err error
+}
+
+func (d *idReader) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	switch v, n := binary.Uvarint(d.b); {
+	case n == 0:
+		d.err = errors.New("truncated body")
+	case n < 0:
+		d.err = errors.New("varint overflows 64 bits")
+	default:
+		d.b = d.b[n:]
+		return v
+	}
+	return 0
+}
+
+func (d *idReader) count() int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return int(n)
+}
+
+// list reads one counted ID list as a window onto d.ids.
+func (d *idReader) list() []interest.ID {
+	n := d.count()
+	start := len(d.ids)
+	for k := 0; k < n && d.err == nil; k++ {
+		if id := d.uvarint(); id > math.MaxUint32 {
+			d.err = fmt.Errorf("interest id %d above MaxUint32", id)
+		} else {
+			d.ids = append(d.ids, interest.ID(id))
+		}
+	}
+	return d.ids[start:len(d.ids):len(d.ids)]
+}
+
+// decodeShares reads a share RPC's 200 body into out: exactly len(out)
+// little-endian IEEE-754 float64s. Any other length is an error, never a
+// number.
+func decodeShares(data []byte, out ...*float64) error {
+	if len(data) != 8*len(out) {
+		return fmt.Errorf("serving: bad share response: %d bytes, want %d", len(data), 8*len(out))
+	}
+	for i, p := range out {
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return nil
 }
 
 type shardErrorBody struct {
@@ -199,12 +331,13 @@ func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, Shar
 	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop}, nil
 }
 
-// ShardServer serves one shard's reach primitives over the JSON shard RPC:
-// the per-process counterpart of a ShardedBackend shard. It is an
-// http.Handler; fbadsd mounts it on -shard-listen. The RPC surface trusts
-// its caller (the proxy validates specs upstream) but still rejects
-// malformed bodies and unknown interest IDs with 400s so a stray request
-// cannot crash the shard.
+// ShardServer serves one shard's reach primitives over the shard RPC (binary
+// share bodies, JSON everywhere else; see "Share bodies"): the per-process
+// counterpart of a ShardedBackend shard. It is an http.Handler; fbadsd
+// mounts it on -shard-listen. The RPC surface trusts its caller (the proxy
+// validates specs upstream) but still rejects malformed or oversized bodies
+// and unknown interest IDs with 400s so a stray request cannot crash the
+// shard.
 type ShardServer struct {
 	backend *LocalBackend
 	info    ShardInfo
@@ -279,6 +412,17 @@ func (s *ShardServer) writeJSON(w http.ResponseWriter, v any) {
 	w.Write(buf)
 }
 
+// writeShares answers 200 with each share's IEEE-754 bits, 8 bytes
+// little-endian per share.
+func (s *ShardServer) writeShares(w http.ResponseWriter, shares ...float64) {
+	buf := make([]byte, 0, 8*len(shares))
+	for _, v := range shares {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(buf)
+}
+
 func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) {
 	var body shardErrorBody
 	body.Error.Message = msg
@@ -288,19 +432,16 @@ func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) 
 	w.Write(buf)
 }
 
-// decodeShareRequest reads and validates a share-request body: exactly one
-// well-formed JSON value with no unknown fields and nothing after it, and
-// every interest ID present in the shard's catalog.
+// decodeShareRequest reads and validates a share-request body: at most
+// maxShareBody bytes, exactly one binary request (decodeShareBody) with
+// nothing after it, and every interest ID present in the shard's catalog.
 func (s *ShardServer) decodeShareRequest(w http.ResponseWriter, r *http.Request) (shardShareRequest, bool) {
-	var req shardShareRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShareBody))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		return shardShareRequest{}, false
 	}
+	req, err := decodeShareBody(body)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
 		return req, false
@@ -350,7 +491,7 @@ func (s *ShardServer) handleDemoShare(w http.ResponseWriter, r *http.Request) {
 	if req.Filter != nil {
 		f = *req.Filter
 	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.DemoShare(r.Context(), f)})
+	s.writeShares(w, s.backend.DemoShare(r.Context(), f))
 }
 
 func (s *ShardServer) handleUnionShare(w http.ResponseWriter, r *http.Request) {
@@ -358,7 +499,7 @@ func (s *ShardServer) handleUnionShare(w http.ResponseWriter, r *http.Request) {
 	if !ok || s.deadlineExpired(w, r) {
 		return
 	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.UnionShare(r.Context(), req.Clauses)})
+	s.writeShares(w, s.backend.UnionShare(r.Context(), req.Clauses))
 }
 
 // handleReachShares serves the fused RPC: both factors of one reach
@@ -374,7 +515,7 @@ func (s *ShardServer) handleReachShares(w http.ResponseWriter, r *http.Request) 
 		f = *req.Filter
 	}
 	demo, union, _ := s.backend.ReachShares(r.Context(), f, req.Clauses) // a LocalBackend never fails
-	s.writeJSON(w, sharePair{Demo: demo, Union: union})
+	s.writeShares(w, demo, union)
 }
 
 func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +523,7 @@ func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Requ
 	if !ok || s.deadlineExpired(w, r) {
 		return
 	}
-	s.writeJSON(w, shardShareResponse{Share: s.backend.Engine().ConjunctionShare(req.IDs)})
+	s.writeShares(w, s.backend.Engine().ConjunctionShare(req.IDs))
 }
 
 func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -679,9 +820,11 @@ func (p *ProxyBackend) Population() int64 { return p.pop }
 // *UnavailableError when no shard may answer under the policy, and
 // *CanceledError when the caller's context ends first.
 func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
-	var pair sharePair
-	err = p.ask(ctx, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}, &pair)
-	return pair.Demo, pair.Union, err
+	data, err := p.ask(ctx, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}.encode())
+	if err == nil {
+		err = decodeShares(data, &demo, &union)
+	}
+	return demo, union, err
 }
 
 // must adapts an error-returning share query to the float64 share methods
@@ -697,10 +840,12 @@ func must(v float64, err error) float64 {
 }
 
 // share asks one shard a one-share RPC (ask).
-func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (float64, error) {
-	var out shardShareResponse
-	err := p.ask(ctx, path, req, &out)
-	return out.Share, err
+func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (share float64, err error) {
+	data, err := p.ask(ctx, path, req.encode())
+	if err == nil {
+		err = decodeShares(data, &share)
+	}
+	return share, err
 }
 
 // DemoShare returns the population share matching a demographic filter, from
@@ -733,7 +878,10 @@ func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.Dem
 func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
 	bud := p.newQueryBudget()
 	stats, _, _ := fanOut(ctx, len(p.shards), len(p.shards), func(ctx context.Context, i int) (st audience.Stats, err error) {
-		err = p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, &st, bud)
+		data, err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, bud)
+		if err == nil {
+			err = json.Unmarshal(data, &st)
+		}
 		return st, err
 	})
 	var total audience.Stats
@@ -753,7 +901,7 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 		for r := range p.shards[i] {
 			i, r := i, r
 			units = append(units, func() error {
-				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, []byte("{}"), nil)
+				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, nil, nil)
 				return nil
 			})
 		}
@@ -761,8 +909,8 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
 }
 
-// ask sends one share RPC to the shard whose turn it is and decodes its
-// answer into out. Per shard the RPC runs against the shard's replica set
+// ask sends one share RPC body to the shard whose turn it is and returns its
+// answer's body. Per shard the RPC runs against the shard's replica set
 // (callShard): only a shard with NO usable replica counts as failed. Then
 // the policy decides:
 //
@@ -776,10 +924,10 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 // The caller's ctx threads into every RPC; if it ends first, ask returns
 // *CanceledError, and the failures it caused are not held against the
 // replicas.
-func (p *ProxyBackend) ask(ctx context.Context, path string, req shardShareRequest, out any) error {
+func (p *ProxyBackend) ask(ctx context.Context, path string, body []byte) ([]byte, error) {
 	if p.policy == PolicyFail {
 		if down := p.health.deadURLs(); len(down) > 0 {
-			return &UnavailableError{Down: down}
+			return nil, &UnavailableError{Down: down}
 		}
 	}
 	n := len(p.shards)
@@ -788,19 +936,19 @@ func (p *ProxyBackend) ask(ctx context.Context, path string, req shardShareReque
 	var down []string
 	for k := 0; k < n; k++ {
 		i := (first + k) % n
-		err := p.callShard(ctx, i, http.MethodPost, path, &req, out, bud)
+		data, err := p.callShard(ctx, i, http.MethodPost, path, body, bud)
 		if err == nil {
-			return nil
+			return data, nil
 		}
 		if ctx.Err() != nil {
-			return &CanceledError{Err: ctx.Err()}
+			return nil, &CanceledError{Err: ctx.Err()}
 		}
 		down = append(down, p.shards[i]...)
 		if p.policy == PolicyFail {
 			break
 		}
 	}
-	return &UnavailableError{Down: down}
+	return nil, &UnavailableError{Down: down}
 }
 
 // queryBudget is one query's shared retry allowance across every shard and
@@ -825,31 +973,14 @@ func (b *queryBudget) take() bool {
 }
 
 // callShard performs one shard RPC against the shard's replica set
-// (callReplicas) and decodes the winning response. A shard-level error means
-// NO usable replica produced an answer.
-func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, in, out any, bud *queryBudget) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("serving: proxy: marshal %s: %w", path, err)
-		}
-	}
+// (callReplicas) and returns the winning response's body. A shard-level
+// error means NO usable replica produced an answer.
+func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	candidates := p.health.liveReplicas(shard)
 	if len(candidates) == 0 {
-		return fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
+		return nil, fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
 	}
-	data, err := p.callReplicas(ctx, shard, candidates, method, path, body, bud)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("serving: shard %d %s: bad response: %w", shard, path, err)
-	}
-	return nil
+	return p.callReplicas(ctx, shard, candidates, method, path, body, bud)
 }
 
 // callReplicas is the replica loop. The preferred (lowest-index) live
@@ -1092,7 +1223,7 @@ func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body [
 		return nil, 0, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	if d, ok := rctx.Deadline(); ok {
 		ms := time.Until(d).Milliseconds()

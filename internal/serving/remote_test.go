@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -272,8 +273,8 @@ func TestNewProxyBackendErrors(t *testing.T) {
 }
 
 // TestShardServerEndpoints exercises the RPC surface directly: health
-// identity, share endpoints, and the rejection paths (malformed body,
-// unknown interest, wrong method).
+// identity, share endpoints, and the rejection paths (malformed, oversized
+// or old-build JSON bodies, unknown interest, wrong method).
 func TestShardServerEndpoints(t *testing.T) {
 	cfg := smallConfig(1)
 	b, info, err := NewShardBackend(cfg, 0, 2)
@@ -298,31 +299,55 @@ func TestShardServerEndpoints(t *testing.T) {
 		t.Fatalf("health identity wrong: %+v", health)
 	}
 
-	var out shardShareResponse
+	var share, demo, union float64
 	f := randomFilter(rng.New(9))
-	postJSON(t, ts.URL+shardPathDemo, shardShareRequest{Filter: &f}, &out)
-	if want := b.DemoShare(context.Background(), f); out.Share != want {
-		t.Fatalf("DemoShare over RPC = %v, local %v", out.Share, want)
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	postShares(t, ts.URL+shardPathDemo, shardShareRequest{Filter: &f}, &share)
+	if want := b.DemoShare(context.Background(), f); share != want {
+		t.Fatalf("DemoShare over RPC = %v, local %v", share, want)
 	}
-	postJSON(t, ts.URL+shardPathUnion, shardShareRequest{Clauses: [][]interest.ID{{1, 2}, {3}}}, &out)
-	if want := b.UnionShare(context.Background(), [][]interest.ID{{1, 2}, {3}}); out.Share != want {
-		t.Fatalf("UnionShare over RPC = %v, local %v", out.Share, want)
+	postShares(t, ts.URL+shardPathUnion, shardShareRequest{Clauses: clauses}, &share)
+	if want := b.UnionShare(context.Background(), clauses); share != want {
+		t.Fatalf("UnionShare over RPC = %v, local %v", share, want)
 	}
-	postJSON(t, ts.URL+shardPathConj, shardShareRequest{IDs: []interest.ID{1, 2}}, &out)
-	if want := b.Engine().ConjunctionShare([]interest.ID{1, 2}); out.Share != want {
-		t.Fatalf("ConjunctionShare over RPC = %v, local %v", out.Share, want)
+	postShares(t, ts.URL+shardPathConj, shardShareRequest{IDs: []interest.ID{1, 2}}, &share)
+	if want := b.Engine().ConjunctionShare([]interest.ID{1, 2}); share != want {
+		t.Fatalf("ConjunctionShare over RPC = %v, local %v", share, want)
+	}
+	postShares(t, ts.URL+shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}, &demo, &union)
+	if wantD, wantU, _ := b.ReachShares(context.Background(), f, clauses); demo != wantD || union != wantU {
+		t.Fatalf("ReachShares over RPC = (%v, %v), local (%v, %v)", demo, union, wantD, wantU)
 	}
 
+	body := func(req shardShareRequest) string { return string(req.encode()) }
+	oneClause := body(shardShareRequest{Clauses: [][]interest.ID{{1}}})
+	// A valid request of exactly maxShareBody bytes: flag, empty clause
+	// list, then an ID list whose 3-byte count and one byte per ID fill it.
+	atLimit := body(shardShareRequest{IDs: make([]interest.ID, maxShareBody-5)})
+	if len(atLimit) != maxShareBody {
+		t.Fatalf("at-limit body is %d bytes, want %d", len(atLimit), maxShareBody)
+	}
 	for _, tc := range []struct {
 		name, method, path, body string
 		wantStatus               int
 	}{
-		{"malformed body", http.MethodPost, shardPathUnion, "{", http.StatusBadRequest},
-		{"unknown field", http.MethodPost, shardPathUnion, `{"bogus": 1}`, http.StatusBadRequest},
-		{"trailing value", http.MethodPost, shardPathConj, `{"ids": [1]} {"ids": [2]}`, http.StatusBadRequest},
-		{"trailing garbage", http.MethodPost, shardPathReach, `{"clauses": [[1]]} trailing`, http.StatusBadRequest},
-		{"unknown interest", http.MethodPost, shardPathUnion, `{"clauses": [[999999]]}`, http.StatusBadRequest},
-		{"unknown conjunction id", http.MethodPost, shardPathConj, `{"ids": [999999]}`, http.StatusBadRequest},
+		{"empty body", http.MethodPost, shardPathUnion, "", http.StatusBadRequest},
+		{"truncated body", http.MethodPost, shardPathReach, body(shardShareRequest{Filter: &f, Clauses: clauses})[:5], http.StatusBadRequest},
+		{"bad filter flag", http.MethodPost, shardPathUnion, "\x02" + oneClause[1:], http.StatusBadRequest},
+		{"trailing value", http.MethodPost, shardPathConj, body(shardShareRequest{IDs: []interest.ID{1}}) + body(shardShareRequest{IDs: []interest.ID{2}}), http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, shardPathReach, oneClause + "trailing", http.StatusBadRequest},
+		{"count beyond the body", http.MethodPost, shardPathUnion, "\x00\xff\xff\xff\xff\x0f", http.StatusBadRequest},
+		{"id above MaxUint32", http.MethodPost, shardPathConj, "\x00\x00\x01\x80\x80\x80\x80\x10", http.StatusBadRequest},
+		{"unknown interest", http.MethodPost, shardPathUnion, body(shardShareRequest{Clauses: [][]interest.ID{{999999}}}), http.StatusBadRequest},
+		{"unknown conjunction id", http.MethodPost, shardPathConj, body(shardShareRequest{IDs: []interest.ID{999999}}), http.StatusBadRequest},
+		// A valid request cut at the limit must not be answered: the body
+		// goes on past it.
+		{"body over 1 MiB", http.MethodPost, shardPathConj, atLimit + "\x00", http.StatusBadRequest},
+		// An old build's JSON request is refused, never read as a query.
+		{"JSON union request", http.MethodPost, shardPathUnion, `{"clauses":[[1]]}`, http.StatusBadRequest},
+		{"JSON reach request", http.MethodPost, shardPathReach, `{"filter":{"Countries":["US"]},"clauses":[[1]]}`, http.StatusBadRequest},
+		{"JSON conjunction request", http.MethodPost, shardPathConj, `{"ids":[1]}`, http.StatusBadRequest},
+		{"JSON demo request", http.MethodPost, shardPathDemo, `{}`, http.StatusBadRequest},
 		{"wrong method", http.MethodGet, shardPathUnion, "", http.StatusMethodNotAllowed},
 		{"health wrong method", http.MethodPost, shardPathHealth, "", http.StatusMethodNotAllowed},
 	} {
@@ -405,21 +430,23 @@ func getJSON(t *testing.T, url string, out any) {
 	}
 }
 
-func postJSON(t *testing.T, url string, in, out any) {
+// postShares posts req's binary body to url and decodes the answer's shares
+// into out.
+func postShares(t *testing.T, url string, req shardShareRequest, out ...*float64) {
 	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(req.encode()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: HTTP %d", url, resp.StatusCode)
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: HTTP %d: %s", url, resp.StatusCode, data)
+	}
+	if err := decodeShares(data, out...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package serving
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -175,20 +174,30 @@ func TestDefaultProxyClientReusesConnections(t *testing.T) {
 
 // TestReachSharesComeFromOneLiveSet: under PolicyRenormalize both factors of
 // an estimate come from ONE shard, unchanged. Shard 1 answers its first
-// estimate with shares far from shard 0's and then dies: that estimate
-// returns shard 1's pair whole — nothing is folded with shard 0's — and
-// after the death every estimate, including those whose turn was shard 1's,
-// takes both factors from the survivor, stamped degraded.
+// estimate with shares far from shard 0's: that estimate returns shard 1's
+// pair whole — nothing is folded with shard 0's. Its next three answers are
+// 200s whose bodies are not two shares (an old build's JSON pair, one share,
+// three shares): each is a returned error, never a number. Then it dies, and
+// every estimate, including those whose turn was shard 1's, takes both
+// factors from the survivor, stamped degraded.
 func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 	cfg := smallConfig(42)
 	s0, b0 := shardHandler(t, cfg, 0, 2)
 	shard0 := httptest.NewServer(s0)
 	t.Cleanup(shard0.Close)
-	var answered atomic.Bool
+	answers := [][]byte{
+		binaryShares(0.25, 0.5),
+		[]byte(`{"demo":0.25,"union":0.5}`),
+		binaryShares(0.25),
+		binaryShares(0.25, 0.5, 0.75),
+	}
+	var calls atomic.Int32
 	shard1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == shardPathReach && answered.CompareAndSwap(false, true) {
-			json.NewEncoder(w).Encode(sharePair{Demo: 0.25, Union: 0.5})
-			return
+		if r.URL.Path == shardPathReach {
+			if k := int(calls.Add(1)) - 1; k < len(answers) {
+				w.Write(answers[k])
+				return
+			}
 		}
 		http.Error(w, "shard 1 is gone", http.StatusInternalServerError)
 	}))
@@ -201,33 +210,37 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	liveD, liveU, _ := b0.ReachShares(context.Background(), f, clauses) // a LocalBackend never fails
 
-	// Rotation: estimate 0 is shard 0's, estimate 1 shard 1's.
-	for k, want := range []sharePair{{liveD, liveU}, {0.25, 0.5}} {
+	// Rotation: even estimates are shard 0's, odd ones shard 1's; shard 1's
+	// death surfaces at estimate 9, which fails over to shard 0.
+	const died = 2*4 + 1
+	for k := 0; k < died+5; k++ {
 		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
+		wantD, wantU := liveD, liveU
+		switch {
+		case k == 1:
+			wantD, wantU = 0.25, 0.5
+		case k%2 == 1 && k < died:
+			if err == nil {
+				t.Fatalf("estimate %d: shard 1's %d-byte body %q read as (%v, %v)",
+					k, len(answers[k/2]), answers[k/2], demo, union)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if demo != want.Demo || union != want.Union {
-			t.Fatalf("estimate %d while both shards answer = (%v, %v), want shard %d's pair (%v, %v) unchanged",
-				k, demo, union, k, want.Demo, want.Union)
+		if demo != wantD || union != wantU {
+			t.Fatalf("estimate %d = (%v, %v), want (%v, %v) unchanged from one shard", k, demo, union, wantD, wantU)
 		}
-		if proxy.Degraded() {
-			t.Fatalf("estimate %d: degraded before shard 1 failed", k)
-		}
-	}
-	// Estimate 2 is shard 0's turn; shard 1's death surfaces at estimate 3,
-	// which fails over to shard 0.
-	for k := 2; k < 6; k++ {
-		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if demo != liveD || union != liveU {
-			t.Fatalf("estimate %d after shard 1 died = (%v, %v), want the survivor's (%v, %v)",
-				k, demo, union, liveD, liveU)
-		}
-		if k > 2 && !proxy.Degraded() {
-			t.Fatalf("estimate %d after shard 1 died: not degraded", k)
+		if degraded := proxy.Degraded(); degraded != (k >= died) {
+			t.Fatalf("estimate %d: degraded %v, want %v", k, degraded, k >= died)
 		}
 	}
+}
+
+// binaryShares is a share RPC's 200 body carrying shares.
+func binaryShares(shares ...float64) []byte {
+	rec := httptest.NewRecorder()
+	(&ShardServer{}).writeShares(rec, shares...)
+	return rec.Body.Bytes()
 }
