@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -29,11 +30,30 @@ func proxyWorld() worldcfg.Config {
 	return cfg
 }
 
+// shardProcess is a shard on an httptest server whose Close is a process
+// death. httptest's Close leaves hijacked connections open, and the proxy's
+// upgraded reach connections are hijacked, so Close closes those too.
+type shardProcess struct {
+	*httptest.Server
+	mu       sync.Mutex
+	hijacked []net.Conn
+}
+
+func (s *shardProcess) Close() {
+	s.Server.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range s.hijacked {
+		c.Close()
+	}
+	s.hijacked = nil
+}
+
 // startShards boots the 2-shard RPC topology of cfg on httptest servers
 // and returns their base URLs and servers in shard order.
-func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*httptest.Server) {
+func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*shardProcess) {
 	t.Helper()
-	var shardServers []*httptest.Server
+	var shardServers []*shardProcess
 	urls := make([]string, 2)
 	for i := 0; i < 2; i++ {
 		b, info, err := serving.NewShardBackend(cfg, i, 2)
@@ -44,7 +64,15 @@ func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*httptest.Serve
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
+		ts := &shardProcess{Server: httptest.NewUnstartedServer(srv)}
+		ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
+			if state == http.StateHijacked {
+				ts.mu.Lock()
+				ts.hijacked = append(ts.hijacked, c)
+				ts.mu.Unlock()
+			}
+		}
+		ts.Start()
 		t.Cleanup(ts.Close)
 		shardServers = append(shardServers, ts)
 		urls[i] = ts.URL
@@ -73,7 +101,7 @@ func startAPI(t *testing.T, cfg worldcfg.Config, pc serving.ProxyConfig) (string
 // under the given policy, and mounts the Marketing API server on it. It
 // returns the API base URL and the second shard's httptest server (the one
 // the tests kill).
-func startProxyAPI(t *testing.T, policy serving.Policy) (string, *httptest.Server, *serving.ProxyBackend) {
+func startProxyAPI(t *testing.T, policy serving.Policy) (string, *shardProcess, *serving.ProxyBackend) {
 	t.Helper()
 	cfg := proxyWorld()
 	urls, shardServers := startShards(t, cfg)

@@ -129,20 +129,26 @@ func TotalTop50Users() int64 {
 	return sum
 }
 
+// byCode indexes every location ByCode knows: a Table 4 code names itself
+// unless panelNames names it, and a Table 3 entry overrides both.
+var byCode = func() map[string]Country {
+	m := make(map[string]Country, len(top50)+len(panelCounts))
+	for code := range panelCounts {
+		m[code] = Country{Code: code, Name: code}
+	}
+	for code, name := range panelNames {
+		m[code] = Country{Code: code, Name: name}
+	}
+	for _, c := range top50 {
+		m[c.Code] = c
+	}
+	return m
+}()
+
 // ByCode looks a country up by ISO code across Table 3 and Table 4 entries.
 func ByCode(code string) (Country, bool) {
-	for _, c := range top50 {
-		if c.Code == code {
-			return c, true
-		}
-	}
-	if n, ok := panelNames[code]; ok {
-		return Country{Code: code, Name: n}, true
-	}
-	if _, ok := panelCounts[code]; ok {
-		return Country{Code: code, Name: code}, true
-	}
-	return Country{}, false
+	c, ok := byCode[code]
+	return c, ok
 }
 
 // PanelBreakdown returns the Table 4 per-country panel sizes, sorted by

@@ -101,3 +101,43 @@ func TestValidateCode(t *testing.T) {
 		t.Fatal("ZZ should be invalid")
 	}
 }
+
+// scanByCode is the list-scanning lookup ByCode's index replaced: Table 3
+// first, then panelNames, then panelCounts.
+func scanByCode(code string) (Country, bool) {
+	for _, c := range top50 {
+		if c.Code == code {
+			return c, true
+		}
+	}
+	if n, ok := panelNames[code]; ok {
+		return Country{Code: code, Name: n}, true
+	}
+	if _, ok := panelCounts[code]; ok {
+		return Country{Code: code, Name: code}, true
+	}
+	return Country{}, false
+}
+
+// TestByCodeMatchesScan: every Table 3 code, every Table 4 code, every
+// panelNames code and a set of unknown ones look up exactly as the list
+// scan does.
+func TestByCodeMatchesScan(t *testing.T) {
+	codes := []string{"", "WW", "ZZ", "us", "USA", "E", "XK"}
+	for _, c := range top50 {
+		codes = append(codes, c.Code)
+	}
+	for code := range panelCounts {
+		codes = append(codes, code)
+	}
+	for code := range panelNames {
+		codes = append(codes, code)
+	}
+	for _, code := range codes {
+		got, gotOK := ByCode(code)
+		want, wantOK := scanByCode(code)
+		if got != want || gotOK != wantOK {
+			t.Errorf("ByCode(%q) = %+v, %v; the scan gives %+v, %v", code, got, gotOK, want, wantOK)
+		}
+	}
+}

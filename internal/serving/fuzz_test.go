@@ -1,10 +1,16 @@
 package serving
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/big"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -144,6 +150,132 @@ func generatedShareRequest(data []byte) shardShareRequest {
 		req.IDs = list
 	}
 	return req
+}
+
+// fuzzConn is the shard's end of an upgraded connection for FuzzShardFrame:
+// reads come from the input, writes are kept, and Close is recorded. The
+// frame loop calls nothing else of net.Conn.
+type fuzzConn struct {
+	net.Conn
+	in     *bytes.Reader
+	out    bytes.Buffer
+	closed bool
+}
+
+func (c *fuzzConn) Read(b []byte) (int, error)        { return c.in.Read(b) }
+func (c *fuzzConn) Write(b []byte) (int, error)       { return c.out.Write(b) }
+func (c *fuzzConn) Close() error                      { c.closed = true; return nil }
+func (c *fuzzConn) SetReadDeadline(_ time.Time) error { return nil }
+
+// wellFormedFrames counts the request frames at the start of data whose
+// header the shard must accept: a budget in [1, MaxInt64/1ms] ms and a body
+// length of at most maxShareBody that the rest of data holds.
+func wellFormedFrames(data []byte) int {
+	for n := 0; ; n++ {
+		ms, k := binary.Uvarint(data)
+		if k <= 0 || ms == 0 || ms > math.MaxInt64/uint64(time.Millisecond) {
+			return n
+		}
+		data = data[k:]
+		size, k := binary.Uvarint(data)
+		if k <= 0 || size > maxShareBody || size > uint64(len(data)-k) {
+			return n
+		}
+		data = data[k+int(size):]
+	}
+}
+
+// FuzzShardFrame feeds arbitrary bytes to a shard's frame loop, as if they
+// followed an upgrade. The shard must not panic; it answers exactly the
+// well-formed frames before the first bad or truncated header, each with a
+// well-formed answer frame (200 with two shares in [0, 1] up to
+// shareRoundingSlack, or a 400 or 504 with a JSON error body), and then
+// closes the connection. Separately, request and answer frames generated
+// from the input must come back from their readers unchanged.
+func FuzzShardFrame(f *testing.F) {
+	frame := func(ms int64, req shardShareRequest) []byte { return appendRequestFrame(nil, ms, req.encode()) }
+	valid := frame(60000, shardShareRequest{Filter: &population.DemoFilter{Countries: []string{"US"}}, Clauses: [][]interest.ID{{1, 2}, {3}}})
+	for _, seed := range [][]byte{
+		valid,
+		append(append([]byte{}, valid...), valid...),
+		frame(1, shardShareRequest{Clauses: [][]interest.ID{{299}}}),
+		frame(60000, shardShareRequest{Clauses: [][]interest.ID{{0}}}),
+		frame(60000, shardShareRequest{}),
+		append(frame(0, shardShareRequest{}), valid...),
+		append(append(append([]byte{}, valid...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), valid...),
+		appendRequestFrame(nil, 1000, make([]byte, 3))[:4],
+		binary.AppendUvarint(binary.AppendUvarint(nil, 1000), maxShareBody+1),
+		{},
+		[]byte("POST /shard/v1/reachshares HTTP/1.1\r\n"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		conn := &fuzzConn{in: bytes.NewReader(data)}
+		fuzzShardServer(t).serveFrames(context.Background(), conn, bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn)), 0)
+		if !conn.closed {
+			t.Fatalf("%q: the frame loop ended without closing the connection", data)
+		}
+		answers := bufio.NewReader(&conn.out)
+		want := wellFormedFrames(data)
+		for k := 0; k < want; k++ {
+			payload, status, retryAfter, err := readAnswerFrame(answers)
+			if err != nil || retryAfter != 0 {
+				t.Fatalf("%q: answer %d of %d: retry-after %v, %v", data, k, want, retryAfter, err)
+			}
+			switch status {
+			case http.StatusOK:
+				var demo, union float64
+				if err := decodeShares(payload, &demo, &union); err != nil {
+					t.Fatalf("%q: answer %d: %v", data, k, err)
+				}
+				for _, v := range []float64{demo, union} {
+					if math.IsNaN(v) || v < 0 || v > 1+shareRoundingSlack {
+						t.Fatalf("%q: answer %d: share %v out of [0, 1]", data, k, v)
+					}
+				}
+			case http.StatusBadRequest, http.StatusGatewayTimeout:
+				var eb shardErrorBody
+				if err := json.Unmarshal(payload, &eb); err != nil || eb.Error.Message == "" {
+					t.Fatalf("%q: answer %d: HTTP %d body %q is not an error body", data, k, status, payload)
+				}
+			default:
+				t.Fatalf("%q: answer %d: HTTP %d", data, k, status)
+			}
+		}
+		if rest, _ := io.ReadAll(answers); len(rest) > 0 {
+			t.Fatalf("%q: %d bytes after the %d answers to its well-formed frames", data, len(rest), want)
+		}
+
+		// Round trips: two request frames back to back, then an answer frame.
+		h := fnv.New64a()
+		h.Write(data)
+		r := rng.New(h.Sum64())
+		req := generatedShareRequest(data)
+		ms := 1 + int64(r.Uint64()%uint64(math.MaxInt64/int64(time.Millisecond)))
+		one := frame(ms, req)
+		frames := bufio.NewReader(bytes.NewReader(append(append([]byte{}, one...), one...)))
+		for i := 0; i < 2; i++ {
+			before := time.Now()
+			deadline, body, err := readRequestFrame(frames, nil)
+			after := time.Now()
+			budget := time.Duration(ms) * time.Millisecond
+			if err != nil || deadline.Before(before.Add(budget)) || deadline.After(after.Add(budget)) {
+				t.Fatalf("request frame %d (budget %dms): deadline %v read between %v and %v, %v", i, ms, deadline, before, after, err)
+			}
+			if got, err := decodeShareBody(body); err != nil || !reflect.DeepEqual(got, req) {
+				t.Fatalf("request frame %d: %+v, err %v, want %+v", i, got, err, req)
+			}
+		}
+		if _, _, err := readRequestFrame(frames, nil); err != io.EOF {
+			t.Fatalf("after two request frames: %v, want EOF", err)
+		}
+		status, secs := 200+r.Intn(400), r.Uint64()%(math.MaxInt64/uint64(time.Second))
+		payload, gotStatus, gotWait, err := readAnswerFrame(bufio.NewReader(bytes.NewReader(appendAnswerFrame(nil, status, secs, one))))
+		if err != nil || gotStatus != status || gotWait != time.Duration(secs)*time.Second || !bytes.Equal(payload, one) {
+			t.Fatalf("answer frame (%d, %ds, %d bytes) read as (%d, %v, %d bytes), %v", status, secs, len(one), gotStatus, gotWait, len(payload), err)
+		}
+	})
 }
 
 // FuzzParseShardTopology checks the -proxy topology parser: an accepted spec

@@ -103,6 +103,9 @@ type ShardHealth struct {
 	// Breaker is the replica's circuit-breaker position ("closed", "open",
 	// "half-open") — data-path verdicts, orthogonal to probe-owned Up.
 	Breaker string `json:"breaker,omitempty"`
+	// RPCs counts the data-RPC attempts sent to the replica, framed or
+	// HTTP (health probes excluded).
+	RPCs int64 `json:"rpcs"`
 }
 
 // HealthStats snapshots the proxy's view of the topology. Up/Down count
@@ -246,12 +249,14 @@ func (h *healthMonitor) snapshot() HealthStats {
 
 // HealthStats snapshots per-replica up/down state, last errors, probe
 // bookkeeping (timestamps come from the injectable clock), each replica's
-// circuit-breaker position, and the hedging/failover tallies.
+// circuit-breaker position and data-RPC count, and the hedging/failover
+// tallies.
 func (p *ProxyBackend) HealthStats() HealthStats {
 	st := p.health.snapshot()
 	for i := range st.Shards {
 		row := &st.Shards[i]
 		row.Breaker = p.breakers[row.Shard][row.Replica].State().String()
+		row.RPCs = p.rpcs[row.Shard][row.Replica].Load()
 	}
 	st.Hedged = p.hedged.Load()
 	st.HedgeWins = p.hedgeWins.Load()
@@ -293,9 +298,9 @@ func (p *ProxyBackend) usable(i int) bool {
 // ProbeNow runs one synchronous health-probe round: every replica's
 // /shard/v1/health endpoint is fetched (in parallel, under the probe timeout)
 // and its identity — shard index, shard count, user-ID range, catalog size,
-// total population — is checked against the proxy's own configuration, so a
-// replica serving the wrong world (or the wrong slice of the right world) is
-// treated as down rather than asked. Every check compares
+// total population and world digest (worldDigest) — is checked against the
+// proxy's own configuration, so a replica serving the wrong world (or the
+// wrong slice of the right world) is treated as down rather than asked. Every check compares
 // against the proxy's config-derived expectation, so any two replicas that
 // both pass are byte-identical worlds by construction (shard models are
 // share-calibrated pure functions of the config and range) — which is what
@@ -372,6 +377,8 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) err
 		return fmt.Errorf("health probe: catalog size %d, proxy world has %d", info.CatalogSize, p.catalog.Len())
 	case info.TotalPopulation != p.pop:
 		return fmt.Errorf("health probe: total population %d, proxy world has %d", info.TotalPopulation, p.pop)
+	case info.World != p.world:
+		return fmt.Errorf("health probe: world digest %q, proxy world has %q", info.World, p.world)
 	}
 	return nil
 }

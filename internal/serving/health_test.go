@@ -45,6 +45,33 @@ type restartableShard struct {
 	addr    string
 	srv     *http.Server
 	done    chan struct{}
+	ln      *trackingListener
+}
+
+// trackingListener remembers every connection it accepts.
+type trackingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// closeAll closes every accepted connection.
+func (l *trackingListener) closeAll() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
 }
 
 func startRestartableShard(t *testing.T, h http.Handler) *restartableShard {
@@ -62,21 +89,25 @@ func startRestartableShard(t *testing.T, h http.Handler) *restartableShard {
 func (s *restartableShard) serve(ln net.Listener) {
 	s.srv = &http.Server{Handler: s.handler}
 	s.done = make(chan struct{})
-	go func(srv *http.Server, done chan struct{}) {
+	s.ln = &trackingListener{Listener: ln}
+	go func(srv *http.Server, ln net.Listener, done chan struct{}) {
 		srv.Serve(ln)
 		close(done)
-	}(s.srv, s.done)
+	}(s.srv, s.ln, s.done)
 }
 
 func (s *restartableShard) URL() string { return "http://" + s.addr }
 
-// Kill closes the listener and all connections; the port is retained only in
-// s.addr.
+// Kill closes the listener and every connection it accepted, as a process
+// death would: http.Server.Close leaves hijacked connections — the proxy's
+// upgraded reach connections — open, so Kill closes those itself. The port
+// is retained only in s.addr.
 func (s *restartableShard) Kill() {
 	if s.srv == nil {
 		return
 	}
 	s.srv.Close()
+	s.ln.closeAll()
 	<-s.done
 	s.srv = nil
 }
@@ -208,32 +239,6 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	}
 }
 
-// hostLog is a shard transport that records the host of every data RPC
-// attempt (health probes excluded), in order.
-type hostLog struct {
-	base  http.RoundTripper
-	mu    sync.Mutex
-	hosts []string
-}
-
-func (l *hostLog) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.URL.Path != shardPathHealth {
-		l.mu.Lock()
-		l.hosts = append(l.hosts, r.URL.Host)
-		l.mu.Unlock()
-	}
-	return l.base.RoundTrip(r)
-}
-
-// take returns the hosts recorded since the last take.
-func (l *hostLog) take() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.hosts
-	l.hosts = nil
-	return out
-}
-
 // TestProxyFailsOverAcrossShards: every shard holds the whole world's
 // shares, so an estimate whose shard is dead is answered exactly by the next
 // shard in rotation order. Over a 3-shard topology with shard 1 killed,
@@ -252,15 +257,12 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 	const n = 3
 	shards := make([]*restartableShard, n)
 	urls := make([]string, n)
-	hosts := make([]string, n)
 	for i := range shards {
 		srv, _ := shardHandler(t, cfg, i, n)
 		shards[i] = startRestartableShard(t, srv)
 		urls[i] = shards[i].URL()
-		hosts[i] = strings.TrimPrefix(urls[i], "http://")
 	}
-	log := &hostLog{base: NewShardTransport()}
-	pc := ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Client: &http.Client{Transport: log}}
+	pc := ProxyConfig{MaxRetries: 1, Sleep: immediateSleep}
 	pc.Policy = PolicyRenormalize
 	renorm := newTestProxy(t, cfg, urls, pc)
 	pc.Policy = PolicyFail
@@ -283,17 +285,18 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 
 	// Estimate k's turn is shard k mod 3. Shard 1 refuses both attempts of
 	// estimate 1, which moves on to shard 2; estimate 4 skips the shard
-	// marked down without touching its wire.
-	for k, want := range [][]string{
-		{hosts[0]},
-		{hosts[1], hosts[1], hosts[2]},
-		{hosts[2]},
-		{hosts[0]},
-		{hosts[2]},
+	// marked down without touching its wire. The counts are RPCs per shard.
+	for k, want := range [][]int64{
+		{1, 0, 0},
+		{0, 2, 1},
+		{0, 0, 1},
+		{1, 0, 0},
+		{0, 0, 1},
 	} {
+		before := rpcCounts(renorm)
 		exact(renorm, fmt.Sprintf("renormalize estimate %d", k))
-		if got := log.take(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("renormalize estimate %d sent RPCs to %v, want %v", k, got, want)
+		if got := rpcDelta(renorm, before); !reflect.DeepEqual(got, want) {
+			t.Fatalf("renormalize estimate %d sent RPCs %v per shard, want %v", k, got, want)
 		}
 		if renorm.Degraded() != (k >= 1) {
 			t.Fatalf("renormalize estimate %d: Degraded = %v, want %v", k, renorm.Degraded(), k >= 1)
@@ -303,15 +306,15 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 	// Fail: estimate 0 is served, estimate 1 is refused naming shard 1, and
 	// estimate 2 — shard 2's turn — is refused before any RPC.
 	exact(failing, "fail-policy estimate 0")
-	log.take()
 	for k := 1; k <= 2; k++ {
+		before := rpcCounts(failing)
 		_, _, err := failing.ReachShares(ctx, f, clauses)
 		ue := wantErr[*UnavailableError](t, err)
 		if !reflect.DeepEqual(ue.Down, []string{urls[1]}) {
 			t.Fatalf("fail-policy estimate %d: UnavailableError names %v, want [%s]", k, ue.Down, urls[1])
 		}
-		if got := log.take(); k == 2 && len(got) != 0 {
-			t.Fatalf("fail-policy estimate 2 sent RPCs to %v after refusing", got)
+		if got := rpcDelta(failing, before); k == 2 && sum(got) != 0 {
+			t.Fatalf("fail-policy estimate 2 sent RPCs %v per shard after refusing", got)
 		}
 	}
 

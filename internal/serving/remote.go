@@ -12,23 +12,25 @@
 // `fbadsd -proxy "u0a|u0b,u1"`). Replicas of a shard are byte-identical
 // worlds by construction — shard models are share-calibrated pure functions
 // of (worldcfg.Config, range), and the per-replica health probes verify the
-// full identity (index/count/range/population/catalog) against the proxy's
-// own config — so routing between them never changes an answer. Per RPC the
-// proxy picks the preferred (lowest-index) live replica; on failure it fails
-// over to the next live replica, and with HedgeAfter armed it additionally
-// fires the SAME request at the next live replica once the hedge delay
-// elapses without an answer — first success wins and the losers' contexts
-// are canceled (their breakers see OnCanceled, not OnFailure). Only when
-// EVERY replica of the chosen shard fails does the degradation policy
+// full identity (index/count/range/population/catalog/world digest) against
+// the proxy's own config — so routing between them never changes an answer.
+// Per RPC the proxy picks the preferred (lowest-index) live replica; on
+// failure it fails over to the next live replica, and with HedgeAfter armed
+// it additionally fires the SAME request at the next live replica once the
+// hedge delay elapses without an answer — first success wins and the losers'
+// contexts are canceled (their breakers see OnCanceled, not OnFailure). Only
+// when EVERY replica of the chosen shard fails does the degradation policy
 // decide between trying the next shard and refusing.
 //
 // # Deadline propagation
 //
 // Every proxy query threads the caller's context end to end: retry backoff
 // sleeps select on it, each RPC attempt runs under min(caller deadline,
-// per-RPC timeout), and the remaining budget crosses the wire in an
-// X-Deadline-Ms header so a ShardServer abandons work whose caller has
-// already given up (responding 504, which the proxy treats as permanent).
+// per-RPC timeout), and the remaining budget crosses the wire — in an
+// X-Deadline-Ms header, or in a reach frame's header — so a ShardServer
+// abandons work whose caller has already given up (responding 504, which
+// the proxy treats as permanent). An attempt whose context ends closes its
+// framed connection.
 //
 // # Exactness
 //
@@ -64,17 +66,27 @@
 //
 // Every RPC and health probe of the default proxy client rides one
 // keep-alive transport (NewShardTransport) whose idle pool per replica host
-// covers the proxy's peak concurrent RPCs, so a reach estimate costs one
-// round trip on a connection that is already open.
+// covers the proxy's peak concurrent RPCs. A reach RPC over HTTP offers an
+// upgrade (Upgrade: reachProtocol); a ShardServer that can hijack the
+// connection answers 101 and the RPC's answer as the first frame, and the
+// proxy pools the connection, so later estimates are length-prefixed
+// frames that skip net/http at both ends. A request frame is the budget in
+// ms, the share body's length and the body; an answer frame is a 2-byte
+// status, Retry-After in seconds, the payload's length and the payload
+// (share bits on 200, the JSON error body otherwise) — numbers as uvarints.
+// A malformed frame closes the connection. A shard that cannot hijack (a
+// ResponseWriter wrapper without Hijack, an older build) answers over HTTP.
 package serving
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"net/http"
@@ -128,7 +140,7 @@ const shardIdleConnsPerHost = 256
 func NewShardTransport() *http.Transport {
 	return &http.Transport{
 		MaxIdleConnsPerHost: shardIdleConnsPerHost,
-		IdleConnTimeout:     90 * time.Second,
+		IdleConnTimeout:     shardIdleConnTimeout,
 	}
 }
 
@@ -144,8 +156,9 @@ type ShardHealthInfo struct {
 	// Population is the shard-local model population (Hi - Lo).
 	Population int64 `json:"population"`
 	// TotalPopulation is the whole topology's user base.
-	TotalPopulation int64 `json:"total_population"`
-	CatalogSize     int   `json:"catalog_size"`
+	TotalPopulation int64  `json:"total_population"`
+	CatalogSize     int    `json:"catalog_size"`
+	World           string `json:"world"` // worldDigest of the shard's config
 }
 
 // shardShareRequest is the request shared by the share endpoints; each
@@ -302,6 +315,20 @@ type ShardInfo struct {
 	Range ShardRange
 	// TotalPopulation is the whole topology's user base.
 	TotalPopulation int64
+	// World is the worldDigest of the shard's config.
+	World string
+}
+
+// worldDigest fingerprints every configuration field that changes a
+// shard's answers: the seed, catalog size, population, activity spread and
+// grid, and cache mode. Capacity, Disabled and Parallelism change no answer
+// and are left out. The health probe refuses a replica whose digest is not
+// the proxy's, so two replicas that pass serve the same world.
+func worldDigest(cfg worldcfg.Config) string {
+	pp := cfg.Population
+	h := fnv.New64a()
+	fmt.Fprintln(h, pp.Seed, pp.CatalogSize, pp.Population, math.Float64bits(pp.ActivitySigma), pp.ActivityGrid, uint8(cfg.Cache.Mode))
+	return strconv.FormatUint(h.Sum64(), 16)
 }
 
 // NewShardBackend builds the world of shard index of count from cfg — the
@@ -328,7 +355,7 @@ func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, Shar
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard %d: %w", index, err)
 	}
 	b := &LocalBackend{model: model, engine: cfg.NewEngine(model)}
-	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop}, nil
+	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop, World: worldDigest(cfg)}, nil
 }
 
 // ShardServer serves one shard's reach primitives over the shard RPC (binary
@@ -355,10 +382,9 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	s := &ShardServer{backend: b, info: info}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+shardPathHealth, s.handleHealth)
-	mux.HandleFunc("POST "+shardPathDemo, s.handleDemoShare)
-	mux.HandleFunc("POST "+shardPathUnion, s.handleUnionShare)
-	mux.HandleFunc("POST "+shardPathReach, s.handleReachShares)
-	mux.HandleFunc("POST "+shardPathConj, s.handleConjunctionShare)
+	for _, path := range []string{shardPathDemo, shardPathUnion, shardPathReach, shardPathConj} {
+		mux.HandleFunc("POST "+path, s.handleShare)
+	}
 	mux.HandleFunc("GET "+shardPathStats, s.handleStats)
 	mux.HandleFunc("POST "+shardPathWarm, s.handleWarmRows)
 	s.mux = mux
@@ -368,7 +394,7 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 // ServeHTTP implements http.Handler. A DeadlineHeader on the request scopes
 // its context to the forwarded budget, so the share handlers can abandon
 // work whose caller has stopped waiting (answering 504, see
-// deadlineExpired).
+// deadlineMessage).
 func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if raw := r.Header.Get(DeadlineHeader); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
@@ -383,18 +409,12 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// deadlineExpired reports — and answers 504 for — a request whose context
-// is already dead when its handler reaches the compute step: the caller
+// deadlineMessage is the 504 body's message for an RPC whose context is
+// already dead when its handler reaches the compute step: the caller
 // stopped waiting (forwarded deadline expired or connection dropped), so
-// evaluating the share is pure waste. The proxy treats the 504 as a
-// permanent RPC failure (no retry).
-func (s *ShardServer) deadlineExpired(w http.ResponseWriter, r *http.Request) bool {
-	if err := r.Context().Err(); err != nil {
-		s.writeError(w, http.StatusGatewayTimeout, "deadline exhausted before compute: "+err.Error())
-		return true
-	}
-	return false
-}
+// computing is pure waste. The proxy treats the 504 as a permanent RPC
+// failure (no retry).
+func deadlineMessage(err error) string { return "deadline exhausted before compute: " + err.Error() }
 
 // Backend exposes the shard's LocalBackend (test and wiring use).
 func (s *ShardServer) Backend() *LocalBackend { return s.backend }
@@ -412,61 +432,61 @@ func (s *ShardServer) writeJSON(w http.ResponseWriter, v any) {
 	w.Write(buf)
 }
 
-// writeShares answers 200 with each share's IEEE-754 bits, 8 bytes
-// little-endian per share.
-func (s *ShardServer) writeShares(w http.ResponseWriter, shares ...float64) {
-	buf := make([]byte, 0, 8*len(shares))
+// appendShares appends each share's IEEE-754 bits, 8 bytes little-endian
+// per share: a share RPC's 200 answer.
+func appendShares(b []byte, shares ...float64) []byte {
 	for _, v := range shares {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf)
+	return b
 }
 
-func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) {
+// errorBody is a non-200 answer's JSON body.
+func errorBody(msg string) []byte {
 	var body shardErrorBody
 	body.Error.Message = msg
 	buf, _ := json.Marshal(body)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf)
+	return buf
 }
 
-// decodeShareRequest reads and validates a share-request body: at most
-// maxShareBody bytes, exactly one binary request (decodeShareBody) with
-// nothing after it, and every interest ID present in the shard's catalog.
-func (s *ShardServer) decodeShareRequest(w http.ResponseWriter, r *http.Request) (shardShareRequest, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShareBody))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return shardShareRequest{}, false
+// writeAnswer answers over HTTP: share bits on 200, else an error body.
+func writeAnswer(w http.ResponseWriter, status int, payload []byte) {
+	ct := "application/json"
+	if status == http.StatusOK {
+		ct = "application/octet-stream"
 	}
+	w.Header().Set("Content-Type", ct)
+	w.WriteHeader(status)
+	w.Write(payload)
+}
+
+func (s *ShardServer) writeError(w http.ResponseWriter, status int, msg string) {
+	writeAnswer(w, status, errorBody(msg))
+}
+
+// parseShareBody validates a share-request body: exactly one binary request
+// (decodeShareBody) with nothing after it, and every interest ID present in
+// the shard's catalog. Its error is the 400's message.
+func (s *ShardServer) parseShareBody(body []byte) (shardShareRequest, error) {
 	req, err := decodeShareBody(body)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return req, false
+		return req, fmt.Errorf("malformed request body: %w", err)
 	}
 	cat := s.backend.Catalog()
-	check := func(id interest.ID) bool {
-		if _, err := cat.Get(id); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown interest %d", id))
-			return false
-		}
-		return true
-	}
-	for _, clause := range req.Clauses {
-		for _, id := range clause {
-			if !check(id) {
-				return req, false
+	known := func(ids []interest.ID) error {
+		for _, id := range ids {
+			if _, err := cat.Get(id); err != nil {
+				return fmt.Errorf("unknown interest %d", id)
 			}
 		}
+		return nil
 	}
-	for _, id := range req.IDs {
-		if !check(id) {
-			return req, false
+	for _, clause := range req.Clauses {
+		if err := known(clause); err != nil {
+			return req, err
 		}
 	}
-	return req, true
+	return req, known(req.IDs)
 }
 
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -479,51 +499,54 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Population:      s.backend.Population(),
 		TotalPopulation: s.info.TotalPopulation,
 		CatalogSize:     s.backend.Catalog().Len(),
+		World:           s.info.World,
 	})
 }
 
-func (s *ShardServer) handleDemoShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
-		return
+// shareAnswer answers one share RPC body of path, whichever envelope
+// carried it: 200 with the shares' bits, 400 for a body parseShareBody
+// refuses, or 504 when ctx ended before compute. The fused reachshares RPC
+// answers both factors of one estimate from the same engine calls, in the
+// same order, as the demoshare and unionshare RPCs.
+func (s *ShardServer) shareAnswer(ctx context.Context, path string, body []byte) (int, []byte) {
+	req, err := s.parseShareBody(body)
+	if err != nil {
+		return http.StatusBadRequest, errorBody(err.Error())
+	}
+	if err := ctx.Err(); err != nil {
+		return http.StatusGatewayTimeout, errorBody(deadlineMessage(err))
 	}
 	var f population.DemoFilter
 	if req.Filter != nil {
 		f = *req.Filter
 	}
-	s.writeShares(w, s.backend.DemoShare(r.Context(), f))
+	out := make([]byte, 0, 16)
+	switch path {
+	case shardPathDemo:
+		return http.StatusOK, appendShares(out, s.backend.DemoShare(ctx, f))
+	case shardPathUnion:
+		return http.StatusOK, appendShares(out, s.backend.UnionShare(ctx, req.Clauses))
+	case shardPathConj:
+		return http.StatusOK, appendShares(out, s.backend.Engine().ConjunctionShare(req.IDs))
+	}
+	demo, union, _ := s.backend.ReachShares(ctx, f, req.Clauses) // a LocalBackend never fails
+	return http.StatusOK, appendShares(out, demo, union)
 }
 
-func (s *ShardServer) handleUnionShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
+// handleShare serves a share RPC over HTTP, reading at most maxShareBody
+// bytes. A reach RPC offering the frame upgrade gets its answer as the
+// first frame when the connection can be hijacked.
+func (s *ShardServer) handleShare(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShareBody))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	s.writeShares(w, s.backend.UnionShare(r.Context(), req.Clauses))
-}
-
-// handleReachShares serves the fused RPC: both factors of one reach
-// estimate, from the same engine calls, in the same order, as the two
-// single-share endpoints.
-func (s *ShardServer) handleReachShares(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
+	status, payload := s.shareAnswer(r.Context(), r.URL.Path, body)
+	if r.URL.Path == shardPathReach && r.Header.Get("Upgrade") == reachProtocol && s.upgrade(w, r, status, payload) {
 		return
 	}
-	var f population.DemoFilter
-	if req.Filter != nil {
-		f = *req.Filter
-	}
-	demo, union, _ := s.backend.ReachShares(r.Context(), f, req.Clauses) // a LocalBackend never fails
-	s.writeShares(w, demo, union)
-}
-
-func (s *ShardServer) handleConjunctionShare(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeShareRequest(w, r)
-	if !ok || s.deadlineExpired(w, r) {
-		return
-	}
-	s.writeShares(w, s.backend.Engine().ConjunctionShare(req.IDs))
+	writeAnswer(w, status, payload)
 }
 
 func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -531,7 +554,8 @@ func (s *ShardServer) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *ShardServer) handleWarmRows(w http.ResponseWriter, r *http.Request) {
-	if s.deadlineExpired(w, r) {
+	if err := r.Context().Err(); err != nil {
+		s.writeError(w, http.StatusGatewayTimeout, deadlineMessage(err))
 		return
 	}
 	s.backend.WarmRows(r.Context())
@@ -568,8 +592,8 @@ type ProxyConfig struct {
 	// Shards is the replicated topology: Shards[i] lists the base URLs of
 	// the replicas serving shard i of len(Shards), preference order first.
 	// All replicas of a shard must serve the byte-identical shard world
-	// (same index/count/range/population/catalog — ProbeNow verifies each
-	// replica independently against the proxy's config).
+	// (same index/count/range/population/catalog/world digest — ProbeNow
+	// verifies each replica independently against the proxy's config).
 	Shards [][]string
 	// Timeout bounds each shard RPC attempt (default 10s).
 	Timeout time.Duration
@@ -613,7 +637,9 @@ type ProxyConfig struct {
 	Breaker BreakerConfig
 	// Client overrides the HTTP client — tests inject flaky transports
 	// through it. Nil uses a client over NewShardTransport (per-request
-	// contexts carry the timeouts).
+	// contexts carry the timeouts). A reach RPC uses it until its connection
+	// upgrades to frames, which bypass it; a transport that disables
+	// keep-alives is offered no upgrade.
 	Client *http.Client
 	// Now supplies time for health bookkeeping; defaults to time.Now.
 	Now func() time.Time
@@ -645,6 +671,7 @@ type ProxyConfig struct {
 type ProxyBackend struct {
 	catalog *interest.Catalog
 	pop     int64
+	world   string // worldDigest of the proxy's config
 	shards  [][]string
 	ranges  []ShardRange
 	turn    rotation
@@ -663,6 +690,8 @@ type ProxyBackend struct {
 
 	health   *healthMonitor
 	breakers [][]*breaker
+	frames   [][]framePool    // each replica's idle upgraded connections
+	rpcs     [][]atomic.Int64 // data-RPC attempts per replica
 
 	hedged          atomic.Int64
 	hedgeWins       atomic.Int64
@@ -763,16 +792,27 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	if pc.Breaker.Now == nil {
 		pc.Breaker.Now = pc.Now
 	}
+	// Without keep-alives, replicas get nil frame pools, which offer no upgrade.
+	t, ok := pc.Client.Transport.(*http.Transport)
+	keepAlive := !ok || !t.DisableKeepAlives
 	breakers := make([][]*breaker, n)
+	frames := make([][]framePool, n)
+	rpcs := make([][]atomic.Int64, n)
 	for i := range breakers {
 		breakers[i] = make([]*breaker, len(shards[i]))
+		frames[i] = make([]framePool, len(shards[i]))
+		rpcs[i] = make([]atomic.Int64, len(shards[i]))
 		for r := range breakers[i] {
 			breakers[i][r] = newBreaker(pc.Breaker)
+			if keepAlive {
+				frames[i][r] = make(framePool, shardIdleConnsPerHost)
+			}
 		}
 	}
 	return &ProxyBackend{
 		catalog:       cat,
 		pop:           pop,
+		world:         worldDigest(cfg),
 		shards:        shards,
 		ranges:        ranges,
 		timeout:       pc.Timeout,
@@ -788,6 +828,8 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		sleep:         pc.Sleep,
 		health:        newHealthMonitor(shards, pc.Now),
 		breakers:      breakers,
+		frames:        frames,
+		rpcs:          rpcs,
 	}, nil
 }
 
@@ -1122,7 +1164,6 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 // (refused, reset, timed out), that failure is already proof the replica is gone, so
 // it still marks the replica down: a race loser must not discard it.
 func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	url := p.shards[shard][replica] + path
 	var lastErr error
 	var serverWait time.Duration // Retry-After from the last failed attempt
 	var unreachable error        // the last attempt's transport failure, if it had one
@@ -1151,14 +1192,16 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				return abandon(err)
 			}
 		}
-		data, status, header, err := p.roundTrip(ctx, method, url, body)
+		data, status, retryAfter, err := p.attempt(ctx, shard, replica, method, path, body)
 		if err != nil {
+			if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+				lastErr, unreachable, serverWait = err, err, 0
+			}
 			if ctx.Err() != nil {
-				// The caller is gone: retrying can only waste shard work.
+				// The caller is gone: retrying can only waste shard work. A
+				// failure that came before the cancel still counts above.
 				return abandon(err)
 			}
-			lastErr, unreachable = err, err
-			serverWait = 0
 			continue
 		}
 		unreachable = nil
@@ -1169,7 +1212,7 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				shard, path, status, truncate(data))
 		case status >= 500 || status == http.StatusTooManyRequests:
 			lastErr = fmt.Errorf("HTTP %d: %s", status, truncate(data))
-			serverWait = ParseRetryAfter(header.Get("Retry-After"))
+			serverWait = retryAfter
 			continue
 		case status != http.StatusOK:
 			var eb shardErrorBody
@@ -1208,40 +1251,78 @@ func ParseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// roundTrip performs one HTTP attempt under min(caller deadline, per-RPC
+// attempt performs one RPC attempt under min(caller deadline, per-RPC
 // timeout) — context.WithTimeout never extends an earlier parent deadline —
-// and forwards the remaining budget to the shard as the DeadlineHeader.
-func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body []byte) ([]byte, int, http.Header, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.timeout)
+// and forwards the remaining budget. A reach RPC goes as a frame on a
+// pooled upgraded connection when the replica has one, and otherwise as an
+// HTTP round trip offering the upgrade. It returns the answer's body,
+// status and Retry-After.
+func (p *ProxyBackend) attempt(ctx context.Context, shard, replica int, method, path string, body []byte) ([]byte, int, time.Duration, error) {
+	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
+	d, _ := ctx.Deadline()
+	budget := max(time.Until(d).Milliseconds(), 1)
+	p.rpcs[shard][replica].Add(1)
+	var pool framePool
+	if path == shardPathReach {
+		pool = p.frames[shard][replica]
+		if c := pool.get(); c != nil {
+			c.frame = appendRequestFrame(c.frame[:0], budget, body)
+			data, status, retryAfter, err := c.exchange(ctx, pool, c.frame)
+			if !errors.Is(err, errStaleConn) {
+				return data, status, retryAfter, err
+			}
+			// The shard closed the idle connection, so the RPC never reached
+			// it: re-send it once on a fresh connection, as net/http re-sends
+			// an idempotent request. This attempt debits no retry for it.
+		}
+	}
+	return p.roundTrip(ctx, method, p.shards[shard][replica]+path, body, budget, pool)
+}
+
+// roundTrip performs one HTTP RPC under ctx, forwarding budget (ms) as the
+// DeadlineHeader. With a pool it offers the reach-frame upgrade: a shard
+// answering 101 sends the answer as the first frame, and the connection
+// joins the pool.
+func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body []byte, budget int64, pool framePool) ([]byte, int, time.Duration, error) {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(rctx, method, url, rdr)
+	req, err := http.NewRequestWithContext(ctx, method, url, rdr)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
-	if d, ok := rctx.Deadline(); ok {
-		ms := time.Until(d).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+	req.Header.Set(DeadlineHeader, strconv.FormatInt(budget, 10))
+	if pool != nil {
+		req.Header.Set("Connection", "Upgrade")
+		req.Header.Set("Upgrade", reachProtocol)
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if resp.StatusCode == http.StatusSwitchingProtocols {
+		rwc, ok := resp.Body.(io.ReadWriteCloser)
+		if !ok || pool == nil || resp.Header.Get("Upgrade") != reachProtocol {
+			resp.Body.Close()
+			return nil, 0, 0, fmt.Errorf("serving: unexpected upgrade to %q", resp.Header.Get("Upgrade"))
+		}
+		return (&frameConn{rwc: rwc, br: bufio.NewReader(rwc)}).exchange(ctx, pool, nil)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBody))
 	resp.Body.Close()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, 0, err
 	}
-	return data, resp.StatusCode, resp.Header, nil
+	var retryAfter time.Duration
+	if h := resp.Header.Get("Retry-After"); h != "" {
+		retryAfter = ParseRetryAfter(h)
+	}
+	return data, resp.StatusCode, retryAfter, nil
 }
 
 func truncate(b []byte) string {

@@ -95,8 +95,8 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 // This is the whole exactness argument for the topology: every shard's
 // shares are the single world's and survive the JSON hop exactly, so the
 // answer is independent of WHICH shard, and which replica of it, answers.
-// A counting transport sees one reach-shares RPC per estimate at one
-// replica (with two, hedges duplicate RPCs on purpose).
+// HealthStats' per-replica RPC counts see one reach-shares RPC per estimate
+// at one replica (with two, hedges duplicate RPCs on purpose).
 //
 // The full robustness stack is deliberately LIVE while the property runs —
 // per-replica circuit breakers at their twitchiest (threshold 1) on the
@@ -127,11 +127,9 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 							Cost: func(r *http.Request) (float64, *http.Request) { return 2, r },
 						}, h))
 				})
-				ct := &countingTransport{base: NewShardTransport(), calls: map[string]map[string]int{}}
 				pc := ProxyConfig{
 					Shards:  topo,
 					Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
-					Client:  &http.Client{Transport: ct},
 				}
 				if replicas > 1 {
 					// Hedge essentially immediately: the injected Sleep makes
@@ -158,12 +156,12 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 						t.Fatalf("seed %d shards=%d replicas=%d trial %d: proxy DemoShare = %v, sharded %v — must be byte-identical",
 							seed, shards, replicas, trial, got, want)
 					}
-					before := ct.total()
+					before := rpcCounts(proxy)
 					gotD, gotU, err := proxy.ReachShares(context.Background(), f, clauses)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if rpcs := ct.total() - before; replicas == 1 && rpcs != 1 {
+					if rpcs := sum(rpcDelta(proxy, before)); replicas == 1 && rpcs != 1 {
 						t.Fatalf("seed %d shards=%d trial %d: estimate took %d RPCs, want 1",
 							seed, shards, trial, rpcs)
 					}

@@ -446,6 +446,58 @@ func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 	}
 }
 
+// TestProbeRejectsOtherSeedReplica: a replica built with Seed+1 passes
+// every structural check — index, count, range, catalog size, total
+// population — yet serves another world's shares. The world digest refuses
+// it: the probe marks it down, and no estimate reaches it although it is
+// the preferred replica, so every answer is the proxy's world's. A replica
+// differing only in fields that change no answer (cache capacity,
+// Disabled, Parallelism) passes.
+func TestProbeRejectsOtherSeedReplica(t *testing.T) {
+	cfg := smallConfig(1)
+	ctx := context.Background()
+	good, b0 := shardHandler(t, cfg, 0, 1)
+	otherSeed := cfg
+	otherSeed.Population.Seed++
+	bad, b1 := shardHandler(t, otherSeed, 0, 1)
+	f := population.DemoFilter{Countries: []string{"US"}}
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	wantD, wantU, _ := b0.ReachShares(ctx, f, clauses) // a LocalBackend never fails
+	if _, u, _ := b1.ReachShares(ctx, f, clauses); u == wantU {
+		t.Fatalf("seeds %d and %d give the same union share %v", cfg.Population.Seed, otherSeed.Population.Seed, u)
+	}
+	goodTS, badTS := httptest.NewServer(good), httptest.NewServer(bad)
+	t.Cleanup(goodTS.Close)
+	t.Cleanup(badTS.Close)
+	proxy := newTestProxy(t, cfg, nil, ProxyConfig{Shards: [][]string{{badTS.URL, goodTS.URL}}})
+	proxy.ProbeNow(ctx)
+	if st := proxy.HealthStats(); st.Shards[0].Up || !strings.Contains(st.Shards[0].LastError, "world digest") || !st.Shards[1].Up {
+		t.Fatalf("the Seed+1 replica should be the one down, on its world digest: %+v", st.Shards)
+	}
+	for k := 0; k < 5; k++ {
+		demo, union, err := proxy.ReachShares(ctx, f, clauses)
+		if err != nil || demo != wantD || union != wantU {
+			t.Fatalf("estimate %d = (%v, %v, %v), want the proxy world's (%v, %v)", k, demo, union, err, wantD, wantU)
+		}
+	}
+	if n := proxy.HealthStats().Shards[0].RPCs; n != 0 {
+		t.Fatalf("%d estimates reached the Seed+1 replica", n)
+	}
+
+	harmless := cfg
+	harmless.Cache.Capacity = 7
+	harmless.Cache.Disabled = true
+	harmless.Parallelism = 3
+	same, _ := shardHandler(t, harmless, 0, 1)
+	sameTS := httptest.NewServer(same)
+	t.Cleanup(sameTS.Close)
+	proxy2 := newTestProxy(t, cfg, []string{sameTS.URL}, ProxyConfig{})
+	proxy2.ProbeNow(ctx)
+	if st := proxy2.HealthStats(); st.Down != 0 {
+		t.Fatalf("a replica differing only in answer-neutral fields was refused: %+v", st.Shards)
+	}
+}
+
 // TestProxyHonorsShardRetryAfter: a shard advertising Retry-After (the
 // concurrency gate's load-shed 503, the admission tier's 429) overrides the
 // proxy's own backoff schedule — and the advertised wait is capped by the

@@ -15,35 +15,58 @@ import (
 	"nanotarget/internal/rng"
 )
 
-// countingTransport counts round trips by URL host and path.
-type countingTransport struct {
-	base  http.RoundTripper
-	mu    sync.Mutex
-	calls map[string]map[string]int // host -> path -> round trips
-}
-
-func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	c.mu.Lock()
-	if c.calls[r.URL.Host] == nil {
-		c.calls[r.URL.Host] = map[string]int{}
+// rpcCounts is each replica's data-RPC count, in HealthStats row order.
+func rpcCounts(p *ProxyBackend) []int64 {
+	var n []int64
+	for _, sh := range p.HealthStats().Shards {
+		n = append(n, sh.RPCs)
 	}
-	c.calls[r.URL.Host][r.URL.Path]++
-	c.mu.Unlock()
-	return c.base.RoundTrip(r)
+	return n
 }
 
-// countingListener counts the connections a server accepts.
+// rpcDelta is the data RPCs each replica received since before.
+func rpcDelta(p *ProxyBackend, before []int64) []int64 {
+	after := rpcCounts(p)
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
+// sum totals counts.
+func sum(counts []int64) int64 {
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
+// countingListener counts the connections a server accepts and, of those,
+// the ones the server has closed.
 type countingListener struct {
 	net.Listener
-	accepted atomic.Int64
+	accepted, closed atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if err == nil {
-		l.accepted.Add(1)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	l.accepted.Add(1)
+	return &closeCountingConn{Conn: c, closed: &l.closed}, nil
+}
+
+type closeCountingConn struct {
+	net.Conn
+	closed *atomic.Int64
+	once   sync.Once
+}
+
+func (c *closeCountingConn) Close() error {
+	c.once.Do(func() { c.closed.Add(1) })
+	return c.Conn.Close()
 }
 
 // holdFirst returns middleware that makes the first n requests, across
@@ -73,24 +96,11 @@ func holdFirst(n int) func(http.Handler) http.Handler {
 	}
 }
 
-// total is the number of round trips counted so far.
-func (c *countingTransport) total() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, paths := range c.calls {
-		for _, k := range paths {
-			n += k
-		}
-	}
-	return n
-}
-
 // TestReachSharesOneRPCPerShard: a reach estimate is ONE data RPC — the
 // fused reach-shares RPC to one shard — and rotation hands every shard the
 // same number of them: over N·k estimates each of the N shards serves
-// exactly k. Round trips are counted by a RoundTripper injected through
-// ProxyConfig.Client, and every answer is LocalBackend's.
+// exactly k. RPCs are counted by HealthStats' per-replica RPCs, which see
+// framed and HTTP attempts alike, and every answer is LocalBackend's.
 func TestReachSharesOneRPCPerShard(t *testing.T) {
 	cfg := smallConfig(1)
 	const shards, perShard = 3, 10
@@ -99,17 +109,16 @@ func TestReachSharesOneRPCPerShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := startShardTopology(t, cfg, shards)
-	ct := &countingTransport{base: NewShardTransport(), calls: map[string]map[string]int{}}
-	proxy := newTestProxy(t, cfg, urls, ProxyConfig{Client: &http.Client{Transport: ct}})
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{})
 	r := rng.New(1).Derive(t.Name())
 	for k := 0; k < shards*perShard; k++ {
 		f, clauses := randomFilter(r), randomClauses(r, cfg.Population.CatalogSize)
-		before := ct.total()
+		before := rpcCounts(proxy)
 		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := ct.total() - before; n != 1 {
+		if n := sum(rpcDelta(proxy, before)); n != 1 {
 			t.Fatalf("estimate %d took %d RPCs, want 1", k, n)
 		}
 		wantD, wantU, _ := local.ReachShares(context.Background(), f, clauses) // a LocalBackend never fails
@@ -117,13 +126,10 @@ func TestReachSharesOneRPCPerShard(t *testing.T) {
 			t.Fatalf("estimate %d = (%v, %v), LocalBackend (%v, %v)", k, demo, union, wantD, wantU)
 		}
 	}
-	if len(ct.calls) != shards {
-		t.Fatalf("RPCs reached %d hosts, want %d: %v", len(ct.calls), shards, ct.calls)
-	}
-	for host, paths := range ct.calls {
-		if len(paths) != 1 || paths[shardPathReach] != perShard {
-			t.Fatalf("shard %s served %v over %d estimates, want exactly %d %s RPCs",
-				host, paths, shards*perShard, perShard, shardPathReach)
+	for i, n := range rpcCounts(proxy) {
+		if n != perShard {
+			t.Fatalf("shard %d served %d RPCs over %d estimates, want exactly %d",
+				i, n, shards*perShard, perShard)
 		}
 	}
 }
@@ -131,9 +137,11 @@ func TestReachSharesOneRPCPerShard(t *testing.T) {
 // TestDefaultProxyClientReusesConnections: through the default proxy client,
 // 8 concurrent callers × 200 estimates open at most 8 connections per shard
 // — no more than the RPCs that can be in flight to it at once, each kept
-// alive across estimates — counted at each shard's listener. The pooled
-// transport is what bounds it: a pool of 2 idle connections per host closes
-// and re-dials most of them. The callers' first estimates are held until all
+// alive across estimates — counted at each shard's listener. The pools are
+// what bound it: the first estimate on each connection upgrades it to reach
+// frames, and the proxy's per-replica frame pool (like the transport's idle
+// pool, shardIdleConnsPerHost deep) hands it back; a pool of 2 would close
+// and re-dial most of them. The callers' first estimates are held until all
 // have arrived, across both shards (holdFirst), which makes the bound exact
 // rather than subject to the transport's start-up hand-off.
 func TestDefaultProxyClientReusesConnections(t *testing.T) {
@@ -241,6 +249,6 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 // binaryShares is a share RPC's 200 body carrying shares.
 func binaryShares(shares ...float64) []byte {
 	rec := httptest.NewRecorder()
-	(&ShardServer{}).writeShares(rec, shares...)
+	writeAnswer(rec, http.StatusOK, appendShares(nil, shares...))
 	return rec.Body.Bytes()
 }
