@@ -5,7 +5,7 @@
 // pattern). It is a client only: -url names the server to flood, and
 // -catalog must match that server's catalog. It reports p50/p95/p99
 // latency, sustained throughput, the admission/shed/rate-limit/deadline
-// split and, against a shard proxy, the proxy's replica health.
+// split and, against a replica proxy, the proxy's replica health.
 //
 //	fbadsd -addr :8080 &
 //	fbadsload -url http://localhost:8080 -accounts 400 -probes 10 -json run.json
@@ -94,7 +94,7 @@ func main() {
 			loadgen.Result
 			// Health is the proxy's replica-level view after the run
 			// (hedge and failover tallies included); absent when the
-			// target backend is not a shard proxy.
+			// target backend is not a replica proxy.
 			Health *serving.HealthStats `json:"serving_health,omitempty"`
 		}{res, health},
 	}
@@ -118,12 +118,8 @@ func main() {
 
 func printRun(res loadgen.Result, target string) {
 	fmt.Printf("against %s\n", target)
-	degraded := ""
-	if res.Degraded > 0 {
-		degraded = fmt.Sprintf(" (%d degraded)", res.Degraded)
-	}
-	fmt.Printf("  %d requests in %v: %d ok%s, %d admission-rejected (429), %d shed (503), %d rate-limited (code 17), %d deadline-exceeded, %d errors\n",
-		res.Requests, res.Duration.Round(time.Millisecond), res.OK, degraded, res.Rejected, res.Shed, res.RateLimited, res.DeadlineExceeded, res.Errors)
+	fmt.Printf("  %d requests in %v: %d ok, %d admission-rejected (429), %d shed (503), %d rate-limited (code 17), %d deadline-exceeded, %d errors\n",
+		res.Requests, res.Duration.Round(time.Millisecond), res.OK, res.Rejected, res.Shed, res.RateLimited, res.DeadlineExceeded, res.Errors)
 	fmt.Printf("  throughput %.1f req/s, latency p50 %.2fms p95 %.2fms p99 %.2fms\n",
 		res.Throughput, res.P50Ms, res.P95Ms, res.P99Ms)
 }

@@ -19,8 +19,8 @@ import (
 	"nanotarget/internal/worldcfg"
 )
 
-// proxyWorld is the e2e test world: small enough to build four shard models
-// in test time.
+// proxyWorld is the e2e test world: small enough to build its replicas in
+// test time.
 func proxyWorld() worldcfg.Config {
 	cfg := worldcfg.Default()
 	cfg.Population.Seed = 7
@@ -30,16 +30,17 @@ func proxyWorld() worldcfg.Config {
 	return cfg
 }
 
-// shardProcess is a shard on an httptest server whose Close is a process
-// death. httptest's Close leaves hijacked connections open, and the proxy's
-// upgraded reach connections are hijacked, so Close closes those too.
-type shardProcess struct {
+// replicaProcess is a replica on an httptest server whose Close is a
+// process death. httptest's Close leaves hijacked connections open, and the
+// proxy's upgraded reach connections are hijacked, so Close closes those
+// too.
+type replicaProcess struct {
 	*httptest.Server
 	mu       sync.Mutex
 	hijacked []net.Conn
 }
 
-func (s *shardProcess) Close() {
+func (s *replicaProcess) Close() {
 	s.Server.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -49,14 +50,14 @@ func (s *shardProcess) Close() {
 	s.hijacked = nil
 }
 
-// startShards boots the 2-shard RPC topology of cfg on httptest servers
-// and returns their base URLs and servers in shard order.
-func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*shardProcess) {
+// startReplicas boots two whole-world replica RPC servers of cfg on
+// httptest servers and returns their base URLs and servers.
+func startReplicas(t *testing.T, cfg worldcfg.Config) ([]string, []*replicaProcess) {
 	t.Helper()
-	var shardServers []*shardProcess
+	var replicas []*replicaProcess
 	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		b, info, err := serving.NewShardBackend(cfg, i, 2)
+	for i := range urls {
+		b, info, err := serving.NewShardBackend(cfg, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*shardProcess) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := &shardProcess{Server: httptest.NewUnstartedServer(srv)}
+		ts := &replicaProcess{Server: httptest.NewUnstartedServer(srv)}
 		ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
 			if state == http.StateHijacked {
 				ts.mu.Lock()
@@ -74,10 +75,10 @@ func startShards(t *testing.T, cfg worldcfg.Config) ([]string, []*shardProcess) 
 		}
 		ts.Start()
 		t.Cleanup(ts.Close)
-		shardServers = append(shardServers, ts)
+		replicas = append(replicas, ts)
 		urls[i] = ts.URL
 	}
-	return urls, shardServers
+	return urls, replicas
 }
 
 // startAPI mounts the Marketing API server on a proxy over cfg's world and
@@ -88,131 +89,102 @@ func startAPI(t *testing.T, cfg worldcfg.Config, pc serving.ProxyConfig) (string
 	if err != nil {
 		t.Fatal(err)
 	}
-	api, err := NewServer(ServerConfig{Backend: proxy})
+	return serveAPI(t, proxy), proxy
+}
+
+// serveAPI mounts the Marketing API server on backend and returns its base
+// URL.
+func serveAPI(t *testing.T, backend serving.ReachBackend) string {
+	t.Helper()
+	api, err := NewServer(ServerConfig{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(api)
 	t.Cleanup(ts.Close)
-	return ts.URL, proxy
+	return ts.URL
 }
 
-// startProxyAPI boots a 2-shard RPC topology, fronts it with a ProxyBackend
-// under the given policy, and mounts the Marketing API server on it. It
-// returns the API base URL and the second shard's httptest server (the one
-// the tests kill).
-func startProxyAPI(t *testing.T, policy serving.Policy) (string, *shardProcess, *serving.ProxyBackend) {
+// startProxyAPI boots two whole-world replicas of the test world, fronts
+// them with a ProxyBackend and mounts the Marketing API server on it. It
+// returns the API base URL and the replicas in proxy order.
+func startProxyAPI(t *testing.T) (string, []*replicaProcess) {
 	t.Helper()
 	cfg := proxyWorld()
-	urls, shardServers := startShards(t, cfg)
-	base, proxy := startAPI(t, cfg, serving.ProxyConfig{
-		URLs: urls, Policy: policy, MaxRetries: 1, RetryBase: time.Millisecond,
+	urls, replicas := startReplicas(t, cfg)
+	base, _ := startAPI(t, cfg, serving.ProxyConfig{
+		URLs: urls, MaxRetries: 1, RetryBase: time.Millisecond,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
 	})
-	return base, shardServers[1], proxy
+	return base, replicas
 }
 
 // TestServerOverProxyRenormalize: the API keeps answering through a proxy
-// that lost a shard under the renormalize policy — the healthy answer, since
-// every shard holds the whole world's shares — and stamps those responses
-// "degraded": true (healthy responses omit the field).
+// that lost one of its two replicas — the healthy body, byte for byte,
+// since every replica holds the whole world's shares — and a reach
+// response is only ever {"data": …}: nothing marks a failover.
 func TestServerOverProxyRenormalize(t *testing.T) {
-	base, shard1, proxy := startProxyAPI(t, serving.PolicyRenormalize)
-	c, err := NewClient(ClientConfig{BaseURL: base, MaxRetries: 1,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	base, replicas := startProxyAPI(t)
 	spec := ConjunctionSpec(es(), nil)
-	healthy, err := c.ReachEstimate(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healthy <= 0 {
-		t.Fatalf("healthy reach %d", healthy)
-	}
-	raw := fetchReachBody(t, base, spec)
-	if strings.Contains(string(raw), `"degraded"`) {
-		t.Fatalf("healthy response carries a degraded stamp: %s", raw)
+	healthy := fetchReachBody(t, base, spec)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(healthy, &fields); err != nil || len(fields) != 1 || fields["data"] == nil {
+		t.Fatalf("reach response %s: want exactly the data field (err %v)", healthy, err)
 	}
 
-	shard1.Close()
-	// Shard 1's death surfaces on its first turn, within one estimate per
-	// shard; the estimate fails over to shard 0.
+	replicas[1].Close()
+	// Replica 1's death surfaces on its first turn, within one estimate per
+	// replica; that estimate fails over to replica 0.
 	for k := 0; k < 2; k++ {
-		degraded, err := c.ReachEstimate(context.Background(), spec)
-		if err != nil {
-			t.Fatalf("renormalize proxy stopped answering with one shard down: %v", err)
+		if got := fetchReachBody(t, base, spec); string(got) != string(healthy) {
+			t.Fatalf("estimate %d with replica 1 down = %s, want the healthy %s", k, got, healthy)
 		}
-		if degraded != healthy {
-			t.Fatalf("estimate %d with shard 1 down = %d, want the healthy %d", k, degraded, healthy)
-		}
-	}
-	if !proxy.Degraded() {
-		t.Fatal("proxy not degraded after losing a shard")
-	}
-	raw = fetchReachBody(t, base, spec)
-	var resp struct {
-		Data     ReachEstimate `json:"data"`
-		Degraded bool          `json:"degraded"`
-	}
-	if err := json.Unmarshal(raw, &resp); err != nil || !resp.Degraded {
-		t.Fatalf("degraded response not stamped: %s (err %v)", raw, err)
-	}
-	if resp.Data.Users != healthy {
-		t.Fatalf("stamped response reach %d, want the healthy %d", resp.Data.Users, healthy)
 	}
 }
 
-// TestServerOverProxyFail: under the fail policy a down shard turns API
-// requests into 503s whose JSON body names the dead shard's URL — from the
-// first request routed to it, which is one of the next two, and on every
-// request after.
+// TestServerOverProxyFail: once every replica is down there is nothing to
+// fail over to, and API requests turn into 503s whose JSON body names every
+// replica's URL.
 func TestServerOverProxyFail(t *testing.T) {
-	base, shard1, _ := startProxyAPI(t, serving.PolicyFail)
+	base, replicas := startProxyAPI(t)
 	spec := ConjunctionSpec(es(), nil)
-
-	// Healthy: normal service.
-	if status, _ := rawReach(t, base, spec); status != http.StatusOK {
-		t.Fatalf("healthy topology: HTTP %d", status)
+	if status, body := rawReach(t, base, spec); status != http.StatusOK {
+		t.Fatalf("healthy topology: HTTP %d (body %s)", status, body)
 	}
 
-	shard1.Close()
-	status, body := rawReach(t, base, spec)
-	if status == http.StatusOK {
-		// Shard 0's turn: served. The next request is shard 1's.
-		status, body = rawReach(t, base, spec)
-	}
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("fail policy with a dead shard: HTTP %d, want 503 (body %s)", status, body)
+	for _, r := range replicas {
+		r.Close()
 	}
 	for k := 0; k < 2; k++ {
-		if again, _ := rawReach(t, base, spec); again != http.StatusServiceUnavailable {
-			t.Fatalf("request %d after the 503: HTTP %d, want 503 until a probe revives the shard", k, again)
+		status, body := rawReach(t, base, spec)
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("request %d with every replica down: HTTP %d, want 503 (body %s)", k, status, body)
 		}
-	}
-	var env errorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
-		t.Fatalf("503 body is not an error envelope: %s", body)
-	}
-	if env.Error.Code != CodeServiceUnavailable {
-		t.Fatalf("503 error code %d, want %d", env.Error.Code, CodeServiceUnavailable)
-	}
-	if !strings.Contains(env.Error.Message, shard1.URL) {
-		t.Fatalf("503 body %q does not name the dead shard %s", env.Error.Message, shard1.URL)
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
+			t.Fatalf("503 body is not an error envelope: %s", body)
+		}
+		if env.Error.Code != CodeServiceUnavailable {
+			t.Fatalf("503 error code %d, want %d", env.Error.Code, CodeServiceUnavailable)
+		}
+		for _, r := range replicas {
+			if !strings.Contains(env.Error.Message, r.URL) {
+				t.Fatalf("503 body %q does not name the dead replica %s", env.Error.Message, r.URL)
+			}
+		}
 	}
 }
 
-// slowShard is an http.RoundTripper that delays every request to one shard
-// by delay before delegating. The delay honours the request context: an RPC
-// whose deadline ends mid-delay fails with the context error at once.
+// slowShard is an http.RoundTripper that delays every request to one
+// replica by delay before delegating. The delay honours the request
+// context: an RPC whose deadline ends mid-delay fails with the context
+// error at once.
 type slowShard struct {
 	base   http.RoundTripper
-	prefix string // the slow shard's base URL plus "/"
+	prefix string // the slow replica's base URL plus "/"
 	delay  time.Duration
 
-	dataRPCs atomic.Int64 // requests to the slow shard other than health probes
+	dataRPCs atomic.Int64 // requests to the slow replica other than health probes
 	cut      atomic.Int64 // delays ended early by the request context
 }
 
@@ -234,116 +206,110 @@ func (s *slowShard) RoundTrip(r *http.Request) (*http.Response, error) {
 	return s.base.RoundTrip(r)
 }
 
-// TestServerOverProxySlowShard is the slow-shard drill: every RPC to shard 0
-// takes 400 ms against the proxy's 100 ms RPC timeout. The per-RPC timeout
-// must cut each shard-0 RPC short, the breaker must trip after two failed
-// estimates, and the renormalize policy must answer every estimate of a
-// flood from shard 1 — 200s stamped degraded, none past a 5 s deadline.
-// Once a probe finds the slow shard alive again, the open breaker must keep
-// estimates off its wire, and responses stay stamped: a shard whose breaker
-// is open is down.
+// TestServerOverProxySlowShard is the slow-replica drill: every RPC to
+// replica 0 takes 400 ms against the proxy's 100 ms RPC timeout. The
+// per-RPC timeout must cut each replica-0 RPC short, the breaker must trip
+// after two failed estimates, and failover must answer every estimate of a
+// flood from replica 1 — 200s with the single world's reach, none past a 5 s
+// deadline. Once a probe finds the slow replica alive again, the open
+// breaker must keep estimates off its wire.
 func TestServerOverProxySlowShard(t *testing.T) {
 	cfg := proxyWorld()
-	urls, _ := startShards(t, cfg)
+	urls, _ := startReplicas(t, cfg)
 	slow := &slowShard{base: serving.NewShardTransport(), prefix: urls[0] + "/", delay: 400 * time.Millisecond}
 	base, proxy := startAPI(t, cfg, serving.ProxyConfig{
 		URLs:    urls,
 		Timeout: 100 * time.Millisecond,
-		Policy:  serving.PolicyRenormalize,
 		// The open timeout outlasts the drill, so the breaker cannot go
 		// half-open and send a trial RPC mid-test.
 		Breaker: serving.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute},
 		Client:  &http.Client{Transport: slow},
 	})
-	// estimate fetches one reach estimate under a 5 s deadline and reports
-	// whether it was stamped degraded; anything but a 200 fails the test.
-	estimate := func(ids ...interest.ID) (degraded bool) {
+	local, err := serving.NewLocalBackendFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := serveAPI(t, local)
+	// reach fetches one reach estimate from an API under a 5 s deadline;
+	// anything but a 200 fails the test.
+	reach := func(api string, ids ...interest.ID) int64 {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		u := base + "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" +
+		u := api + "/" + APIVersion + "/act_1/reachestimate?targeting_spec=" +
 			url.QueryEscape(string(marshalJSON(ConjunctionSpec(es(), ids))))
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
 			t.Error(err)
-			return false
+			return -1
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Errorf("estimate %v: %v", ids, err)
-			return false
+			return -1
 		}
 		defer resp.Body.Close()
-		var body struct {
-			Degraded bool `json:"degraded"`
-		}
+		var body reachResponse
 		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
 			t.Errorf("estimate %v: HTTP %d, want a 200 reach estimate", ids, resp.StatusCode)
 		}
-		return body.Degraded
+		return body.Data.Users
 	}
-	breaker := func() string {
-		for _, sh := range proxy.HealthStats().Shards {
-			if sh.Shard == 0 {
-				return sh.Breaker
-			}
+	// exact fetches one estimate through the proxy, checks it against the
+	// single world's, and reports whether it sent an RPC to the slow
+	// replica.
+	exact := func(ids ...interest.ID) (touchedSlow bool) {
+		before := slow.dataRPCs.Load()
+		if got, want := reach(base, ids...), reach(ref, ids...); got != want {
+			t.Errorf("estimate %v through the proxy = %d, single world %d", ids, got, want)
 		}
-		return ""
+		return slow.dataRPCs.Load() != before
 	}
 
-	// Estimates alternate between the shards. Estimates 0 and 2 are shard
-	// 0's: each loses it to the RPC timeout, fails over to shard 1 and is
-	// stamped. Before each later estimate a probe finds the slow shard
+	// Estimates alternate between the replicas. Estimates 0 and 2 are
+	// replica 0's: each loses it to the RPC timeout and fails over to
+	// replica 1. Before each later estimate a probe finds the slow replica
 	// alive and marks it up again, as the health loop would, so estimate 1,
-	// shard 1's, is served unstamped.
+	// replica 1's, never touches it.
 	for i := 0; i < 3; i++ {
 		if i > 0 {
 			proxy.ProbeNow(context.Background())
-			if proxy.Degraded() {
-				t.Fatal("probe did not mark the slow shard up again")
+			if st := proxy.HealthStats(); st.Down != 0 {
+				t.Fatalf("probe did not mark the slow replica up again: %+v", st)
 			}
 		}
-		if want := i%2 == 0; estimate() != want {
-			t.Fatalf("estimate %d: degraded stamp %v, want %v", i, !want, want)
+		if want := i%2 == 0; exact() != want {
+			t.Fatalf("estimate %d: touched the slow replica %v, want %v", i, !want, want)
 		}
 	}
 	if cut, rpcs := slow.cut.Load(), slow.dataRPCs.Load(); rpcs == 0 || cut != rpcs {
-		t.Fatalf("the 100ms RPC timeout cut %d of %d shard-0 RPCs short, want all", cut, rpcs)
+		t.Fatalf("the 100ms RPC timeout cut %d of %d replica-0 RPCs short, want all", cut, rpcs)
 	}
-	if got := breaker(); got != "open" {
-		t.Fatalf("shard 0 breaker %q after two failed estimates, want open", got)
+	if got := proxy.HealthStats().Shards[0].Breaker; got != "open" {
+		t.Fatalf("replica 0 breaker %q after two failed estimates, want open", got)
 	}
 
-	// The flood: every estimate answered from the healthy shard.
+	// The flood: every estimate answered exactly, from the healthy replica.
 	var wg sync.WaitGroup
-	var undegraded atomic.Int64
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for p := 0; p < 4; p++ {
-				if !estimate(interest.ID(1+w), interest.ID(10+p)) {
-					undegraded.Add(1)
-				}
+				exact(interest.ID(1+w), interest.ID(10+p))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := undegraded.Load(); n > 0 {
-		t.Fatalf("%d of 32 flood estimates failed or were not stamped degraded", n)
-	}
 
-	// The shard is up again but its breaker is open: estimates — one per
-	// shard, so one is shard 0's turn — fast-fail it without an RPC, and
-	// are stamped degraded, since a shard behind an open breaker is down.
+	// The replica is up again but its breaker is open: estimates — one per
+	// replica, so one is replica 0's turn — fast-fail it without an RPC.
 	proxy.ProbeNow(context.Background())
 	before := slow.dataRPCs.Load()
 	for i := 0; i < 2; i++ {
-		if !estimate() {
-			t.Fatalf("estimate %d with shard 0's breaker open was not stamped degraded", i)
-		}
+		exact()
 	}
 	if after := slow.dataRPCs.Load(); after != before {
-		t.Fatalf("open breaker let %d RPCs reach the slow shard", after-before)
+		t.Fatalf("open breaker let %d RPCs reach the slow replica", after-before)
 	}
 }
 

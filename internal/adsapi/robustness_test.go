@@ -223,7 +223,7 @@ func TestServerMapsBackendErrors(t *testing.T) {
 		{"cancel", &serving.CanceledError{Err: context.Canceled}, http.StatusServiceUnavailable,
 			"Request canceled before the estimate completed"},
 		{"unavailable", &serving.UnavailableError{Down: []string{"http://a", "http://b"}}, http.StatusServiceUnavailable,
-			"Service temporarily unavailable: 2 shard(s) down: http://a, http://b"},
+			"Service temporarily unavailable: 2 replica(s) down: http://a, http://b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, err := NewServer(ServerConfig{Backend: &errBackend{ReachBackend: local, err: tc.err}})

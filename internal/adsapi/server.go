@@ -21,9 +21,8 @@ import (
 type ServerConfig struct {
 	// Backend serves every reach computation: catalog lookups, demographic
 	// bases and flexible-spec union shares. Required. Wire a
-	// serving.LocalBackend for the single-world server, a
-	// serving.ShardedBackend for in-process shards (fbadsd -shards N) or
-	// a serving.ProxyBackend for shard processes.
+	// serving.LocalBackend for the single-world server or a
+	// serving.ProxyBackend for replica processes.
 	Backend serving.ReachBackend
 	// Era selects platform rules (default Era2017).
 	Era Era
@@ -47,7 +46,7 @@ type ServerConfig struct {
 	Now func() time.Time
 	// PrewarmRows materializes the backend's full inclusion-row tables at
 	// server construction (ReachBackend.WarmRows), trading startup time and
-	// memory — catalog × grid × 8 bytes per shard, ~80 MiB for a
+	// memory — catalog × grid × 8 bytes per world, ~80 MiB for a
 	// 20k-interest catalog at the default 512-point grid — for zero
 	// first-touch latency on cold reach estimates. Off by default: rows
 	// materialize lazily per touched interest, which serving workloads
@@ -160,7 +159,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Era() Era { return s.era }
 
 // AudienceStats snapshots the reach cache's hit/miss/eviction counters,
-// aggregated across the backend's shards.
+// aggregated across the backend's replicas.
 func (s *Server) AudienceStats() audience.Stats {
 	return s.backend.AudienceStats(context.Background())
 }
@@ -374,8 +373,8 @@ func (s *Server) estimateReach(w http.ResponseWriter, r *http.Request, q reachQu
 }
 
 // writeBackendError maps a ReachBackend failure to its FB error envelope:
-// *serving.UnavailableError (unservable topology) is a 503 naming the down
-// shards, and *serving.CanceledError (the request context ended mid-query)
+// *serving.UnavailableError (no replica answered) is a 503 naming the
+// replicas, and *serving.CanceledError (the request context ended mid-query)
 // is a 504 for an expired deadline or a 503 for a client cancel — the
 // latter mostly for the log's benefit, since a canceled client is no longer
 // reading. Any other backend error is a 500.
@@ -386,7 +385,7 @@ func (s *Server) writeBackendError(w http.ResponseWriter, err error) {
 	case errors.As(err, &ue):
 		s.writeError(w, http.StatusServiceUnavailable, &APIError{
 			Code: CodeServiceUnavailable, Type: "ApiUnknownException",
-			Message: fmt.Sprintf("Service temporarily unavailable: %d shard(s) down: %s",
+			Message: fmt.Sprintf("Service temporarily unavailable: %d replica(s) down: %s",
 				len(ue.Down), strings.Join(ue.Down, ", "))})
 	case errors.As(err, &ce):
 		status := http.StatusServiceUnavailable
@@ -413,16 +412,7 @@ func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, reachResponse{Data: ReachEstimate{Users: reach, EstimateReady: true},
-		Degraded: s.backendDegraded()})
-}
-
-// backendDegraded reports whether the backend is serving with a shard down
-// — true only for a proxy backend under the renormalize policy, whose
-// answers stay exact. Local and in-process sharded backends never degrade.
-func (s *Server) backendDegraded() bool {
-	d, ok := s.backend.(interface{ Degraded() bool })
-	return ok && d.Degraded()
+	s.writeJSON(w, reachResponse{Data: ReachEstimate{Users: reach, EstimateReady: true}})
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {

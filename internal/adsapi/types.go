@@ -246,8 +246,8 @@ const (
 	// §8.2).
 	CodeAccountDisabled = 368
 	// CodeServiceUnavailable mirrors FB error 2 (service temporarily
-	// unavailable) — emitted as a 503 when the serving backend has shards
-	// down under the fail policy; the message names the down shards.
+	// unavailable) — emitted as a 503 when no replica of the serving
+	// backend answers; the message names the replicas.
 	CodeServiceUnavailable = 2
 )
 
@@ -271,10 +271,6 @@ type ReachEstimate struct {
 // reachResponse wraps ReachEstimate as the API returns it.
 type reachResponse struct {
 	Data ReachEstimate `json:"data"`
-	// Degraded marks estimates served by a proxy backend running with a shard
-	// down under the renormalize policy. The number is still exact — another
-	// shard answered — but the topology is short of a shard.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // SearchResult is one row of the adinterest search endpoint.

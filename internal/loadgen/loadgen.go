@@ -91,9 +91,8 @@ type Config struct {
 type Result struct {
 	Requests    int `json:"requests"`
 	OK          int `json:"ok"`
-	Degraded    int `json:"degraded,omitempty"` // OK responses stamped "degraded": true (proxy renormalize)
-	Rejected    int `json:"rejected"`           // HTTP 429 from admission control
-	RateLimited int `json:"rate_limited"`       // FB error code 17 (per-token limiter)
+	Rejected    int `json:"rejected"`     // HTTP 429 from admission control
+	RateLimited int `json:"rate_limited"` // FB error code 17 (per-token limiter)
 	// Shed counts 503s carrying Retry-After — the concurrency gate
 	// refusing an over-capacity request. Distinct from Errors: a shed
 	// request was answered by a healthy server protecting itself.
@@ -171,7 +170,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	for i := range latencies {
 		latencies[i] = math.NaN()
 	}
-	var ok, degraded, rejected, rateLimited, shed, deadline, failed atomic.Int64
+	var ok, rejected, rateLimited, shed, deadline, failed atomic.Int64
 	// unanswered tallies a request that got no complete response. A
 	// timed-out probe is the deadline machinery working, not the transport
 	// breaking — but only while the RUN's context is live; a canceled run
@@ -215,9 +214,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		switch classify(resp.StatusCode, resp.Header, body) {
 		case outcomeOK:
 			ok.Add(1)
-			if isDegraded(body) {
-				degraded.Add(1)
-			}
 		case outcomeRejected:
 			rejected.Add(1)
 		case outcomeRateLimited:
@@ -239,7 +235,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	res := Result{
 		Requests:         n,
 		OK:               int(ok.Load()),
-		Degraded:         int(degraded.Load()),
 		Rejected:         int(rejected.Load()),
 		RateLimited:      int(rateLimited.Load()),
 		Shed:             int(shed.Load()),
@@ -266,7 +261,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 // FetchServingHealth scrapes GET /<version>/serving/health from a running
 // fbadsd and returns the proxy's replica-level health and hedging tallies
 // (Hedged, HedgeWins, Failovers, RetryBudgetExhausted). Servers whose
-// backend is not a shard proxy answer 404; that is reported as (nil, nil)
+// backend is not a replica proxy answer 404; that is reported as (nil, nil)
 // so callers can skip the tallies rather than fail the run.
 func FetchServingHealth(ctx context.Context, client *http.Client, baseURL, accessToken string) (*serving.HealthStats, error) {
 	if client == nil {
@@ -298,15 +293,6 @@ func FetchServingHealth(ctx context.Context, client *http.Client, baseURL, acces
 		return nil, fmt.Errorf("loadgen: serving health: %w", err)
 	}
 	return &st, nil
-}
-
-// isDegraded reports whether a 200 body carries the proxy's renormalize
-// stamp ("degraded": true on reach responses served with shards down).
-func isDegraded(body []byte) bool {
-	var resp struct {
-		Degraded bool `json:"degraded"`
-	}
-	return json.Unmarshal(body, &resp) == nil && resp.Degraded
 }
 
 // accountSets draws each account's fixed interest set: Interests distinct

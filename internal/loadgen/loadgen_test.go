@@ -238,31 +238,8 @@ func TestRunCountsTruncatedBodyAsError(t *testing.T) {
 	}
 }
 
-// TestRunCountsDegradedResponses: 200s stamped "degraded": true (the proxy's
-// renormalize mode) are counted OK and tallied in Result.Degraded.
-func TestRunCountsDegradedResponses(t *testing.T) {
-	degraded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"data": {"users": 20, "estimate_ready": true}, "degraded": true}`))
-	}))
-	defer degraded.Close()
-	res, err := Run(context.Background(), Config{
-		BaseURL:          degraded.URL,
-		Accounts:         2,
-		ProbesPerAccount: 3,
-		Interests:        3,
-		CatalogSize:      300,
-		Seed:             5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK != 6 || res.Degraded != 6 || res.Errors != 0 {
-		t.Fatalf("degraded tally wrong: %+v", res)
-	}
-}
-
 // TestFetchServingHealth covers the health-scrape helper against both kinds
-// of backend: a shard proxy (real stats, replica rows, 405 on non-GET) and a
+// of backend: a replica proxy (real stats, replica rows, 405 on non-GET) and a
 // single-process LocalBackend (the endpoint 404s and the helper reports
 // "no serving health" as nil, nil).
 func TestFetchServingHealth(t *testing.T) {
@@ -278,11 +255,10 @@ func TestFetchServingHealth(t *testing.T) {
 		t.Fatalf("LocalBackend reported serving health: %+v", st)
 	}
 
-	// Proxy over a replicated shard 0: stats carry one row per replica.
-	shardOf := []int{0, 0, 1} // urls[0] and urls[1] replicate shard 0; urls[2] is shard 1
-	urls := make([]string, len(shardOf))
-	for i, shard := range shardOf {
-		b, info, err := serving.NewShardBackend(cfg, shard, 2)
+	// Proxy over three replicas: stats carry one row per replica.
+	urls := make([]string, 3)
+	for i := range urls {
+		b, info, err := serving.NewShardBackend(cfg, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,9 +270,7 @@ func TestFetchServingHealth(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	proxy, err := serving.NewProxyBackend(cfg, serving.ProxyConfig{
-		Shards: [][]string{{urls[0], urls[1]}, {urls[2]}},
-	})
+	proxy, err := serving.NewProxyBackend(cfg, serving.ProxyConfig{URLs: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +291,10 @@ func TestFetchServingHealth(t *testing.T) {
 	if st.Up != 3 || st.Down != 0 || len(st.Shards) != 3 {
 		t.Fatalf("unexpected health: %+v", st)
 	}
-	if st.Shards[0].Shard != 0 || st.Shards[0].Replica != 0 ||
-		st.Shards[1].Shard != 0 || st.Shards[1].Replica != 1 ||
-		st.Shards[2].Shard != 1 || st.Shards[2].Replica != 0 {
-		t.Fatalf("replica rows out of order: %+v", st.Shards)
+	for i, row := range st.Shards {
+		if row.Replica != i || row.URL != urls[i] {
+			t.Fatalf("replica rows out of order: %+v", st.Shards)
+		}
 	}
 
 	// Non-GET is rejected by the endpoint, and the helper reports it.

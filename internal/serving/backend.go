@@ -1,29 +1,26 @@
-// Package serving is the multi-world serving tier behind the simulated
-// Marketing API: the ReachBackend contract the API server estimates reach
-// through, a LocalBackend wrapping one in-process model/engine pair, a
-// ShardedBackend that runs N backend shards split by user-ID range and
-// answers each query from one of them in rotation, and an admission
+// Package serving is the serving tier behind the simulated Marketing API:
+// the ReachBackend contract the API server estimates reach through, a
+// LocalBackend wrapping one in-process model/engine pair, a ProxyBackend
+// that fronts a flat list of replica processes (remote.go), and an admission
 // controller that throttles per-advertiser-account request floods (the
 // Faizullabhoy–Korolova abuse pattern) with 429 + Retry-After.
 //
-// # Sharding model and exactness
+// # Replicas and exactness
 //
-// A shard owns the user-ID range [pop·s/N, pop·(s+1)/N) and carries its own
-// population.Model (calibrated over the shared interest catalog) plus its
-// own audience.Engine and inclusion-row kernel state. The population model
-// is analytic — an audience share is an expectation over the activity grid,
-// not a scan over materialized users — and its calibration is share-based,
-// so a shard's model has bit-identical per-interest rates and activity grid
-// to the single-world model regardless of the shard's population count
-// (worldcfg.Config.BuildModel). Every shard's share of a targeting spec is
-// therefore the single world's share, bit for bit.
+// The population model is analytic — an audience share is an expectation
+// over the activity grid, not a scan over materialized users — and its
+// calibration is share-based, so a model built for any population count has
+// bit-identical per-interest rates and activity grid to the single-world
+// model (worldcfg.Config.BuildModel). Every replica's share of a targeting
+// spec is therefore the single world's share, bit for bit, and so is every
+// shard's of the in-process ShardedBackend, which splits the population by
+// user-ID range.
 //
-// So one shard answers each query: the sharded backends pick it by an
-// atomic rotation counter and return its shares unchanged, and every answer
-// is byte-identical to LocalBackend at any shard count — gated by the
-// property tests in this package. A shard that cannot answer is routed
-// around (ProxyBackend, PolicyRenormalize) with the answer still exact;
-// what more shards buy is spread load and, over processes, availability.
+// So one replica answers each query: the proxy picks it by an atomic
+// rotation counter, fails over to the next live replica when it cannot
+// answer, and returns the answer unchanged. Every answer is byte-identical
+// to LocalBackend at any replica count — gated by the property tests in
+// this package; what more replicas buy is spread load and availability.
 package serving
 
 import (
@@ -44,10 +41,10 @@ import (
 // Every query method takes the caller's context — the adsapi handler passes
 // its request context so cancellation and deadlines propagate through the
 // whole serving stack. Local (CPU-bound) backends accept and ignore it;
-// network backends (ProxyBackend) thread it into every shard RPC, retry
+// network backends (ProxyBackend) thread it into every replica RPC, retry
 // sleep and backoff. Failure is a returned error, never a fabricated share:
 // *CanceledError when the caller's context ends mid-query, *UnavailableError
-// when the topology cannot serve under its degradation policy. Values are
+// when no replica answers. Values are
 // unaffected by the context: for any ctx that stays live, results are
 // byte-identical to an undeadlined one's.
 type ReachBackend interface {
@@ -59,12 +56,13 @@ type ReachBackend interface {
 	// ReachShares returns both factors of one reach estimate: the population
 	// share matching a demographic filter and the share matching a
 	// flexible-spec union of interest conjunctions. Sharded backends ask
-	// one shard for both, in one call. LocalBackend never returns an error.
+	// one shard or replica for both, in one call. LocalBackend never returns
+	// an error.
 	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error)
 	// AudienceStats snapshots the backend's audience-cache counters,
-	// aggregated across shards.
+	// aggregated across shards or replicas.
 	AudienceStats(ctx context.Context) audience.Stats
-	// WarmRows materializes every shard's full inclusion-row table up
+	// WarmRows materializes every world's full inclusion-row table up
 	// front (population.Model.WarmAllRows).
 	WarmRows(ctx context.Context)
 }
@@ -90,7 +88,7 @@ func NewLocalBackend(model *population.Model, engine *audience.Engine) (*LocalBa
 }
 
 // NewLocalBackendFromConfig builds the single world described by cfg — the
-// same construction a ShardedBackend shard uses, at full population.
+// same construction a replica uses (NewShardBackend(cfg, 0, 1)).
 func NewLocalBackendFromConfig(cfg worldcfg.Config) (*LocalBackend, error) {
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
@@ -149,7 +147,8 @@ func (b *LocalBackend) Model() *population.Model { return b.model }
 // Engine exposes the backing audience engine (test and wiring use).
 func (b *LocalBackend) Engine() *audience.Engine { return b.engine }
 
-// addStats folds two cache snapshots field-by-field (cross-shard totals).
+// addStats folds two cache snapshots field-by-field (totals across shards or
+// replicas).
 func addStats(a, b audience.Stats) audience.Stats {
 	a.Prefix = addLevel(a.Prefix, b.Prefix)
 	a.Set = addLevel(a.Set, b.Set)

@@ -107,7 +107,7 @@ func wantErr[E error](t *testing.T, err error) E {
 }
 
 // hungHandler blocks every request until its caller goes away — the stuck
-// shard the cancellation tests send estimates to. It drains the body first: the
+// replica the cancellation tests send estimates to. It drains the body first: the
 // net/http server only watches for client disconnect (and cancels
 // r.Context()) once the request body has been consumed.
 func hungHandler() http.Handler {
@@ -117,15 +117,15 @@ func hungHandler() http.Handler {
 	})
 }
 
-// startHungShardTopology is a 2-"shard" topology whose shard 0 never
-// answers: shard 0 hangs forever, shard 1 is a real shard server. Rotation
-// sends a fresh proxy's first estimate to shard 0.
+// startHungShardTopology is a 2-replica topology whose replica 0 never
+// answers: replica 0 hangs forever, replica 1 is a real replica server.
+// Rotation sends a fresh proxy's first estimate to replica 0.
 func startHungShardTopology(t *testing.T) (*ProxyBackend, func(pc ProxyConfig) *ProxyBackend) {
 	t.Helper()
 	cfg := smallConfig(1)
 	hung := httptest.NewServer(hungHandler())
 	t.Cleanup(hung.Close)
-	s1, _ := shardHandler(t, cfg, 1, 2)
+	s1, _ := replicaHandler(t, cfg)
 	real := httptest.NewServer(s1)
 	t.Cleanup(real.Close)
 	mk := func(pc ProxyConfig) *ProxyBackend {
@@ -135,8 +135,8 @@ func startHungShardTopology(t *testing.T) (*ProxyBackend, func(pc ProxyConfig) *
 }
 
 // TestProxyCancelAbortsHungFanOut is the cancellation bound: an estimate
-// sent to a hung shard must be abandoned within the caller's cancellation,
-// not the 30s per-RPC timeout — and the shard must NOT be marked down for
+// sent to a hung replica must be abandoned within the caller's cancellation,
+// not the 30s per-RPC timeout — and the replica must NOT be marked down for
 // the caller's impatience.
 func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 	proxy, _ := startHungShardTopology(t)
@@ -155,7 +155,7 @@ func TestProxyCancelAbortsHungFanOut(t *testing.T) {
 		t.Fatalf("cancellation took %v to abort the estimate — the 30s RPC timeout leaked through", elapsed)
 	}
 	if st := proxy.HealthStats(); st.Down != 0 {
-		t.Fatalf("caller cancellation marked a shard down: %+v", st)
+		t.Fatalf("caller cancellation marked a replica down: %+v", st)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestProxyDeadlinePanicsDeadlineExceeded(t *testing.T) {
 // timeout), never more.
 func TestProxyForwardsDeadlineHeader(t *testing.T) {
 	cfg := smallConfig(1)
-	s0, _ := shardHandler(t, cfg, 0, 1)
+	s0, _ := replicaHandler(t, cfg)
 	var mu sync.Mutex
 	var got []string
 	capture := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +223,7 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 // a caller bug answered 400; a generous valid one serves normally.
 func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 	cfg := smallConfig(1)
-	srv, _ := shardHandler(t, cfg, 0, 1)
+	srv, _ := replicaHandler(t, cfg)
 	body := string(shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode())
 	for _, tc := range []struct {
 		header string
@@ -250,7 +250,7 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 // evaluating the share — the cross-process half of deadline propagation.
 func TestShardServerAbandonsDeadCaller(t *testing.T) {
 	cfg := smallConfig(1)
-	srv, _ := shardHandler(t, cfg, 0, 1)
+	srv, _ := replicaHandler(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathWarm} {
@@ -308,7 +308,7 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 // cancel, returning the process to its goroutine baseline.
 func TestStartHealthGoroutineExit(t *testing.T) {
 	cfg := smallConfig(1)
-	urls := startShardTopology(t, cfg, 2)
+	urls := startReplicas(t, cfg, 2, noWrap)
 	// Keep-alives would park persistent-connection goroutines past the
 	// cancel and fail the baseline comparison below.
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
@@ -329,9 +329,9 @@ func TestStartHealthGoroutineExit(t *testing.T) {
 }
 
 // BenchmarkProxyBreakerFastFail measures the whole point of the breaker:
-// estimates over a topology whose dead shard's breaker is OPEN must cost
-// microseconds (one live-shard RPC, after a mutex check on the dead shard
-// when it is the dead shard's turn), not the per-RPC timeout the dead shard
+// estimates over a topology whose dead replica's breaker is OPEN must cost
+// microseconds (one live-replica RPC, after a mutex check on the dead replica
+// when it is the dead replica's turn), not the per-RPC timeout the dead replica
 // would otherwise eat. CI gates the reported ns/op at
 // <= 1/10 of the 250ms per-RPC timeout configured here.
 func BenchmarkProxyBreakerFastFail(b *testing.B) {
@@ -347,7 +347,7 @@ func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	live := httptest.NewServer(srv)
 	defer live.Close()
 
-	// The dead shard: a URL nothing listens on. The open breaker means it is
+	// The dead replica: a URL nothing listens on. The open breaker means it is
 	// never dialed — which is exactly what this benchmark proves.
 	dead := httptest.NewServer(http.HandlerFunc(nil))
 	deadURL := dead.URL
@@ -357,7 +357,6 @@ func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	pc := ProxyConfig{
 		URLs:    []string{live.URL, deadURL},
 		Timeout: 250 * time.Millisecond,
-		Policy:  PolicyRenormalize,
 		// A frozen clock keeps the breaker open forever (no half-open
 		// trials mid-benchmark).
 		Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour, Now: func() time.Time { return frozen }},
@@ -367,16 +366,16 @@ func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Trip shard 1's breaker the way production would: one data-path failure
-	// at threshold 1.
-	proxy.breakers[1][0].OnFailure()
-	if st := proxy.breakers[1][0].State(); st != BreakerOpen {
+	// Trip replica 1's breaker the way production would: one data-path
+	// failure at threshold 1.
+	proxy.breakers[1].OnFailure()
+	if st := proxy.breakers[1].State(); st != BreakerOpen {
 		b.Fatalf("breaker not open: %v", st)
 	}
 
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	ctx := context.Background()
-	proxy.UnionShare(ctx, clauses) // warm the live shard's rows/cache
+	proxy.UnionShare(ctx, clauses) // warm the live replica's rows/cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proxy.UnionShare(ctx, clauses)

@@ -59,7 +59,7 @@ func TestReachRPCUpgradesToFrames(t *testing.T) {
 		}, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _ := shardHandler(t, cfg, 0, 1)
+			srv, _ := replicaHandler(t, cfg)
 			var requests atomic.Int64
 			ts := httptest.NewServer(countRequests(&requests, tc.wrap(srv)))
 			t.Cleanup(ts.Close)
@@ -94,7 +94,7 @@ func TestReachRPCUpgradesToFrames(t *testing.T) {
 // answer exact.
 func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	cfg := smallConfig(1)
-	srv, b0 := shardHandler(t, cfg, 0, 1)
+	srv, b0 := replicaHandler(t, cfg)
 	ts := httptest.NewUnstartedServer(srv)
 	ts.Config.IdleTimeout = 5 * time.Millisecond
 	ln := &countingListener{Listener: ts.Listener}
@@ -216,7 +216,7 @@ func frameShard(t *testing.T, answer func(k int, body []byte) (int, []byte)) (ur
 // the breaker.
 func TestFramed504IsPermanent(t *testing.T) {
 	cfg := smallConfig(1)
-	srv, _ := shardHandler(t, cfg, 0, 1)
+	srv, _ := replicaHandler(t, cfg)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	body := shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode()
@@ -279,12 +279,13 @@ func TestFramed504IsPermanent(t *testing.T) {
 
 // TestHedgeLoserFrameConnClosed: a hedge loser's upgraded connection is
 // closed, not pooled. Replica 0 answers the upgrading estimate, then hangs
-// on the next frame; the hedge to replica 1 wins, and the loser's
-// connection closes (the hung replica sees it go) instead of returning to
-// the pool. Both answers are byte-identical to LocalBackend.
+// on the next frame — estimate 2, its next turn; the hedge to replica 1
+// wins, and the loser's connection closes (the hung replica sees it go)
+// instead of returning to the pool. Every answer is byte-identical to
+// LocalBackend.
 func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	cfg := smallConfig(1)
-	srv, b0 := shardHandler(t, cfg, 0, 1)
+	srv, b0 := replicaHandler(t, cfg)
 	hangURL, closed := frameShard(t, func(k int, body []byte) (int, []byte) {
 		if k == 0 {
 			return srv.shareAnswer(context.Background(), shardPathReach, body)
@@ -294,8 +295,7 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	live := httptest.NewServer(srv)
 	t.Cleanup(live.Close)
 	var hedge atomic.Bool // the hedge timer fires only once set
-	proxy := newTestProxy(t, cfg, nil, ProxyConfig{
-		Shards:     [][]string{{hangURL, live.URL}},
+	proxy := newTestProxy(t, cfg, []string{hangURL, live.URL}, ProxyConfig{
 		HedgeAfter: time.Microsecond,
 		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep: func(ctx context.Context, d time.Duration) error {
@@ -309,8 +309,8 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	f := population.DemoFilter{Countries: []string{"US"}}
 	clauses := [][]interest.ID{{2, 3}}
 	wantD, wantU, _ := b0.ReachShares(context.Background(), f, clauses) // a LocalBackend never fails
-	for k := 0; k < 2; k++ {
-		hedge.Store(k == 1)
+	for k := 0; k < 3; k++ {
+		hedge.Store(k == 2)
 		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
 		if err != nil {
 			t.Fatalf("estimate %d: %v", k, err)
@@ -324,7 +324,7 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the hedge loser's connection was never closed")
 	}
-	if idle := len(proxy.frames[0][0]); idle != 0 {
+	if idle := len(proxy.frames[0]); idle != 0 {
 		t.Fatalf("the hedge loser's connection went back to the pool (%d idle)", idle)
 	}
 	st := proxy.HealthStats()
@@ -344,12 +344,10 @@ func TestProxyKillMidFloodOverFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, _ := shardHandler(t, cfg, 0, 1)
-	sb, _ := shardHandler(t, cfg, 0, 1)
+	sa, _ := replicaHandler(t, cfg)
+	sb, _ := replicaHandler(t, cfg)
 	a, b := startRestartableShard(t, sa), startRestartableShard(t, sb)
-	proxy := newTestProxy(t, cfg, nil, ProxyConfig{
-		Shards: [][]string{{a.URL(), b.URL()}}, MaxRetries: 1, Sleep: immediateSleep,
-	})
+	proxy := newTestProxy(t, cfg, []string{a.URL(), b.URL()}, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep})
 	const callers, perCaller, killAt = 4, 60, 80
 	var done atomic.Int64
 	var kill sync.Once

@@ -278,34 +278,6 @@ func FuzzShardFrame(f *testing.F) {
 	})
 }
 
-// FuzzParseShardTopology checks the -proxy topology parser: an accepted spec
-// has one shard per comma-separated field and one replica per |-separated
-// URL, every URL non-empty and already trimmed.
-func FuzzParseShardTopology(f *testing.F) {
-	for _, seed := range []string{"u0a|u0b, u1 ,u2", "http://127.0.0.1:9001", "", ",", "a,,b", "a|", " | ", "a|b|c,d"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		shards, err := ParseShardTopology(spec)
-		if err != nil {
-			return
-		}
-		if want := strings.Count(spec, ",") + 1; len(shards) != want {
-			t.Fatalf("%q: %d shards, want %d", spec, len(shards), want)
-		}
-		for i, field := range strings.Split(spec, ",") {
-			if want := strings.Count(field, "|") + 1; len(shards[i]) != want {
-				t.Fatalf("%q: shard %d has %d replicas, want %d", spec, i, len(shards[i]), want)
-			}
-			for _, u := range shards[i] {
-				if u == "" || u != strings.TrimSpace(u) {
-					t.Fatalf("%q: shard %d replica URL %q is empty or untrimmed", spec, i, u)
-				}
-			}
-		}
-	})
-}
-
 // FuzzDeadlineHeader sends a share RPC from a live caller with an arbitrary
 // X-Deadline-Ms value. The shard must parse the header or reject it: 200 or
 // 400, never a 5xx. The one allowed 504 is a budget under a second, which

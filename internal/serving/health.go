@@ -11,68 +11,23 @@ import (
 	"time"
 )
 
-// Policy selects how a ProxyBackend behaves when shards are unreachable.
-// Every shard's shares equal the single world's, so under either policy a
-// served answer is exact; the policies differ in whether a down shard
-// refuses service or is routed around.
-type Policy int
-
-const (
-	// PolicyFail refuses to serve while any shard is down: an estimate whose
-	// shard cannot answer, and every estimate after it until a probe finds
-	// the shard alive again, returns *UnavailableError (the HTTP tier turns
-	// it into a 503 whose JSON body names the down shard's replicas).
-	PolicyFail Policy = iota
-	// PolicyRenormalize keeps serving: an estimate whose shard cannot answer
-	// is asked of the next shard in rotation order, and the answer is still
-	// exact. While a shard is down, HTTP responses are stamped
-	// "degraded": true — the topology is running short of a shard, not the
-	// answer short of its mass.
-	PolicyRenormalize
-)
-
-// Both policies concern SHARDS, not replicas: a shard counts as down only
-// when no replica of it can answer. Losing a replica of a multi-replica
-// shard degrades nothing — the surviving replicas serve the byte-identical
-// world, so failover between them is exact.
-
-// ParsePolicy maps the CLI spellings to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "fail":
-		return PolicyFail, nil
-	case "renormalize":
-		return PolicyRenormalize, nil
-	}
-	return 0, fmt.Errorf("serving: unknown degradation policy %q (want fail or renormalize)", s)
-}
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	if p == PolicyRenormalize {
-		return "renormalize"
-	}
-	return "fail"
-}
-
-// UnavailableError reports that the proxy cannot serve: under PolicyFail any
-// dead shard (every replica down) triggers it; under PolicyRenormalize only
-// losing every shard does. ProxyBackend.ReachShares returns it, and the HTTP
-// tier answers 503 naming the down shards (adsapi.Server.writeBackendError).
+// UnavailableError reports that the proxy cannot serve: no replica answered
+// an estimate. ProxyBackend.ReachShares returns it, and the HTTP tier
+// answers 503 naming the replicas (adsapi.Server.writeBackendError).
 type UnavailableError struct {
-	// Down lists the unreachable replicas' base URLs.
+	// Down lists every replica's base URL: none of them answered.
 	Down []string
 }
 
 // Error implements error.
 func (e *UnavailableError) Error() string {
-	return fmt.Sprintf("serving: backend unavailable: %d shard(s) down: %s",
+	return fmt.Sprintf("serving: backend unavailable: %d replica(s) down: %s",
 		len(e.Down), strings.Join(e.Down, ", "))
 }
 
 // CanceledError reports that the caller's context ended (cancel or
-// deadline) before the backend finished the query. The sharded backends'
-// ReachShares return it, and the HTTP tier answers 504 for an
+// deadline) before the backend finished the query. ShardedBackend's and
+// ProxyBackend's ReachShares return it, and the HTTP tier answers 504 for an
 // expired deadline, 503 for a plain cancel (adsapi.Server.writeBackendError).
 type CanceledError struct {
 	// Err is the context's error (context.Canceled or
@@ -88,12 +43,9 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the context error to errors.Is.
 func (e *CanceledError) Unwrap() error { return e.Err }
 
-// ShardHealth is one replica's probe state. Single-replica topologies get one
-// row per shard (Replica 0), so existing consumers indexing Shards by shard
-// keep working; replicated topologies get one row per (shard, replica) in
-// shard-major order.
+// ShardHealth is one replica's probe state; Replica is its index in
+// ProxyConfig.URLs.
 type ShardHealth struct {
-	Shard      int       `json:"shard"`
 	Replica    int       `json:"replica"`
 	URL        string    `json:"url"`
 	Up         bool      `json:"up"`
@@ -108,9 +60,8 @@ type ShardHealth struct {
 	RPCs int64 `json:"rpcs"`
 }
 
-// HealthStats snapshots the proxy's view of the topology. Up/Down count
-// REPLICAS (so they keep their historical meaning on single-replica
-// topologies); the hedging tallies count RPC-level events since the proxy
+// HealthStats snapshots the proxy's view of its replicas. Up/Down count
+// replicas; the hedging tallies count RPC-level events since the proxy
 // started.
 type HealthStats struct {
 	Up     int   `json:"up"`
@@ -124,9 +75,10 @@ type HealthStats struct {
 	// Failovers counts sequential replica failovers (hedging disarmed).
 	Failovers int64 `json:"failovers,omitempty"`
 	// RetryBudgetExhausted counts RPCs abandoned because their query's
-	// shared retry budget ran dry (each counts as that shard's failure).
-	RetryBudgetExhausted int64         `json:"retry_budget_exhausted,omitempty"`
-	Shards               []ShardHealth `json:"shards"`
+	// shared retry budget ran dry (each counts as that replica's failure).
+	RetryBudgetExhausted int64 `json:"retry_budget_exhausted,omitempty"`
+	// Shards holds one row per replica, in ProxyConfig.URLs order.
+	Shards []ShardHealth `json:"shards"`
 }
 
 // healthMonitor tracks per-replica up/down state for a ProxyBackend. Replicas
@@ -138,9 +90,9 @@ type HealthStats struct {
 type healthMonitor struct {
 	now func() time.Time
 
-	mu     sync.Mutex
-	shards [][]replicaHealthState
-	rounds int64
+	mu       sync.Mutex
+	replicas []replicaHealthState
+	rounds   int64
 }
 
 type replicaHealthState struct {
@@ -151,59 +103,36 @@ type replicaHealthState struct {
 	lastChange time.Time
 }
 
-func newHealthMonitor(shards [][]string, now func() time.Time) *healthMonitor {
-	h := &healthMonitor{now: now, shards: make([][]replicaHealthState, len(shards))}
+func newHealthMonitor(urls []string, now func() time.Time) *healthMonitor {
+	h := &healthMonitor{now: now, replicas: make([]replicaHealthState, len(urls))}
 	t := now()
-	for i, reps := range shards {
-		h.shards[i] = make([]replicaHealthState, len(reps))
-		for r, u := range reps {
-			h.shards[i][r] = replicaHealthState{url: u, up: true, lastChange: t}
-		}
+	for r, u := range urls {
+		h.replicas[r] = replicaHealthState{url: u, up: true, lastChange: t}
 	}
 	return h
 }
 
-// liveReplicas returns the indices of a shard's up replicas, in replica
-// order — the failover/hedging candidate list (lowest live index preferred).
-func (h *healthMonitor) liveReplicas(shard int) []int {
+// liveFrom returns the indices of the up replicas in rotation order from
+// start (start, start+1, …, wrapping) — an estimate's failover and hedging
+// candidates, read under one lock.
+func (h *healthMonitor) liveFrom(start int) []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var live []int
-	for r, s := range h.shards[shard] {
-		if s.up {
+	n := len(h.replicas)
+	live := make([]int, 0, n)
+	for k := 0; k < n; k++ {
+		if r := (start + k) % n; h.replicas[r].up {
 			live = append(live, r)
 		}
 	}
 	return live
 }
 
-// deadURLs returns, as one consistent snapshot, the replica URLs of every
-// dead shard (a shard is dead only when EVERY replica is down).
-func (h *healthMonitor) deadURLs() (urls []string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, reps := range h.shards {
-		allDown := true
-		for _, s := range reps {
-			if s.up {
-				allDown = false
-				break
-			}
-		}
-		if allDown {
-			for _, s := range reps {
-				urls = append(urls, s.url)
-			}
-		}
-	}
-	return urls
-}
-
 // markDown records a replica failure (probe or data path).
-func (h *healthMonitor) markDown(shard, replica int, err error) {
+func (h *healthMonitor) markDown(replica int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.shards[shard][replica]
+	s := &h.replicas[replica]
 	now := h.now()
 	s.lastProbe = now
 	s.lastErr = err.Error()
@@ -214,10 +143,10 @@ func (h *healthMonitor) markDown(shard, replica int, err error) {
 }
 
 // markUp records a successful probe.
-func (h *healthMonitor) markUp(shard, replica int) {
+func (h *healthMonitor) markUp(replica int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &h.shards[shard][replica]
+	s := &h.replicas[replica]
 	now := h.now()
 	s.lastProbe = now
 	s.lastErr = ""
@@ -231,17 +160,15 @@ func (h *healthMonitor) snapshot() HealthStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := HealthStats{Rounds: h.rounds}
-	for i, reps := range h.shards {
-		for r, s := range reps {
-			st.Shards = append(st.Shards, ShardHealth{
-				Shard: i, Replica: r, URL: s.url, Up: s.up, LastError: s.lastErr,
-				LastProbe: s.lastProbe, LastChange: s.lastChange,
-			})
-			if s.up {
-				st.Up++
-			} else {
-				st.Down++
-			}
+	for r, s := range h.replicas {
+		st.Shards = append(st.Shards, ShardHealth{
+			Replica: r, URL: s.url, Up: s.up, LastError: s.lastErr,
+			LastProbe: s.lastProbe, LastChange: s.lastChange,
+		})
+		if s.up {
+			st.Up++
+		} else {
+			st.Down++
 		}
 	}
 	return st
@@ -255,8 +182,8 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 	st := p.health.snapshot()
 	for i := range st.Shards {
 		row := &st.Shards[i]
-		row.Breaker = p.breakers[row.Shard][row.Replica].State().String()
-		row.RPCs = p.rpcs[row.Shard][row.Replica].Load()
+		row.Breaker = p.breakers[row.Replica].State().String()
+		row.RPCs = p.rpcs[row.Replica].Load()
 	}
 	st.Hedged = p.hedged.Load()
 	st.HedgeWins = p.hedgeWins.Load()
@@ -265,48 +192,16 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 	return st
 }
 
-// Degraded reports whether a PolicyRenormalize proxy is serving with a shard
-// down: a shard none of whose replicas is both marked up and past its
-// breaker. A replica a probe marked up while its breaker is still open
-// counts as down, since estimates fast-fail it. A down replica of a shard
-// with a usable sibling does NOT degrade — the sibling serves the
-// byte-identical world. Answers stay exact either way; the adsapi server
-// stamps reach responses "degraded": true while this holds.
-func (p *ProxyBackend) Degraded() bool {
-	if p.policy != PolicyRenormalize {
-		return false
-	}
-	for i := range p.shards {
-		if !p.usable(i) {
-			return true
-		}
-	}
-	return false
-}
-
-// usable reports whether shard i has a replica that is marked up and whose
-// breaker is not open.
-func (p *ProxyBackend) usable(i int) bool {
-	for _, r := range p.health.liveReplicas(i) {
-		if p.breakers[i][r].State() != BreakerOpen {
-			return true
-		}
-	}
-	return false
-}
-
 // ProbeNow runs one synchronous health-probe round: every replica's
 // /shard/v1/health endpoint is fetched (in parallel, under the probe timeout)
-// and its identity — shard index, shard count, user-ID range, catalog size,
-// total population and world digest (worldDigest) — is checked against the
-// proxy's own configuration, so a replica serving the wrong world (or the
-// wrong slice of the right world) is treated as down rather than asked. Every check compares
-// against the proxy's config-derived expectation, so any two replicas that
-// both pass are byte-identical worlds by construction (shard models are
-// share-calibrated pure functions of the config and range) — which is what
-// makes replica failover exact. Tests drive failover deterministically by
-// calling ProbeNow directly; production uses StartHealth, which hands its
-// loop context down.
+// and its identity — catalog size, total population and world digest
+// (worldDigest) — is checked against the proxy's own configuration, so a
+// replica serving another world is treated as down rather than asked. Any
+// two replicas that both pass serve the byte-identical world (models are
+// share-calibrated pure functions of the config), which is what makes
+// failover exact. Tests drive failover deterministically by calling
+// ProbeNow directly; production uses StartHealth, which hands its loop
+// context down.
 //
 // Probe results deliberately do NOT feed the circuit breakers: the case the
 // breaker exists for is a flapping replica whose health endpoint answers (so
@@ -314,24 +209,22 @@ func (p *ProxyBackend) usable(i int) bool {
 // successes may close a breaker.
 func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 	var wg sync.WaitGroup
-	for i := range p.shards {
-		for r := range p.shards[i] {
-			wg.Add(1)
-			go func(i, r int) {
-				defer wg.Done()
-				err := p.probeReplica(ctx, i, r)
-				switch {
-				case err == nil:
-					p.health.markUp(i, r)
-				case ctx.Err() != nil:
-					// The prober itself gave up (StartHealth's loop is
-					// stopping): the aborted probe says nothing about the
-					// replica, so its verdict stands.
-				default:
-					p.health.markDown(i, r, err)
-				}
-			}(i, r)
-		}
+	for r := range p.urls {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			err := p.probeReplica(ctx, r)
+			switch {
+			case err == nil:
+				p.health.markUp(r)
+			case ctx.Err() != nil:
+				// The prober itself gave up (StartHealth's loop is
+				// stopping): the aborted probe says nothing about the
+				// replica, so its verdict stands.
+			default:
+				p.health.markDown(r, err)
+			}
+		}(r)
 	}
 	wg.Wait()
 	p.health.mu.Lock()
@@ -341,10 +234,10 @@ func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 
 // probeReplica fetches and verifies one replica's health endpoint under
 // min(caller deadline, probe timeout).
-func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) error {
+func (p *ProxyBackend) probeReplica(ctx context.Context, replica int) error {
 	ctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.shards[shard][replica]+shardPathHealth, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.urls[replica]+shardPathHealth, nil)
 	if err != nil {
 		return err
 	}
@@ -367,12 +260,6 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, shard, replica int) err
 	switch {
 	case info.Status != "ok":
 		return fmt.Errorf("health probe: status %q", info.Status)
-	case info.Shard != shard || info.Shards != len(p.shards):
-		return fmt.Errorf("health probe: identity mismatch: shard %d/%d, proxy expects %d/%d",
-			info.Shard, info.Shards, shard, len(p.shards))
-	case info.Lo != p.ranges[shard].Lo || info.Hi != p.ranges[shard].Hi:
-		return fmt.Errorf("health probe: range [%d, %d), proxy expects shard %d to own [%d, %d)",
-			info.Lo, info.Hi, shard, p.ranges[shard].Lo, p.ranges[shard].Hi)
 	case info.CatalogSize != p.catalog.Len():
 		return fmt.Errorf("health probe: catalog size %d, proxy world has %d", info.CatalogSize, p.catalog.Len())
 	case info.TotalPopulation != p.pop:

@@ -126,9 +126,11 @@ func (s *restartableShard) Restart() {
 	s.serve(ln)
 }
 
-func shardHandler(t *testing.T, cfg worldcfg.Config, index, count int) (*ShardServer, *LocalBackend) {
+// replicaHandler builds a whole-world replica server for cfg, as fbadsd
+// -shard-listen does.
+func replicaHandler(t *testing.T, cfg worldcfg.Config) (*ShardServer, *LocalBackend) {
 	t.Helper()
-	b, info, err := NewShardBackend(cfg, index, count)
+	b, info, err := NewShardBackend(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,114 +141,14 @@ func shardHandler(t *testing.T, cfg worldcfg.Config, index, count int) (*ShardSe
 	return srv, b
 }
 
-// TestProxyFailoverRenormalizeVsFail is the failover acceptance test: a
-// 2-shard topology loses one shard mid-run. Under renormalize the proxy
-// keeps answering from the survivor — the exact answer, flagged degraded;
-// under fail it refuses with an UnavailableError naming the dead shard.
-// After a kill-and-restart plus probe, both serve undegraded again.
-func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
-	cfg := smallConfig(42)
-	s0, _ := shardHandler(t, cfg, 0, 2)
-	s1, _ := shardHandler(t, cfg, 1, 2)
-	shard0 := startRestartableShard(t, s0)
-	shard1 := startRestartableShard(t, s1)
-	urls := []string{shard0.URL(), shard1.URL()}
-
-	sharded, err := NewShardedBackend(context.Background(), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clauses := [][]interest.ID{{1, 2}, {3}}
-	want := sharded.UnionShare(context.Background(), clauses)
-
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	renorm := newTestProxy(t, cfg, urls, ProxyConfig{
-		Policy: PolicyRenormalize, MaxRetries: 1, Now: clock.Now,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
-	})
-	failing := newTestProxy(t, cfg, urls, ProxyConfig{
-		Policy: PolicyFail, MaxRetries: 1, Now: clock.Now,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
-	})
-
-	// Healthy topology: both policies serve the exact sharded answer and
-	// report nothing degraded.
-	for _, p := range []*ProxyBackend{renorm, failing} {
-		p.ProbeNow(context.Background())
-		if got := p.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("healthy proxy share = %v, want %v", got, want)
-		}
-		if p.Degraded() {
-			t.Fatal("healthy proxy reports degraded")
-		}
-		st := p.HealthStats()
-		if st.Up != 2 || st.Down != 0 || st.Rounds != 1 {
-			t.Fatalf("healthy stats: %+v", st)
-		}
-	}
-
-	// Kill shard 1 mid-run.
-	shard1.Kill()
-	clock.Advance(time.Second)
-
-	// Renormalize: the first estimate whose turn is shard 1's — one of the
-	// next two — discovers the death on the data path, fails over to the
-	// survivor, whose share is the exact answer, and flips Degraded.
-	for k := 0; k < renorm.NumShards(); k++ {
-		if got := renorm.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("estimate %d with shard 1 dead = %v, want %v", k, got, want)
-		}
-	}
-	if !renorm.Degraded() {
-		t.Fatal("renormalize proxy should report degraded after losing a shard")
-	}
-	st := renorm.HealthStats()
-	if st.Down != 1 || st.Shards[1].Up || st.Shards[1].LastError == "" {
-		t.Fatalf("health after data-path failure: %+v", st)
-	}
-
-	// Fail: the probe round records the death, then the query refuses,
-	// naming the dead shard's URL.
-	failing.ProbeNow(context.Background())
-	if fs := failing.HealthStats(); fs.Down != 1 || fs.Shards[1].Up {
-		t.Fatalf("fail-policy probe missed the dead shard: %+v", fs)
-	}
-	_, _, err = failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
-	ue := wantErr[*UnavailableError](t, err)
-	if len(ue.Down) != 1 || ue.Down[0] != shard1.URL() {
-		t.Fatalf("UnavailableError names %v, want [%s]", ue.Down, shard1.URL())
-	}
-
-	// The data path must NOT resurrect a shard: queries against the
-	// renormalize proxy leave shard 1 down.
-	renorm.UnionShare(context.Background(), clauses)
-	if !renorm.Degraded() {
-		t.Fatal("shard came back without a probe")
-	}
-
-	// Kill-and-restart: rebind the same address, probe, and both proxies
-	// serve the exact answer again.
-	shard1.Restart()
-	clock.Advance(time.Second)
-	for _, p := range []*ProxyBackend{renorm, failing} {
-		p.ProbeNow(context.Background())
-		if p.Degraded() {
-			t.Fatalf("proxy still degraded after restart: %+v", p.HealthStats())
-		}
-		if got := p.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("post-restart share = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestProxyFailsOverAcrossShards: every shard holds the whole world's
-// shares, so an estimate whose shard is dead is answered exactly by the next
-// shard in rotation order. Over a 3-shard topology with shard 1 killed,
-// renormalize answers every estimate byte-identical to LocalBackend —
-// estimate 1, shard 1's turn, from shard 2 — and stamps degraded from then
-// on, sending no further RPC to the corpse. Fail refuses estimate 1 naming
-// shard 1 and keeps refusing, on healthy shards' turns too, until a probe
-// finds shard 1 back.
+// TestProxyFailsOverAcrossShards is the failover acceptance test: every
+// replica holds the whole world's shares, so an estimate whose replica is
+// dead is answered exactly by the next live replica in rotation order. Over
+// 3 replicas with replica 1 killed mid-run, every estimate is
+// byte-identical to LocalBackend — estimate 1, replica 1's turn, from
+// replica 2 — and once the data path has marked replica 1 down no further
+// RPC reaches it. Only a probe resurrects a replica: after a
+// kill-and-restart plus probe, rotation reaches replica 1 again.
 func TestProxyFailsOverAcrossShards(t *testing.T) {
 	cfg := smallConfig(0)
 	ctx := context.Background()
@@ -255,37 +157,44 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 3
-	shards := make([]*restartableShard, n)
+	replicas := make([]*restartableShard, n)
 	urls := make([]string, n)
-	for i := range shards {
-		srv, _ := shardHandler(t, cfg, i, n)
-		shards[i] = startRestartableShard(t, srv)
-		urls[i] = shards[i].URL()
+	for i := range replicas {
+		srv, _ := replicaHandler(t, cfg)
+		replicas[i] = startRestartableShard(t, srv)
+		urls[i] = replicas[i].URL()
 	}
-	pc := ProxyConfig{MaxRetries: 1, Sleep: immediateSleep}
-	pc.Policy = PolicyRenormalize
-	renorm := newTestProxy(t, cfg, urls, pc)
-	pc.Policy = PolicyFail
-	failing := newTestProxy(t, cfg, urls, pc)
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
 
 	f := population.DemoFilter{Countries: []string{"ES"}, AgeMin: 25, AgeMax: 40}
 	clauses := [][]interest.ID{{4, 5}, {6}}
 	wantD, wantU, _ := local.ReachShares(ctx, f, clauses) // a LocalBackend never fails
-	exact := func(p *ProxyBackend, what string) {
+	// estimate checks one estimate's answer and the RPCs each replica got.
+	estimate := func(what string, want []int64) {
 		t.Helper()
-		demo, union, err := p.ReachShares(ctx, f, clauses)
+		before := rpcCounts(proxy)
+		demo, union, err := proxy.ReachShares(ctx, f, clauses)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if demo != wantD || union != wantU {
 			t.Fatalf("%s = (%v, %v), LocalBackend (%v, %v) — must be byte-identical", what, demo, union, wantD, wantU)
 		}
+		if got := rpcDelta(proxy, before); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s sent RPCs %v per replica, want %v", what, got, want)
+		}
 	}
-	shards[1].Kill()
+	proxy.ProbeNow(ctx)
+	if st := proxy.HealthStats(); st.Up != n || st.Down != 0 || st.Rounds != 1 {
+		t.Fatalf("healthy stats: %+v", st)
+	}
 
-	// Estimate k's turn is shard k mod 3. Shard 1 refuses both attempts of
-	// estimate 1, which moves on to shard 2; estimate 4 skips the shard
-	// marked down without touching its wire. The counts are RPCs per shard.
+	replicas[1].Kill()
+	clock.Advance(time.Second)
+	// Estimate k's turn is replica k mod 3. Replica 1 refuses both attempts
+	// of estimate 1, which moves on to replica 2; estimate 4 skips the
+	// replica marked down without touching its wire.
 	for k, want := range [][]int64{
 		{1, 0, 0},
 		{0, 2, 1},
@@ -293,87 +202,219 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 		{1, 0, 0},
 		{0, 0, 1},
 	} {
-		before := rpcCounts(renorm)
-		exact(renorm, fmt.Sprintf("renormalize estimate %d", k))
-		if got := rpcDelta(renorm, before); !reflect.DeepEqual(got, want) {
-			t.Fatalf("renormalize estimate %d sent RPCs %v per shard, want %v", k, got, want)
-		}
-		if renorm.Degraded() != (k >= 1) {
-			t.Fatalf("renormalize estimate %d: Degraded = %v, want %v", k, renorm.Degraded(), k >= 1)
-		}
+		estimate(fmt.Sprintf("estimate %d with replica 1 dead", k), want)
+	}
+	st := proxy.HealthStats()
+	if st.Down != 1 || st.Shards[1].Up || st.Shards[1].LastError == "" || st.Failovers != 1 {
+		t.Fatalf("health after data-path failure: %+v", st)
 	}
 
-	// Fail: estimate 0 is served, estimate 1 is refused naming shard 1, and
-	// estimate 2 — shard 2's turn — is refused before any RPC.
-	exact(failing, "fail-policy estimate 0")
-	for k := 1; k <= 2; k++ {
-		before := rpcCounts(failing)
-		_, _, err := failing.ReachShares(ctx, f, clauses)
-		ue := wantErr[*UnavailableError](t, err)
-		if !reflect.DeepEqual(ue.Down, []string{urls[1]}) {
-			t.Fatalf("fail-policy estimate %d: UnavailableError names %v, want [%s]", k, ue.Down, urls[1])
+	// Restart on the same address: the data path does not resurrect the
+	// replica, a probe does, and rotation then reaches it again.
+	replicas[1].Restart()
+	estimate("estimate 5 after restart, before a probe", []int64{0, 0, 1})
+	clock.Advance(time.Second)
+	proxy.ProbeNow(ctx)
+	for k := 0; k < n; k++ {
+		want := make([]int64, n)
+		want[k] = 1
+		estimate(fmt.Sprintf("estimate %d after the probe", 6+k), want)
+	}
+	if st := proxy.HealthStats(); st.Down != 0 {
+		t.Fatalf("replica still down after restart and probe: %+v", st)
+	}
+}
+
+// TestProxyFailoverRenormalizeVsFail: two proxies over the same two
+// replicas stand where the renormalize and fail policies once did. With
+// replica 1 killed, one proxy learns of the death on the data path and the
+// other from a probe round; both answer every estimate exactly from
+// replica 0, where the fail policy used to refuse, and the probed proxy
+// never sends replica 1 an RPC. Only a proxy with no live replica left
+// fails, with *UnavailableError naming every replica. The data path never
+// resurrects a replica; after a kill-and-restart plus probe both proxies
+// reach replica 1 again.
+func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
+	cfg := smallConfig(42)
+	ctx := context.Background()
+	srv0, local := replicaHandler(t, cfg)
+	srv1, _ := replicaHandler(t, cfg)
+	replica0 := startRestartableShard(t, srv0)
+	replica1 := startRestartableShard(t, srv1)
+	urls := []string{replica0.URL(), replica1.URL()}
+
+	f := population.DemoFilter{Countries: []string{"ES"}, AgeMin: 18, AgeMax: 30}
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	wantD, wantU, _ := local.ReachShares(ctx, f, clauses) // a LocalBackend never fails
+
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	dataPath := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
+	probed := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
+	proxies := []*ProxyBackend{dataPath, probed}
+	exact := func(what string, p *ProxyBackend) []int64 {
+		t.Helper()
+		before := rpcCounts(p)
+		demo, union, err := p.ReachShares(ctx, f, clauses)
+		if err != nil || demo != wantD || union != wantU {
+			t.Fatalf("%s = (%v, %v, %v), want (%v, %v)", what, demo, union, err, wantD, wantU)
 		}
-		if got := rpcDelta(failing, before); k == 2 && sum(got) != 0 {
-			t.Fatalf("fail-policy estimate 2 sent RPCs %v per shard after refusing", got)
-		}
+		return rpcDelta(p, before)
 	}
 
-	shards[1].Restart()
-	for _, p := range []*ProxyBackend{renorm, failing} {
+	// Healthy topology: both proxies serve the exact answer with nothing down.
+	for _, p := range proxies {
 		p.ProbeNow(ctx)
-		for k := 0; k < n; k++ {
-			exact(p, fmt.Sprintf("%v estimate %d after restart", p.policy, k))
+		exact("healthy estimate", p)
+		if st := p.HealthStats(); st.Up != 2 || st.Down != 0 || st.Rounds != 1 {
+			t.Fatalf("healthy stats: %+v", st)
 		}
-		if p.Degraded() {
-			t.Fatalf("%v proxy degraded after restart: %+v", p.policy, p.HealthStats())
+	}
+
+	replica1.Kill()
+	clock.Advance(time.Second)
+
+	// Data path: the estimate whose turn is replica 1's — one of the next
+	// two — discovers the death and fails over to replica 0.
+	for k := 0; k < 2; k++ {
+		exact(fmt.Sprintf("data-path estimate %d with replica 1 dead", k), dataPath)
+	}
+	if st := dataPath.HealthStats(); st.Down != 1 || st.Shards[1].Up || st.Shards[1].LastError == "" || st.Failovers != 1 {
+		t.Fatalf("health after data-path failure: %+v", st)
+	}
+
+	// Probe: the round records the death first, so no estimate touches
+	// replica 1's wire and none needs a failover.
+	probed.ProbeNow(ctx)
+	if st := probed.HealthStats(); st.Down != 1 || st.Shards[1].Up {
+		t.Fatalf("probe missed the dead replica: %+v", st)
+	}
+	for k := 0; k < 2; k++ {
+		if got := exact(fmt.Sprintf("probed estimate %d with replica 1 dead", k), probed); !reflect.DeepEqual(got, []int64{1, 0}) {
+			t.Fatalf("probed estimate %d sent RPCs %v per replica, want [1 0]", k, got)
+		}
+	}
+
+	// The data path must NOT resurrect a replica.
+	exact("estimate after the failover", dataPath)
+	if st := dataPath.HealthStats(); st.Down != 1 {
+		t.Fatalf("replica came back without a probe: %+v", st)
+	}
+
+	// Fail: with replica 0 dead too there is nothing to fail over to.
+	replica0.Kill()
+	_, _, err := dataPath.ReachShares(ctx, f, clauses)
+	if ue := wantErr[*UnavailableError](t, err); !reflect.DeepEqual(ue.Down, urls) {
+		t.Fatalf("UnavailableError names %v, want every replica %v", ue.Down, urls)
+	}
+
+	// Kill-and-restart: rebind the same addresses, probe, and both proxies
+	// serve the exact answer again from either replica.
+	replica0.Restart()
+	replica1.Restart()
+	clock.Advance(time.Second)
+	for _, p := range proxies {
+		p.ProbeNow(ctx)
+		if st := p.HealthStats(); st.Down != 0 {
+			t.Fatalf("proxy still has a replica down after restart and probe: %+v", st)
+		}
+		served := make([]int64, 2)
+		for k := 0; k < 2; k++ {
+			for i, n := range exact(fmt.Sprintf("post-restart estimate %d", k), p) {
+				served[i] += n
+			}
+		}
+		if !reflect.DeepEqual(served, []int64{1, 1}) {
+			t.Fatalf("post-restart estimates sent RPCs %v per replica, want one each", served)
 		}
 	}
 }
 
-// TestProxyAllShardsDown: renormalize has no shard to fail over to when
-// every shard is gone — the proxy must refuse rather than fabricate.
+// TestProxyAllShardsDown: with every replica dead there is nothing to
+// fail over to, so the proxy refuses with *UnavailableError naming every
+// replica rather than fabricate — and keeps refusing, without an RPC, until
+// a probe finds a replica back. Then the answers are exact again.
 func TestProxyAllShardsDown(t *testing.T) {
 	cfg := smallConfig(1)
-	s0, _ := shardHandler(t, cfg, 0, 1)
-	shard := startRestartableShard(t, s0)
-	proxy := newTestProxy(t, cfg, []string{shard.URL()}, ProxyConfig{
-		Policy: PolicyRenormalize, MaxRetries: 0,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
-	})
-	shard.Kill()
-	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, nil)
-	ue := wantErr[*UnavailableError](t, err)
-	if len(ue.Down) != 1 {
-		t.Fatalf("UnavailableError names %v", ue.Down)
+	ctx := context.Background()
+	srvA, b := replicaHandler(t, cfg)
+	srvB, _ := replicaHandler(t, cfg)
+	a, bb := startRestartableShard(t, srvA), startRestartableShard(t, srvB)
+	urls := []string{a.URL(), bb.URL()}
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep})
+	f := population.DemoFilter{Countries: []string{"ES"}}
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	wantD, wantU, _ := b.ReachShares(ctx, f, clauses) // a LocalBackend never fails
+
+	a.Kill()
+	bb.Kill()
+	for k := 0; k < 2; k++ {
+		before := rpcCounts(proxy)
+		_, _, err := proxy.ReachShares(ctx, f, clauses)
+		ue := wantErr[*UnavailableError](t, err)
+		if !reflect.DeepEqual(ue.Down, urls) {
+			t.Fatalf("estimate %d: UnavailableError names %v, want every replica %v", k, ue.Down, urls)
+		}
+		if got := sum(rpcDelta(proxy, before)); k == 1 && got != 0 {
+			t.Fatalf("estimate %d sent %d RPCs to replicas marked down", k, got)
+		}
+	}
+
+	bb.Restart()
+	proxy.ProbeNow(ctx)
+	if st := proxy.HealthStats(); st.Up != 1 || !st.Shards[1].Up {
+		t.Fatalf("probe did not revive replica 1: %+v", st)
+	}
+	for k := 0; k < 2; k++ {
+		demo, union, err := proxy.ReachShares(ctx, f, clauses)
+		if err != nil || demo != wantD || union != wantU {
+			t.Fatalf("estimate %d after the probe = (%v, %v, %v), want (%v, %v)", k, demo, union, err, wantD, wantU)
+		}
 	}
 }
 
-// TestProbeRejectsWrongIdentity: a live shard serving the wrong slice of the
-// topology (or the wrong world) must be treated as down, not folded in.
+// TestProbeRejectsWrongIdentity: a live replica serving another world — a
+// different catalog, population or seed — must be treated as down, not
+// asked. A replica whose model was calibrated over a user-ID slice serves
+// the proxy's world and passes.
 func TestProbeRejectsWrongIdentity(t *testing.T) {
 	cfg := smallConfig(1)
+	otherCatalog, otherPop, otherSeed := cfg, cfg, cfg
+	otherCatalog.Population.CatalogSize = 500
+	otherPop.Population.Population++
+	otherSeed.Population.Seed++
+	for _, tc := range []struct {
+		name    string
+		cfg     worldcfg.Config
+		verdict string
+	}{
+		{"catalog", otherCatalog, "catalog size"},
+		{"population", otherPop, "total population"},
+		{"seed", otherSeed, "world digest"},
+	} {
+		srv, _ := replicaHandler(t, tc.cfg)
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{})
+		proxy.ProbeNow(context.Background())
+		if st := proxy.HealthStats(); st.Down != 1 || !strings.Contains(st.Shards[0].LastError, tc.verdict) {
+			t.Fatalf("%s mismatch not detected on its %s: %+v", tc.name, tc.verdict, st)
+		}
+	}
 
-	// Shard claims index 1 of 3; the proxy expects index 0 of 1.
-	wrongIndex, _ := shardHandler(t, cfg, 1, 3)
-	ts := httptest.NewServer(wrongIndex)
+	b, info, err := NewShardBackend(cfg, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := NewShardServer(b, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(slice)
 	defer ts.Close()
 	proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{})
 	proxy.ProbeNow(context.Background())
-	st := proxy.HealthStats()
-	if st.Down != 1 {
-		t.Fatalf("identity mismatch not detected: %+v", st)
-	}
-
-	// A different world (catalog size) behind the right index.
-	otherCfg := smallConfig(1)
-	otherCfg.Population.CatalogSize = 500
-	otherWorld, _ := shardHandler(t, otherCfg, 0, 1)
-	ts2 := httptest.NewServer(otherWorld)
-	defer ts2.Close()
-	proxy2 := newTestProxy(t, cfg, []string{ts2.URL}, ProxyConfig{})
-	proxy2.ProbeNow(context.Background())
-	if proxy2.HealthStats().Down != 1 {
-		t.Fatalf("world mismatch not detected: %+v", proxy2.HealthStats())
+	if st := proxy.HealthStats(); st.Down != 0 {
+		t.Fatalf("a slice-calibrated replica of the proxy's world was refused: %+v", st)
 	}
 }
 
@@ -381,10 +422,9 @@ func TestProbeRejectsWrongIdentity(t *testing.T) {
 // ticker) across a kill/restart cycle.
 func TestStartHealthRecoversShard(t *testing.T) {
 	cfg := smallConfig(1)
-	s0, _ := shardHandler(t, cfg, 0, 1)
+	s0, _ := replicaHandler(t, cfg)
 	shard := startRestartableShard(t, s0)
 	proxy := newTestProxy(t, cfg, []string{shard.URL()}, ProxyConfig{
-		Policy:        PolicyRenormalize,
 		ProbeInterval: 2 * time.Millisecond,
 		MaxRetries:    0,
 		Sleep:         func(ctx context.Context, d time.Duration) error { return nil },
@@ -397,9 +437,6 @@ func TestStartHealthRecoversShard(t *testing.T) {
 	waitFor(t, func() bool { return proxy.HealthStats().Down == 1 })
 	shard.Restart()
 	waitFor(t, func() bool { return proxy.HealthStats().Down == 0 })
-	if proxy.Degraded() {
-		t.Fatal("recovered topology still degraded")
-	}
 }
 
 // TestProbeAbortedByCallerKeepsVerdict: a probe round whose context ends
@@ -407,7 +444,7 @@ func TestStartHealthRecoversShard(t *testing.T) {
 // aborted probe says nothing about them.
 func TestProbeAbortedByCallerKeepsVerdict(t *testing.T) {
 	cfg := smallConfig(1)
-	urls := startShardTopology(t, cfg, 2)
+	urls := startReplicas(t, cfg, 2, noWrap)
 	proxy := newTestProxy(t, cfg, urls, ProxyConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -429,28 +466,13 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached within 5s")
 }
 
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"fail": PolicyFail, "renormalize": PolicyRenormalize} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("Policy(%v).String() = %q", got, got.String())
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("bogus policy should fail")
-	}
-}
-
 func TestUnavailableErrorMessage(t *testing.T) {
 	e := &UnavailableError{Down: []string{"http://a", "http://b"}}
 	msg := e.Error()
 	if !errors.As(error(e), new(*UnavailableError)) {
 		t.Fatal("errors.As should match")
 	}
-	for _, want := range []string{"2 shard(s) down", "http://a", "http://b"} {
+	for _, want := range []string{"2 replica(s) down", "http://a", "http://b"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q missing %q", msg, want)
 		}

@@ -1,26 +1,24 @@
-// Process-sharded serving: the network topology behind `fbadsd -shard-of` /
-// `-proxy`. A ShardServer exposes one shard's reach primitives over a small
-// HTTP RPC with binary share bodies; a ProxyBackend implements ReachBackend
-// over N shard processes — each optionally replicated — by sending each
-// estimate to one shard in rotation, with per-RPC timeouts, bounded jittered
-// retry, hedged requests, health-checked failover across shards (health.go)
-// and per-replica circuit breakers (breaker.go).
+// Process-replicated serving: the network topology behind `fbadsd
+// -shard-listen` / `-proxy`. A ShardServer exposes one whole world's reach
+// primitives over a small HTTP RPC with binary share bodies; a ProxyBackend
+// implements ReachBackend over a flat list of such replica processes by
+// sending each estimate to one replica in rotation, with per-RPC timeouts,
+// bounded jittered retry, hedged requests, health-checked failover
+// (health.go) and per-replica circuit breakers (breaker.go).
 //
 // # Replication and hedging
 //
-// Each shard position can be served by a replica SET (ProxyConfig.Shards,
-// `fbadsd -proxy "u0a|u0b,u1"`). Replicas of a shard are byte-identical
-// worlds by construction — shard models are share-calibrated pure functions
-// of (worldcfg.Config, range), and the per-replica health probes verify the
-// full identity (index/count/range/population/catalog/world digest) against
-// the proxy's own config — so routing between them never changes an answer.
-// Per RPC the proxy picks the preferred (lowest-index) live replica; on
-// failure it fails over to the next live replica, and with HedgeAfter armed
-// it additionally fires the SAME request at the next live replica once the
-// hedge delay elapses without an answer — first success wins and the losers'
-// contexts are canceled (their breakers see OnCanceled, not OnFailure). Only
-// when EVERY replica of the chosen shard fails does the degradation policy
-// decide between trying the next shard and refusing.
+// Every replica serves the byte-identical world: its model is a
+// share-calibrated pure function of worldcfg.Config, and the health probes
+// verify each replica's identity (catalog size, total population, world
+// digest) against the proxy's own config, so routing between replicas never
+// changes an answer. An estimate starts at the live replica whose turn it
+// is; on failure it fails over to the next live replica in rotation order,
+// and with HedgeAfter armed it also fires the SAME request at the next live
+// replica once the hedge delay elapses without an answer — first success
+// wins and the losers' contexts are canceled (their breakers see
+// OnCanceled, not OnFailure). Only when no replica answers does the estimate
+// fail, with *UnavailableError.
 //
 // # Deadline propagation
 //
@@ -34,15 +32,14 @@
 //
 // # Exactness
 //
-// A shard process builds its model with the same range arithmetic and
-// share-based calibration as ShardedBackend (NewShardBackend), so its
-// shares equal the single world's bit for bit — every shard's, every
-// replica's. A share answer carries each float64's IEEE-754 bits (see
-// "Share bodies"), so the wire adds no error either. The proxy therefore
-// returns the answering shard's pair unchanged, and every answer it serves —
-// healthy, after replica failover, or after failing over to another shard —
-// is byte-identical to LocalBackend's: property-gated in remote_test.go
-// over replicas {1,2} × shards {1,2,3} × seeds {0,1,42}, hedging armed.
+// A replica's model has the single world's rates and grid (NewShardBackend,
+// worldcfg.Config.BuildModel), so its shares equal the single world's bit
+// for bit. A share answer carries each float64's IEEE-754 bits (see "Share
+// bodies"), so the wire adds no error either. The proxy therefore returns
+// the answering replica's pair unchanged, and every answer it serves —
+// healthy, after failover, or from a hedge — is byte-identical to
+// LocalBackend's: property-gated in remote_test.go over replicas {1,2,3} ×
+// seeds {0,1,42}, hedging armed.
 //
 // The fused reach-shares RPC carries both factors of one estimate, computed
 // by the same two engine calls the single-share endpoints make, so one RPC
@@ -90,6 +87,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -145,20 +143,14 @@ func NewShardTransport() *http.Transport {
 }
 
 // ShardHealthInfo is the health endpoint's payload: enough identity for the
-// proxy to verify the shard serves the same world at the same split before
-// asking it (ProbeNow rejects mismatches as down).
+// proxy to verify the replica serves its world before asking it (ProbeNow
+// rejects mismatches as down).
 type ShardHealthInfo struct {
 	Status string `json:"status"`
-	Shard  int    `json:"shard"`
-	Shards int    `json:"shards"`
-	Lo     int64  `json:"lo"`
-	Hi     int64  `json:"hi"`
-	// Population is the shard-local model population (Hi - Lo).
-	Population int64 `json:"population"`
-	// TotalPopulation is the whole topology's user base.
+	// TotalPopulation is the world's user base.
 	TotalPopulation int64  `json:"total_population"`
 	CatalogSize     int    `json:"catalog_size"`
-	World           string `json:"world"` // worldDigest of the shard's config
+	World           string `json:"world"` // worldDigest of the replica's config
 }
 
 // shardShareRequest is the request shared by the share endpoints; each
@@ -305,17 +297,11 @@ type shardErrorBody struct {
 	} `json:"error"`
 }
 
-// ShardInfo identifies a shard inside its topology.
+// ShardInfo identifies the world a replica serves.
 type ShardInfo struct {
-	// Index is the shard's position in [0, Count).
-	Index int
-	// Count is the topology's shard count.
-	Count int
-	// Range is the user-ID range the shard owns.
-	Range ShardRange
-	// TotalPopulation is the whole topology's user base.
+	// TotalPopulation is the world's user base.
 	TotalPopulation int64
-	// World is the worldDigest of the shard's config.
+	// World is the worldDigest of the replica's config.
 	World string
 }
 
@@ -331,12 +317,12 @@ func worldDigest(cfg worldcfg.Config) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// NewShardBackend builds the world of shard index of count from cfg — the
-// identical range arithmetic and model construction ShardedBackend applies
-// in-process, packaged for one shard per process (fbadsd -shard-of). The
-// returned LocalBackend's shares are bit-identical to in-process shard
-// index's — and to every other replica built from the same (cfg, index,
-// count), which is what makes proxy-side replica failover exact.
+// NewShardBackend builds a replica's world from cfg: the model of shard index
+// of count, calibrated over that shard's user-ID range exactly as
+// ShardedBackend builds it in-process. Calibration is share-based, so the
+// shares are the single world's bit for bit at any (index, count), which is
+// what makes proxy failover between replicas exact. fbadsd -shard-listen
+// builds NewShardBackend(cfg, 0, 1), the whole world.
 func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, ShardInfo, error) {
 	pop := cfg.Population.Population
 	if err := checkShardCount(count, pop); err != nil {
@@ -355,29 +341,26 @@ func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, Shar
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard %d: %w", index, err)
 	}
 	b := &LocalBackend{model: model, engine: cfg.NewEngine(model)}
-	return b, ShardInfo{Index: index, Count: count, Range: r, TotalPopulation: pop, World: worldDigest(cfg)}, nil
+	return b, ShardInfo{TotalPopulation: pop, World: worldDigest(cfg)}, nil
 }
 
-// ShardServer serves one shard's reach primitives over the shard RPC (binary
-// share bodies, JSON everywhere else; see "Share bodies"): the per-process
-// counterpart of a ShardedBackend shard. It is an http.Handler; fbadsd
-// mounts it on -shard-listen. The RPC surface trusts its caller (the proxy
-// validates specs upstream) but still rejects malformed or oversized bodies
-// and unknown interest IDs with 400s so a stray request cannot crash the
-// shard.
+// ShardServer serves one replica's reach primitives over the shard RPC
+// (binary share bodies, JSON everywhere else; see "Share bodies"). It is an
+// http.Handler; fbadsd mounts it on -shard-listen. The RPC surface trusts
+// its caller (the proxy validates specs upstream) but still rejects
+// malformed or oversized bodies and unknown interest IDs with 400s so a
+// stray request cannot crash the replica.
 type ShardServer struct {
 	backend *LocalBackend
 	info    ShardInfo
 	mux     *http.ServeMux
 }
 
-// NewShardServer wraps a shard backend (NewShardBackend) as its RPC handler.
+// NewShardServer wraps a replica backend (NewShardBackend) as its RPC
+// handler.
 func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	if b == nil {
 		return nil, errors.New("serving: ShardServer needs a backend")
-	}
-	if info.Count < 1 || info.Index < 0 || info.Index >= info.Count {
-		return nil, fmt.Errorf("serving: bad shard identity %d/%d", info.Index, info.Count)
 	}
 	s := &ShardServer{backend: b, info: info}
 	mux := http.NewServeMux()
@@ -418,9 +401,6 @@ func deadlineMessage(err error) string { return "deadline exhausted before compu
 
 // Backend exposes the shard's LocalBackend (test and wiring use).
 func (s *ShardServer) Backend() *LocalBackend { return s.backend }
-
-// Info exposes the shard's topology identity.
-func (s *ShardServer) Info() ShardInfo { return s.info }
 
 func (s *ShardServer) writeJSON(w http.ResponseWriter, v any) {
 	buf, err := json.Marshal(v)
@@ -492,11 +472,6 @@ func (s *ShardServer) parseShareBody(body []byte) (shardShareRequest, error) {
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, ShardHealthInfo{
 		Status:          "ok",
-		Shard:           s.info.Index,
-		Shards:          s.info.Count,
-		Lo:              s.info.Range.Lo,
-		Hi:              s.info.Range.Hi,
-		Population:      s.backend.Population(),
 		TotalPopulation: s.info.TotalPopulation,
 		CatalogSize:     s.backend.Catalog().Len(),
 		World:           s.info.World,
@@ -562,40 +537,13 @@ func (s *ShardServer) handleWarmRows(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]string{"status": "ok"})
 }
 
-// ParseShardTopology parses the `-proxy` flag's topology spec: shards are
-// comma-separated in shard-index order, and each shard is a |-separated
-// replica URL set — "u0a|u0b,u1" is shard 0 behind two replicas and shard 1
-// behind one.
-func ParseShardTopology(s string) ([][]string, error) {
-	var shards [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, u := range strings.Split(shard, "|") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				return nil, fmt.Errorf("serving: empty replica URL in topology %q", s)
-			}
-			reps = append(reps, u)
-		}
-		shards = append(shards, reps)
-	}
-	return shards, nil
-}
-
 // ProxyConfig configures a ProxyBackend.
 type ProxyConfig struct {
-	// URLs are the shard base URLs in shard-index order for the common
-	// one-replica-per-shard topology: URLs[i] must serve shard i of
-	// len(URLs) (ProbeNow verifies this and marks mismatches down). Set
-	// exactly one of URLs and Shards.
+	// URLs are the replica base URLs. Every replica must serve the proxy's
+	// world (ProbeNow verifies each one against the proxy's config and marks
+	// a mismatch down); estimates rotate over them in this order.
 	URLs []string
-	// Shards is the replicated topology: Shards[i] lists the base URLs of
-	// the replicas serving shard i of len(Shards), preference order first.
-	// All replicas of a shard must serve the byte-identical shard world
-	// (same index/count/range/population/catalog/world digest — ProbeNow
-	// verifies each replica independently against the proxy's config).
-	Shards [][]string
-	// Timeout bounds each shard RPC attempt (default 10s).
+	// Timeout bounds each replica RPC attempt (default 10s).
 	Timeout time.Duration
 	// MaxRetries bounds per-RPC retries after the first attempt, on network
 	// errors, 5xx and 429 (default 2).
@@ -604,28 +552,25 @@ type ProxyConfig struct {
 	// stretched by Jitter (default 50ms).
 	RetryBase time.Duration
 	// RetryBudget caps the TOTAL retries one query may spend across every
-	// shard and replica it tries, so a brownout cannot amplify incoming load
-	// by shards × MaxRetries. Exhaustion fails the RPC that wanted the retry
+	// replica it tries, so a brownout cannot amplify incoming load by
+	// replicas × MaxRetries. Exhaustion fails the RPC that wanted the retry
 	// (tallied as HealthStats.RetryBudgetExhausted) and counts as that
-	// shard's failure. 0 defaults to 2 × MaxRetries; negative disables the
+	// replica's failure. 0 defaults to 2 × MaxRetries; negative disables the
 	// cap.
 	RetryBudget int
-	// HedgeAfter arms hedged requests: a shard RPC still unanswered after
-	// this delay is duplicated to the shard's next live replica, first
-	// success wins, losers are canceled. Zero (the default) disables
-	// hedging; replicas then give sequential failover only. The hedge timer
-	// sleeps through Sleep, so tests drive it deterministically.
+	// HedgeAfter arms hedged requests: an RPC still unanswered after this
+	// delay is duplicated to the next live replica, first success wins,
+	// losers are canceled. Zero (the default) disables hedging; replicas
+	// then give sequential failover only. The hedge timer sleeps through
+	// Sleep, so tests drive it deterministically.
 	HedgeAfter time.Duration
 	// Jitter supplies the backoff jitter fraction in [0, 1) for a given
-	// (shard, replica, attempt); the retry wait is stretched to
+	// (replica, attempt); the retry wait is stretched to
 	// wait · (1 + jitter/2), i.e. [wait, 1.5·wait), so concurrent queries
-	// retrying against the same recovering shard decorrelate instead of
+	// retrying against the same recovering replica decorrelate instead of
 	// arriving in synchronized bursts. Nil uses a deterministic source
 	// derived from the world seed; tests inject a constant.
-	Jitter func(shard, replica, attempt int) float64
-	// Policy selects what an estimate does when its shard (every replica)
-	// cannot answer: refuse, or try the next shard (default PolicyFail).
-	Policy Policy
+	Jitter func(replica, attempt int) float64
 	// ProbeInterval is StartHealth's probe period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s).
@@ -648,32 +593,24 @@ type ProxyConfig struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// ProxyBackend implements ReachBackend over N shard PROCESSES: the network
-// counterpart of ShardedBackend. Every share query is ONE shard RPC to the
-// shard whose turn it is (per-RPC timeout, bounded jittered retry under a
-// per-query budget; a reach estimate's two factor shares travel together in
-// the fused reach-shares RPC), and the answer is that shard's, unchanged —
+// ProxyBackend implements ReachBackend over replica PROCESSES, each serving
+// the whole world. Every share query is ONE RPC to the replica whose turn
+// it is (per-RPC timeout, bounded jittered retry under a per-query budget;
+// a reach estimate's two factor shares travel together in the fused
+// reach-shares RPC), and the answer is that replica's, unchanged —
 // byte-identical to LocalBackend (see the package comment's exactness
 // argument).
 //
-// A shard may be served by several replicas (ProxyConfig.Shards). Each
-// replica carries its own health state and circuit breaker; the RPC goes to
-// the preferred live replica with exact failover — and, when HedgeAfter is
-// armed, a hedged duplicate — to the next (see the package comment).
-//
-// Failure behaviour is governed by the health subsystem (health.go):
-// replicas marked down by probes are skipped, RPC failures mark replicas
-// down, and the configured Policy decides — only once the chosen shard has
-// NO replica that answers — between refusing (PolicyFail returns
-// *UnavailableError → HTTP 503) and asking the next shard
-// (PolicyRenormalize: the answer stays exact, and responses are stamped
-// degraded while a shard is down).
+// Each replica carries its own health state (health.go) and circuit
+// breaker. Replicas marked down by probes are skipped, RPC failures mark
+// replicas down, and an RPC that fails moves to the next live replica —
+// and, when HedgeAfter is armed, a hedged duplicate races it there. Only an
+// estimate no replica answers returns *UnavailableError (HTTP 503).
 type ProxyBackend struct {
 	catalog *interest.Catalog
 	pop     int64
 	world   string // worldDigest of the proxy's config
-	shards  [][]string
-	ranges  []ShardRange
+	urls    []string
 	turn    rotation
 
 	timeout       time.Duration
@@ -681,17 +618,16 @@ type ProxyBackend struct {
 	retryBase     time.Duration
 	retryBudget   int // per-query retry cap; <= 0 means uncapped
 	hedgeAfter    time.Duration
-	jitter        func(shard, replica, attempt int) float64
-	policy        Policy
+	jitter        func(replica, attempt int) float64
 	probeInterval time.Duration
 	probeTimeout  time.Duration
 	client        *http.Client
 	sleep         func(ctx context.Context, d time.Duration) error
 
 	health   *healthMonitor
-	breakers [][]*breaker
-	frames   [][]framePool    // each replica's idle upgraded connections
-	rpcs     [][]atomic.Int64 // data-RPC attempts per replica
+	breakers []*breaker
+	frames   []framePool    // each replica's idle upgraded connections
+	rpcs     []atomic.Int64 // data-RPC attempts per replica
 
 	hedged          atomic.Int64
 	hedgeWins       atomic.Int64
@@ -701,28 +637,13 @@ type ProxyBackend struct {
 
 // NewProxyBackend builds the proxy's local view of the world described by
 // cfg: the interest catalog is generated locally (bit-identical to every
-// shard's — catalog generation is a pure function of the config), shard
-// ranges come from the same integer range arithmetic ShardedBackend uses
-// (the health probes check each shard's against them). No shard is
-// contacted during construction; replicas start optimistically up and the
-// first probe or RPC corrects that.
+// replica's — catalog generation is a pure function of the config). No
+// replica is contacted during construction; replicas start optimistically
+// up and the first probe or RPC corrects that.
 func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error) {
-	if len(pc.URLs) > 0 && len(pc.Shards) > 0 {
-		return nil, errors.New("serving: set ProxyConfig.URLs or ProxyConfig.Shards, not both")
-	}
-	topo := pc.Shards
-	if len(topo) == 0 {
-		for _, u := range pc.URLs {
-			topo = append(topo, []string{u})
-		}
-	}
-	n := len(topo)
+	n := len(pc.URLs)
 	if n < 1 {
-		return nil, errors.New("serving: ProxyConfig needs at least one shard URL")
-	}
-	pop := cfg.Population.Population
-	if err := checkShardCount(n, pop); err != nil {
-		return nil, err
+		return nil, errors.New("serving: ProxyConfig needs at least one replica URL")
 	}
 	if pc.Timeout <= 0 {
 		pc.Timeout = 10 * time.Second
@@ -773,21 +694,11 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	if err != nil {
 		return nil, err
 	}
-	shards := make([][]string, n)
-	ranges := make([]ShardRange, n)
-	for i, reps := range topo {
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("serving: shard %d has no replica URLs", i)
+	urls := make([]string, n)
+	for i, u := range pc.URLs {
+		if urls[i] = strings.TrimSuffix(strings.TrimSpace(u), "/"); urls[i] == "" {
+			return nil, fmt.Errorf("serving: replica %d has an empty URL", i)
 		}
-		shards[i] = make([]string, len(reps))
-		for r, u := range reps {
-			u = strings.TrimSuffix(strings.TrimSpace(u), "/")
-			if u == "" {
-				return nil, fmt.Errorf("serving: shard %d replica %d has an empty URL", i, r)
-			}
-			shards[i][r] = u
-		}
-		ranges[i] = shardRange(pop, i, n)
 	}
 	if pc.Breaker.Now == nil {
 		pc.Breaker.Now = pc.Now
@@ -795,72 +706,61 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	// Without keep-alives, replicas get nil frame pools, which offer no upgrade.
 	t, ok := pc.Client.Transport.(*http.Transport)
 	keepAlive := !ok || !t.DisableKeepAlives
-	breakers := make([][]*breaker, n)
-	frames := make([][]framePool, n)
-	rpcs := make([][]atomic.Int64, n)
+	breakers := make([]*breaker, n)
+	frames := make([]framePool, n)
 	for i := range breakers {
-		breakers[i] = make([]*breaker, len(shards[i]))
-		frames[i] = make([]framePool, len(shards[i]))
-		rpcs[i] = make([]atomic.Int64, len(shards[i]))
-		for r := range breakers[i] {
-			breakers[i][r] = newBreaker(pc.Breaker)
-			if keepAlive {
-				frames[i][r] = make(framePool, shardIdleConnsPerHost)
-			}
+		breakers[i] = newBreaker(pc.Breaker)
+		if keepAlive {
+			frames[i] = make(framePool, shardIdleConnsPerHost)
 		}
 	}
 	return &ProxyBackend{
 		catalog:       cat,
-		pop:           pop,
+		pop:           cfg.Population.Population,
 		world:         worldDigest(cfg),
-		shards:        shards,
-		ranges:        ranges,
+		urls:          urls,
 		timeout:       pc.Timeout,
 		maxRetries:    pc.MaxRetries,
 		retryBase:     pc.RetryBase,
 		retryBudget:   pc.RetryBudget,
 		hedgeAfter:    pc.HedgeAfter,
 		jitter:        pc.Jitter,
-		policy:        pc.Policy,
 		probeInterval: pc.ProbeInterval,
 		probeTimeout:  pc.ProbeTimeout,
 		client:        pc.Client,
 		sleep:         pc.Sleep,
-		health:        newHealthMonitor(shards, pc.Now),
+		health:        newHealthMonitor(urls, pc.Now),
 		breakers:      breakers,
 		frames:        frames,
-		rpcs:          rpcs,
+		rpcs:          make([]atomic.Int64, n),
 	}, nil
 }
 
 // defaultJitter derives a deterministic jitter stream from the world seed:
-// draw k for (shard, replica, attempt) comes from the derived stream
-// "<shard>/<replica>/<attempt>/<k>" of a jitter-dedicated parent. The parent
-// Rand is only ever READ (Derive hashes its state without advancing it), so
+// draw k for (replica, attempt) comes from the derived stream
+// "<replica>/<attempt>/<k>" of a jitter-dedicated parent. The parent Rand is
+// only ever READ (Derive hashes its state without advancing it), so
 // concurrent retries may draw without a lock.
-func defaultJitter(seed uint64) func(shard, replica, attempt int) float64 {
+func defaultJitter(seed uint64) func(replica, attempt int) float64 {
 	parent := rng.New(seed).Derive("proxy-backoff-jitter")
 	var seq atomic.Uint64
-	return func(shard, replica, attempt int) float64 {
+	return func(replica, attempt int) float64 {
 		k := seq.Add(1)
-		return parent.Derive(fmt.Sprintf("%d/%d/%d/%d", shard, replica, attempt, k)).Float64()
+		return parent.Derive(fmt.Sprintf("%d/%d/%d", replica, attempt, k)).Float64()
 	}
 }
 
-// NumShards returns the topology's shard count.
-func (p *ProxyBackend) NumShards() int { return len(p.shards) }
-
 // Catalog implements ReachBackend: the proxy's locally generated catalog,
-// bit-identical to every shard's.
+// bit-identical to every replica's.
 func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
 
 // Population implements ReachBackend.
 func (p *ProxyBackend) Population() int64 { return p.pop }
 
-// ReachShares implements ReachBackend with one fused RPC to one shard
-// (ask): the answering shard's pair is the estimate, unchanged. It returns
-// *UnavailableError when no shard may answer under the policy, and
-// *CanceledError when the caller's context ends first.
+// ReachShares implements ReachBackend with one fused RPC to one replica
+// (ask): the answering replica's pair is the estimate, unchanged. It returns
+// *UnavailableError when no replica answers, and *CanceledError when the
+// caller's context ends first.
 func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
 	data, err := p.ask(ctx, shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}.encode())
 	if err == nil {
@@ -881,7 +781,7 @@ func must(v float64, err error) float64 {
 	return v
 }
 
-// share asks one shard a one-share RPC (ask).
+// share asks one replica a one-share RPC (ask).
 func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (share float64, err error) {
 	data, err := p.ask(ctx, path, req.encode())
 	if err == nil {
@@ -891,13 +791,13 @@ func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareReq
 }
 
 // DemoShare returns the population share matching a demographic filter, from
-// one shard (a float64 adapter; see must).
+// one replica (a float64 adapter; see must).
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
 	return must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
 }
 
 // UnionShare returns the population share matching a union of interest
-// conjunctions, from one shard (a float64 adapter; see must).
+// conjunctions, from one replica (a float64 adapter; see must).
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
 	return must(p.share(ctx, shardPathUnion, shardShareRequest{Clauses: clauses}))
 }
@@ -912,19 +812,21 @@ func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.Dem
 	return population.ConditionalAudience(p.pop, demo, conj)
 }
 
-// AudienceStats implements ReachBackend: the fold of every reachable shard's
-// cache counters (stats are diagnostics — an unreachable shard, or every
-// shard once ctx ends, contributes zeros rather than failing the call). With
-// replicas the counters come from whichever replica answered, so they
-// describe ITS caches.
+// AudienceStats implements ReachBackend: the fold of every live replica's
+// cache counters. Stats are diagnostics: an unreachable replica, or every
+// replica once ctx ends, contributes zeros rather than failing the call.
 func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
+	live := p.health.liveFrom(0)
+	stats := make([]audience.Stats, len(live))
 	bud := p.newQueryBudget()
-	stats, _, _ := fanOut(ctx, len(p.shards), len(p.shards), func(ctx context.Context, i int) (st audience.Stats, err error) {
-		data, err := p.callShard(ctx, i, http.MethodGet, shardPathStats, nil, bud)
-		if err == nil {
-			err = json.Unmarshal(data, &st)
+	_ = parallel.ForEach(ctx, len(live), len(live), func(k int) error {
+		if data, err := p.callReplica(ctx, live[k], http.MethodGet, shardPathStats, nil, bud); err == nil {
+			var st audience.Stats
+			if json.Unmarshal(data, &st) == nil {
+				stats[k] = st
+			}
 		}
-		return st, err
+		return nil
 	})
 	var total audience.Stats
 	for _, st := range stats {
@@ -933,68 +835,38 @@ func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
 	return total
 }
 
-// WarmRows implements ReachBackend: best-effort — every reachable replica's
-// shard materializes its full inclusion-row table. Warming fans out to ALL
-// replicas, not just the preferred one: a hedge or failover should land on
-// warm rows too.
+// WarmRows implements ReachBackend: best-effort — every reachable replica
+// materializes its full inclusion-row table, down-marked ones included, so
+// a failover or hedge lands on warm rows too.
 func (p *ProxyBackend) WarmRows(ctx context.Context) {
-	var units []func() error
-	for i := range p.shards {
-		for r := range p.shards[i] {
-			i, r := i, r
-			units = append(units, func() error {
-				_, _ = p.callReplica(ctx, i, r, http.MethodPost, shardPathWarm, nil, nil)
-				return nil
-			})
-		}
-	}
-	_ = parallel.ForEach(ctx, len(units), len(units), func(k int) error { return units[k]() })
+	_ = parallel.ForEach(ctx, len(p.urls), len(p.urls), func(r int) error {
+		_, _ = p.callReplica(ctx, r, http.MethodPost, shardPathWarm, nil, nil)
+		return nil
+	})
 }
 
-// ask sends one share RPC body to the shard whose turn it is and returns its
-// answer's body. Per shard the RPC runs against the shard's replica set
-// (callShard): only a shard with NO usable replica counts as failed. Then
-// the policy decides:
-//
-//   - PolicyFail: *UnavailableError naming that shard's replicas (the HTTP
-//     tier's 503). A PolicyFail proxy that already knows a shard is dead
-//     refuses before any RPC, so it keeps refusing until a probe revives it.
-//   - PolicyRenormalize: the next shard in rotation order is asked, under
-//     the same retry budget; the answer is exact whichever shard gives it.
-//     *UnavailableError names every replica only when no shard answers.
-//
-// The caller's ctx threads into every RPC; if it ends first, ask returns
-// *CanceledError, and the failures it caused are not held against the
-// replicas.
+// ask sends one share RPC body to the live replicas, in rotation order from
+// the one whose turn it is, and returns the first answer's body
+// (callReplicas: failover and hedging under one retry budget). Every
+// replica answers exactly, so whichever answers gives the same bytes.
+// *UnavailableError names every replica when none answers. The caller's ctx
+// threads into every RPC; if it ends first, ask returns *CanceledError, and
+// the failures it caused are not held against the replicas.
 func (p *ProxyBackend) ask(ctx context.Context, path string, body []byte) ([]byte, error) {
-	if p.policy == PolicyFail {
-		if down := p.health.deadURLs(); len(down) > 0 {
-			return nil, &UnavailableError{Down: down}
-		}
-	}
-	n := len(p.shards)
-	first := p.turn.pick(n)
-	bud := p.newQueryBudget()
-	var down []string
-	for k := 0; k < n; k++ {
-		i := (first + k) % n
-		data, err := p.callShard(ctx, i, http.MethodPost, path, body, bud)
+	if live := p.health.liveFrom(p.turn.pick(len(p.urls))); len(live) > 0 {
+		data, err := p.callReplicas(ctx, live, http.MethodPost, path, body, p.newQueryBudget())
 		if err == nil {
 			return data, nil
 		}
-		if ctx.Err() != nil {
-			return nil, &CanceledError{Err: ctx.Err()}
-		}
-		down = append(down, p.shards[i]...)
-		if p.policy == PolicyFail {
-			break
-		}
 	}
-	return nil, &UnavailableError{Down: down}
+	if err := ctx.Err(); err != nil {
+		return nil, &CanceledError{Err: err}
+	}
+	return nil, &UnavailableError{Down: slices.Clone(p.urls)}
 }
 
-// queryBudget is one query's shared retry allowance across every shard and
-// replica it tries; a nil budget is uncapped.
+// queryBudget is one query's shared retry allowance across every replica it
+// tries; a nil budget is uncapped.
 type queryBudget struct{ remaining atomic.Int64 }
 
 func (p *ProxyBackend) newQueryBudget() *queryBudget {
@@ -1014,19 +886,8 @@ func (b *queryBudget) take() bool {
 	return b.remaining.Add(-1) >= 0
 }
 
-// callShard performs one shard RPC against the shard's replica set
-// (callReplicas) and returns the winning response's body. A shard-level
-// error means NO usable replica produced an answer.
-func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	candidates := p.health.liveReplicas(shard)
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("serving: shard %d: all %d replica(s) marked down", shard, len(p.shards[shard]))
-	}
-	return p.callReplicas(ctx, shard, candidates, method, path, body, bud)
-}
-
-// callReplicas is the replica loop. The preferred (lowest-index) live
-// replica starts immediately; the next candidate takes over with the
+// callReplicas is the replica loop over candidates, replica indices in the
+// order to try them. The first starts immediately; the next candidate takes over with the
 // identical request whenever a running attempt fails (counted as a failover,
 // or as a hedge when hedging is armed) — and, with HedgeAfter armed and more
 // than one candidate, also whenever the hedge delay elapses without an
@@ -1036,7 +897,7 @@ func (p *ProxyBackend) callShard(ctx context.Context, shard int, method, path st
 // probe — is what makes failover exact and "first success wins" sound: the
 // bytes cannot depend on the winner. All attempts debit the same shared
 // retry budget, so hedging cannot multiply a brownout's retry load.
-func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -1053,7 +914,7 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates [
 		order, rep := launched, candidates[launched]
 		launched++
 		attempt := func() {
-			data, err := p.callReplica(raceCtx, shard, rep, method, path, body, bud)
+			data, err := p.callReplica(raceCtx, rep, method, path, body, bud)
 			results <- outcome{order: order, data: data, err: err}
 		}
 		// Only a race needs its own goroutine per attempt; failover
@@ -1064,8 +925,8 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates [
 			attempt()
 		}
 	}
-	// The hedge timer re-arms after every fire, so topologies with 3+
-	// replicas keep escalating while nobody answers. Disarmed, it is a nil
+	// The hedge timer re-arms after every fire, so with 3+ candidates it
+	// keeps escalating while nobody answers. Disarmed, it is a nil
 	// channel that never fires.
 	var timer chan struct{}
 	armTimer := func() {
@@ -1120,7 +981,7 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates [
 			}
 		}
 	}
-	return nil, fmt.Errorf("serving: shard %d %s: every live replica failed: %w", shard, path, lastErr)
+	return nil, fmt.Errorf("serving: %s: every live replica failed: %w", path, lastErr)
 }
 
 // callReplica performs one replica RPC under the replica's circuit breaker.
@@ -1130,12 +991,12 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, shard int, candidates [
 // gone, or this attempt lost a hedge race), which says nothing about the
 // replica and registers as the neutral OnCanceled. A genuine failure also
 // marks the replica down in the health monitor; only a probe resurrects it.
-func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	br := p.breakers[shard][replica]
+func (p *ProxyBackend) callReplica(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+	br := p.breakers[replica]
 	if err := br.Allow(); err != nil {
 		return nil, err
 	}
-	data, err := p.callRetrying(ctx, shard, replica, method, path, body, bud)
+	data, err := p.callRetrying(ctx, replica, method, path, body, bud)
 	switch {
 	case err == nil:
 		br.OnSuccess()
@@ -1143,7 +1004,7 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 		br.OnCanceled()
 	default:
 		br.OnFailure()
-		p.health.markDown(shard, replica, err)
+		p.health.markDown(replica, err)
 	}
 	return data, err
 }
@@ -1155,7 +1016,7 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 // a Retry-After (the concurrency gate's load-shed 503 and the admission
 // tier's 429 both do), which is honored verbatim. Either wait is capped by
 // the remaining ctx budget: sleeping past the caller's deadline is pure
-// waste. 504 is permanent — the shard abandoned the request because the
+// waste. 504 is permanent — the replica abandoned the request because the
 // forwarded deadline expired — as are other 4xx.
 //
 // When ctx ends mid-loop (a lost hedge race, or the caller leaving), the
@@ -1163,13 +1024,13 @@ func (p *ProxyBackend) callReplica(ctx context.Context, shard, replica int, meth
 // neutral. But if the last attempt could not reach the replica at all
 // (refused, reset, timed out), that failure is already proof the replica is gone, so
 // it still marks the replica down: a race loser must not discard it.
-func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+func (p *ProxyBackend) callRetrying(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	var lastErr error
 	var serverWait time.Duration // Retry-After from the last failed attempt
 	var unreachable error        // the last attempt's transport failure, if it had one
 	abandon := func(err error) ([]byte, error) {
 		if unreachable != nil {
-			p.health.markDown(shard, replica, unreachable)
+			p.health.markDown(replica, unreachable)
 		}
 		return nil, err
 	}
@@ -1177,9 +1038,9 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 		if attempt > 0 {
 			if !bud.take() {
 				p.budgetExhausted.Add(1)
-				return nil, fmt.Errorf("serving: shard %d %s: query retry budget exhausted: %w", shard, path, lastErr)
+				return nil, fmt.Errorf("serving: replica %d %s: query retry budget exhausted: %w", replica, path, lastErr)
 			}
-			wait := p.backoff(shard, replica, attempt)
+			wait := p.backoff(replica, attempt)
 			if serverWait > 0 {
 				wait = serverWait
 			}
@@ -1192,13 +1053,13 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 				return abandon(err)
 			}
 		}
-		data, status, retryAfter, err := p.attempt(ctx, shard, replica, method, path, body)
+		data, status, retryAfter, err := p.attempt(ctx, replica, method, path, body)
 		if err != nil {
 			if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
 				lastErr, unreachable, serverWait = err, err, 0
 			}
 			if ctx.Err() != nil {
-				// The caller is gone: retrying can only waste shard work. A
+				// The caller is gone: retrying can only waste replica work. A
 				// failure that came before the cancel still counts above.
 				return abandon(err)
 			}
@@ -1207,9 +1068,9 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 		unreachable = nil
 		switch {
 		case status == http.StatusGatewayTimeout:
-			// The shard honored the forwarded deadline and gave up.
-			return nil, fmt.Errorf("serving: shard %d %s: HTTP %d: deadline exhausted: %s",
-				shard, path, status, truncate(data))
+			// The replica honored the forwarded deadline and gave up.
+			return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: deadline exhausted: %s",
+				replica, path, status, truncate(data))
 		case status >= 500 || status == http.StatusTooManyRequests:
 			lastErr = fmt.Errorf("HTTP %d: %s", status, truncate(data))
 			serverWait = retryAfter
@@ -1217,21 +1078,21 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, shard, replica int, met
 		case status != http.StatusOK:
 			var eb shardErrorBody
 			if json.Unmarshal(data, &eb) == nil && eb.Error.Message != "" {
-				return nil, fmt.Errorf("serving: shard %d %s: HTTP %d: %s", shard, path, status, eb.Error.Message)
+				return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: %s", replica, path, status, eb.Error.Message)
 			}
-			return nil, fmt.Errorf("serving: shard %d %s: HTTP %d: %s", shard, path, status, truncate(data))
+			return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: %s", replica, path, status, truncate(data))
 		}
 		return data, nil
 	}
-	return nil, fmt.Errorf("serving: shard %d %s: retries exhausted: %w", shard, path, lastErr)
+	return nil, fmt.Errorf("serving: replica %d %s: retries exhausted: %w", replica, path, lastErr)
 }
 
 // backoff is the jittered exponential schedule for retry `attempt` (>= 1):
 // RetryBase · 2^(attempt-1), stretched by the jitter fraction into
 // [wait, 1.5·wait).
-func (p *ProxyBackend) backoff(shard, replica, attempt int) time.Duration {
+func (p *ProxyBackend) backoff(replica, attempt int) time.Duration {
 	wait := p.retryBase << (attempt - 1)
-	j := p.jitter(shard, replica, attempt)
+	j := p.jitter(replica, attempt)
 	if j < 0 || j >= 1 {
 		j = 0
 	}
@@ -1257,15 +1118,15 @@ func ParseRetryAfter(h string) time.Duration {
 // pooled upgraded connection when the replica has one, and otherwise as an
 // HTTP round trip offering the upgrade. It returns the answer's body,
 // status and Retry-After.
-func (p *ProxyBackend) attempt(ctx context.Context, shard, replica int, method, path string, body []byte) ([]byte, int, time.Duration, error) {
+func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path string, body []byte) ([]byte, int, time.Duration, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	d, _ := ctx.Deadline()
 	budget := max(time.Until(d).Milliseconds(), 1)
-	p.rpcs[shard][replica].Add(1)
+	p.rpcs[replica].Add(1)
 	var pool framePool
 	if path == shardPathReach {
-		pool = p.frames[shard][replica]
+		pool = p.frames[replica]
 		if c := pool.get(); c != nil {
 			c.frame = appendRequestFrame(c.frame[:0], budget, body)
 			data, status, retryAfter, err := c.exchange(ctx, pool, c.frame)
@@ -1277,7 +1138,7 @@ func (p *ProxyBackend) attempt(ctx context.Context, shard, replica int, method, 
 			// an idempotent request. This attempt debits no retry for it.
 		}
 	}
-	return p.roundTrip(ctx, method, p.shards[shard][replica]+path, body, budget, pool)
+	return p.roundTrip(ctx, method, p.urls[replica]+path, body, budget, pool)
 }
 
 // roundTrip performs one HTTP RPC under ctx, forwarding budget (ms) as the

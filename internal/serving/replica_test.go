@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,50 +15,24 @@ import (
 	"nanotarget/internal/population"
 )
 
-func zeroJitter(shard, replica, attempt int) float64 { return 0 }
+func zeroJitter(replica, attempt int) float64 { return 0 }
 
 func immediateSleep(ctx context.Context, d time.Duration) error { return nil }
 
-func TestParseShardTopology(t *testing.T) {
-	got, err := ParseShardTopology("u0a|u0b, u1 ,u2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"u0a", "u0b"}, {"u1"}, {"u2"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ParseShardTopology = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"", ",", "a,,b", "a|", "|a", "a, |b"} {
-		if _, err := ParseShardTopology(bad); err == nil {
-			t.Fatalf("ParseShardTopology(%q) should fail", bad)
-		}
-	}
-}
-
-// TestProxyReplicaFailoverExact is the acceptance property for replication:
-// killing ONE replica of a replicated shard mid-run keeps every answer
-// bit-identical to the in-process ShardedBackend and never flips Degraded —
-// under BOTH policies — while HealthStats records the dead replica and at
-// least one hedge win (the race escalates off the corpse onto the
-// survivor). Only killing the WHOLE replica set engages the policy:
-// renormalize then fails over to the other shard, still exact, and stamps
-// degraded; fail refuses naming every replica.
+// TestProxyReplicaFailoverExact is the acceptance property for replication
+// under hedging: killing one of three replicas mid-run keeps every answer
+// bit-identical to LocalBackend, while HealthStats records the dead replica
+// and at least one hedge win (the race escalates off the corpse onto a
+// survivor). Killing a second replica leaves the last one answering every
+// estimate, still exactly.
 func TestProxyReplicaFailoverExact(t *testing.T) {
 	cfg := smallConfig(7)
-	s0a, _ := shardHandler(t, cfg, 0, 2)
-	s0b, _ := shardHandler(t, cfg, 0, 2)
-	s1, _ := shardHandler(t, cfg, 1, 2)
-	r0a := startRestartableShard(t, s0a)
-	r0b := startRestartableShard(t, s0b)
-	sh1 := startRestartableShard(t, s1)
-	topo := [][]string{{r0a.URL(), r0b.URL()}, {sh1.URL()}}
-
-	sharded, err := NewShardedBackend(context.Background(), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srvA, b := replicaHandler(t, cfg)
+	srvB, _ := replicaHandler(t, cfg)
+	srvC, _ := replicaHandler(t, cfg)
+	a, bb, c := startRestartableShard(t, srvA), startRestartableShard(t, srvB), startRestartableShard(t, srvC)
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	want := sharded.UnionShare(context.Background(), clauses)
+	want := b.UnionShare(context.Background(), clauses)
 
 	// The hedge timer fires only once the killed replica has refused an
 	// attempt (before the kill it waits out the race). Fired at once, the
@@ -67,116 +40,61 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	// call ever sees the replica fail: nothing marks it down. Retry sleeps
 	// return at once.
 	const hedgeAfter = time.Microsecond
-	mk := func(policy Policy) *ProxyBackend {
-		rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(r0a.URL(), "http://"),
-			failed: make(chan struct{}, 1)}
-		p, err := NewProxyBackend(cfg, ProxyConfig{
-			Shards: topo, Policy: policy,
-			MaxRetries: 1, RetryBase: time.Millisecond,
-			HedgeAfter: hedgeAfter,
-			Jitter:     zeroJitter,
-			Client:     &http.Client{Transport: rt},
-			Sleep: func(ctx context.Context, d time.Duration) error {
-				if d != hedgeAfter {
-					return nil
-				}
-				select {
-				case <-rt.failed:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	renorm := mk(PolicyRenormalize)
-	failing := mk(PolicyFail)
-
-	for _, p := range []*ProxyBackend{renorm, failing} {
-		if got := p.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("healthy replicated proxy share = %v, want %v", got, want)
-		}
-		if p.Degraded() {
-			t.Fatal("healthy replicated proxy reports degraded")
-		}
+	rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(a.URL(), "http://"),
+		failed: make(chan struct{}, 1)}
+	proxy := newTestProxy(t, cfg, []string{a.URL(), bb.URL(), c.URL()}, ProxyConfig{
+		MaxRetries: 1,
+		HedgeAfter: hedgeAfter,
+		Jitter:     zeroJitter,
+		Client:     &http.Client{Transport: rt},
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			if d != hedgeAfter {
+				return nil
+			}
+			select {
+			case <-rt.failed:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
+	})
+	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+		t.Fatalf("healthy replicated proxy share = %v, want %v", got, want)
 	}
 
-	// Kill one replica of shard 0 mid-run. Both proxies must keep serving the
-	// exact answer: the hedge race fails over to the surviving replica, which
-	// is the byte-identical world.
-	r0a.Kill()
+	// Kill replica a mid-run. Every estimate — each replica's turn comes
+	// round — must keep the exact answer: the race fails over to a
+	// surviving replica, which is the byte-identical world.
+	a.Kill()
 	for trial := 0; trial < 5; trial++ {
-		if got := renorm.UnionShare(context.Background(), clauses); got != want {
+		if got := proxy.UnionShare(context.Background(), clauses); got != want {
 			t.Fatalf("trial %d: share after replica kill = %v, want %v — replica failover must be exact",
 				trial, got, want)
 		}
-		if renorm.Degraded() {
-			t.Fatal("losing one replica of a replicated shard must not degrade")
-		}
 	}
-	if got := failing.UnionShare(context.Background(), clauses); got != want {
-		t.Fatalf("fail-policy share after replica kill = %v, want %v", got, want)
-	}
-
 	// A race loser delivers its verdict on its own goroutine after the
 	// winner has answered; give the last one time to land.
-	waitFor(t, func() bool { return renorm.HealthStats().Down > 0 })
-	st := renorm.HealthStats()
-	if st.Down != 1 {
-		t.Fatalf("one replica dead, stats say %d down: %+v", st.Down, st)
-	}
-	var deadRow *ShardHealth
-	for i := range st.Shards {
-		if st.Shards[i].Shard == 0 && st.Shards[i].Replica == 0 {
-			deadRow = &st.Shards[i]
-		}
-	}
-	if deadRow == nil || deadRow.Up || deadRow.LastError == "" {
-		t.Fatalf("dead replica not recorded: %+v", st.Shards)
+	waitFor(t, func() bool { return proxy.HealthStats().Down > 0 })
+	st := proxy.HealthStats()
+	if st.Down != 1 || st.Shards[0].Up || st.Shards[0].LastError == "" {
+		t.Fatalf("replica a dead, stats say: %+v", st)
 	}
 	if st.Hedged < 1 || st.HedgeWins < 1 {
 		t.Fatalf("expected at least one hedge and one hedge win after the kill, got hedged=%d wins=%d",
 			st.Hedged, st.HedgeWins)
 	}
 
-	// Whole shard death: the policy finally engages once an estimate's turn
-	// is shard 0's, which one estimate per shard guarantees. Renormalize
-	// fails over to shard 1 with the exact answer.
-	r0b.Kill()
-	for k := 0; k < renorm.NumShards(); k++ {
-		if got := renorm.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("estimate %d with shard 0 dead = %v, want %v — cross-shard failover must be exact", k, got, want)
+	// Two replicas dead: the last one answers every estimate, exactly.
+	bb.Kill()
+	for trial := 0; trial < 5; trial++ {
+		if got := proxy.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("trial %d with two replicas dead = %v, want %v", trial, got, want)
 		}
 	}
-	if !renorm.Degraded() {
-		t.Fatal("losing every replica of a shard must degrade under renormalize")
-	}
-	var ue *UnavailableError
-	for k := 0; k < failing.NumShards() && ue == nil; k++ {
-		_, union, err := failing.ReachShares(context.Background(), population.DemoFilter{}, clauses)
-		if err != nil {
-			ue = wantErr[*UnavailableError](t, err)
-		} else if union != want {
-			t.Fatalf("fail-policy estimate %d from the live shard = %v, want %v", k, union, want)
-		}
-	}
-	if ue == nil {
-		t.Fatal("fail policy served every estimate with shard 0 dead")
-	}
-	for _, u := range []string{r0a.URL(), r0b.URL()} {
-		found := false
-		for _, d := range ue.Down {
-			if d == u {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("UnavailableError %v should name every replica of the dead shard (missing %s)", ue.Down, u)
-		}
+	waitFor(t, func() bool { return proxy.HealthStats().Down == 2 })
+	if st := proxy.HealthStats(); !st.Shards[2].Up {
+		t.Fatalf("the last live replica was marked down: %+v", st)
 	}
 }
 
@@ -210,7 +128,7 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 	cfg := smallConfig(1)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // its port now refuses connections
-	liveSrv, b0 := shardHandler(t, cfg, 0, 1)
+	liveSrv, b0 := replicaHandler(t, cfg)
 	live := httptest.NewServer(liveSrv)
 	t.Cleanup(live.Close)
 
@@ -218,7 +136,7 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 	rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(dead.URL, "http://"),
 		failed: make(chan struct{}, 1)}
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
-		Shards:     [][]string{{dead.URL, live.URL}},
+		URLs:       []string{dead.URL, live.URL},
 		HedgeAfter: hedgeAfter,
 		MaxRetries: 1, RetryBase: time.Millisecond,
 		Jitter:  zeroJitter,
@@ -268,7 +186,7 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 // mark, no hedge win recorded.
 func TestProxyHedgePrimaryWins(t *testing.T) {
 	cfg := smallConfig(1)
-	s0, b0 := shardHandler(t, cfg, 0, 1)
+	s0, b0 := replicaHandler(t, cfg)
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(30 * time.Millisecond) // long enough for the hedge to launch, short enough to win
 		s0.ServeHTTP(w, r)
@@ -278,7 +196,7 @@ func TestProxyHedgePrimaryWins(t *testing.T) {
 	t.Cleanup(hung.Close)
 
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
-		Shards:     [][]string{{slow.URL, hung.URL}},
+		URLs:       []string{slow.URL, hung.URL},
 		HedgeAfter: time.Microsecond,
 		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep:      immediateSleep,
@@ -307,8 +225,8 @@ func TestProxyHedgePrimaryWins(t *testing.T) {
 	}
 	for _, sh := range st.Shards {
 		if sh.Breaker != "closed" {
-			t.Fatalf("replica %d/%d breaker %s — a canceled hedge loser must be a neutral verdict",
-				sh.Shard, sh.Replica, sh.Breaker)
+			t.Fatalf("replica %d breaker %s — a canceled hedge loser must be a neutral verdict",
+				sh.Replica, sh.Breaker)
 		}
 	}
 }
@@ -321,9 +239,9 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	cfg := smallConfig(1)
 	hung := httptest.NewServer(hungHandler())
 	t.Cleanup(hung.Close)
-	victimSrv, _ := shardHandler(t, cfg, 0, 1)
+	victimSrv, _ := replicaHandler(t, cfg)
 	victim := startRestartableShard(t, victimSrv)
-	liveSrv, b0 := shardHandler(t, cfg, 0, 1)
+	liveSrv, b0 := replicaHandler(t, cfg)
 	live := httptest.NewServer(liveSrv)
 	t.Cleanup(live.Close)
 
@@ -338,7 +256,7 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	const hedgeAfter = time.Microsecond
 	var sleeps atomic.Int32
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
-		Shards:     [][]string{{hung.URL, victim.URL(), live.URL}},
+		URLs:       []string{hung.URL, victim.URL(), live.URL},
 		HedgeAfter: hedgeAfter,
 		MaxRetries: 1, RetryBase: time.Millisecond,
 		Jitter: zeroJitter,
@@ -373,82 +291,80 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	}
 }
 
-// TestProbeRejectsWrongWorldReplica: replica-equivalence verdicts. A replica
-// URL that answers health with the wrong user-ID range — or that serves a
-// different shard index outright — must be marked down by the probe and
-// excluded from routing, leaving answers exact and un-degraded.
+// TestProbeRejectsWrongWorldReplica: replica-equivalence verdicts. A
+// replica URL whose health answer names another world must be marked down
+// by the probe and excluded from routing, leaving answers exact. A replica
+// built as shard 1 of 2, its model calibrated over half the users, serves
+// the same world and is asked like any other.
 func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 	cfg := smallConfig(1)
-	good, b0 := shardHandler(t, cfg, 0, 1)
+	good, b0 := replicaHandler(t, cfg)
 	goodTS := httptest.NewServer(good)
 	t.Cleanup(goodTS.Close)
 
-	// Passes every identity check EXCEPT the range: it claims to own
-	// [5, pop) of the right world — a replica calibrated over the wrong
-	// slice would serve subtly different shares, so the probe must refuse.
-	pop := cfg.Population.Population
+	// Passes every identity check EXCEPT the world digest: it claims the
+	// right catalog size and population of another world, whose shares
+	// differ, so the probe must refuse it.
 	impostor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != shardPathHealth {
 			http.Error(w, "data RPC routed to an unproved replica", http.StatusBadRequest)
 			return
 		}
 		json.NewEncoder(w).Encode(ShardHealthInfo{
-			Status: "ok", Shard: 0, Shards: 1,
-			Lo: 5, Hi: pop, Population: pop - 5,
-			TotalPopulation: pop, CatalogSize: cfg.Population.CatalogSize,
+			Status: "ok", TotalPopulation: cfg.Population.Population,
+			CatalogSize: cfg.Population.CatalogSize, World: "another world",
 		})
 	}))
 	t.Cleanup(impostor.Close)
 
-	proxy, err := NewProxyBackend(cfg, ProxyConfig{
-		Shards: [][]string{{goodTS.URL, impostor.URL}},
-		Policy: PolicyRenormalize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy := newTestProxy(t, cfg, []string{goodTS.URL, impostor.URL}, ProxyConfig{})
 	proxy.ProbeNow(context.Background())
 	st := proxy.HealthStats()
 	if st.Up != 1 || st.Down != 1 {
 		t.Fatalf("probe verdicts: %+v", st)
 	}
-	for _, sh := range st.Shards {
-		switch sh.Replica {
-		case 0:
-			if !sh.Up {
-				t.Fatalf("good replica marked down: %+v", sh)
-			}
-		case 1:
-			if sh.Up || !strings.Contains(sh.LastError, "range") {
-				t.Fatalf("wrong-range replica should be down with a range verdict: %+v", sh)
-			}
-		}
+	if !st.Shards[0].Up {
+		t.Fatalf("good replica marked down: %+v", st.Shards[0])
+	}
+	if st.Shards[1].Up || !strings.Contains(st.Shards[1].LastError, "world digest") {
+		t.Fatalf("wrong-world replica should be down with a world verdict: %+v", st.Shards[1])
 	}
 	clauses := [][]interest.ID{{2}, {4}}
-	if got, want := proxy.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
-		t.Fatalf("share with impostor excluded = %v, want %v", got, want)
-	}
-	if proxy.Degraded() {
-		t.Fatal("a down replica with a live sibling must not degrade")
+	for k := 0; k < 2; k++ {
+		if got, want := proxy.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("estimate %d with impostor excluded = %v, want %v", k, got, want)
+		}
 	}
 
-	// A replica serving a different shard index entirely.
-	wrongIdx, _ := shardHandler(t, cfg, 1, 2)
-	wrongTS := httptest.NewServer(wrongIdx)
-	t.Cleanup(wrongTS.Close)
-	proxy2, err := NewProxyBackend(cfg, ProxyConfig{Shards: [][]string{{goodTS.URL, wrongTS.URL}}})
+	// A replica calibrated over shard 1 of 2's users.
+	half, info, err := NewShardBackend(cfg, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	halfSrv, err := NewShardServer(half, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfTS := httptest.NewServer(halfSrv)
+	t.Cleanup(halfTS.Close)
+	proxy2 := newTestProxy(t, cfg, []string{goodTS.URL, halfTS.URL}, ProxyConfig{})
 	proxy2.ProbeNow(context.Background())
-	if st := proxy2.HealthStats(); st.Down != 1 {
-		t.Fatalf("wrong-index replica not rejected: %+v", st)
+	if st := proxy2.HealthStats(); st.Down != 0 {
+		t.Fatalf("a half-population replica of the same world was rejected: %+v", st)
+	}
+	for k := 0; k < 2; k++ {
+		if got, want := proxy2.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
+			t.Fatalf("estimate %d over the half-population replica = %v, want %v", k, got, want)
+		}
+	}
+	if st := proxy2.HealthStats(); st.Shards[1].RPCs == 0 {
+		t.Fatalf("rotation never asked the half-population replica: %+v", st)
 	}
 }
 
 // TestProbeRejectsOtherSeedReplica: a replica built with Seed+1 passes
-// every structural check — index, count, range, catalog size, total
-// population — yet serves another world's shares. The world digest refuses
+// every structural check — catalog size, total population — yet serves
+// another world's shares. The world digest refuses
 // it: the probe marks it down, and no estimate reaches it although it is
 // the preferred replica, so every answer is the proxy's world's. A replica
 // differing only in fields that change no answer (cache capacity,
@@ -456,10 +372,10 @@ func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 func TestProbeRejectsOtherSeedReplica(t *testing.T) {
 	cfg := smallConfig(1)
 	ctx := context.Background()
-	good, b0 := shardHandler(t, cfg, 0, 1)
+	good, b0 := replicaHandler(t, cfg)
 	otherSeed := cfg
 	otherSeed.Population.Seed++
-	bad, b1 := shardHandler(t, otherSeed, 0, 1)
+	bad, b1 := replicaHandler(t, otherSeed)
 	f := population.DemoFilter{Countries: []string{"US"}}
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	wantD, wantU, _ := b0.ReachShares(ctx, f, clauses) // a LocalBackend never fails
@@ -469,7 +385,7 @@ func TestProbeRejectsOtherSeedReplica(t *testing.T) {
 	goodTS, badTS := httptest.NewServer(good), httptest.NewServer(bad)
 	t.Cleanup(goodTS.Close)
 	t.Cleanup(badTS.Close)
-	proxy := newTestProxy(t, cfg, nil, ProxyConfig{Shards: [][]string{{badTS.URL, goodTS.URL}}})
+	proxy := newTestProxy(t, cfg, []string{badTS.URL, goodTS.URL}, ProxyConfig{})
 	proxy.ProbeNow(ctx)
 	if st := proxy.HealthStats(); st.Shards[0].Up || !strings.Contains(st.Shards[0].LastError, "world digest") || !st.Shards[1].Up {
 		t.Fatalf("the Seed+1 replica should be the one down, on its world digest: %+v", st.Shards)
@@ -488,7 +404,7 @@ func TestProbeRejectsOtherSeedReplica(t *testing.T) {
 	harmless.Cache.Capacity = 7
 	harmless.Cache.Disabled = true
 	harmless.Parallelism = 3
-	same, _ := shardHandler(t, harmless, 0, 1)
+	same, _ := replicaHandler(t, harmless)
 	sameTS := httptest.NewServer(same)
 	t.Cleanup(sameTS.Close)
 	proxy2 := newTestProxy(t, cfg, []string{sameTS.URL}, ProxyConfig{})
@@ -504,7 +420,7 @@ func TestProbeRejectsOtherSeedReplica(t *testing.T) {
 // caller's remaining deadline budget.
 func TestProxyHonorsShardRetryAfter(t *testing.T) {
 	cfg := smallConfig(1)
-	s0, b0 := shardHandler(t, cfg, 0, 1)
+	s0, b0 := replicaHandler(t, cfg)
 	var mu sync.Mutex
 	shedNext := true
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -584,9 +500,9 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 // TestProxyRetryBudgetExhausted: the per-query budget caps TOTAL retries
-// across the fan-out — a topology-wide brownout cannot amplify one query
-// into shards × MaxRetries requests. Exhaustion is tallied and counts as
-// the shard's failure.
+// across every replica an estimate tries — a topology-wide brownout cannot
+// amplify one query into replicas × MaxRetries requests. Exhaustion is
+// tallied and counts as the replica's failure.
 func TestProxyRetryBudgetExhausted(t *testing.T) {
 	cfg := smallConfig(1)
 	brownout := func() *httptest.Server {
@@ -601,7 +517,6 @@ func TestProxyRetryBudgetExhausted(t *testing.T) {
 	var sleptMu sync.Mutex
 	sleeps := 0
 	proxy := newTestProxy(t, cfg, []string{s0.URL, s1.URL}, ProxyConfig{
-		Policy:      PolicyRenormalize,
 		MaxRetries:  5,
 		RetryBudget: 2,
 		Jitter:      zeroJitter,
@@ -615,14 +530,14 @@ func TestProxyRetryBudgetExhausted(t *testing.T) {
 	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, [][]interest.ID{{1}})
 	wantErr[*UnavailableError](t, err)
 	if sleeps > 2 {
-		t.Fatalf("budget 2 allows at most 2 retry sleeps across the fan-out, saw %d", sleeps)
+		t.Fatalf("budget 2 allows at most 2 retry sleeps across the replicas, saw %d", sleeps)
 	}
 	st := proxy.HealthStats()
 	if st.RetryBudgetExhausted < 1 {
 		t.Fatalf("exhaustion not tallied: %+v", st)
 	}
 	if st.Down != 2 {
-		t.Fatalf("both browned-out shards should be marked down: %+v", st)
+		t.Fatalf("both browned-out replicas should be marked down: %+v", st)
 	}
 }
 
@@ -639,7 +554,7 @@ func TestDefaultJitterBounds(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	var first time.Duration
 	for i := 0; i < 200; i++ {
-		w := proxy.backoff(0, 0, 1)
+		w := proxy.backoff(0, 1)
 		if i == 0 {
 			first = w
 		}
@@ -651,11 +566,11 @@ func TestDefaultJitterBounds(t *testing.T) {
 	if len(seen) < 10 {
 		t.Fatalf("200 draws landed on only %d distinct waits — jitter is not spreading the schedule", len(seen))
 	}
-	if w := proxy.backoff(0, 0, 2); w < 2*base || w >= 3*base {
+	if w := proxy.backoff(0, 2); w < 2*base || w >= 3*base {
 		t.Fatalf("attempt 2 backoff %v outside [%v, %v)", w, 2*base, 3*base)
 	}
 	// Same world seed, fresh proxy: the schedule replays identically.
-	if w := mk().backoff(0, 0, 1); w != first {
+	if w := mk().backoff(0, 1); w != first {
 		t.Fatalf("default jitter not deterministic per seed: %v vs %v", w, first)
 	}
 }

@@ -40,33 +40,13 @@ func checkShardCount(n int, pop int64) error {
 	return nil
 }
 
-// rotation hands out the shard that answers the next estimate: 0, 1, …,
-// n-1, 0, … in call order, safe for concurrent use. Every shard's shares
-// equal the single world's bit for bit, so which shard answers never
-// changes an answer; rotating only spreads the work.
+// rotation hands out the shard or replica that answers the next estimate:
+// 0, 1, …, n-1, 0, … in call order, safe for concurrent use. Every shard's
+// and replica's shares equal the single world's bit for bit, so which one
+// answers never changes an answer; rotating only spreads the work.
 type rotation struct{ next atomic.Uint64 }
 
 func (r *rotation) pick(n int) int { return int((r.next.Add(1) - 1) % uint64(n)) }
-
-// fanOut runs call for every shard i in [0, n), at most workers at a time,
-// and returns shard i's answer and error at index i — the proxy's
-// AudienceStats fan-out. A failing shard does not stop the others. If ctx
-// ends before the fan-out completes, fanOut returns *CanceledError instead
-// of partial answers (unclaimed shards are skipped; claimed ones finish or
-// observe ctx).
-func fanOut[T any](ctx context.Context, n, workers int, call func(ctx context.Context, i int) (T, error)) ([]T, []error, error) {
-	answers := make([]T, n)
-	errs := make([]error, n)
-	// No task fails, so ForEach's only error is ctx's, checked below.
-	_ = parallel.ForEach(ctx, n, workers, func(i int) error {
-		answers[i], errs[i] = call(ctx, i)
-		return nil
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, &CanceledError{Err: err}
-	}
-	return answers, errs, nil
-}
 
 // shard is one backend world: its user-ID range and the shard-local
 // model/engine pair (own row-kernel state, own audience cache).

@@ -74,8 +74,8 @@ func (c *closeCountingConn) Close() error {
 // starting together hold n connections at once: each opens its own, and
 // none can be handed an idle connection another caller's early answer just
 // returned (the Go transport's hand-off would leave that caller to dial
-// once more). Sharing one count across the shards matters because rotation
-// splits the callers' first estimates between them. The wait gives up
+// once more). Sharing one count across the replicas matters because
+// rotation splits the callers' first estimates between them. The wait gives up
 // after 10s so a short flood cannot hang.
 func holdFirst(n int) func(http.Handler) http.Handler {
 	var arrived atomic.Int64
@@ -97,21 +97,21 @@ func holdFirst(n int) func(http.Handler) http.Handler {
 }
 
 // TestReachSharesOneRPCPerShard: a reach estimate is ONE data RPC — the
-// fused reach-shares RPC to one shard — and rotation hands every shard the
-// same number of them: over N·k estimates each of the N shards serves
+// fused reach-shares RPC to one replica — and rotation hands every replica
+// the same number of them: over N·k estimates each of the N replicas serves
 // exactly k. RPCs are counted by HealthStats' per-replica RPCs, which see
 // framed and HTTP attempts alike, and every answer is LocalBackend's.
 func TestReachSharesOneRPCPerShard(t *testing.T) {
 	cfg := smallConfig(1)
-	const shards, perShard = 3, 10
+	const replicas, perReplica = 3, 10
 	local, err := NewLocalBackendFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := startShardTopology(t, cfg, shards)
+	urls := startReplicas(t, cfg, replicas, noWrap)
 	proxy := newTestProxy(t, cfg, urls, ProxyConfig{})
 	r := rng.New(1).Derive(t.Name())
-	for k := 0; k < shards*perShard; k++ {
+	for k := 0; k < replicas*perReplica; k++ {
 		f, clauses := randomFilter(r), randomClauses(r, cfg.Population.CatalogSize)
 		before := rpcCounts(proxy)
 		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
@@ -127,31 +127,31 @@ func TestReachSharesOneRPCPerShard(t *testing.T) {
 		}
 	}
 	for i, n := range rpcCounts(proxy) {
-		if n != perShard {
-			t.Fatalf("shard %d served %d RPCs over %d estimates, want exactly %d",
-				i, n, shards*perShard, perShard)
+		if n != perReplica {
+			t.Fatalf("replica %d served %d RPCs over %d estimates, want exactly %d",
+				i, n, replicas*perReplica, perReplica)
 		}
 	}
 }
 
 // TestDefaultProxyClientReusesConnections: through the default proxy client,
-// 8 concurrent callers × 200 estimates open at most 8 connections per shard
-// — no more than the RPCs that can be in flight to it at once, each kept
-// alive across estimates — counted at each shard's listener. The pools are
+// 8 concurrent callers × 200 estimates open at most 8 connections per
+// replica — no more than the RPCs that can be in flight to it at once, each
+// kept alive across estimates — counted at each replica's listener. The pools are
 // what bound it: the first estimate on each connection upgrades it to reach
 // frames, and the proxy's per-replica frame pool (like the transport's idle
 // pool, shardIdleConnsPerHost deep) hands it back; a pool of 2 would close
 // and re-dial most of them. The callers' first estimates are held until all
-// have arrived, across both shards (holdFirst), which makes the bound exact
+// have arrived, across both replicas (holdFirst), which makes the bound exact
 // rather than subject to the transport's start-up hand-off.
 func TestDefaultProxyClientReusesConnections(t *testing.T) {
 	cfg := smallConfig(1)
-	const shards, callers, perCaller = 2, 8, 200
-	urls := make([]string, shards)
-	listeners := make([]*countingListener, shards)
+	const replicas, callers, perCaller = 2, 8, 200
+	urls := make([]string, replicas)
+	listeners := make([]*countingListener, replicas)
 	hold := holdFirst(callers)
 	for i := range urls {
-		srv, _ := shardHandler(t, cfg, i, shards)
+		srv, _ := replicaHandler(t, cfg)
 		ts := httptest.NewUnstartedServer(hold(srv))
 		listeners[i] = &countingListener{Listener: ts.Listener}
 		ts.Listener = listeners[i]
@@ -174,25 +174,26 @@ func TestDefaultProxyClientReusesConnections(t *testing.T) {
 	wg.Wait()
 	for i, l := range listeners {
 		if n := l.accepted.Load(); n < 1 || n > callers {
-			t.Fatalf("shard %d accepted %d connections for %d concurrent callers × %d estimates, want 1..%d",
+			t.Fatalf("replica %d accepted %d connections for %d concurrent callers × %d estimates, want 1..%d",
 				i, n, callers, perCaller, callers)
 		}
 	}
 }
 
-// TestReachSharesComeFromOneLiveSet: under PolicyRenormalize both factors of
-// an estimate come from ONE shard, unchanged. Shard 1 answers its first
-// estimate with shares far from shard 0's: that estimate returns shard 1's
-// pair whole — nothing is folded with shard 0's. Its next three answers are
-// 200s whose bodies are not two shares (an old build's JSON pair, one share,
-// three shares): each is a returned error, never a number. Then it dies, and
-// every estimate, including those whose turn was shard 1's, takes both
-// factors from the survivor, stamped degraded.
+// TestReachSharesComeFromOneLiveSet: both factors of an estimate come from
+// ONE replica, unchanged. Replica 1 answers its first estimate with shares
+// far from replica 0's: that estimate returns replica 1's pair whole —
+// nothing is folded with replica 0's. Its next three answers are 200s whose
+// bodies are not two shares (an old build's JSON pair, one share, three
+// shares): each is a returned error, never a number, and the estimate does
+// not fail over to another replica's answer. Then replica 1 dies, and every
+// estimate, including those whose turn was replica 1's, takes both factors
+// from the survivor.
 func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 	cfg := smallConfig(42)
-	s0, b0 := shardHandler(t, cfg, 0, 2)
-	shard0 := httptest.NewServer(s0)
-	t.Cleanup(shard0.Close)
+	s0, b0 := replicaHandler(t, cfg)
+	replica0 := httptest.NewServer(s0)
+	t.Cleanup(replica0.Close)
 	answers := [][]byte{
 		binaryShares(0.25, 0.5),
 		[]byte(`{"demo":0.25,"union":0.5}`),
@@ -200,26 +201,25 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 		binaryShares(0.25, 0.5, 0.75),
 	}
 	var calls atomic.Int32
-	shard1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	replica1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == shardPathReach {
 			if k := int(calls.Add(1)) - 1; k < len(answers) {
 				w.Write(answers[k])
 				return
 			}
 		}
-		http.Error(w, "shard 1 is gone", http.StatusInternalServerError)
+		http.Error(w, "replica 1 is gone", http.StatusInternalServerError)
 	}))
-	t.Cleanup(shard1.Close)
-	proxy := newTestProxy(t, cfg, []string{shard0.URL, shard1.URL}, ProxyConfig{
-		Policy: PolicyRenormalize, Sleep: immediateSleep,
-	})
+	t.Cleanup(replica1.Close)
+	proxy := newTestProxy(t, cfg, []string{replica0.URL, replica1.URL}, ProxyConfig{Sleep: immediateSleep})
 
 	f := population.DemoFilter{Countries: []string{"US"}, AgeMin: 18, AgeMax: 30}
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	liveD, liveU, _ := b0.ReachShares(context.Background(), f, clauses) // a LocalBackend never fails
 
-	// Rotation: even estimates are shard 0's, odd ones shard 1's; shard 1's
-	// death surfaces at estimate 9, which fails over to shard 0.
+	// Rotation: even estimates are replica 0's, odd ones replica 1's;
+	// replica 1's death surfaces at estimate 9, which fails over to
+	// replica 0.
 	const died = 2*4 + 1
 	for k := 0; k < died+5; k++ {
 		demo, union, err := proxy.ReachShares(context.Background(), f, clauses)
@@ -229,7 +229,7 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 			wantD, wantU = 0.25, 0.5
 		case k%2 == 1 && k < died:
 			if err == nil {
-				t.Fatalf("estimate %d: shard 1's %d-byte body %q read as (%v, %v)",
+				t.Fatalf("estimate %d: replica 1's %d-byte body %q read as (%v, %v)",
 					k, len(answers[k/2]), answers[k/2], demo, union)
 			}
 			continue
@@ -238,10 +238,10 @@ func TestReachSharesComeFromOneLiveSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		if demo != wantD || union != wantU {
-			t.Fatalf("estimate %d = (%v, %v), want (%v, %v) unchanged from one shard", k, demo, union, wantD, wantU)
+			t.Fatalf("estimate %d = (%v, %v), want (%v, %v) unchanged from one replica", k, demo, union, wantD, wantU)
 		}
-		if degraded := proxy.Degraded(); degraded != (k >= died) {
-			t.Fatalf("estimate %d: degraded %v, want %v", k, degraded, k >= died)
+		if down := proxy.HealthStats().Down; down != 0 && k < died || down != 1 && k >= died {
+			t.Fatalf("estimate %d: %d replica(s) down", k, down)
 		}
 	}
 }
