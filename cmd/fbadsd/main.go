@@ -201,7 +201,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 // runReplica builds the whole world and serves its replica RPC on listen.
 func runReplica(cfg worldcfg.Config, listen string) {
 	start := time.Now()
-	backend, info, err := serving.NewShardBackend(cfg, 0, 1)
+	backend, info, err := serving.NewReplicaBackend(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,12 +34,14 @@ func TestStalledHeaderClosedAtReadHeaderTimeout(t *testing.T) {
 		}
 	}()
 
+	// The server's header timer starts once it accepts the connection, which
+	// can be before Dial returns here, so the lower bound starts before Dial.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	// The request line and one header, but never the blank line ending them.
 	if _, err := io.WriteString(conn, "GET /v9.0/act_1/reachestimate HTTP/1.1\r\nHost: fbadsd\r\n"); err != nil {
 		t.Fatal(err)

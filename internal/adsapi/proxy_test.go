@@ -57,7 +57,7 @@ func startReplicas(t *testing.T, cfg worldcfg.Config) ([]string, []*replicaProce
 	var replicas []*replicaProcess
 	urls := make([]string, 2)
 	for i := range urls {
-		b, info, err := serving.NewShardBackend(cfg, 0, 1)
+		b, info, err := serving.NewReplicaBackend(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,7 +290,7 @@ func TestProxySessionGoroutineCleanup(t *testing.T) {
 
 	urls := make([]string, 2)
 	for i := range urls {
-		b, info, err := serving.NewShardBackend(cfg, i, 2)
+		b, info, err := serving.NewReplicaBackend(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

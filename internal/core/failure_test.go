@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"nanotarget/internal/interest"
@@ -11,16 +12,16 @@ import (
 )
 
 // flakySource fails on the k-th call — models the Ads API's rate limiting
-// or account closure mid-collection (§8.2).
+// or account closure mid-collection (§8.2). Collect's workers call it
+// concurrently, so the count is atomic.
 type flakySource struct {
-	calls   int
-	failAt  int
+	calls   atomic.Int64
+	failAt  int64
 	failErr error
 }
 
 func (f *flakySource) PotentialReach(ids []interest.ID) (int64, error) {
-	f.calls++
-	if f.calls == f.failAt {
+	if f.calls.Add(1) == f.failAt {
 		return 0, f.failErr
 	}
 	v := int64(1e6 / (len(ids) * len(ids)))

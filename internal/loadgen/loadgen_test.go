@@ -258,7 +258,7 @@ func TestFetchServingHealth(t *testing.T) {
 	// Proxy over three replicas: stats carry one row per replica.
 	urls := make([]string, 3)
 	for i := range urls {
-		b, info, err := serving.NewShardBackend(cfg, 0, 1)
+		b, info, err := serving.NewReplicaBackend(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,9 +247,9 @@ func (m *Model) ConditionalAudienceFromShares(demoShare, p float64) float64 {
 // ConditionalAudience composes the §4.1 conditional audience expectation
 // 1 + max(0, pop·demoShare − 1)·p from a population size and already
 // evaluated demographic and conjunction shares. It is the one definition of
-// that arithmetic: the model, the audience engine and the sharded serving
-// backends (which ask a shard for the two shares first) all call it,
-// so their answers can only differ by the shares fed in.
+// that arithmetic: the model, the audience engine and the serving proxy
+// (which asks a replica for the two shares first) all call it, so their
+// answers can only differ by the shares fed in.
 func ConditionalAudience(pop int64, demoShare, p float64) float64 {
 	base := float64(pop)*demoShare - 1
 	if base < 0 {

@@ -8,13 +8,10 @@
 // # Replicas and exactness
 //
 // The population model is analytic — an audience share is an expectation
-// over the activity grid, not a scan over materialized users — and its
-// calibration is share-based, so a model built for any population count has
-// bit-identical per-interest rates and activity grid to the single-world
-// model (worldcfg.Config.BuildModel). Every replica's share of a targeting
-// spec is therefore the single world's share, bit for bit, and so is every
-// shard's of the in-process ShardedBackend, which splits the population by
-// user-ID range.
+// over the activity grid, not a scan over materialized users — and it is a
+// pure function of worldcfg.Config. Every replica builds the whole world
+// from the proxy's config, so its share of a targeting spec is the single
+// world's share, bit for bit.
 //
 // So one replica answers each query: the proxy picks it by an atomic
 // rotation counter, fails over to the next live replica when it cannot
@@ -26,6 +23,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
@@ -55,12 +53,11 @@ type ReachBackend interface {
 	Population() int64
 	// ReachShares returns both factors of one reach estimate: the population
 	// share matching a demographic filter and the share matching a
-	// flexible-spec union of interest conjunctions. Sharded backends ask
-	// one shard or replica for both, in one call. LocalBackend never returns
-	// an error.
+	// flexible-spec union of interest conjunctions. ProxyBackend asks one
+	// replica for both, in one RPC. LocalBackend never returns an error.
 	ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error)
 	// AudienceStats snapshots the backend's audience-cache counters,
-	// aggregated across shards or replicas.
+	// aggregated across replicas.
 	AudienceStats(ctx context.Context) audience.Stats
 	// WarmRows materializes every world's full inclusion-row table up
 	// front (population.Model.WarmAllRows).
@@ -88,17 +85,30 @@ func NewLocalBackend(model *population.Model, engine *audience.Engine) (*LocalBa
 }
 
 // NewLocalBackendFromConfig builds the single world described by cfg — the
-// same construction a replica uses (NewShardBackend(cfg, 0, 1)).
+// same construction a replica uses (NewReplicaBackend).
 func NewLocalBackendFromConfig(cfg worldcfg.Config) (*LocalBackend, error) {
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
 		return nil, err
 	}
-	model, err := cfg.BuildModel(cat, 0)
+	model, err := cfg.BuildModel(cat)
 	if err != nil {
 		return nil, err
 	}
 	return &LocalBackend{model: model, engine: cfg.NewEngine(model)}, nil
+}
+
+// NewShardedBackend checks that n is at least 1 and returns
+// NewLocalBackendFromConfig(cfg): every shard of the world is the whole
+// world.
+//
+// Deprecated: use NewLocalBackendFromConfig. perfbench's correctness oracle
+// is the only caller.
+func NewShardedBackend(_ context.Context, cfg worldcfg.Config, n int) (*LocalBackend, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("serving: shard count %d must be >= 1", n)
+	}
+	return NewLocalBackendFromConfig(cfg)
 }
 
 // Catalog implements ReachBackend.
@@ -115,26 +125,6 @@ func (b *LocalBackend) ReachShares(_ context.Context, f population.DemoFilter, c
 	return b.engine.DemoShare(f), b.engine.UnionShare(clauses), nil
 }
 
-// DemoShare returns the population share matching a demographic filter
-// (ctx ignored; see ReachShares).
-func (b *LocalBackend) DemoShare(_ context.Context, f population.DemoFilter) float64 {
-	return b.engine.DemoShare(f)
-}
-
-// UnionShare returns the population share matching a union of interest
-// conjunctions (ctx ignored; see ReachShares).
-func (b *LocalBackend) UnionShare(_ context.Context, clauses [][]interest.ID) float64 {
-	return b.engine.UnionShare(clauses)
-}
-
-// ConditionalAudience returns the §4.1 conditional audience of a conjunction
-// inside a demographic slice, 1 + max(0, Pop·demoShare − 1)·conjShare, via
-// the engine's composite (DemoFilter, conjunction) demo-level cache (ctx
-// ignored; see ReachShares).
-func (b *LocalBackend) ConditionalAudience(_ context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	return b.engine.ExpectedAudienceConditional(f, ids)
-}
-
 // AudienceStats implements ReachBackend (ctx ignored; see ReachShares).
 func (b *LocalBackend) AudienceStats(context.Context) audience.Stats { return b.engine.Stats() }
 
@@ -147,7 +137,7 @@ func (b *LocalBackend) Model() *population.Model { return b.model }
 // Engine exposes the backing audience engine (test and wiring use).
 func (b *LocalBackend) Engine() *audience.Engine { return b.engine }
 
-// addStats folds two cache snapshots field-by-field (totals across shards or
+// addStats folds two cache snapshots field-by-field (totals across
 // replicas).
 func addStats(a, b audience.Stats) audience.Stats {
 	a.Prefix = addLevel(a.Prefix, b.Prefix)

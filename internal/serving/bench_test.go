@@ -17,7 +17,7 @@ import (
 // audience cache, so the loop is the RPC's own work — body read and decode,
 // catalog check and the binary answer. CI gates its allocs/op (bench-smoke).
 func BenchmarkShardReachShares(b *testing.B) {
-	backend, info, err := NewShardBackend(smallConfig(1), 0, 2)
+	backend, info, err := NewReplicaBackend(smallConfig(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func BenchmarkShardReachShares(b *testing.B) {
 // (bench-smoke).
 func BenchmarkProxyReachHop(b *testing.B) {
 	cfg := smallConfig(1)
-	backend, info, err := NewShardBackend(cfg, 0, 1)
+	backend, info, err := NewReplicaBackend(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

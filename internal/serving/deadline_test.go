@@ -52,8 +52,8 @@ func TestNoBackgroundContextOnRequestPaths(t *testing.T) {
 // TestErrorsAreReturnedNotPanicked is the grep gate for the error contract:
 // failures reach callers as returned errors, so adsapi's production files
 // recover nothing, and this package's production files hold exactly one
-// panic( — inside must, the adapter that keeps the float64 share methods
-// for their non-ReachBackend callers.
+// panic( — inside must, which adapts ReachShares to the proxy's deprecated
+// float64 share methods, outside every program path.
 func TestErrorsAreReturnedNotPanicked(t *testing.T) {
 	count := func(dir, needle string) (total int, sites []string) {
 		t.Helper()
@@ -190,17 +190,21 @@ func TestProxyForwardsDeadlineHeader(t *testing.T) {
 		mu.Lock()
 		got = append(got, r.Header.Get(DeadlineHeader))
 		mu.Unlock()
-		s0.ServeHTTP(w, r)
+		// Hiding Hijack keeps every RPC on HTTP, where the header travels.
+		s0.ServeHTTP(struct{ http.ResponseWriter }{w}, r)
 	}))
 	t.Cleanup(capture.Close)
 	proxy := newTestProxy(t, cfg, []string{capture.URL}, ProxyConfig{Timeout: 3 * time.Second})
 
 	// No caller deadline: the per-RPC timeout is the budget.
-	proxy.UnionShare(context.Background(), [][]interest.ID{{1}})
+	clauses := [][]interest.ID{{1}}
+	unionShare(t, proxy, clauses)
 	// Caller deadline tighter than the per-RPC timeout: it wins.
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	proxy.UnionShare(ctx, [][]interest.ID{{1}})
+	if _, _, err := proxy.ReachShares(ctx, population.DemoFilter{}, clauses); err != nil {
+		t.Fatal(err)
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -235,7 +239,7 @@ func TestShardServerDeadlineHeaderValidation(t *testing.T) {
 		{"60000", http.StatusOK},
 		{"10000000000000", http.StatusBadRequest},
 	} {
-		req := httptest.NewRequest(http.MethodPost, shardPathUnion, strings.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, shardPathReach, strings.NewReader(body))
 		req.Header.Set(DeadlineHeader, tc.header)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
@@ -253,12 +257,8 @@ func TestShardServerAbandonsDeadCaller(t *testing.T) {
 	srv, _ := replicaHandler(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, path := range []string{shardPathUnion, shardPathDemo, shardPathConj, shardPathWarm} {
-		share := shardShareRequest{Clauses: [][]interest.ID{{1}}}
-		if path == shardPathConj {
-			share = shardShareRequest{IDs: []interest.ID{1}}
-		}
-		body := string(share.encode())
+	body := string(shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode())
+	for _, path := range []string{shardPathReach, shardPathWarm} {
 		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
@@ -336,7 +336,7 @@ func TestStartHealthGoroutineExit(t *testing.T) {
 // <= 1/10 of the 250ms per-RPC timeout configured here.
 func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	cfg := smallConfig(1)
-	s0, info, err := NewShardBackend(cfg, 0, 2)
+	s0, info, err := NewReplicaBackend(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,10 +374,9 @@ func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	}
 
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	ctx := context.Background()
-	proxy.UnionShare(ctx, clauses) // warm the live replica's rows/cache
+	unionShare(b, proxy, clauses) // warm the live replica's rows/cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proxy.UnionShare(ctx, clauses)
+		unionShare(b, proxy, clauses)
 	}
 }

@@ -138,7 +138,7 @@ func (s *ShardServer) serveFrames(ctx context.Context, conn net.Conn, rw *bufio.
 		}
 		body = b
 		fctx, cancel := context.WithDeadline(ctx, deadline)
-		status, payload := s.shareAnswer(fctx, shardPathReach, body)
+		status, payload := s.shareAnswer(fctx, body)
 		cancel()
 		out = appendAnswerFrame(out[:0], status, 0, payload)
 		rw.Write(out)

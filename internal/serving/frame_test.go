@@ -250,7 +250,7 @@ func TestFramed504IsPermanent(t *testing.T) {
 	// The proxy: the upgrading RPC is answered, the next frame gets a 504.
 	url, _ := frameShard(t, func(k int, body []byte) (int, []byte) {
 		if k == 0 {
-			return srv.shareAnswer(context.Background(), shardPathReach, body)
+			return srv.shareAnswer(context.Background(), body)
 		}
 		return http.StatusGatewayTimeout, errorBody(deadlineMessage(context.DeadlineExceeded))
 	})
@@ -288,7 +288,7 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	srv, b0 := replicaHandler(t, cfg)
 	hangURL, closed := frameShard(t, func(k int, body []byte) (int, []byte) {
 		if k == 0 {
-			return srv.shareAnswer(context.Background(), shardPathReach, body)
+			return srv.shareAnswer(context.Background(), body)
 		}
 		return 0, nil
 	})

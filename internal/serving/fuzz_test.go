@@ -37,7 +37,7 @@ func fuzzShardServer(t testing.TB) *ShardServer {
 		cfg := smallConfig(1)
 		cfg.Population.CatalogSize = 300
 		cfg.Population.ActivityGrid = 32
-		b, info, err := NewShardBackend(cfg, 0, 2)
+		b, info, err := NewReplicaBackend(cfg)
 		if err != nil {
 			fuzzShard.err = err
 			return
@@ -57,12 +57,12 @@ func fuzzShardServer(t testing.TB) *ShardServer {
 const shareRoundingSlack = 1e-12
 
 // FuzzShardShareRequest drives the shard RPC decoder with arbitrary binary
-// bodies on every share endpoint, the fused reach-shares one included.
-// Whatever the body, the shard must not panic or answer 5xx (a bad body is
-// the caller's fault: 4xx), and every 200 must carry exactly the endpoint's
-// shares, each finite and in [0, 1] up to the grid's rounding above 1
-// (shareRoundingSlack). Separately, a request generated from the input must
-// come back from encode and decodeShareBody unchanged.
+// bodies on the reachshares endpoint. Whatever the body, the shard must not
+// panic or answer 5xx (a bad body is the caller's fault: 4xx), and every 200
+// must carry exactly the demo and union shares, each finite and in [0, 1]
+// up to the grid's rounding above 1 (shareRoundingSlack). Separately, a
+// request generated from the input must come back from encode and
+// decodeShareBody unchanged.
 func FuzzShardShareRequest(f *testing.F) {
 	for _, req := range []shardShareRequest{
 		{},
@@ -70,7 +70,7 @@ func FuzzShardShareRequest(f *testing.F) {
 		{Filter: &population.DemoFilter{Genders: []population.Gender{population.GenderMale}, AgeMin: 65, AgeMax: 13}},
 		{Clauses: [][]interest.ID{{}}},
 		{Clauses: [][]interest.ID{{1}, {1}, {299}}},
-		{IDs: []interest.ID{1, 2, 3}},
+		{Clauses: [][]interest.ID{{1, 2, 3}}},
 		{Filter: &population.DemoFilter{Countries: []string{"ZZ", ""}, Genders: []population.Gender{7, 99}, AgeMin: -5}},
 		{Clauses: [][]interest.ID{{0}}},
 	} {
@@ -81,29 +81,20 @@ func FuzzShardShareRequest(f *testing.F) {
 	for _, raw := range []string{"", "\x00", `{"clauses": [[1]]}`, "\x00\xff\xff\xff\xff\x0f"} {
 		f.Add([]byte(raw))
 	}
-	paths := map[string]int{shardPathDemo: 1, shardPathUnion: 1, shardPathReach: 2, shardPathConj: 1}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		srv := fuzzShardServer(t)
-		for path, n := range paths {
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code >= 500 {
-				t.Fatalf("%s %q: HTTP %d: %s", path, body, rec.Code, rec.Body)
+		rec := httptest.NewRecorder()
+		fuzzShardServer(t).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shardPathReach, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%q: HTTP %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusOK {
+			var demo, union float64
+			if err := decodeShares(rec.Body.Bytes(), &demo, &union); err != nil {
+				t.Fatalf("%q: 200 body %x: %v", body, rec.Body, err)
 			}
-			if rec.Code != http.StatusOK {
-				continue
-			}
-			shares := make([]float64, n)
-			ptrs := make([]*float64, n)
-			for i := range shares {
-				ptrs[i] = &shares[i]
-			}
-			if err := decodeShares(rec.Body.Bytes(), ptrs...); err != nil {
-				t.Fatalf("%s %q: 200 body %x: %v", path, body, rec.Body, err)
-			}
-			for _, s := range shares {
+			for _, s := range []float64{demo, union} {
 				if math.IsNaN(s) || s < 0 || s > 1+shareRoundingSlack {
-					t.Fatalf("%s %q: share %v out of [0, 1]", path, body, s)
+					t.Fatalf("%q: share %v out of [0, 1]", body, s)
 				}
 			}
 		}
@@ -118,8 +109,8 @@ func FuzzShardShareRequest(f *testing.F) {
 
 // generatedShareRequest draws a request from a stream seeded by data:
 // any-length country and gender lists, ages of either sign, IDs up to
-// MaxUint32, and empty lists nil, as decodeShareBody returns them (an empty
-// clause inside a list stays an empty non-nil slice).
+// MaxUint32, and an empty clause list nil, as decodeShareBody returns it (an
+// empty clause inside the list stays an empty non-nil slice).
 func generatedShareRequest(data []byte) shardShareRequest {
 	h := fnv.New64a()
 	h.Write(data)
@@ -145,9 +136,6 @@ func generatedShareRequest(data []byte) shardShareRequest {
 	}
 	for range r.Intn(4) {
 		req.Clauses = append(req.Clauses, ids())
-	}
-	if list := ids(); len(list) > 0 {
-		req.IDs = list
 	}
 	return req
 }
@@ -290,7 +278,7 @@ func FuzzDeadlineHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, header string) {
 		srv := fuzzShardServer(t)
 		body := shardShareRequest{Clauses: [][]interest.ID{{1}}}.encode()
-		req := httptest.NewRequest(http.MethodPost, shardPathUnion, bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, shardPathReach, bytes.NewReader(body))
 		req.Header.Set(DeadlineHeader, header)
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)

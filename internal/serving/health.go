@@ -26,9 +26,9 @@ func (e *UnavailableError) Error() string {
 }
 
 // CanceledError reports that the caller's context ended (cancel or
-// deadline) before the backend finished the query. ShardedBackend's and
-// ProxyBackend's ReachShares return it, and the HTTP tier answers 504 for an
-// expired deadline, 503 for a plain cancel (adsapi.Server.writeBackendError).
+// deadline) before the backend finished the query. ProxyBackend's
+// ReachShares returns it, and the HTTP tier answers 504 for an expired
+// deadline, 503 for a plain cancel (adsapi.Server.writeBackendError).
 type CanceledError struct {
 	// Err is the context's error (context.Canceled or
 	// context.DeadlineExceeded).
@@ -198,7 +198,7 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 // (worldDigest) — is checked against the proxy's own configuration, so a
 // replica serving another world is treated as down rather than asked. Any
 // two replicas that both pass serve the byte-identical world (models are
-// share-calibrated pure functions of the config), which is what makes
+// pure functions of the config), which is what makes
 // failover exact. Tests drive failover deterministically by calling
 // ProbeNow directly; production uses StartHealth, which hands its loop
 // context down.

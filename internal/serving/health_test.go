@@ -130,7 +130,7 @@ func (s *restartableShard) Restart() {
 // -shard-listen does.
 func replicaHandler(t *testing.T, cfg worldcfg.Config) (*ShardServer, *LocalBackend) {
 	t.Helper()
-	b, info, err := NewShardBackend(cfg, 0, 1)
+	b, info, err := NewReplicaBackend(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,7 @@ func TestProxyAllShardsDown(t *testing.T) {
 
 // TestProbeRejectsWrongIdentity: a live replica serving another world — a
 // different catalog, population or seed — must be treated as down, not
-// asked. A replica whose model was calibrated over a user-ID slice serves
-// the proxy's world and passes.
+// asked. A replica of the proxy's own world passes.
 func TestProbeRejectsWrongIdentity(t *testing.T) {
 	cfg := smallConfig(1)
 	otherCatalog, otherPop, otherSeed := cfg, cfg, cfg
@@ -401,20 +400,13 @@ func TestProbeRejectsWrongIdentity(t *testing.T) {
 		}
 	}
 
-	b, info, err := NewShardBackend(cfg, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slice, err := NewShardServer(b, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(slice)
+	same, _ := replicaHandler(t, cfg)
+	ts := httptest.NewServer(same)
 	defer ts.Close()
 	proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{})
 	proxy.ProbeNow(context.Background())
 	if st := proxy.HealthStats(); st.Down != 0 {
-		t.Fatalf("a slice-calibrated replica of the proxy's world was refused: %+v", st)
+		t.Fatalf("a replica of the proxy's world was refused: %+v", st)
 	}
 }
 

@@ -8,11 +8,10 @@
 //
 // # Replication and hedging
 //
-// Every replica serves the byte-identical world: its model is a
-// share-calibrated pure function of worldcfg.Config, and the health probes
-// verify each replica's identity (catalog size, total population, world
-// digest) against the proxy's own config, so routing between replicas never
-// changes an answer. An estimate starts at the live replica whose turn it
+// Every replica serves the byte-identical world: its model is a pure
+// function of worldcfg.Config, and the health probes verify each replica's
+// identity (catalog size, total population, world digest) against the
+// proxy's own config, so routing between replicas never changes an answer. An estimate starts at the live replica whose turn it
 // is; on failure it fails over to the next live replica in rotation order,
 // and with HedgeAfter armed it also fires the SAME request at the next live
 // replica once the hedge delay elapses without an answer — first success
@@ -32,32 +31,30 @@
 //
 // # Exactness
 //
-// A replica's model has the single world's rates and grid (NewShardBackend,
-// worldcfg.Config.BuildModel), so its shares equal the single world's bit
-// for bit. A share answer carries each float64's IEEE-754 bits (see "Share
-// bodies"), so the wire adds no error either. The proxy therefore returns
-// the answering replica's pair unchanged, and every answer it serves —
-// healthy, after failover, or from a hedge — is byte-identical to
-// LocalBackend's: property-gated in remote_test.go over replicas {1,2,3} ×
-// seeds {0,1,42}, hedging armed.
-//
-// The fused reach-shares RPC carries both factors of one estimate, computed
-// by the same two engine calls the single-share endpoints make, so one RPC
-// answers an estimate.
+// A replica is the whole world, built from worldcfg.Config as
+// NewLocalBackendFromConfig builds it (NewReplicaBackend), so its shares are
+// LocalBackend's bit for bit. The one data RPC, reachshares, answers both
+// factors of an estimate with the two engine calls LocalBackend.ReachShares
+// makes, and carries each float64's IEEE-754 bits (see "Share bodies"), so
+// the wire adds no error either. The proxy therefore returns the answering
+// replica's pair unchanged, and every answer it serves — healthy, after
+// failover, or from a hedge — is byte-identical to LocalBackend's:
+// property-gated in remote_test.go over replicas {1,2,3} × seeds {0,1,42},
+// hedging armed.
 //
 // # Share bodies
 //
-// The share RPCs (reachshares, demoshare, unionshare, conjunctionshare)
-// carry binary bodies, so neither side runs reflection on the hot path. A
-// request is a filter flag byte (0 none, 1 present); the filter in its
-// self-delimiting key encoding (population.DemoFilter.AppendKey:
-// length-prefixed countries, one byte per gender, varint ages); the clauses
-// as a uvarint count of uvarint-counted uvarint ID lists; and the
-// conjunction IDs as one uvarint-counted uvarint ID list. A 200 answer is
-// the IEEE-754 bits of each share, 8 bytes little-endian per share; the
-// proxy refuses any other length as a bad response, so a build speaking the
-// old JSON bodies fails loudly on either side instead of turning into a
-// number. Error bodies stay JSON, as do health, stats and warmrows.
+// The reachshares RPC carries binary bodies, so neither side runs
+// reflection on the hot path. A request is a filter flag byte (0 none,
+// 1 present); the filter in its self-delimiting key encoding
+// (population.DemoFilter.AppendKey: length-prefixed countries, one byte per
+// gender, varint ages); and the clauses as a uvarint count of
+// uvarint-counted uvarint ID lists. A 200 answer is the IEEE-754 bits of
+// the demo and union shares, 8 bytes little-endian each; the proxy refuses
+// any other length as a bad response. A body from a build whose encoding
+// differs (old JSON bodies, or a trailing conjunction ID list) is a 400 on
+// either side, never a number. Error bodies stay JSON, as do health, stats
+// and warmrows.
 //
 // # Connections
 //
@@ -111,10 +108,7 @@ const DeadlineHeader = "X-Deadline-Ms"
 // Shard RPC paths (all rooted under /shard/v1).
 const (
 	shardPathHealth = "/shard/v1/health"
-	shardPathDemo   = "/shard/v1/demoshare"
-	shardPathUnion  = "/shard/v1/unionshare"
 	shardPathReach  = "/shard/v1/reachshares"
-	shardPathConj   = "/shard/v1/conjunctionshare"
 	shardPathStats  = "/shard/v1/stats"
 	shardPathWarm   = "/shard/v1/warmrows"
 )
@@ -153,13 +147,11 @@ type ShardHealthInfo struct {
 	World           string `json:"world"` // worldDigest of the replica's config
 }
 
-// shardShareRequest is the request shared by the share endpoints; each
-// endpoint reads the fields it needs (the fused reach-shares endpoint reads
-// Filter and Clauses). Its wire form is binary (see "Share bodies").
+// shardShareRequest is a reachshares request. Its wire form is binary (see
+// "Share bodies").
 type shardShareRequest struct {
 	Filter  *population.DemoFilter
 	Clauses [][]interest.ID
-	IDs     []interest.ID
 }
 
 // maxShareBody bounds a share request body; the shard refuses a longer one.
@@ -176,15 +168,10 @@ func (req shardShareRequest) encode() []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(req.Clauses)))
 	for _, c := range req.Clauses {
-		b = appendIDs(b, c)
-	}
-	return appendIDs(b, req.IDs)
-}
-
-func appendIDs(b []byte, ids []interest.ID) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id))
+		b = binary.AppendUvarint(b, uint64(len(c)))
+		for _, id := range c {
+			b = binary.AppendUvarint(b, uint64(id))
+		}
 	}
 	return b
 }
@@ -192,7 +179,7 @@ func appendIDs(b []byte, ids []interest.ID) []byte {
 // decodeShareBody inverts encode. It rejects a bad filter flag, a truncated
 // body, trailing bytes, an ID above MaxUint32, and any count larger than the
 // bytes left (every element takes at least one byte), so no count can drive
-// a huge allocation. An empty clause list or ID list decodes to nil.
+// a huge allocation. An empty clause list decodes to nil.
 func decodeShareBody(body []byte) (shardShareRequest, error) {
 	var req shardShareRequest
 	if len(body) == 0 {
@@ -211,16 +198,13 @@ func decodeShareBody(body []byte) (shardShareRequest, error) {
 		return req, fmt.Errorf("bad filter flag %d", body[0])
 	}
 	// Every ID the body names fits one backing array sized by the bytes
-	// left; the lists are windows onto it.
+	// left; the clauses are windows onto it.
 	d := idReader{b: body, ids: make([]interest.ID, 0, len(body))}
 	if n := d.count(); n > 0 {
 		req.Clauses = make([][]interest.ID, n)
 		for i := range req.Clauses {
 			req.Clauses[i] = d.list()
 		}
-	}
-	if ids := d.list(); len(ids) > 0 {
-		req.IDs = ids
 	}
 	switch {
 	case d.err != nil:
@@ -317,31 +301,28 @@ func worldDigest(cfg worldcfg.Config) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// NewShardBackend builds a replica's world from cfg: the model of shard index
-// of count, calibrated over that shard's user-ID range exactly as
-// ShardedBackend builds it in-process. Calibration is share-based, so the
-// shares are the single world's bit for bit at any (index, count), which is
-// what makes proxy failover between replicas exact. fbadsd -shard-listen
-// builds NewShardBackend(cfg, 0, 1), the whole world.
-func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, ShardInfo, error) {
-	pop := cfg.Population.Population
-	if err := checkShardCount(count, pop); err != nil {
+// NewReplicaBackend builds a replica's world from cfg — the whole world, as
+// NewLocalBackendFromConfig builds it, so failover between replicas is exact
+// — and the identity its health answer reports. fbadsd -shard-listen serves
+// it.
+func NewReplicaBackend(cfg worldcfg.Config) (*LocalBackend, ShardInfo, error) {
+	b, err := NewLocalBackendFromConfig(cfg)
+	if err != nil {
 		return nil, ShardInfo{}, err
 	}
+	return b, ShardInfo{TotalPopulation: cfg.Population.Population, World: worldDigest(cfg)}, nil
+}
+
+// NewShardBackend checks that index lies in [0, count) and returns
+// NewReplicaBackend(cfg): every replica is the whole world.
+//
+// Deprecated: use NewReplicaBackend. perfbench, which builds its replicas as
+// NewShardBackend(cfg, i, n), is the only caller.
+func NewShardBackend(cfg worldcfg.Config, index, count int) (*LocalBackend, ShardInfo, error) {
 	if index < 0 || index >= count {
 		return nil, ShardInfo{}, fmt.Errorf("serving: shard index %d outside [0, %d)", index, count)
 	}
-	cat, err := cfg.BuildCatalog()
-	if err != nil {
-		return nil, ShardInfo{}, err
-	}
-	r := shardRange(pop, index, count)
-	model, err := cfg.BuildModel(cat, r.Size())
-	if err != nil {
-		return nil, ShardInfo{}, fmt.Errorf("serving: shard %d: %w", index, err)
-	}
-	b := &LocalBackend{model: model, engine: cfg.NewEngine(model)}
-	return b, ShardInfo{TotalPopulation: pop, World: worldDigest(cfg)}, nil
+	return NewReplicaBackend(cfg)
 }
 
 // ShardServer serves one replica's reach primitives over the shard RPC
@@ -356,7 +337,7 @@ type ShardServer struct {
 	mux     *http.ServeMux
 }
 
-// NewShardServer wraps a replica backend (NewShardBackend) as its RPC
+// NewShardServer wraps a replica backend (NewReplicaBackend) as its RPC
 // handler.
 func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	if b == nil {
@@ -365,9 +346,7 @@ func NewShardServer(b *LocalBackend, info ShardInfo) (*ShardServer, error) {
 	s := &ShardServer{backend: b, info: info}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+shardPathHealth, s.handleHealth)
-	for _, path := range []string{shardPathDemo, shardPathUnion, shardPathReach, shardPathConj} {
-		mux.HandleFunc("POST "+path, s.handleShare)
-	}
+	mux.HandleFunc("POST "+shardPathReach, s.handleShare)
 	mux.HandleFunc("GET "+shardPathStats, s.handleStats)
 	mux.HandleFunc("POST "+shardPathWarm, s.handleWarmRows)
 	s.mux = mux
@@ -453,20 +432,14 @@ func (s *ShardServer) parseShareBody(body []byte) (shardShareRequest, error) {
 		return req, fmt.Errorf("malformed request body: %w", err)
 	}
 	cat := s.backend.Catalog()
-	known := func(ids []interest.ID) error {
-		for _, id := range ids {
+	for _, clause := range req.Clauses {
+		for _, id := range clause {
 			if _, err := cat.Get(id); err != nil {
-				return fmt.Errorf("unknown interest %d", id)
+				return req, fmt.Errorf("unknown interest %d", id)
 			}
 		}
-		return nil
 	}
-	for _, clause := range req.Clauses {
-		if err := known(clause); err != nil {
-			return req, err
-		}
-	}
-	return req, known(req.IDs)
+	return req, nil
 }
 
 func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -478,12 +451,10 @@ func (s *ShardServer) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shareAnswer answers one share RPC body of path, whichever envelope
-// carried it: 200 with the shares' bits, 400 for a body parseShareBody
-// refuses, or 504 when ctx ended before compute. The fused reachshares RPC
-// answers both factors of one estimate from the same engine calls, in the
-// same order, as the demoshare and unionshare RPCs.
-func (s *ShardServer) shareAnswer(ctx context.Context, path string, body []byte) (int, []byte) {
+// shareAnswer answers one reachshares body, whichever envelope carried it:
+// 200 with the demo and union shares' bits (LocalBackend.ReachShares), 400
+// for a body parseShareBody refuses, or 504 when ctx ended before compute.
+func (s *ShardServer) shareAnswer(ctx context.Context, body []byte) (int, []byte) {
 	req, err := s.parseShareBody(body)
 	if err != nil {
 		return http.StatusBadRequest, errorBody(err.Error())
@@ -495,30 +466,21 @@ func (s *ShardServer) shareAnswer(ctx context.Context, path string, body []byte)
 	if req.Filter != nil {
 		f = *req.Filter
 	}
-	out := make([]byte, 0, 16)
-	switch path {
-	case shardPathDemo:
-		return http.StatusOK, appendShares(out, s.backend.DemoShare(ctx, f))
-	case shardPathUnion:
-		return http.StatusOK, appendShares(out, s.backend.UnionShare(ctx, req.Clauses))
-	case shardPathConj:
-		return http.StatusOK, appendShares(out, s.backend.Engine().ConjunctionShare(req.IDs))
-	}
 	demo, union, _ := s.backend.ReachShares(ctx, f, req.Clauses) // a LocalBackend never fails
-	return http.StatusOK, appendShares(out, demo, union)
+	return http.StatusOK, appendShares(make([]byte, 0, 16), demo, union)
 }
 
-// handleShare serves a share RPC over HTTP, reading at most maxShareBody
-// bytes. A reach RPC offering the frame upgrade gets its answer as the
-// first frame when the connection can be hijacked.
+// handleShare serves the reach RPC over HTTP, reading at most maxShareBody
+// bytes. A request offering the frame upgrade gets its answer as the first
+// frame when the connection can be hijacked.
 func (s *ShardServer) handleShare(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShareBody))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
 	}
-	status, payload := s.shareAnswer(r.Context(), r.URL.Path, body)
-	if r.URL.Path == shardPathReach && r.Header.Get("Upgrade") == reachProtocol && s.upgrade(w, r, status, payload) {
+	status, payload := s.shareAnswer(r.Context(), body)
+	if r.Header.Get("Upgrade") == reachProtocol && s.upgrade(w, r, status, payload) {
 		return
 	}
 	writeAnswer(w, status, payload)
@@ -594,10 +556,9 @@ type ProxyConfig struct {
 }
 
 // ProxyBackend implements ReachBackend over replica PROCESSES, each serving
-// the whole world. Every share query is ONE RPC to the replica whose turn
-// it is (per-RPC timeout, bounded jittered retry under a per-query budget;
-// a reach estimate's two factor shares travel together in the fused
-// reach-shares RPC), and the answer is that replica's, unchanged —
+// the whole world. Every reach estimate is ONE reachshares RPC to the
+// replica whose turn it is (per-RPC timeout, bounded jittered retry under a
+// per-query budget), and the answer is that replica's, unchanged —
 // byte-identical to LocalBackend (see the package comment's exactness
 // argument).
 //
@@ -757,8 +718,8 @@ func (p *ProxyBackend) Catalog() *interest.Catalog { return p.catalog }
 // Population implements ReachBackend.
 func (p *ProxyBackend) Population() int64 { return p.pop }
 
-// ReachShares implements ReachBackend with one fused RPC to one replica
-// (ask): the answering replica's pair is the estimate, unchanged. It returns
+// ReachShares implements ReachBackend with one reachshares RPC to one
+// replica (ask): the answering replica's pair is the estimate, unchanged. It returns
 // *UnavailableError when no replica answers, and *CanceledError when the
 // caller's context ends first.
 func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter, clauses [][]interest.ID) (demo, union float64, err error) {
@@ -769,11 +730,10 @@ func (p *ProxyBackend) ReachShares(ctx context.Context, f population.DemoFilter,
 	return demo, union, err
 }
 
-// must adapts an error-returning share query to the float64 share methods
-// (DemoShare, UnionShare and ConditionalAudience). They sit outside
-// ReachBackend — tests use them as exactness references and perfbench's
-// traced backend wraps them — so no program path reaches this panic: the
-// reach path returns its errors.
+// must adapts ReachShares to the float64 share methods (DemoShare,
+// UnionShare and ConditionalAudience). They sit outside ReachBackend and no
+// program path calls them, so no program path reaches this panic: the reach
+// path returns its errors.
 func must(v float64, err error) float64 {
 	if err != nil {
 		panic(err)
@@ -781,35 +741,40 @@ func must(v float64, err error) float64 {
 	return v
 }
 
-// share asks one replica a one-share RPC (ask).
-func (p *ProxyBackend) share(ctx context.Context, path string, req shardShareRequest) (share float64, err error) {
-	data, err := p.ask(ctx, path, req.encode())
-	if err == nil {
-		err = decodeShares(data, &share)
-	}
-	return share, err
-}
-
-// DemoShare returns the population share matching a demographic filter, from
-// one replica (a float64 adapter; see must).
+// DemoShare returns the population share matching a demographic filter: the
+// demo factor of one ReachShares call.
+//
+// Deprecated: use ReachShares. perfbench's traced backend is the only
+// caller.
 func (p *ProxyBackend) DemoShare(ctx context.Context, f population.DemoFilter) float64 {
-	return must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
+	demo, _, err := p.ReachShares(ctx, f, nil)
+	return must(demo, err)
 }
 
-// UnionShare returns the population share matching a union of interest
-// conjunctions, from one replica (a float64 adapter; see must).
+// UnionShare returns the population share matching a flexible-spec union of
+// interest conjunctions: the union factor of one ReachShares call.
+//
+// Deprecated: use ReachShares. perfbench's traced backend is the only
+// caller.
 func (p *ProxyBackend) UnionShare(ctx context.Context, clauses [][]interest.ID) float64 {
-	return must(p.share(ctx, shardPathUnion, shardShareRequest{Clauses: clauses}))
+	_, union, err := p.ReachShares(ctx, population.DemoFilter{}, clauses)
+	return must(union, err)
 }
 
-// ConditionalAudience asks for both factor shares and composes them with the
-// GLOBAL population by population.ConditionalAudience — the call
-// ShardedBackend.ConditionalAudience makes, so answers match it
-// byte-for-byte (a float64 adapter; see must).
+// ConditionalAudience returns the §4.1 conditional audience of a conjunction
+// inside a demographic slice: one ReachShares call with the conjunction as
+// single-interest clauses (whose union share is the conjunction's share),
+// composed with the global population by population.ConditionalAudience.
+//
+// Deprecated: use ReachShares. perfbench's traced backend is the only
+// caller.
 func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.DemoFilter, ids []interest.ID) float64 {
-	demo := must(p.share(ctx, shardPathDemo, shardShareRequest{Filter: &f}))
-	conj := must(p.share(ctx, shardPathConj, shardShareRequest{IDs: ids}))
-	return population.ConditionalAudience(p.pop, demo, conj)
+	clauses := make([][]interest.ID, len(ids))
+	for i := range ids {
+		clauses[i] = ids[i : i+1 : i+1]
+	}
+	demo, conj, err := p.ReachShares(ctx, f, clauses)
+	return population.ConditionalAudience(p.pop, must(demo, err), conj)
 }
 
 // AudienceStats implements ReachBackend: the fold of every live replica's
@@ -844,6 +809,14 @@ func (p *ProxyBackend) WarmRows(ctx context.Context) {
 		return nil
 	})
 }
+
+// rotation hands out the replica that answers the next estimate: 0, 1, …,
+// n-1, 0, … in call order, safe for concurrent use. Every replica's shares
+// are the single world's bit for bit, so which one answers never changes an
+// answer; rotating only spreads the work.
+type rotation struct{ next atomic.Uint64 }
+
+func (r *rotation) pick(n int) int { return int((r.next.Add(1) - 1) % uint64(n)) }
 
 // ask sends one share RPC body to the live replicas, in rotation order from
 // the one whose turn it is, and returns the first answer's body

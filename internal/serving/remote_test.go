@@ -11,21 +11,21 @@ import (
 	"testing"
 	"time"
 
+	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
 
 // startReplicas boots n in-process httptest replica servers for cfg, each
-// behind wrap, and returns their base URLs (cleanup via t.Cleanup). Replica
-// i is built as NewShardBackend(cfg, i, n), the model calibrated over the
-// i-th user-ID slice: its shares are the whole world's all the same, which
-// is what the proxy's exactness rests on.
+// behind wrap, and returns their base URLs (cleanup via t.Cleanup). Every
+// replica is the whole world, which is what the proxy's exactness rests on.
 func startReplicas(t *testing.T, cfg worldcfg.Config, n int, wrap func(http.Handler) http.Handler) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		b, info, err := NewShardBackend(cfg, i, n)
+		b, info, err := NewReplicaBackend(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,6 +43,17 @@ func startReplicas(t *testing.T, cfg worldcfg.Config, n int, wrap func(http.Hand
 // noWrap is startReplicas' middleware for bare replica servers.
 func noWrap(h http.Handler) http.Handler { return h }
 
+// unionShare is the union factor b answers for clauses under no filter; an
+// error fails t.
+func unionShare(t testing.TB, b ReachBackend, clauses [][]interest.ID) float64 {
+	t.Helper()
+	_, union, err := b.ReachShares(context.Background(), population.DemoFilter{}, clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return union
+}
+
 func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConfig) *ProxyBackend {
 	t.Helper()
 	pc.URLs = urls
@@ -56,16 +67,14 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 	return p
 }
 
-// TestProxyMatchesShardedBackend is the proxy's exactness property: for
-// random conjunctions/unions, demo filters and conditional audiences, the
-// network proxy's answers over httptest replica processes are
-// BYTE-IDENTICAL to LocalBackend's, and to the in-process ShardedBackend
-// whose shards the replicas' models are — across replicas {1,2,3} × seeds
-// {0,1,42}. This is the whole exactness argument for the topology: every
-// replica's shares are the single world's and survive the hop exactly, so
-// the answer is independent of WHICH replica answers. Without hedging,
-// HealthStats' per-replica RPC counts see one reach-shares RPC per estimate
-// (with hedging, duplicate RPCs are the point).
+// TestProxyMatchesLocalBackend is the proxy's exactness property: for random
+// unions of conjunctions and demo filters, the network proxy's ReachShares
+// over httptest replica processes is BYTE-IDENTICAL to LocalBackend's across
+// replicas {1,2,3} × seeds {0,1,42}. This is the whole exactness argument
+// for the topology: every replica is the single world and its shares
+// survive the hop exactly, so the answer is independent of WHICH replica
+// answers. Without hedging, HealthStats' per-replica RPC counts see one
+// reachshares RPC per estimate (with hedging, duplicate RPCs are the point).
 //
 // The full robustness stack is deliberately LIVE while the property runs —
 // per-replica circuit breakers at their twitchiest (threshold 1) on the
@@ -74,7 +83,7 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 // delay so nearly every RPC races the replicas — proving the protection and
 // tail-tolerance layers are bit-transparent on the healthy path, and that
 // losing a hedge race never trips a breaker.
-func TestProxyMatchesShardedBackend(t *testing.T) {
+func TestProxyMatchesLocalBackend(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{0, 1, 42} {
 		cfg := smallConfig(seed)
@@ -83,10 +92,6 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, replicas := range []int{1, 2, 3} {
-			sharded, err := NewShardedBackend(ctx, cfg, replicas)
-			if err != nil {
-				t.Fatal(err)
-			}
 			urls := startReplicas(t, cfg, replicas, func(h http.Handler) http.Handler {
 				// Generous limits: the stack must engage (keys resolve,
 				// tokens charge, slots count) without ever rejecting.
@@ -111,17 +116,9 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 				t.Fatalf("catalog mismatch: %d vs %d", proxy.Catalog().Len(), local.Catalog().Len())
 			}
 			r := rng.New(seed).Derive("proxy-property-queries")
-			for trial := 0; trial < 25; trial++ {
+			for trial := 0; trial < 50; trial++ {
 				clauses := randomClauses(r, cfg.Population.CatalogSize)
-				if got, want := proxy.UnionShare(ctx, clauses), local.UnionShare(ctx, clauses); got != want {
-					t.Fatalf("seed %d replicas=%d trial %d: proxy UnionShare = %v, local %v — must be byte-identical",
-						seed, replicas, trial, got, want)
-				}
 				f := randomFilter(r)
-				if got, want := proxy.DemoShare(ctx, f), local.DemoShare(ctx, f); got != want {
-					t.Fatalf("seed %d replicas=%d trial %d: proxy DemoShare = %v, local %v — must be byte-identical",
-						seed, replicas, trial, got, want)
-				}
 				before := rpcCounts(proxy)
 				gotD, gotU, err := proxy.ReachShares(ctx, f, clauses)
 				if err != nil {
@@ -134,26 +131,6 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 				if gotD != wantD || gotU != wantU {
 					t.Fatalf("seed %d replicas=%d trial %d: proxy ReachShares = (%v, %v), LocalBackend (%v, %v) — must be byte-identical",
 						seed, replicas, trial, gotD, gotU, wantD, wantU)
-				}
-				if shD, shU, err := sharded.ReachShares(ctx, f, clauses); err != nil || gotD != shD || gotU != shU {
-					t.Fatalf("seed %d replicas=%d trial %d: proxy ReachShares = (%v, %v), ShardedBackend (%v, %v, %v) — must be byte-identical",
-						seed, replicas, trial, gotD, gotU, shD, shU, err)
-				}
-				// Each fused factor is also the bit-identical single-share
-				// answer: fusing changes the round trips, not the answer.
-				if singleD, singleU := local.DemoShare(ctx, f), local.UnionShare(ctx, clauses); wantD != singleD || wantU != singleU {
-					t.Fatalf("seed %d trial %d: local ReachShares = (%v, %v), single-share queries (%v, %v)",
-						seed, trial, wantD, wantU, singleD, singleU)
-				}
-				conj := clauses[0]
-				got := proxy.ConditionalAudience(ctx, f, conj)
-				if want := local.ConditionalAudience(ctx, f, conj); got != want {
-					t.Fatalf("seed %d replicas=%d trial %d: proxy ConditionalAudience = %v, local %v — must be byte-identical",
-						seed, replicas, trial, got, want)
-				}
-				if want := sharded.ConditionalAudience(ctx, f, conj); got != want {
-					t.Fatalf("seed %d replicas=%d trial %d: proxy ConditionalAudience = %v, sharded %v — must be byte-identical",
-						seed, replicas, trial, got, want)
 				}
 			}
 			st := proxy.HealthStats()
@@ -173,6 +150,46 @@ func TestProxyMatchesShardedBackend(t *testing.T) {
 	}
 }
 
+// TestProxyShareAdaptersMatchEngine pins the proxy's float64 adapters bit
+// for bit against the engine calls they stand for, under the exact and
+// canonical caches and with the cache off: DemoShare and UnionShare are
+// ReachShares' two factors, and ConditionalAudience, which asks for its
+// conjunction as single-interest clauses, equals
+// Engine.ExpectedAudienceConditional.
+func TestProxyShareAdaptersMatchEngine(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []uint64{0, 1, 42} {
+		for _, cache := range []worldcfg.CacheParams{{Mode: audience.ModeExact}, {Mode: audience.ModeCanonical}, {Disabled: true}} {
+			cfg := smallConfig(seed)
+			cfg.Cache = cache
+			local, err := NewLocalBackendFromConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := local.Engine()
+			proxy := newTestProxy(t, cfg, startReplicas(t, cfg, 1, noWrap), ProxyConfig{})
+			r := rng.New(seed).Derive("proxy-adapter-queries")
+			for trial := 0; trial < 25; trial++ {
+				clauses, f := randomClauses(r, cfg.Population.CatalogSize), randomFilter(r)
+				conj := clauses[0]
+				for _, c := range []struct {
+					what      string
+					got, want float64
+				}{
+					{"DemoShare", proxy.DemoShare(ctx, f), e.DemoShare(f)},
+					{"UnionShare", proxy.UnionShare(ctx, clauses), e.UnionShare(clauses)},
+					{"ConditionalAudience", proxy.ConditionalAudience(ctx, f, conj), e.ExpectedAudienceConditional(f, conj)},
+				} {
+					if c.got != c.want {
+						t.Fatalf("seed %d cache %+v trial %d: proxy %s = %v, engine %v — must be byte-identical",
+							seed, cache, trial, c.what, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestProxyStatsAndWarmRows covers the diagnostic folds over the RPC
 // topology: WarmRows warms every replica and AudienceStats sums their
 // counters.
@@ -185,7 +202,7 @@ func TestProxyStatsAndWarmRows(t *testing.T) {
 	// replica twice: one miss, then one hit.
 	clauses := [][]interest.ID{{1}, {3}}
 	for k := 0; k < 2*len(urls); k++ {
-		proxy.UnionShare(context.Background(), clauses)
+		unionShare(t, proxy, clauses)
 	}
 	st := proxy.AudienceStats(context.Background())
 	if st.Prefix.Misses+st.Set.Misses == 0 {
@@ -207,9 +224,13 @@ func TestNewShardBackendErrors(t *testing.T) {
 	if _, _, err := NewShardBackend(cfg, -1, 2); err == nil {
 		t.Fatal("negative index should fail")
 	}
-	cfg.Population.Population = 3
-	if _, _, err := NewShardBackend(cfg, 0, 5); err == nil {
-		t.Fatal("more shards than users should fail")
+	// Any valid index builds the whole world.
+	b, info, err := NewShardBackend(cfg, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Population() != cfg.Population.Population || info.TotalPopulation != cfg.Population.Population || info.World != worldDigest(cfg) {
+		t.Fatalf("shard 1 of 3: population %d, info %+v — want the whole world", b.Population(), info)
 	}
 }
 
@@ -230,11 +251,12 @@ func TestNewProxyBackendErrors(t *testing.T) {
 }
 
 // TestShardServerEndpoints exercises the RPC surface directly: health
-// identity, share endpoints, and the rejection paths (malformed, oversized
-// or old-build JSON bodies, unknown interest, wrong method).
+// identity, the reach endpoint, and its rejection paths (malformed,
+// oversized or old-build bodies, unknown interest, wrong method, removed
+// endpoints).
 func TestShardServerEndpoints(t *testing.T) {
 	cfg := smallConfig(1)
-	b, info, err := NewShardBackend(cfg, 0, 2)
+	b, info, err := NewReplicaBackend(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,21 +274,9 @@ func TestShardServerEndpoints(t *testing.T) {
 		t.Fatalf("health identity wrong: %+v", health)
 	}
 
-	var share, demo, union float64
+	var demo, union float64
 	f := randomFilter(rng.New(9))
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	postShares(t, ts.URL+shardPathDemo, shardShareRequest{Filter: &f}, &share)
-	if want := b.DemoShare(context.Background(), f); share != want {
-		t.Fatalf("DemoShare over RPC = %v, local %v", share, want)
-	}
-	postShares(t, ts.URL+shardPathUnion, shardShareRequest{Clauses: clauses}, &share)
-	if want := b.UnionShare(context.Background(), clauses); share != want {
-		t.Fatalf("UnionShare over RPC = %v, local %v", share, want)
-	}
-	postShares(t, ts.URL+shardPathConj, shardShareRequest{IDs: []interest.ID{1, 2}}, &share)
-	if want := b.Engine().ConjunctionShare([]interest.ID{1, 2}); share != want {
-		t.Fatalf("ConjunctionShare over RPC = %v, local %v", share, want)
-	}
 	postShares(t, ts.URL+shardPathReach, shardShareRequest{Filter: &f, Clauses: clauses}, &demo, &union)
 	if wantD, wantU, _ := b.ReachShares(context.Background(), f, clauses); demo != wantD || union != wantU {
 		t.Fatalf("ReachShares over RPC = (%v, %v), local (%v, %v)", demo, union, wantD, wantU)
@@ -274,36 +284,42 @@ func TestShardServerEndpoints(t *testing.T) {
 
 	body := func(req shardShareRequest) string { return string(req.encode()) }
 	oneClause := body(shardShareRequest{Clauses: [][]interest.ID{{1}}})
-	// A valid request of exactly maxShareBody bytes: flag, empty clause
-	// list, then an ID list whose 3-byte count and one byte per ID fill it.
-	atLimit := body(shardShareRequest{IDs: make([]interest.ID, maxShareBody-5)})
+	// A valid request of exactly maxShareBody bytes: flag, one clause, then
+	// that clause's 3-byte count and one byte per ID.
+	atLimit := body(shardShareRequest{Clauses: [][]interest.ID{make([]interest.ID, maxShareBody-5)}})
 	if len(atLimit) != maxShareBody {
 		t.Fatalf("at-limit body is %d bytes, want %d", len(atLimit), maxShareBody)
 	}
-	for _, tc := range []struct {
+	type rejection struct {
 		name, method, path, body string
 		wantStatus               int
-	}{
-		{"empty body", http.MethodPost, shardPathUnion, "", http.StatusBadRequest},
+	}
+	cases := []rejection{
+		{"empty body", http.MethodPost, shardPathReach, "", http.StatusBadRequest},
 		{"truncated body", http.MethodPost, shardPathReach, body(shardShareRequest{Filter: &f, Clauses: clauses})[:5], http.StatusBadRequest},
-		{"bad filter flag", http.MethodPost, shardPathUnion, "\x02" + oneClause[1:], http.StatusBadRequest},
-		{"trailing value", http.MethodPost, shardPathConj, body(shardShareRequest{IDs: []interest.ID{1}}) + body(shardShareRequest{IDs: []interest.ID{2}}), http.StatusBadRequest},
+		{"bad filter flag", http.MethodPost, shardPathReach, "\x02" + oneClause[1:], http.StatusBadRequest},
+		{"trailing value", http.MethodPost, shardPathReach, oneClause + oneClause, http.StatusBadRequest},
 		{"trailing garbage", http.MethodPost, shardPathReach, oneClause + "trailing", http.StatusBadRequest},
-		{"count beyond the body", http.MethodPost, shardPathUnion, "\x00\xff\xff\xff\xff\x0f", http.StatusBadRequest},
-		{"id above MaxUint32", http.MethodPost, shardPathConj, "\x00\x00\x01\x80\x80\x80\x80\x10", http.StatusBadRequest},
-		{"unknown interest", http.MethodPost, shardPathUnion, body(shardShareRequest{Clauses: [][]interest.ID{{999999}}}), http.StatusBadRequest},
-		{"unknown conjunction id", http.MethodPost, shardPathConj, body(shardShareRequest{IDs: []interest.ID{999999}}), http.StatusBadRequest},
+		// The previous encoding ended every body with a conjunction ID list,
+		// empty on a reach request.
+		{"previous encoding", http.MethodPost, shardPathReach, body(shardShareRequest{Filter: &f, Clauses: clauses}) + "\x00", http.StatusBadRequest},
+		{"count beyond the body", http.MethodPost, shardPathReach, "\x00\xff\xff\xff\xff\x0f", http.StatusBadRequest},
+		{"id above MaxUint32", http.MethodPost, shardPathReach, "\x00\x01\x01\x80\x80\x80\x80\x10", http.StatusBadRequest},
+		{"unknown interest", http.MethodPost, shardPathReach, body(shardShareRequest{Clauses: [][]interest.ID{{999999}}}), http.StatusBadRequest},
 		// A valid request cut at the limit must not be answered: the body
 		// goes on past it.
-		{"body over 1 MiB", http.MethodPost, shardPathConj, atLimit + "\x00", http.StatusBadRequest},
+		{"body over 1 MiB", http.MethodPost, shardPathReach, atLimit + "\x00", http.StatusBadRequest},
 		// An old build's JSON request is refused, never read as a query.
-		{"JSON union request", http.MethodPost, shardPathUnion, `{"clauses":[[1]]}`, http.StatusBadRequest},
+		{"JSON union request", http.MethodPost, shardPathReach, `{"clauses":[[1]]}`, http.StatusBadRequest},
 		{"JSON reach request", http.MethodPost, shardPathReach, `{"filter":{"Countries":["US"]},"clauses":[[1]]}`, http.StatusBadRequest},
-		{"JSON conjunction request", http.MethodPost, shardPathConj, `{"ids":[1]}`, http.StatusBadRequest},
-		{"JSON demo request", http.MethodPost, shardPathDemo, `{}`, http.StatusBadRequest},
-		{"wrong method", http.MethodGet, shardPathUnion, "", http.StatusMethodNotAllowed},
+		{"wrong method", http.MethodGet, shardPathReach, "", http.StatusMethodNotAllowed},
 		{"health wrong method", http.MethodPost, shardPathHealth, "", http.StatusMethodNotAllowed},
-	} {
+	}
+	// The single-share endpoints are gone: a request to one is a 404.
+	for _, kind := range []string{"demo", "union", "conjunction"} {
+		cases = append(cases, rejection{kind + " endpoint", http.MethodPost, "/shard/v1/" + kind + "share", oneClause, http.StatusNotFound})
+	}
+	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +340,7 @@ func TestShardServerEndpoints(t *testing.T) {
 // Sleep observing the exponential backoff.
 func TestProxyRetriesTransientFailures(t *testing.T) {
 	cfg := smallConfig(1)
-	b, info, err := NewShardBackend(cfg, 0, 1)
+	b, info, err := NewReplicaBackend(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +372,8 @@ func TestProxyRetriesTransientFailures(t *testing.T) {
 			return nil
 		},
 	})
-	want := b.UnionShare(context.Background(), [][]interest.ID{{1}})
-	if got := proxy.UnionShare(context.Background(), [][]interest.ID{{1}}); got != want {
+	want := unionShare(t, b, [][]interest.ID{{1}})
+	if got := unionShare(t, proxy, [][]interest.ID{{1}}); got != want {
 		t.Fatalf("share after retry = %v, want %v", got, want)
 	}
 	if len(slept) != 1 || slept[0] != time.Millisecond {

@@ -32,7 +32,7 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	srvC, _ := replicaHandler(t, cfg)
 	a, bb, c := startRestartableShard(t, srvA), startRestartableShard(t, srvB), startRestartableShard(t, srvC)
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	want := b.UnionShare(context.Background(), clauses)
+	want := unionShare(t, b, clauses)
 
 	// The hedge timer fires only once the killed replica has refused an
 	// attempt (before the kill it waits out the race). Fired at once, the
@@ -59,7 +59,7 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 			}
 		},
 	})
-	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+	if got := unionShare(t, proxy, clauses); got != want {
 		t.Fatalf("healthy replicated proxy share = %v, want %v", got, want)
 	}
 
@@ -68,7 +68,7 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	// surviving replica, which is the byte-identical world.
 	a.Kill()
 	for trial := 0; trial < 5; trial++ {
-		if got := proxy.UnionShare(context.Background(), clauses); got != want {
+		if got := unionShare(t, proxy, clauses); got != want {
 			t.Fatalf("trial %d: share after replica kill = %v, want %v — replica failover must be exact",
 				trial, got, want)
 		}
@@ -88,7 +88,7 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	// Two replicas dead: the last one answers every estimate, exactly.
 	bb.Kill()
 	for trial := 0; trial < 5; trial++ {
-		if got := proxy.UnionShare(context.Background(), clauses); got != want {
+		if got := unionShare(t, proxy, clauses); got != want {
 			t.Fatalf("trial %d with two replicas dead = %v, want %v", trial, got, want)
 		}
 	}
@@ -161,8 +161,8 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	clauses := [][]interest.ID{{1, 3}}
-	want := b0.UnionShare(context.Background(), clauses)
-	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+	want := unionShare(t, b0, clauses)
+	if got := unionShare(t, proxy, clauses); got != want {
 		t.Fatalf("hedged share = %v, want %v", got, want)
 	}
 	waitFor(t, func() bool { return proxy.HealthStats().Down > 0 })
@@ -205,8 +205,8 @@ func TestProxyHedgePrimaryWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	clauses := [][]interest.ID{{1}, {2}}
-	want := b0.UnionShare(context.Background(), clauses)
-	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+	want := unionShare(t, b0, clauses)
+	if got := unionShare(t, proxy, clauses); got != want {
 		t.Fatalf("hedged share = %v, want %v", got, want)
 	}
 	st := proxy.HealthStats()
@@ -275,8 +275,8 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	clauses := [][]interest.ID{{1, 3}}
-	want := b0.UnionShare(context.Background(), clauses)
-	if got := proxy.UnionShare(context.Background(), clauses); got != want {
+	want := unionShare(t, b0, clauses)
+	if got := unionShare(t, proxy, clauses); got != want {
 		t.Fatalf("share with hedge target killed mid-race = %v, want %v", got, want)
 	}
 	st := proxy.HealthStats()
@@ -293,9 +293,7 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 
 // TestProbeRejectsWrongWorldReplica: replica-equivalence verdicts. A
 // replica URL whose health answer names another world must be marked down
-// by the probe and excluded from routing, leaving answers exact. A replica
-// built as shard 1 of 2, its model calibrated over half the users, serves
-// the same world and is asked like any other.
+// by the probe and excluded from routing, leaving answers exact.
 func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 	cfg := smallConfig(1)
 	good, b0 := replicaHandler(t, cfg)
@@ -331,34 +329,9 @@ func TestProbeRejectsWrongWorldReplica(t *testing.T) {
 	}
 	clauses := [][]interest.ID{{2}, {4}}
 	for k := 0; k < 2; k++ {
-		if got, want := proxy.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
+		if got, want := unionShare(t, proxy, clauses), unionShare(t, b0, clauses); got != want {
 			t.Fatalf("estimate %d with impostor excluded = %v, want %v", k, got, want)
 		}
-	}
-
-	// A replica calibrated over shard 1 of 2's users.
-	half, info, err := NewShardBackend(cfg, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	halfSrv, err := NewShardServer(half, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	halfTS := httptest.NewServer(halfSrv)
-	t.Cleanup(halfTS.Close)
-	proxy2 := newTestProxy(t, cfg, []string{goodTS.URL, halfTS.URL}, ProxyConfig{})
-	proxy2.ProbeNow(context.Background())
-	if st := proxy2.HealthStats(); st.Down != 0 {
-		t.Fatalf("a half-population replica of the same world was rejected: %+v", st)
-	}
-	for k := 0; k < 2; k++ {
-		if got, want := proxy2.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
-			t.Fatalf("estimate %d over the half-population replica = %v, want %v", k, got, want)
-		}
-	}
-	if st := proxy2.HealthStats(); st.Shards[1].RPCs == 0 {
-		t.Fatalf("rotation never asked the half-population replica: %+v", st)
 	}
 }
 
@@ -449,7 +422,7 @@ func TestProxyHonorsShardRetryAfter(t *testing.T) {
 		MaxRetries: 2, Jitter: zeroJitter, Sleep: record,
 	})
 	clauses := [][]interest.ID{{1}}
-	if got, want := proxy.UnionShare(context.Background(), clauses), b0.UnionShare(context.Background(), clauses); got != want {
+	if got, want := unionShare(t, proxy, clauses), unionShare(t, b0, clauses); got != want {
 		t.Fatalf("share after honored Retry-After = %v, want %v", got, want)
 	}
 	if len(slept) != 1 || slept[0] != 3*time.Second {

@@ -2,16 +2,15 @@
 // by the public facade (nanotarget.WorldConfig is an alias of Config), the
 // cmd flag surface (internal/cliflags) and the serving tier
 // (internal/serving): one struct describes a world, and every layer — a
-// single in-process world, a CLI tool, or N serving shards — builds from it.
+// single in-process world, a CLI tool, or a serving replica — builds from
+// it.
 //
 // The package also owns the construction steps whose bit-level behaviour the
 // repo's determinism contract depends on: catalog generation is derived from
-// the master seed via the "catalog" label, and the population model's
-// activity calibration is share-based (internal/population), so two models
-// built from the same Config that differ only in their population count have
-// bit-identical per-interest rates and activity grids. That invariant is
-// what makes the serving tier's range-sharded models exact (see
-// internal/serving).
+// the master seed via the "catalog" label, and the population model is a
+// pure function of the catalog and PopulationParams, so every build of one
+// Config is the same world bit for bit. That is what makes every serving
+// replica's answers the single world's (see internal/serving).
 package worldcfg
 
 import (
@@ -106,18 +105,11 @@ func (c Config) BuildCatalog() (*interest.Catalog, error) {
 	return cat, nil
 }
 
-// BuildModel calibrates a population model over cat. pop overrides the
-// modeled user-base size when > 0 (the serving tier passes each shard's
-// range size); pass 0 for the configured population. Because the model's
-// activity calibration targets catalog shares, not user counts, every
-// override yields bit-identical per-interest rates and activity grids — only
-// the Population() accessor differs.
-func (c Config) BuildModel(cat *interest.Catalog, pop int64) (*population.Model, error) {
+// BuildModel calibrates a population model of the configured user base over
+// cat.
+func (c Config) BuildModel(cat *interest.Catalog) (*population.Model, error) {
 	pcfg := population.DefaultConfig(cat)
 	pcfg.Population = c.Population.Population
-	if pop > 0 {
-		pcfg.Population = pop
-	}
 	if c.Population.ActivitySigma > 0 {
 		pcfg.ActivitySigma = c.Population.ActivitySigma
 	}

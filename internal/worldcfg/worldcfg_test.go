@@ -5,6 +5,7 @@ import (
 
 	"nanotarget/internal/audience"
 	"nanotarget/internal/interest"
+	"nanotarget/internal/population"
 )
 
 func smallConfig() Config {
@@ -53,32 +54,23 @@ func TestBuildCatalogDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildModelPopulationOverride is the sharding invariant: a model built
-// for a sub-range population has bit-identical shares to the full model —
-// only Population() differs.
+// TestBuildModelPopulationOverride: the configured user base overrides
+// population.DefaultConfig's.
 func TestBuildModelPopulationOverride(t *testing.T) {
 	cfg := smallConfig()
 	cat, err := cfg.BuildCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := cfg.BuildModel(cat, 0)
+	if def := population.DefaultConfig(cat).Population; def == cfg.Population.Population {
+		t.Fatalf("test config's population %d is the default's: the override would go unseen", def)
+	}
+	model, err := cfg.BuildModel(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Population() != cfg.Population.Population {
-		t.Fatalf("BuildModel(cat, 0) population = %d, want %d", full.Population(), cfg.Population.Population)
-	}
-	part, err := cfg.BuildModel(cat, 12_345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.Population() != 12_345 {
-		t.Fatalf("override population = %d, want 12345", part.Population())
-	}
-	clauses := [][]interest.ID{{1, 2}, {3}, {40, 41, 42}}
-	if full.UnionConjunctionShare(clauses) != part.UnionConjunctionShare(clauses) {
-		t.Fatal("share depends on population size — calibration must be share-based")
+	if model.Population() != cfg.Population.Population {
+		t.Fatalf("BuildModel population = %d, want %d", model.Population(), cfg.Population.Population)
 	}
 }
 
@@ -89,7 +81,7 @@ func TestNewEngineHonorsCacheParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := cfg.BuildModel(cat, 0)
+	model, err := cfg.BuildModel(cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func NewWorldFromConfig(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nanotarget: %w", err)
 	}
-	model, err := cfg.BuildModel(cat, 0)
+	model, err := cfg.BuildModel(cat)
 	if err != nil {
 		return nil, fmt.Errorf("nanotarget: %w", err)
 	}
