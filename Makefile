@@ -24,7 +24,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ProxyBreakerFastFail|ReachEstimateEdge|ShardReachShares|ProxyReachHop' -benchtime 1x -benchmem . ./internal/core ./internal/serving ./internal/adsapi
+	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ProxyDownReplicaSkipped|ReachEstimateEdge|ShardReachShares|ProxyReachHop' -benchtime 1x -benchmem . ./internal/core ./internal/serving ./internal/adsapi
 
 # Audience-engine benchmarks (the BENCH_audience.json baseline).
 bench-audience:

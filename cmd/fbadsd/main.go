@@ -38,12 +38,13 @@
 // live replica and the first success wins (the loser's context is
 // canceled; tallies at GET /v9.0/serving/health).
 //
-// The proxy also runs a circuit breaker per replica (trip after
-// -breaker-failures consecutive data-RPC failures, fast-fail for
-// -breaker-open-timeout, then a half-open trial) and propagates every
-// caller's deadline into the replica RPCs (X-Deadline-Ms). The slow-replica
-// drill for that path is a Go test (internal/adsapi); the multi-process
-// failover drill is scripts/proxy_smoke.sh.
+// A replica comes back only through a probe that passes both its identity
+// check and one reach RPC, so a replica whose health endpoint answers while
+// its reach RPCs fail stays out of rotation. The proxy propagates every
+// caller's deadline into the replica RPCs: in the X-Deadline-Ms header over
+// HTTP, and as a field of each reach frame on upgraded connections. The
+// slow-replica drill for that path is a Go test (internal/adsapi); the
+// multi-process failover drill is scripts/proxy_smoke.sh.
 package main
 
 import (
@@ -81,8 +82,6 @@ func main() {
 		proxyURLs      = flag.String("proxy", "", "comma-separated replica base URLs: serve the Marketing API by sending each estimate to one of these replica processes in rotation, failing over to the next (mutually exclusive with -shard-listen)")
 		healthInterval = flag.Duration("health-interval", time.Second, "proxy health-probe period")
 		rpcTimeout     = flag.Duration("rpc-timeout", 10*time.Second, "per-replica-RPC timeout of the proxy")
-		breakFailures  = flag.Int("breaker-failures", 5, "consecutive replica-RPC failures that trip the proxy's per-replica circuit breaker open")
-		breakTimeout   = flag.Duration("breaker-open-timeout", 5*time.Second, "how long an open circuit breaker fast-fails before a half-open trial RPC")
 		hedgeAfter     = flag.Duration("hedge-after", 0, "hedge a replica RPC to the next live replica when the first has not answered after this long (0 = no hedging; needs -proxy with 2 or more replicas)")
 	)
 	flag.Parse()
@@ -121,10 +120,6 @@ func main() {
 			Timeout:       *rpcTimeout,
 			ProbeInterval: *healthInterval,
 			HedgeAfter:    *hedgeAfter,
-			Breaker: serving.BreakerConfig{
-				FailureThreshold: *breakFailures,
-				OpenTimeout:      *breakTimeout,
-			},
 		})
 		if err == nil {
 			proxy.ProbeNow(context.Background())

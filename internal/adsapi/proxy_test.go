@@ -176,26 +176,24 @@ func TestServerOverProxyFail(t *testing.T) {
 }
 
 // slowShard is an http.RoundTripper that delays every request to one
-// replica by delay before delegating. The delay honours the request
-// context: an RPC whose deadline ends mid-delay fails with the context
-// error at once.
+// replica, other than health fetches, by delay before delegating. The delay
+// honours the request context: an RPC whose deadline ends mid-delay fails
+// with the context error at once.
 type slowShard struct {
 	base   http.RoundTripper
-	prefix string // the slow replica's base URL plus "/"
-	delay  time.Duration
+	prefix string       // the slow replica's base URL plus "/"
+	delay  atomic.Int64 // nanoseconds
 
-	dataRPCs atomic.Int64 // requests to the slow replica other than health probes
-	cut      atomic.Int64 // delays ended early by the request context
+	rpcs atomic.Int64 // delayed requests: estimates' RPCs and probes' reach checks
+	cut  atomic.Int64 // delays ended early by the request context
 }
 
 func (s *slowShard) RoundTrip(r *http.Request) (*http.Response, error) {
-	if !strings.HasPrefix(r.URL.String(), s.prefix) {
+	if !strings.HasPrefix(r.URL.String(), s.prefix) || strings.HasSuffix(r.URL.Path, "/health") {
 		return s.base.RoundTrip(r)
 	}
-	if !strings.HasSuffix(r.URL.Path, "/health") {
-		s.dataRPCs.Add(1)
-	}
-	timer := time.NewTimer(s.delay)
+	s.rpcs.Add(1)
+	timer := time.NewTimer(time.Duration(s.delay.Load()))
 	defer timer.Stop()
 	select {
 	case <-r.Context().Done():
@@ -207,22 +205,21 @@ func (s *slowShard) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestServerOverProxySlowShard is the slow-replica drill: every RPC to
-// replica 0 takes 400 ms against the proxy's 100 ms RPC timeout. The
-// per-RPC timeout must cut each replica-0 RPC short, the breaker must trip
-// after two failed estimates, and failover must answer every estimate of a
-// flood from replica 1 — 200s with the single world's reach, none past a 5 s
-// deadline. Once a probe finds the slow replica alive again, the open
-// breaker must keep estimates off its wire.
+// replica 0 takes 400 ms against the proxy's 100 ms RPC timeout, while its
+// health endpoint answers at once. The per-RPC timeout must cut each
+// replica-0 RPC short, and the first estimate, replica 0's, fails over to
+// replica 1. Probes must leave replica 0 down, because its reach check is
+// cut at the same timeout, so a flood gets 200s with the single world's
+// reach from replica 1 — none past a 5 s deadline — and sends replica 0 no
+// estimate. Once replica 0 answers in time, one probe brings it back.
 func TestServerOverProxySlowShard(t *testing.T) {
 	cfg := proxyWorld()
 	urls, _ := startReplicas(t, cfg)
-	slow := &slowShard{base: serving.NewShardTransport(), prefix: urls[0] + "/", delay: 400 * time.Millisecond}
+	slow := &slowShard{base: serving.NewShardTransport(), prefix: urls[0] + "/"}
+	slow.delay.Store(int64(400 * time.Millisecond))
 	base, proxy := startAPI(t, cfg, serving.ProxyConfig{
 		URLs:    urls,
 		Timeout: 100 * time.Millisecond,
-		// The open timeout outlasts the drill, so the breaker cannot go
-		// half-open and send a trial RPC mid-test.
-		Breaker: serving.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Minute},
 		Client:  &http.Client{Transport: slow},
 	})
 	local, err := serving.NewLocalBackendFromConfig(cfg)
@@ -254,41 +251,49 @@ func TestServerOverProxySlowShard(t *testing.T) {
 		}
 		return body.Data.Users
 	}
+	// estimateRPCs is the data RPCs the proxy has sent replica 0; probes'
+	// reach checks are not among them.
+	estimateRPCs := func() int64 { return proxy.HealthStats().Shards[0].RPCs }
 	// exact fetches one estimate through the proxy, checks it against the
 	// single world's, and reports whether it sent an RPC to the slow
 	// replica.
 	exact := func(ids ...interest.ID) (touchedSlow bool) {
-		before := slow.dataRPCs.Load()
+		before := estimateRPCs()
 		if got, want := reach(base, ids...), reach(ref, ids...); got != want {
 			t.Errorf("estimate %v through the proxy = %d, single world %d", ids, got, want)
 		}
-		return slow.dataRPCs.Load() != before
+		return estimateRPCs() != before
 	}
-
-	// Estimates alternate between the replicas. Estimates 0 and 2 are
-	// replica 0's: each loses it to the RPC timeout and fails over to
-	// replica 1. Before each later estimate a probe finds the slow replica
-	// alive and marks it up again, as the health loop would, so estimate 1,
-	// replica 1's, never touches it.
-	for i := 0; i < 3; i++ {
-		if i > 0 {
-			proxy.ProbeNow(context.Background())
-			if st := proxy.HealthStats(); st.Down != 0 {
-				t.Fatalf("probe did not mark the slow replica up again: %+v", st)
-			}
+	// probe runs one probe round and checks that it left replica 0 down on
+	// its reach check and replica 1 up.
+	probe := func() {
+		t.Helper()
+		proxy.ProbeNow(context.Background())
+		st := proxy.HealthStats()
+		if sh := st.Shards[0]; sh.Up || !strings.Contains(sh.LastError, "reach check") {
+			t.Fatalf("the slow replica should stay down on its reach check: %+v", sh)
 		}
-		if want := i%2 == 0; exact() != want {
-			t.Fatalf("estimate %d: touched the slow replica %v, want %v", i, !want, want)
+		if !st.Shards[1].Up {
+			t.Fatalf("the healthy replica is down: %+v", st.Shards[1])
 		}
 	}
-	if cut, rpcs := slow.cut.Load(), slow.dataRPCs.Load(); rpcs == 0 || cut != rpcs {
-		t.Fatalf("the 100ms RPC timeout cut %d of %d replica-0 RPCs short, want all", cut, rpcs)
+
+	// Estimate 0 is replica 0's: it loses it to the RPC timeout and fails
+	// over to replica 1. After it, the probes keep replica 0 out, so no
+	// later estimate touches it, whichever replica's turn it is.
+	if !exact() {
+		t.Fatal("estimate 0, replica 0's turn, never reached the slow replica")
 	}
-	if got := proxy.HealthStats().Shards[0].Breaker; got != "open" {
-		t.Fatalf("replica 0 breaker %q after two failed estimates, want open", got)
+	for i := 1; i < 3; i++ {
+		probe()
+		if exact() {
+			t.Fatalf("estimate %d reached the slow replica a probe had kept down", i)
+		}
 	}
 
-	// The flood: every estimate answered exactly, from the healthy replica.
+	// The flood: every estimate answered exactly, from the healthy replica,
+	// while the health loop keeps probing.
+	before := estimateRPCs()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -299,17 +304,26 @@ func TestServerOverProxySlowShard(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
-
-	// The replica is up again but its breaker is open: estimates — one per
-	// replica, so one is replica 0's turn — fast-fail it without an RPC.
-	proxy.ProbeNow(context.Background())
-	before := slow.dataRPCs.Load()
 	for i := 0; i < 2; i++ {
-		exact()
+		probe()
 	}
-	if after := slow.dataRPCs.Load(); after != before {
-		t.Fatalf("open breaker let %d RPCs reach the slow replica", after-before)
+	wg.Wait()
+	if after := estimateRPCs(); after != before {
+		t.Fatalf("the flood sent the down replica %d RPCs", after-before)
+	}
+	if cut, rpcs := slow.cut.Load(), slow.rpcs.Load(); rpcs == 0 || cut != rpcs {
+		t.Fatalf("the 100ms RPC timeout cut %d of %d replica-0 RPCs short, want all", cut, rpcs)
+	}
+
+	// Replica 0 answers in time again: one probe brings it back, and
+	// rotation reaches it — one of the next two estimates is its turn.
+	slow.delay.Store(0)
+	proxy.ProbeNow(context.Background())
+	if st := proxy.HealthStats(); st.Down != 0 {
+		t.Fatalf("a probe did not bring the recovered replica back: %+v", st.Shards)
+	}
+	if first, second := exact(), exact(); first == second {
+		t.Fatalf("the recovered replica served estimates %v, %v of the next two, want exactly one", first, second)
 	}
 }
 

@@ -273,8 +273,8 @@ func TestShardServerAbandonsDeadCaller(t *testing.T) {
 
 // TestProxyTreats504AsPermanent: a shard's 504 means the forwarded deadline
 // expired — retrying burns budget the caller no longer has, so the proxy
-// must fail the RPC immediately (zero backoff sleeps) and the failure feeds
-// the breaker.
+// must fail the RPC immediately (zero backoff sleeps), and the replica is
+// marked down.
 func TestProxyTreats504AsPermanent(t *testing.T) {
 	cfg := smallConfig(1)
 	srv504 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -285,7 +285,6 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 	var slept []time.Duration
 	proxy := newTestProxy(t, cfg, []string{srv504.URL}, ProxyConfig{
 		MaxRetries: 3,
-		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -297,9 +296,9 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 		t.Fatalf("the proxy retried a 504 (%d backoff sleeps) — it must be permanent", len(slept))
 	}
 	// The spurious 504 (the caller's ctx was live) counted as a data-path
-	// failure: with threshold 1 the breaker is now open.
-	if br := proxy.HealthStats().Shards[0].Breaker; br != "open" {
-		t.Fatalf("breaker after a live-caller 504 is %q, want open", br)
+	// failure: the replica is down.
+	if sh := proxy.HealthStats().Shards[0]; sh.Up || !strings.Contains(sh.LastError, "HTTP 504") {
+		t.Fatalf("a live-caller 504 should mark the replica down: %+v", sh)
 	}
 }
 
@@ -328,13 +327,13 @@ func TestStartHealthGoroutineExit(t *testing.T) {
 	}
 }
 
-// BenchmarkProxyBreakerFastFail measures the whole point of the breaker:
-// estimates over a topology whose dead replica's breaker is OPEN must cost
-// microseconds (one live-replica RPC, after a mutex check on the dead replica
-// when it is the dead replica's turn), not the per-RPC timeout the dead replica
-// would otherwise eat. CI gates the reported ns/op at
-// <= 1/10 of the 250ms per-RPC timeout configured here.
-func BenchmarkProxyBreakerFastFail(b *testing.B) {
+// BenchmarkProxyDownReplicaSkipped measures what marking a replica down
+// buys: estimates over a topology whose dead replica is down must cost
+// microseconds (one live-replica RPC, after rotation skips the dead replica
+// when it is its turn), not the per-RPC timeout the dead replica would
+// otherwise eat. CI gates the reported ns/op at <= 1/10 of the 250ms
+// per-RPC timeout configured here.
+func BenchmarkProxyDownReplicaSkipped(b *testing.B) {
 	cfg := smallConfig(1)
 	s0, info, err := NewReplicaBackend(cfg)
 	if err != nil {
@@ -347,34 +346,29 @@ func BenchmarkProxyBreakerFastFail(b *testing.B) {
 	live := httptest.NewServer(srv)
 	defer live.Close()
 
-	// The dead replica: a URL nothing listens on. The open breaker means it is
+	// The dead replica: a URL nothing listens on. Once it is down, it is
 	// never dialed — which is exactly what this benchmark proves.
 	dead := httptest.NewServer(http.HandlerFunc(nil))
 	deadURL := dead.URL
 	dead.Close()
 
-	frozen := time.Unix(1800000000, 0)
-	pc := ProxyConfig{
+	proxy, err := NewProxyBackend(cfg, ProxyConfig{
 		URLs:    []string{live.URL, deadURL},
 		Timeout: 250 * time.Millisecond,
-		// A frozen clock keeps the breaker open forever (no half-open
-		// trials mid-benchmark).
-		Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour, Now: func() time.Time { return frozen }},
-		Now:     func() time.Time { return frozen },
-	}
-	proxy, err := NewProxyBackend(cfg, pc)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Trip replica 1's breaker the way production would: one data-path
-	// failure at threshold 1.
-	proxy.breakers[1].OnFailure()
-	if st := proxy.breakers[1].State(); st != BreakerOpen {
-		b.Fatalf("breaker not open: %v", st)
-	}
-
+	// Mark replica 1 down the way production would: the second estimate is
+	// its turn, its reach RPCs are refused, and the estimate fails over to
+	// the live replica. No probe runs, so nothing brings it back.
 	clauses := [][]interest.ID{{1, 2}, {3}}
-	unionShare(b, proxy, clauses) // warm the live replica's rows/cache
+	for k := 0; k < 2; k++ {
+		unionShare(b, proxy, clauses) // also warms the live replica's rows/cache
+	}
+	if st := proxy.HealthStats(); st.Shards[1].Up {
+		b.Fatalf("dead replica not marked down: %+v", st.Shards[1])
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unionShare(b, proxy, clauses)

@@ -90,8 +90,7 @@ func TestReachRPCUpgradesToFrames(t *testing.T) {
 // milliseconds closes a pooled upgraded connection while it idles. The next
 // estimate finds the connection stale before any answer byte and re-sends
 // on a fresh one (the shard accepts a second connection), with no retry
-// backoff, no failover, the replica up and its breaker closed, and the
-// answer exact.
+// backoff, no failover, the replica up, and the answer exact.
 func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, b0 := replicaHandler(t, cfg)
@@ -104,7 +103,6 @@ func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	var sleeps atomic.Int64
 	proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{
 		MaxRetries: 1,
-		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			sleeps.Add(1)
 			return nil
@@ -133,7 +131,7 @@ func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 		t.Fatalf("shard accepted %d connections, want 2: the idle one retired, then a fresh one", n)
 	}
 	st := proxy.HealthStats()
-	if n := sleeps.Load(); n != 0 || st.Failovers != 0 || st.Down != 0 || st.Shards[0].Breaker != "closed" {
+	if n := sleeps.Load(); n != 0 || st.Failovers != 0 || st.Down != 0 {
 		t.Fatalf("a stale pooled connection cost %d retry sleeps: %+v", n, st)
 	}
 }
@@ -212,8 +210,8 @@ func frameShard(t *testing.T, answer func(k int, body []byte) (int, []byte)) (ur
 // TestFramed504IsPermanent: a frame whose budget is already spent when the
 // shard reaches compute is answered 504 — the shard counts the budget from
 // the frame's arrival, so a body that trails its budget spends it — and the
-// proxy treats a framed 504 as permanent: no retry, and the failure feeds
-// the breaker.
+// proxy treats a framed 504 as permanent: no retry, and the replica is
+// marked down.
 func TestFramed504IsPermanent(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, _ := replicaHandler(t, cfg)
@@ -257,7 +255,6 @@ func TestFramed504IsPermanent(t *testing.T) {
 	var slept atomic.Int64
 	proxy := newTestProxy(t, cfg, []string{url}, ProxyConfig{
 		MaxRetries: 3,
-		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept.Add(1)
 			return nil
@@ -272,8 +269,8 @@ func TestFramed504IsPermanent(t *testing.T) {
 	if slept.Load() != 0 || st.Shards[0].RPCs != 2 {
 		t.Fatalf("the proxy retried a framed 504 (%d backoff sleeps, %d RPCs for 2 estimates)", slept.Load(), st.Shards[0].RPCs)
 	}
-	if st.Shards[0].Breaker != "open" {
-		t.Fatalf("breaker after a framed 504 is %q, want open", st.Shards[0].Breaker)
+	if st.Shards[0].Up || !strings.Contains(st.Shards[0].LastError, "HTTP 504") {
+		t.Fatalf("a framed 504 should mark the replica down: %+v", st.Shards[0])
 	}
 }
 
@@ -297,7 +294,6 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 	var hedge atomic.Bool // the hedge timer fires only once set
 	proxy := newTestProxy(t, cfg, []string{hangURL, live.URL}, ProxyConfig{
 		HedgeAfter: time.Microsecond,
-		Breaker:    BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			if hedge.Load() {
 				return nil
@@ -328,8 +324,8 @@ func TestHedgeLoserFrameConnClosed(t *testing.T) {
 		t.Fatalf("the hedge loser's connection went back to the pool (%d idle)", idle)
 	}
 	st := proxy.HealthStats()
-	if st.HedgeWins != 1 || st.Down != 0 || st.Shards[0].Breaker != "closed" {
-		t.Fatalf("a canceled hedge loser must be a neutral verdict: %+v", st)
+	if st.HedgeWins != 1 || st.Down != 0 {
+		t.Fatalf("a canceled hedge loser must leave every replica up: %+v", st)
 	}
 }
 
@@ -378,7 +374,7 @@ func TestProxyKillMidFloodOverFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := proxy.HealthStats()
-	if st.Shards[0].Up || st.Shards[1].Breaker != "closed" || !st.Shards[1].Up {
+	if st.Shards[0].Up || !st.Shards[1].Up {
 		t.Fatalf("replica 0 killed mid-flood should be the one down: %+v", st.Shards)
 	}
 	// Each caller holds at most one connection at a time, so replica 0

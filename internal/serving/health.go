@@ -52,11 +52,8 @@ type ShardHealth struct {
 	LastError  string    `json:"last_error,omitempty"`
 	LastProbe  time.Time `json:"last_probe"`
 	LastChange time.Time `json:"last_change"`
-	// Breaker is the replica's circuit-breaker position ("closed", "open",
-	// "half-open") — data-path verdicts, orthogonal to probe-owned Up.
-	Breaker string `json:"breaker,omitempty"`
 	// RPCs counts the data-RPC attempts sent to the replica, framed or
-	// HTTP (health probes excluded).
+	// HTTP (health probes and their reach checks excluded).
 	RPCs int64 `json:"rpcs"`
 }
 
@@ -176,14 +173,11 @@ func (h *healthMonitor) snapshot() HealthStats {
 
 // HealthStats snapshots per-replica up/down state, last errors, probe
 // bookkeeping (timestamps come from the injectable clock), each replica's
-// circuit-breaker position and data-RPC count, and the hedging/failover
-// tallies.
+// data-RPC count, and the hedging/failover tallies.
 func (p *ProxyBackend) HealthStats() HealthStats {
 	st := p.health.snapshot()
 	for i := range st.Shards {
-		row := &st.Shards[i]
-		row.Breaker = p.breakers[row.Replica].State().String()
-		row.RPCs = p.rpcs[row.Replica].Load()
+		st.Shards[i].RPCs = p.rpcs[i].Load()
 	}
 	st.Hedged = p.hedged.Load()
 	st.HedgeWins = p.hedgeWins.Load()
@@ -192,21 +186,21 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 	return st
 }
 
-// ProbeNow runs one synchronous health-probe round: every replica's
-// /shard/v1/health endpoint is fetched (in parallel, under the probe timeout)
-// and its identity — catalog size, total population and world digest
-// (worldDigest) — is checked against the proxy's own configuration, so a
-// replica serving another world is treated as down rather than asked. Any
-// two replicas that both pass serve the byte-identical world (models are
-// pure functions of the config), which is what makes
-// failover exact. Tests drive failover deterministically by calling
-// ProbeNow directly; production uses StartHealth, which hands its loop
-// context down.
-//
-// Probe results deliberately do NOT feed the circuit breakers: the case the
-// breaker exists for is a flapping replica whose health endpoint answers (so
-// probes keep resurrecting it) while its data RPCs time out — only data-path
-// successes may close a breaker.
+// ProbeNow runs one synchronous health-probe round over every replica, in
+// parallel, each under probeTimeout. A probe first fetches the replica's
+// /shard/v1/health endpoint and checks its identity — catalog size, total
+// population and world digest (worldDigest) — against the proxy's own
+// configuration, so a replica serving another world is treated as down
+// rather than asked. Any two replicas that both pass serve the
+// byte-identical world (models are pure functions of the config), which is
+// what makes failover exact. It then checks the reach path: one reachshares
+// RPC for probeBody, sent the way estimates send theirs (a pooled frame
+// connection when the replica has one) under the per-RPC Timeout, with no
+// retry and no hedge. Only a 200 carrying two shares passes, so a replica
+// whose health endpoint answers while its reach RPCs fail or hang stays
+// down until it answers them again. Tests drive failover deterministically
+// by calling ProbeNow directly; production uses StartHealth, which hands
+// its loop context down.
 func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	for r := range p.urls {
@@ -232,10 +226,17 @@ func (p *ProxyBackend) ProbeNow(ctx context.Context) {
 	p.health.mu.Unlock()
 }
 
-// probeReplica fetches and verifies one replica's health endpoint under
-// min(caller deadline, probe timeout).
+// probeTimeout bounds one replica's probe, its reach check included.
+const probeTimeout = 2 * time.Second
+
+// probeBody is the reach check's request: no filter and no clauses, the
+// smallest reachshares body.
+var probeBody = shardShareRequest{}.encode()
+
+// probeReplica verifies one replica's identity and reach path (ProbeNow)
+// under min(caller deadline, probeTimeout).
 func (p *ProxyBackend) probeReplica(ctx context.Context, replica int) error {
-	ctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.urls[replica]+shardPathHealth, nil)
 	if err != nil {
@@ -266,6 +267,16 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, replica int) error {
 		return fmt.Errorf("health probe: total population %d, proxy world has %d", info.TotalPopulation, p.pop)
 	case info.World != p.world:
 		return fmt.Errorf("health probe: world digest %q, proxy world has %q", info.World, p.world)
+	}
+	data, status, _, err := p.attempt(ctx, replica, http.MethodPost, shardPathReach, probeBody)
+	switch {
+	case err != nil:
+		return fmt.Errorf("health probe: reach check: %w", err)
+	case status != http.StatusOK:
+		return fmt.Errorf("health probe: reach check: HTTP %d: %s", status, truncate(data))
+	}
+	if err := decodeShares(data, new(float64), new(float64)); err != nil {
+		return fmt.Errorf("health probe: reach check: %w", err)
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -407,6 +408,91 @@ func TestProbeRejectsWrongIdentity(t *testing.T) {
 	proxy.ProbeNow(context.Background())
 	if st := proxy.HealthStats(); st.Down != 0 {
 		t.Fatalf("a replica of the proxy's world was refused: %+v", st)
+	}
+}
+
+// TestProbeKeepsFlappingReplicaDown: a replica whose health endpoint
+// answers while its reach RPCs hang past the per-RPC Timeout must stay out
+// of rotation. The first estimate, its turn, loses it to the timeout and
+// fails over. Each later probe passes the identity check but fails the
+// reach check, so the replica stays down with a LastError naming that
+// check, and estimates send it no RPC: its only reach requests are the
+// probes'. Once its reach RPCs answer again, one probe brings it back and
+// rotation reaches it.
+func TestProbeKeepsFlappingReplicaDown(t *testing.T) {
+	cfg := smallConfig(3)
+	ctx := context.Background()
+	srv, local := replicaHandler(t, cfg)
+	var hang atomic.Bool
+	var reachRPCs atomic.Int64
+	hang.Store(true)
+	flapping := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == shardPathReach {
+			reachRPCs.Add(1)
+			if hang.Load() {
+				hungHandler().ServeHTTP(w, r)
+				return
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flapping.Close)
+	healthy := httptest.NewServer(srv)
+	t.Cleanup(healthy.Close)
+	proxy := newTestProxy(t, cfg, []string{flapping.URL, healthy.URL}, ProxyConfig{
+		Timeout: 50 * time.Millisecond, MaxRetries: 1, Sleep: immediateSleep,
+	})
+
+	f := population.DemoFilter{Countries: []string{"US"}, AgeMin: 21}
+	clauses := [][]interest.ID{{2, 5}, {8}}
+	wantD, wantU, _ := local.ReachShares(ctx, f, clauses) // a LocalBackend never fails
+	estimate := func(what string) []int64 {
+		t.Helper()
+		before := rpcCounts(proxy)
+		demo, union, err := proxy.ReachShares(ctx, f, clauses)
+		if err != nil || demo != wantD || union != wantU {
+			t.Fatalf("%s = (%v, %v, %v), want (%v, %v)", what, demo, union, err, wantD, wantU)
+		}
+		return rpcDelta(proxy, before)
+	}
+
+	if got := estimate("estimate 0"); got[0] != 2 {
+		t.Fatalf("estimate 0 sent the flapping replica %d RPCs, want both attempts", got[0])
+	}
+	if st := proxy.HealthStats(); st.Shards[0].Up {
+		t.Fatalf("the timed-out replica is still up: %+v", st.Shards[0])
+	}
+	for round := 0; round < 3; round++ {
+		before := reachRPCs.Load()
+		proxy.ProbeNow(ctx)
+		if n := reachRPCs.Load() - before; n != 1 {
+			t.Fatalf("probe round %d sent the flapping replica %d reach RPCs, want its one reach check", round, n)
+		}
+		st := proxy.HealthStats()
+		if sh := st.Shards[0]; sh.Up || !strings.Contains(sh.LastError, "reach check") {
+			t.Fatalf("probe round %d: the flapping replica should stay down on its reach check: %+v", round, sh)
+		}
+		if !st.Shards[1].Up {
+			t.Fatalf("probe round %d marked the healthy replica down: %+v", round, st.Shards[1])
+		}
+		for k := 0; k < 2; k++ {
+			if got := estimate(fmt.Sprintf("round %d estimate %d", round, k)); got[0] != 0 {
+				t.Fatalf("round %d estimate %d sent the down replica %d RPCs", round, k, got[0])
+			}
+		}
+	}
+
+	hang.Store(false)
+	proxy.ProbeNow(ctx)
+	if st := proxy.HealthStats(); st.Down != 0 {
+		t.Fatalf("a probe did not bring the recovered replica back: %+v", st.Shards)
+	}
+	var served int64
+	for k := 0; k < 2; k++ {
+		served += estimate(fmt.Sprintf("estimate %d after recovery", k))[0]
+	}
+	if served != 1 {
+		t.Fatalf("rotation sent the recovered replica %d of 2 estimates, want 1", served)
 	}
 }
 

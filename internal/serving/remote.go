@@ -3,21 +3,21 @@
 // primitives over a small HTTP RPC with binary share bodies; a ProxyBackend
 // implements ReachBackend over a flat list of such replica processes by
 // sending each estimate to one replica in rotation, with per-RPC timeouts,
-// bounded jittered retry, hedged requests, health-checked failover
-// (health.go) and per-replica circuit breakers (breaker.go).
+// bounded jittered retry, hedged requests and health-checked failover
+// (health.go).
 //
 // # Replication and hedging
 //
 // Every replica serves the byte-identical world: its model is a pure
 // function of worldcfg.Config, and the health probes verify each replica's
 // identity (catalog size, total population, world digest) against the
-// proxy's own config, so routing between replicas never changes an answer. An estimate starts at the live replica whose turn it
-// is; on failure it fails over to the next live replica in rotation order,
-// and with HedgeAfter armed it also fires the SAME request at the next live
-// replica once the hedge delay elapses without an answer — first success
-// wins and the losers' contexts are canceled (their breakers see
-// OnCanceled, not OnFailure). Only when no replica answers does the estimate
-// fail, with *UnavailableError.
+// proxy's own config, so routing between replicas never changes an answer.
+// An estimate starts at the live replica whose turn it is; on failure it
+// fails over to the next live replica in rotation order, and with
+// HedgeAfter armed it also fires the SAME request at the next live replica
+// once the hedge delay elapses without an answer — first success wins and
+// the losers' contexts are canceled, which marks no replica down. Only when
+// no replica answers does the estimate fail, with *UnavailableError.
 //
 // # Deadline propagation
 //
@@ -535,13 +535,6 @@ type ProxyConfig struct {
 	Jitter func(replica, attempt int) float64
 	// ProbeInterval is StartHealth's probe period (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
-	// Breaker configures the per-replica circuit breakers (breaker.go). The
-	// zero value takes the defaults: trip open after 5 consecutive
-	// data-RPC failures, fast-fail for 5s, then one half-open trial. Its
-	// Now falls back to ProxyConfig.Now.
-	Breaker BreakerConfig
 	// Client overrides the HTTP client — tests inject flaky transports
 	// through it. Nil uses a client over NewShardTransport (per-request
 	// contexts carry the timeouts). A reach RPC uses it until its connection
@@ -562,11 +555,12 @@ type ProxyConfig struct {
 // byte-identical to LocalBackend (see the package comment's exactness
 // argument).
 //
-// Each replica carries its own health state (health.go) and circuit
-// breaker. Replicas marked down by probes are skipped, RPC failures mark
-// replicas down, and an RPC that fails moves to the next live replica —
-// and, when HedgeAfter is armed, a hedged duplicate races it there. Only an
-// estimate no replica answers returns *UnavailableError (HTTP 503).
+// Each replica carries one up/down state (health.go). Replicas marked down
+// are skipped, RPC failures mark replicas down, only a probe that passes
+// both the identity and the reach check brings one back, and an RPC that
+// fails moves to the next live replica — and, when HedgeAfter is armed, a
+// hedged duplicate races it there. Only an estimate no replica answers
+// returns *UnavailableError (HTTP 503).
 type ProxyBackend struct {
 	catalog *interest.Catalog
 	pop     int64
@@ -581,14 +575,12 @@ type ProxyBackend struct {
 	hedgeAfter    time.Duration
 	jitter        func(replica, attempt int) float64
 	probeInterval time.Duration
-	probeTimeout  time.Duration
 	client        *http.Client
 	sleep         func(ctx context.Context, d time.Duration) error
 
-	health   *healthMonitor
-	breakers []*breaker
-	frames   []framePool    // each replica's idle upgraded connections
-	rpcs     []atomic.Int64 // data-RPC attempts per replica
+	health *healthMonitor
+	frames []framePool    // each replica's idle upgraded connections
+	rpcs   []atomic.Int64 // data-RPC attempts per replica
 
 	hedged          atomic.Int64
 	hedgeWins       atomic.Int64
@@ -630,9 +622,6 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	if pc.ProbeInterval <= 0 {
 		pc.ProbeInterval = time.Second
 	}
-	if pc.ProbeTimeout <= 0 {
-		pc.ProbeTimeout = 2 * time.Second
-	}
 	if pc.Client == nil {
 		pc.Client = &http.Client{Transport: NewShardTransport()}
 	}
@@ -661,17 +650,11 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 			return nil, fmt.Errorf("serving: replica %d has an empty URL", i)
 		}
 	}
-	if pc.Breaker.Now == nil {
-		pc.Breaker.Now = pc.Now
-	}
 	// Without keep-alives, replicas get nil frame pools, which offer no upgrade.
 	t, ok := pc.Client.Transport.(*http.Transport)
-	keepAlive := !ok || !t.DisableKeepAlives
-	breakers := make([]*breaker, n)
 	frames := make([]framePool, n)
-	for i := range breakers {
-		breakers[i] = newBreaker(pc.Breaker)
-		if keepAlive {
+	if !ok || !t.DisableKeepAlives {
+		for i := range frames {
 			frames[i] = make(framePool, shardIdleConnsPerHost)
 		}
 	}
@@ -687,11 +670,9 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		hedgeAfter:    pc.HedgeAfter,
 		jitter:        pc.Jitter,
 		probeInterval: pc.ProbeInterval,
-		probeTimeout:  pc.ProbeTimeout,
 		client:        pc.Client,
 		sleep:         pc.Sleep,
 		health:        newHealthMonitor(urls, pc.Now),
-		breakers:      breakers,
 		frames:        frames,
 		rpcs:          make([]atomic.Int64, n),
 	}, nil
@@ -860,12 +841,12 @@ func (b *queryBudget) take() bool {
 }
 
 // callReplicas is the replica loop over candidates, replica indices in the
-// order to try them. The first starts immediately; the next candidate takes over with the
-// identical request whenever a running attempt fails (counted as a failover,
-// or as a hedge when hedging is armed) — and, with HedgeAfter armed and more
-// than one candidate, also whenever the hedge delay elapses without an
-// answer (a hedge). Hedged attempts race: the first success wins and cancels
-// the rest (their breakers observe OnCanceled, a neutral verdict). Replicas
+// order to try them. The first starts immediately; the next candidate takes
+// over with the identical request whenever a running attempt fails (counted
+// as a failover, or as a hedge when hedging is armed) — and, with HedgeAfter
+// armed and more than one candidate, also whenever the hedge delay elapses
+// without an answer (a hedge). Hedged attempts race: the first success wins
+// and cancels the rest, whose canceled calls mark no replica down. Replicas
 // being byte-identical worlds — every candidate passed the same identity
 // probe — is what makes failover exact and "first success wins" sound: the
 // bytes cannot depend on the winner. All attempts debit the same shared
@@ -957,46 +938,35 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, metho
 	return nil, fmt.Errorf("serving: %s: every live replica failed: %w", path, lastErr)
 }
 
-// callReplica performs one replica RPC under the replica's circuit breaker.
-// The whole retrying call is one breaker unit: an open breaker fails it in
-// microseconds with *ErrBreakerOpen (no network); otherwise its final
-// outcome feeds OnSuccess/OnFailure — unless the passed ctx ended (caller
-// gone, or this attempt lost a hedge race), which says nothing about the
-// replica and registers as the neutral OnCanceled. A genuine failure also
-// marks the replica down in the health monitor; only a probe resurrects it.
+// callReplica performs one replica RPC, retries included (callRetrying). A
+// genuine failure marks the replica down, and only a probe brings it back.
+// A failure that is ctx's own error (the caller gone, or this attempt lost a
+// hedge race) says nothing about the replica and marks nothing; one that
+// ended before ctx did still counts.
 func (p *ProxyBackend) callReplica(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	br := p.breakers[replica]
-	if err := br.Allow(); err != nil {
-		return nil, err
-	}
 	data, err := p.callRetrying(ctx, replica, method, path, body, bud)
-	switch {
-	case err == nil:
-		br.OnSuccess()
-	case ctx.Err() != nil:
-		br.OnCanceled()
-	default:
-		br.OnFailure()
+	if err != nil && (ctx.Err() == nil || !errors.Is(err, ctx.Err())) {
 		p.health.markDown(replica, err)
 	}
 	return data, err
 }
 
-// callRetrying is callReplica's retry loop, below the breaker. Network
-// errors, 5xx and 429 retry up to MaxRetries, each retry also debiting the
-// query's shared budget; the backoff doubles per attempt and is stretched
-// into [wait, 1.5·wait) by the jitter source — UNLESS the shard advertised
-// a Retry-After (the concurrency gate's load-shed 503 and the admission
-// tier's 429 both do), which is honored verbatim. Either wait is capped by
-// the remaining ctx budget: sleeping past the caller's deadline is pure
-// waste. 504 is permanent — the replica abandoned the request because the
-// forwarded deadline expired — as are other 4xx.
+// callRetrying is callReplica's retry loop, counting each attempt in the
+// replica's data-RPC tally. Network errors, 5xx and 429 retry up to
+// MaxRetries, each retry also debiting the query's shared budget; the
+// backoff doubles per attempt and is stretched into [wait, 1.5·wait) by the
+// jitter source — UNLESS the shard advertised a Retry-After (the
+// concurrency gate's load-shed 503 and the admission tier's 429 both do),
+// which is honored verbatim. Either wait is capped by the remaining ctx
+// budget: sleeping past the caller's deadline is pure waste. 504 is
+// permanent — the replica abandoned the request because the forwarded
+// deadline expired — as are other 4xx.
 //
 // When ctx ends mid-loop (a lost hedge race, or the caller leaving), the
-// call returns the context's error and callReplica keeps the breaker
-// neutral. But if the last attempt could not reach the replica at all
-// (refused, reset, timed out), that failure is already proof the replica is gone, so
-// it still marks the replica down: a race loser must not discard it.
+// call returns the context's error and callReplica marks nothing. But if
+// the last attempt could not reach the replica at all (refused, reset,
+// timed out), that failure is already proof the replica is gone, so it
+// still marks the replica down: a race loser must not discard it.
 func (p *ProxyBackend) callRetrying(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
 	var lastErr error
 	var serverWait time.Duration // Retry-After from the last failed attempt
@@ -1026,6 +996,7 @@ func (p *ProxyBackend) callRetrying(ctx context.Context, replica int, method, pa
 				return abandon(err)
 			}
 		}
+		p.rpcs[replica].Add(1)
 		data, status, retryAfter, err := p.attempt(ctx, replica, method, path, body)
 		if err != nil {
 			if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
@@ -1090,13 +1061,13 @@ func ParseRetryAfter(h string) time.Duration {
 // and forwards the remaining budget. A reach RPC goes as a frame on a
 // pooled upgraded connection when the replica has one, and otherwise as an
 // HTTP round trip offering the upgrade. It returns the answer's body,
-// status and Retry-After.
+// status and Retry-After, and counts nothing: the probe's reach check
+// comes through here too, and is no data RPC.
 func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path string, body []byte) ([]byte, int, time.Duration, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	d, _ := ctx.Deadline()
 	budget := max(time.Until(d).Milliseconds(), 1)
-	p.rpcs[replica].Add(1)
 	var pool framePool
 	if path == shardPathReach {
 		pool = p.frames[replica]

@@ -77,12 +77,11 @@ func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConf
 // reachshares RPC per estimate (with hedging, duplicate RPCs are the point).
 //
 // The full robustness stack is deliberately LIVE while the property runs —
-// per-replica circuit breakers at their twitchiest (threshold 1) on the
-// proxy, every replica behind its own Gate + cost-charging Admission
-// middleware, and (at 2+ replicas) hedging ARMED with an instant hedge
-// delay so nearly every RPC races the replicas — proving the protection and
-// tail-tolerance layers are bit-transparent on the healthy path, and that
-// losing a hedge race never trips a breaker.
+// every replica behind its own Gate + cost-charging Admission middleware,
+// and (at 2+ replicas) hedging ARMED with an instant hedge delay so nearly
+// every RPC races the replicas — proving the protection and tail-tolerance
+// layers are bit-transparent on the healthy path, and that losing a hedge
+// race never marks a replica down.
 func TestProxyMatchesLocalBackend(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []uint64{0, 1, 42} {
@@ -101,7 +100,7 @@ func TestProxyMatchesLocalBackend(t *testing.T) {
 						Cost: func(r *http.Request) (float64, *http.Request) { return 2, r },
 					}, h))
 			})
-			pc := ProxyConfig{Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour}}
+			var pc ProxyConfig
 			if replicas > 1 {
 				// Hedge essentially immediately: the injected Sleep makes
 				// the hedge timer fire as soon as its goroutine runs.
@@ -135,16 +134,10 @@ func TestProxyMatchesLocalBackend(t *testing.T) {
 			}
 			st := proxy.HealthStats()
 			if st.Down != 0 {
-				t.Fatalf("seed %d replicas=%d: healthy run marked replicas down: %+v", seed, replicas, st)
+				t.Fatalf("seed %d replicas=%d: healthy run marked replicas down (hedge losers must mark nothing): %+v", seed, replicas, st)
 			}
 			if replicas > 1 && st.Hedged == 0 {
 				t.Fatalf("seed %d replicas=%d: hedging armed with an instant delay but no hedge launched", seed, replicas)
-			}
-			for _, sh := range st.Shards {
-				if sh.Breaker != "closed" {
-					t.Fatalf("seed %d replicas=%d: replica %d breaker %s after healthy run (hedge losers must be neutral)",
-						seed, replicas, sh.Replica, sh.Breaker)
-				}
 			}
 		}
 	}

@@ -17,8 +17,9 @@
 #   4. with every replica dead, the proxy answers 503 with a JSON body
 #      naming every replica's URL.
 #
-# The slow-replica pass (RPC timeout, breaker, failover) is a Go test:
-# TestServerOverProxySlowShard in internal/adsapi.
+# The slow-replica pass (RPC timeout, failover, a reach check that keeps
+# the slow replica down) is a Go test: TestServerOverProxySlowShard in
+# internal/adsapi.
 #
 # Parameterized by environment so CI can scale it down:
 #   CATALOG, POPULATION  world size (must match across every process)
