@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"nanotarget/internal/interest"
@@ -156,6 +157,9 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		if out == nil {
 			return nil
 		}
+		if rr, ok := out.(*reachResponse); ok && rr.scan(data) {
+			return nil
+		}
 		if err := json.Unmarshal(data, out); err != nil {
 			return fmt.Errorf("adsapi: decoding response: %w", err)
 		}
@@ -177,9 +181,13 @@ func truncateBody(b []byte) string {
 func (c *Client) ReachEstimate(ctx context.Context, spec TargetingSpec) (int64, error) {
 	q := url.Values{}
 	q.Set("targeting_spec", string(marshalJSON(spec)))
+	return c.reachAt(ctx, c.endpoint("/act_"+c.cfg.AccountID+"/reachestimate", q))
+}
+
+// reachAt requests the reach estimate at rawURL.
+func (c *Client) reachAt(ctx context.Context, rawURL string) (int64, error) {
 	var resp reachResponse
-	err := c.do(ctx, http.MethodGet, c.endpoint("/act_"+c.cfg.AccountID+"/reachestimate", q), nil, &resp)
-	if err != nil {
+	if err := c.do(ctx, http.MethodGet, rawURL, nil, &resp); err != nil {
 		return 0, err
 	}
 	if !resp.Data.EstimateReady {
@@ -223,8 +231,8 @@ func (c *Client) Insights(ctx context.Context, campaignID string) (Insights, err
 
 // Source adapts the client as a core.AudienceSource-compatible oracle so the
 // uniqueness study can run through the HTTP path exactly as the paper ran
-// against the real API. geo is the location set for every query (the paper
-// used the top-50 country list).
+// against the real API. Geo is the location set for every query (the paper
+// used the top-50 country list); it must not change after the first query.
 type Source struct {
 	Client *Client
 	Geo    GeoLocations
@@ -233,15 +241,69 @@ type Source struct {
 	MinReach int64
 	// Ctx bounds every request; defaults to context.Background().
 	Ctx context.Context
+
+	once   sync.Once
+	prefix string // every reach URL up to its first interest clause
 }
 
-// PotentialReach implements the audience oracle via HTTP.
+// The query-escaped JSON around the interest IDs of a ConjunctionSpec's
+// flexible_spec, as url.Values.Encode writes them.
+var (
+	escFlexOpen  = url.QueryEscape(`,"flexible_spec":[`)
+	escClauseSep = url.QueryEscape(`,`)
+	escIDOpen    = url.QueryEscape(`{"interests":[{"id":"`)
+	escIDClose   = url.QueryEscape(`"}]}`)
+	escFlexClose = url.QueryEscape(`]}`)
+	escSpecClose = url.QueryEscape(`}`)
+)
+
+// PotentialReach implements the audience oracle via HTTP. It sends the URL
+// ReachEstimate sends for ConjunctionSpec(s.Geo, ids), byte for byte
+// (TestSourceReachURLBytes), appending each interest's escaped clause to a
+// prefix built on the first call.
 func (s *Source) PotentialReach(ids []interest.ID) (int64, error) {
 	ctx := s.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return s.Client.ReachEstimate(ctx, ConjunctionSpec(s.Geo, ids))
+	s.once.Do(s.buildPrefix)
+	return s.Client.reachAt(ctx, s.reachURL(ids))
+}
+
+// buildPrefix builds the reach URL up to the first interest clause: the
+// endpoint, the access token (url.Values.Encode sorts it first) and the
+// escaped targeting_spec through its geo block.
+func (s *Source) buildPrefix() {
+	cfg := s.Client.cfg
+	p := strings.TrimSuffix(cfg.BaseURL, "/") + "/" + APIVersion + "/act_" + cfg.AccountID + "/reachestimate?"
+	if cfg.AccessToken != "" {
+		p += "access_token=" + url.QueryEscape(cfg.AccessToken) + "&"
+	}
+	s.prefix = p + "targeting_spec=" + url.QueryEscape(`{"geo_locations":`+string(marshalJSON(s.Geo)))
+}
+
+// reachURL appends the escaped clause of each of ids to the prefix.
+func (s *Source) reachURL(ids []interest.ID) string {
+	var b strings.Builder
+	b.Grow(len(s.prefix) + len(escFlexOpen) + len(ids)*(len(escClauseSep)+len(escIDOpen)+20+len(escIDClose)) + len(escFlexClose))
+	b.WriteString(s.prefix)
+	var digits [20]byte
+	for i, id := range ids {
+		if i == 0 {
+			b.WriteString(escFlexOpen)
+		} else {
+			b.WriteString(escClauseSep)
+		}
+		b.WriteString(escIDOpen)
+		b.Write(appendFBInterestID(digits[:0], id))
+		b.WriteString(escIDClose)
+	}
+	if len(ids) > 0 {
+		b.WriteString(escFlexClose)
+	} else {
+		b.WriteString(escSpecClose)
+	}
+	return b.String()
 }
 
 // Floor reports the platform minimum.

@@ -12,8 +12,9 @@ import (
 // 20-interest flexible-spec union costs its real backend work while a bare
 // country probe costs the minimum.
 //
-// Pricing and the handler share one parse: AdmissionCost parses the query
-// and strict-decodes the spec once (parseEdge) and returns the request
+// Pricing and the handler share one parse: AdmissionCost reads the spec
+// from the raw query, strict-decodes it and parses its interest IDs once
+// (parseEdge), and returns the request
 // carrying that parse, which is the request the server must receive; the
 // server answers from it without decoding again. A spec that is missing,
 // malformed or does not convert to clauses is priced at the 1-token floor,

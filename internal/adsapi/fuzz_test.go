@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -215,8 +216,9 @@ func FuzzParseFBInterestID(f *testing.F) {
 
 // FuzzReachEstimateHandler drives the HTTP surface end to end with
 // arbitrary targeting_spec payloads: the server must always answer with
-// well-formed JSON (a reach payload or an API error), never panic, never
-// report a reach below the era floor, answer byte-identically behind
+// well-formed JSON (a reach payload byte-identical to encoding/json's, or an
+// API error), never panic, never report a reach below the era floor, answer
+// byte-identically behind
 // AdmissionCost-priced admission (which hands the server its parse), and
 // price every spec it answers 200 at that spec's SpecCost — never at the
 // floor reserved for rejects.
@@ -253,6 +255,9 @@ func FuzzReachEstimateHandler(f *testing.F) {
 			if err := json.Unmarshal(body, &out); err != nil {
 				t.Fatalf("200 with unparsable body %q: %v", body, err)
 			}
+			if want := marshalJSON(reachResponse{Data: ReachEstimate{Users: out.Data.Users, EstimateReady: true}}); !bytes.Equal(body, want) {
+				t.Fatalf("spec %q: 200 body %q, want encoding/json's %q", rawSpec, body, want)
+			}
 			if out.Data.Users < Era2017.MinReach {
 				t.Fatalf("reach %d below floor for spec %q", out.Data.Users, rawSpec)
 			}
@@ -275,6 +280,73 @@ func FuzzReachEstimateHandler(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected status %d for spec %q (body %q)", resp.StatusCode, rawSpec, body)
+		}
+	})
+}
+
+// FuzzEdgeQuery checks the edge's one-pass query scan against its
+// reference: for any raw query, edgeQuery's targeting_spec and access_token
+// are url.ParseQuery's first values for those keys.
+func FuzzEdgeQuery(f *testing.F) {
+	for _, tc := range reachErrorCases() {
+		f.Add(tc.query)
+	}
+	f.Add("access_token=a+b&targeting_spec=%7B%7D")
+	f.Add("access%5Ftoken=x;&access_token=y&access_token=z")
+	f.Add("targeting_spec=%&targeting_spec=ok&&=&access_token")
+	f.Add("targeting+spec=1&targeting_spec+=2&%74argeting_spec=3")
+	f.Fuzz(func(t *testing.T, raw string) {
+		spec, token := edgeQuery(raw)
+		want, _ := url.ParseQuery(raw)
+		if spec != want.Get("targeting_spec") || token != want.Get("access_token") {
+			t.Fatalf("query %q: edgeQuery read spec %q, token %q; url.ParseQuery %q, %q",
+				raw, spec, token, want.Get("targeting_spec"), want.Get("access_token"))
+		}
+	})
+}
+
+// FuzzReachAnswerScan checks the client's reach-answer scanner against
+// encoding/json: whenever it accepts a body, the body is encoding/json's
+// encoding of the ready estimate it decoded, and json.Unmarshal decodes the
+// same response; and it accepts every such encoding.
+func FuzzReachAnswerScan(f *testing.F) {
+	for _, users := range []int64{0, 1, -1, 20, 1234, math.MaxInt64, math.MinInt64} {
+		f.Add(marshalJSON(reachResponse{Data: ReachEstimate{Users: users, EstimateReady: true}}))
+	}
+	for _, body := range []string{
+		`{"data":{"users":-0,"estimate_ready":true}}`,
+		`{"data":{"users":007,"estimate_ready":true}}`,
+		`{"data":{"users":1e3,"estimate_ready":true}}`,
+		`{"data":{"users":+5,"estimate_ready":true}}`,
+		`{"data":{"users":9223372036854775808,"estimate_ready":true}}`,
+		`{"data":{"users":-9223372036854775809,"estimate_ready":true}}`,
+		`{"data":{"users":99999999999999999999,"estimate_ready":true}}`,
+		`{"data":{"users":,"estimate_ready":true}}`,
+		`{"data":{"users":5,"estimate_ready":false}}`,
+		`{"data": {"users":5,"estimate_ready":true}}`,
+		`{"data":{"users":5,"estimate_ready":true}}` + "\n",
+		`{"error":{"message":"m","type":"OAuthException","code":100,"fbtrace_id":"sim"}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got reachResponse
+		if got.scan(body) {
+			if want := marshalJSON(got); !bytes.Equal(body, want) || !got.Data.EstimateReady {
+				t.Fatalf("scan accepted %q as %+v, whose encoding is %q", body, got, want)
+			}
+			var ref reachResponse
+			if err := json.Unmarshal(body, &ref); err != nil || ref != got {
+				t.Fatalf("scan decoded %q as %+v; json.Unmarshal %+v, %v", body, got, ref, err)
+			}
+			return
+		}
+		if got != (reachResponse{}) {
+			t.Fatalf("scan refused %q but decoded %+v", body, got)
+		}
+		var ref reachResponse
+		if json.Unmarshal(body, &ref) == nil && ref.Data.EstimateReady && bytes.Equal(body, marshalJSON(ref)) {
+			t.Fatalf("scan refused encoding/json's encoding %q of %+v", body, ref)
 		}
 	})
 }

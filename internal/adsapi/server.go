@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nanotarget/internal/audience"
@@ -67,7 +68,8 @@ type Server struct {
 	campaigns map[string]*Campaign
 	insights  map[string]Insights
 	nextID    int64
-	disabled  bool
+
+	disabled atomic.Bool
 
 	mux *http.ServeMux
 }
@@ -130,7 +132,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) withAuth(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		p, r := parseEdge(r)
-		if !s.authorize(w, p.query.Get("access_token")) {
+		if !s.authorize(w, p.token) {
 			return
 		}
 		h(w, r)
@@ -194,9 +196,7 @@ func (s *Server) handleServingHealth(w http.ResponseWriter, r *http.Request) {
 // 368 — reproducing the account closure the authors experienced days after
 // the experiment (§8.2).
 func (s *Server) DisableAccount() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.disabled = true
+	s.disabled.Store(true)
 }
 
 // SetInsights attaches dashboard metrics for a campaign (the delivery engine
@@ -243,7 +243,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 // authorize validates the token and charges the rate limiter. It returns
-// false after writing an error response.
+// false after writing an error response. Only the token bucket takes s.mu.
 func (s *Server) authorize(w http.ResponseWriter, token string) bool {
 	if len(s.tokens) > 0 && !s.tokens[token] {
 		s.writeError(w, http.StatusUnauthorized, &APIError{
@@ -251,43 +251,50 @@ func (s *Server) authorize(w http.ResponseWriter, token string) bool {
 			Message: "Invalid OAuth access token"})
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.disabled {
+	if s.disabled.Load() {
 		s.writeError(w, http.StatusForbidden, &APIError{
 			Code: CodeAccountDisabled, Type: "OAuthException",
 			Message: "The account has been disabled"})
 		return false
 	}
-	if s.cfg.RateLimit > 0 {
-		b, ok := s.buckets[token]
-		now := s.now()
-		if !ok {
-			b = &bucket{tokens: s.cfg.RateBurst, last: now}
-			s.buckets[token] = b
-		}
-		b.tokens += now.Sub(b.last).Seconds() * s.cfg.RateLimit
-		if b.tokens > s.cfg.RateBurst {
-			b.tokens = s.cfg.RateBurst
-		}
-		b.last = now
-		if b.tokens < 1 {
-			s.writeError(w, http.StatusBadRequest, &APIError{
-				Code: CodeRateLimit, Type: "OAuthException",
-				Message: "User request limit reached"})
-			return false
-		}
-		b.tokens--
+	if s.cfg.RateLimit > 0 && !s.takeToken(token) {
+		s.writeError(w, http.StatusBadRequest, &APIError{
+			Code: CodeRateLimit, Type: "OAuthException",
+			Message: "User request limit reached"})
+		return false
 	}
 	return true
 }
 
-// edgeParse is one request's query, parsed once at the API edge: admission
-// prices from it (AdmissionCost), withAuth reads the token from it and the
-// reach-estimate handler answers from it, so the targeting_spec is
+// takeToken refills token's bucket and takes one token from it, reporting
+// false when the bucket holds less than one.
+func (s *Server) takeToken(token string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.buckets[token]
+	now := s.now()
+	if !ok {
+		b = &bucket{tokens: s.cfg.RateBurst, last: now}
+		s.buckets[token] = b
+	}
+	b.tokens += now.Sub(b.last).Seconds() * s.cfg.RateLimit
+	if b.tokens > s.cfg.RateBurst {
+		b.tokens = s.cfg.RateBurst
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// edgeParse is one request's edge parameters, read once at the API edge:
+// admission prices from it (AdmissionCost), withAuth reads the token from it
+// and the reach-estimate handler answers from it, so the targeting_spec is
 // URL-decoded once and decoded once per request.
 type edgeParse struct {
-	query url.Values
+	token string // the access_token query parameter
 	reachQuery
 	specErr *APIError // a missing or malformed targeting_spec: the first 400
 }
@@ -303,8 +310,8 @@ func parseEdge(r *http.Request) (*edgeParse, *http.Request) {
 	if p, ok := r.Context().Value(edgeParseKey{}).(*edgeParse); ok {
 		return p, r
 	}
-	p := &edgeParse{query: r.URL.Query()}
-	raw := p.query.Get("targeting_spec")
+	raw, token := edgeQuery(r.URL.RawQuery)
+	p := &edgeParse{token: token}
 	if spec, ok := decodeSpecFast(raw); ok {
 		p.reachQuery = newReachQuery(spec)
 	} else if raw == "" {
@@ -318,6 +325,43 @@ func parseEdge(r *http.Request) (*edgeParse, *http.Request) {
 	return p, r.WithContext(context.WithValue(r.Context(), edgeParseKey{}, p))
 }
 
+// edgeQuery returns url.ParseQuery(rawQuery)'s first targeting_spec and
+// access_token values in one pass, without building url.Values: pairs split
+// at '&', a pair holding a ';' or an invalid escape is dropped, keys and
+// values are unescaped with '+' as a space, and the first value of a key
+// wins (FuzzEdgeQuery).
+func edgeQuery(rawQuery string) (spec, token string) {
+	var haveSpec, haveToken bool
+	for rawQuery != "" && !(haveSpec && haveToken) {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(key, "%+") {
+			k, err := url.QueryUnescape(key)
+			if err != nil {
+				continue
+			}
+			key = k
+		}
+		switch {
+		case key == "targeting_spec" && !haveSpec:
+			spec, haveSpec = queryUnescape(value)
+		case key == "access_token" && !haveToken:
+			token, haveToken = queryUnescape(value)
+		}
+	}
+	return spec, token
+}
+
+// queryUnescape is url.QueryUnescape reporting success instead of an error.
+func queryUnescape(s string) (string, bool) {
+	v, err := url.QueryUnescape(s)
+	return v, err == nil
+}
+
 // reachQuery is a decoded targeting spec converted once for estimation: its
 // demographic filter and catalog-ID clauses, or the conversion error.
 type reachQuery struct {
@@ -327,9 +371,11 @@ type reachQuery struct {
 	clausesErr error
 }
 
+// newReachQuery parses each interest ID of spec once; on a malformed ID,
+// clauses holds the IDs before it, which validation walks.
 func newReachQuery(spec TargetingSpec) reachQuery {
 	q := reachQuery{spec: spec, demo: spec.DemoFilter()}
-	q.clauses, q.clausesErr = spec.Clauses()
+	q.clauses, q.clausesErr = spec.parseClauses()
 	return q
 }
 
@@ -338,18 +384,10 @@ func newReachQuery(spec TargetingSpec) reachQuery {
 // containing at least one real member — matching the platform's behaviour of
 // counting actual users, since every combination the paper queries comes
 // from a real profile (§4.1). It returns false after writing an error
-// response: 400 for a spec that fails Validate or does not convert to
-// clauses, and writeBackendError's status for a backend failure.
+// response: 400 for a spec that fails validation, and writeBackendError's
+// status for a backend failure.
 func (s *Server) estimateReach(w http.ResponseWriter, r *http.Request, q reachQuery) (int64, bool) {
-	err := q.spec.Validate(s.era, s.backend.Catalog())
-	if err == nil {
-		err = q.clausesErr
-	}
-	if err != nil {
-		var ae *APIError
-		if !errors.As(err, &ae) {
-			ae = &APIError{Code: CodeInvalidParam, Type: "OAuthException", Message: err.Error()}
-		}
+	if ae := q.spec.validate(s.era, s.backend.Catalog(), q.clauses, q.clausesErr); ae != nil {
 		s.writeError(w, http.StatusBadRequest, ae)
 		return 0, false
 	}
@@ -412,7 +450,8 @@ func (s *Server) handleReachEstimate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, reachResponse{Data: ReachEstimate{Users: reach, EstimateReady: true}})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendReachAnswer(make([]byte, 0, 64), reach))
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -471,15 +510,15 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	p, _ := parseEdge(r)
-	if p.query.Get("type") != "adinterest" {
+	query := r.URL.Query()
+	if query.Get("type") != "adinterest" {
 		s.writeError(w, http.StatusBadRequest, &APIError{
 			Code: CodeInvalidParam, Type: "OAuthException",
 			Message: "Unsupported search type"})
 		return
 	}
 	limit := 25
-	if raw := p.query.Get("limit"); raw != "" {
+	if raw := query.Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
 			s.writeError(w, http.StatusBadRequest, &APIError{
@@ -491,7 +530,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	cat := s.backend.Catalog()
 	var results []SearchResult
-	for _, in := range cat.Search(p.query.Get("q"), limit) {
+	for _, in := range cat.Search(query.Get("q"), limit) {
 		results = append(results, SearchResult{
 			ID:           FBInterestID(in.ID),
 			Name:         in.Name,

@@ -33,6 +33,11 @@ func FBInterestID(id interest.ID) string {
 	return strconv.FormatInt(fbIDBase+int64(id), 10)
 }
 
+// appendFBInterestID appends FBInterestID(id) to dst.
+func appendFBInterestID(dst []byte, id interest.ID) []byte {
+	return strconv.AppendInt(dst, fbIDBase+int64(id), 10)
+}
+
 // ParseFBInterestID converts an API identifier back to a catalog ID. It
 // accepts only the canonical form FBInterestID writes: decimal digits with
 // no sign, leading zero, space or trailing byte, naming an ID inside the
@@ -106,17 +111,6 @@ type TargetingSpec struct {
 	FlexibleSpec []FlexibleClause `json:"flexible_spec,omitempty"`
 }
 
-// InterestIDs flattens all interests in the spec (for limit checks).
-func (t TargetingSpec) InterestIDs() []string {
-	var out []string
-	for _, c := range t.FlexibleSpec {
-		for _, in := range c.Interests {
-			out = append(out, in.ID)
-		}
-	}
-	return out
-}
-
 // ConjunctionSpec builds the common case used throughout the paper: one
 // AND-clause per interest (a pure conjunction).
 func ConjunctionSpec(geo GeoLocations, ids []interest.ID) TargetingSpec {
@@ -132,6 +126,18 @@ func ConjunctionSpec(geo GeoLocations, ids []interest.ID) TargetingSpec {
 // Validate checks the spec against era rules and the catalog; it returns an
 // *APIError with FB-style codes on violation.
 func (t TargetingSpec) Validate(era Era, cat *interest.Catalog) error {
+	clauses, err := t.parseClauses()
+	if ae := t.validate(era, cat, clauses, err); ae != nil {
+		return ae
+	}
+	return nil
+}
+
+// validate is Validate over the spec's interest IDs as parseClauses parsed
+// them: clauses holds every ID before the first malformed one, whose error
+// is idErr. The IDs are walked once in spec order, so the first ID that is
+// malformed or names no catalog interest is the one the error names.
+func (t TargetingSpec) validate(era Era, cat *interest.Catalog, clauses [][]interest.ID, idErr error) *APIError {
 	if t.GeoLocations.Worldwide {
 		if !era.AllowWorldwide {
 			return &APIError{Code: 100, Type: "OAuthException",
@@ -163,22 +169,33 @@ func (t TargetingSpec) Validate(era Era, cat *interest.Catalog) error {
 		return &APIError{Code: 100, Type: "OAuthException",
 			Message: "Invalid parameter: age range"}
 	}
-	ids := t.InterestIDs()
-	if len(ids) > era.MaxInterests {
+	if t.interestCount() > era.MaxInterests {
 		return &APIError{Code: 100, Type: "OAuthException",
 			Message: fmt.Sprintf("Invalid parameter: at most %d interests allowed", era.MaxInterests)}
 	}
-	for _, raw := range ids {
-		id, err := ParseFBInterestID(raw)
-		if err != nil {
-			return &APIError{Code: 100, Type: "OAuthException", Message: err.Error()}
-		}
-		if _, err := cat.Get(id); err != nil {
-			return &APIError{Code: 100, Type: "OAuthException",
-				Message: fmt.Sprintf("Invalid parameter: unknown interest %s", raw)}
+	for _, clause := range clauses {
+		for _, id := range clause {
+			if _, err := cat.Get(id); err != nil {
+				// A parsed ID is canonical, so FBInterestID gives back the
+				// string the spec carried.
+				return &APIError{Code: 100, Type: "OAuthException",
+					Message: "Invalid parameter: unknown interest " + FBInterestID(id)}
+			}
 		}
 	}
+	if idErr != nil {
+		return &APIError{Code: 100, Type: "OAuthException", Message: idErr.Error()}
+	}
 	return nil
+}
+
+// interestCount is the number of interests across the flexible spec.
+func (t TargetingSpec) interestCount() int {
+	n := 0
+	for _, c := range t.FlexibleSpec {
+		n += len(c.Interests)
+	}
+	return n
 }
 
 // DemoFilter converts the spec's demographic block into the population
@@ -202,18 +219,39 @@ func (t TargetingSpec) DemoFilter() population.DemoFilter {
 // Clauses converts the flexible spec into catalog-ID clauses. The spec must
 // have been validated first.
 func (t TargetingSpec) Clauses() ([][]interest.ID, error) {
-	var out [][]interest.ID
+	out, err := t.parseClauses()
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// parseClauses parses every interest ID once, in spec order, into
+// catalog-ID clauses, dropping empty clauses. On a malformed ID it stops
+// and returns the clauses parsed so far — the failing clause's parsed
+// prefix included — with the error. The clauses share one backing array,
+// each capped at its own length.
+func (t TargetingSpec) parseClauses() ([][]interest.ID, error) {
+	n := t.interestCount()
+	if n == 0 {
+		return nil, nil
+	}
+	ids := make([]interest.ID, 0, n)
+	out := make([][]interest.ID, 0, len(t.FlexibleSpec))
 	for _, c := range t.FlexibleSpec {
-		var clause []interest.ID
+		start := len(ids)
 		for _, in := range c.Interests {
 			id, err := ParseFBInterestID(in.ID)
 			if err != nil {
-				return nil, err
+				if len(ids) > start {
+					out = append(out, ids[start:len(ids):len(ids)])
+				}
+				return out, err
 			}
-			clause = append(clause, id)
+			ids = append(ids, id)
 		}
-		if len(clause) > 0 {
-			out = append(out, clause)
+		if len(ids) > start {
+			out = append(out, ids[start:len(ids):len(ids)])
 		}
 	}
 	return out, nil
@@ -271,6 +309,44 @@ type ReachEstimate struct {
 // reachResponse wraps ReachEstimate as the API returns it.
 type reachResponse struct {
 	Data ReachEstimate `json:"data"`
+}
+
+// The bytes around the user count in encoding/json's encoding of a ready
+// reachResponse: the server appends every 200 answer between them, and the
+// client scans them off.
+const (
+	reachAnswerHead = `{"data":{"users":`
+	reachAnswerTail = `,"estimate_ready":true}}`
+)
+
+// appendReachAnswer appends the 200 body for a ready estimate of users,
+// byte-identical to json.Marshal(reachResponse{...}).
+func appendReachAnswer(dst []byte, users int64) []byte {
+	dst = append(dst, reachAnswerHead...)
+	dst = strconv.AppendInt(dst, users, 10)
+	return append(dst, reachAnswerTail...)
+}
+
+// scan decodes body when it is exactly appendReachAnswer's encoding of some
+// user count, and reports false — decoding nothing — for any other body,
+// which the caller hands to encoding/json. Whenever it accepts, json.Unmarshal
+// decodes the same response (FuzzReachAnswerScan).
+func (r *reachResponse) scan(body []byte) bool {
+	if len(body) < len(reachAnswerHead)+len(reachAnswerTail) ||
+		string(body[:len(reachAnswerHead)]) != reachAnswerHead ||
+		string(body[len(body)-len(reachAnswerTail):]) != reachAnswerTail {
+		return false
+	}
+	digits := string(body[len(reachAnswerHead) : len(body)-len(reachAnswerTail)])
+	users, err := strconv.ParseInt(digits, 10, 64)
+	// ParseInt also takes a '+', leading zeros and "-0"; the encoding has
+	// none of them.
+	var canon [20]byte
+	if err != nil || string(strconv.AppendInt(canon[:0], users, 10)) != digits {
+		return false
+	}
+	r.Data = ReachEstimate{Users: users, EstimateReady: true}
+	return true
 }
 
 // SearchResult is one row of the adinterest search endpoint.
