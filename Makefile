@@ -24,16 +24,20 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ProxyDownReplicaSkipped' -benchtime 1x -benchmem . ./internal/core ./internal/serving
+	$(GO) test -run '^$$' -bench 'Figure1$$|Figure3$$|Table1$$|AblationParallelism|Audience|UniquenessEstimate|BootstrapResample|ProxyDownReplicaSkipped|BuildCatalog|BuildModel|NewWorld' -benchtime 1x -benchmem . ./internal/core ./internal/serving
 
 # The serving path's allocation benchmarks at a fixed 2000 iterations, so the
 # allocs/op CI's allocation gates read from bench-allocs.txt is the steady
 # state rather than one iteration's first-touch allocations: the replica's
 # reach RPC, the proxy-to-replica hop, the API edge (one country and the
 # Table 1 top-50 list) and the study client's half of a reach estimate.
+# World construction's catalog build follows at a fixed 20 iterations per
+# catalog size (each is a whole catalog, up to ~50 ms); CI gates its
+# allocs/op at 1.1 per interest.
 bench-allocs:
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardReachShares|ProxyReachHop|ReachEstimateEdge|ReachEstimateEdgeTop50|SourceReachURL)$$' \
 		-benchtime 2000x -benchmem ./internal/serving ./internal/adsapi > bench-allocs.txt || { cat bench-allocs.txt; exit 1; }
+	$(GO) test -run '^$$' -bench '^BenchmarkBuildCatalog$$' -benchtime 20x -benchmem . >> bench-allocs.txt || { cat bench-allocs.txt; exit 1; }
 	cat bench-allocs.txt
 
 # Audience-engine benchmarks (the BENCH_audience.json baseline).
@@ -99,7 +103,8 @@ FUZZ_TARGETS = \
 	FuzzConjunctionKey:./internal/audience \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \
-	FuzzColumnarVAS:./internal/core
+	FuzzColumnarVAS:./internal/core \
+	FuzzPopularityOrder:./internal/interest
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

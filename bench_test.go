@@ -9,6 +9,7 @@ package nanotarget
 
 import (
 	"io"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -839,21 +840,70 @@ func BenchmarkUniquenessEstimate(b *testing.B) {
 	})
 }
 
-// BenchmarkWorldConstruction measures full world calibration (catalog,
-// rates, panel) at bench scale.
-func BenchmarkWorldConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultWorldConfig()
-		cfg.Population.Seed = uint64(i)
-		cfg.Population.CatalogSize = 10000
-		cfg.Population.PanelSize = 200
-		cfg.Population.ProfileMedian = 150
-		cfg.Population.ActivityGrid = 192
-		w, err := NewWorldFromConfig(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = w
+// worldBuildSizes are the catalog sizes the world-construction benchmarks
+// run at: the serving benchmark's replica world and the paper's full
+// catalog (Fig 2's 98,982 interests).
+var worldBuildSizes = []int{20_000, 98_982}
+
+// worldBuildConfig is the paper's default world (seed 1, 1.5e9 users,
+// activity grid 512, the 2,390-user panel) at the given catalog size.
+func worldBuildConfig(size int) WorldConfig {
+	cfg := DefaultWorldConfig()
+	cfg.Population.CatalogSize = size
+	return cfg
+}
+
+// BenchmarkBuildCatalog measures interest-catalog generation (§3, Fig 2):
+// the truncated log-normal shares, the names and their index, and the
+// popularity order. Every replica and the API process pay it at start-up.
+func BenchmarkBuildCatalog(b *testing.B) {
+	for _, size := range worldBuildSizes {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			cfg := worldBuildConfig(size)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := cfg.BuildCatalog(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildModel measures population-model calibration over a
+// prebuilt catalog: the activity grid, the per-interest rates and their
+// share table, and the untilted count table.
+func BenchmarkBuildModel(b *testing.B) {
+	for _, size := range worldBuildSizes {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			cfg := worldBuildConfig(size)
+			cat, err := cfg.BuildCatalog()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := cfg.BuildModel(cat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewWorld measures a whole world: catalog, model and the
+// 2,390-user FDVT panel, which dominates.
+func BenchmarkNewWorld(b *testing.B) {
+	for _, size := range worldBuildSizes {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			cfg := worldBuildConfig(size)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := NewWorldFromConfig(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,11 @@ package nanotarget
 // parallelism and caching may only change wall time.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"slices"
 	"testing"
@@ -586,3 +590,118 @@ func TestPolicyEvaluationParallelismIsByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// worldBuildPins are the digests of the worlds TestWorldBuildIsByteIdentical
+// builds, taken from the sequential, per-draw-CDF, fmt-named catalog and
+// single-goroutine calibration grids that world construction used before
+// it was optimized. Any change to them is a change in what every replica
+// serves and in every paper number.
+var worldBuildPins = []struct {
+	seed                  uint64
+	size                  int
+	catalog, model, panel string
+}{
+	{1, 4000, "9ad6981e4347947a3b72369c874813b6", "181eeadf3db5846365dbf27f50972dde", "e2df026679a493105f8457feb6328774"},
+	{1, 20000, "912581ae32752dc6cbfa7453f0a0d244", "02fb236c0e9d6f669d00b325994e9ceb", "c2db85b4b88d95ddcfe9f74c184051df"},
+	{42, 4000, "b051bc04694cff31a5e33a0c607fa713", "f3b563f71929a0ae39f06cd6a021feb9", "dc627e98618d1d795d0adce8b86b3156"},
+	{42, 20000, "66a7c8372ceb00728c86758f830c652d", "282e19ff9d3e0baa71b0ebac59943bfa", "ee7cc51ce5fcab32e5a744a1fa3cc014"},
+}
+
+// TestWorldBuildIsByteIdentical gates world construction bit for bit: the
+// catalog (names, categories, share bits, the popularity order), the model
+// (every λ, the activity grid, the count table untilted and at one warmed
+// demographic tilt) and NewWorldFromConfig's panel must hash to the pinned
+// digests at seeds 1 and 42 and two catalog sizes. CI runs it at -cpu 1,2,4,
+// since the model's calibration grids are spread over GOMAXPROCS.
+func TestWorldBuildIsByteIdentical(t *testing.T) {
+	tilt := population.DefaultDemographics().TiltFor(population.GenderFemale, population.AgeAdolescence, "AR")
+	for _, pin := range worldBuildPins {
+		cfg := DefaultWorldConfig()
+		cfg.Population.Seed = pin.seed
+		cfg.Population.CatalogSize = pin.size
+		cfg.Population.PanelSize = 150
+		cfg.Population.ProfileMedian = 120
+		w, err := NewWorldFromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := w.Model()
+
+		catalog := newDigest()
+		cat := m.Catalog()
+		for i := 0; i < cat.Len(); i++ {
+			in := cat.MustGet(interest.ID(i))
+			catalog.str(in.Name)
+			catalog.str(in.Category)
+			catalog.f64(in.Share)
+		}
+		for _, id := range cat.RarestFirst() {
+			catalog.u64(uint64(id))
+		}
+
+		model := newDigest()
+		for i := 0; i < cat.Len(); i++ {
+			model.f64(m.Lambda(interest.ID(i)))
+		}
+		actT, actP := m.ActivityGrid()
+		model.f64s(actT)
+		model.f64s(actP)
+		model.f64s(m.CountTable(0))
+		m.WarmTilts(tilt)
+		model.f64s(m.CountTable(tilt))
+
+		panel := newDigest()
+		for _, u := range w.panel.Users {
+			panel.u64(uint64(u.ID))
+			panel.str(u.Country)
+			panel.u64(uint64(u.Gender))
+			panel.u64(uint64(u.Age))
+			panel.f64(u.Activity)
+			panel.f64(u.Tilt)
+			panel.u64(uint64(len(u.Interests)))
+			for _, id := range u.Interests {
+				panel.u64(uint64(id))
+			}
+		}
+
+		for _, part := range []struct{ name, got, want string }{
+			{"catalog", catalog.sum(), pin.catalog},
+			{"model", model.sum(), pin.model},
+			{"panel", panel.sum(), pin.panel},
+		} {
+			if part.got != part.want {
+				t.Errorf("seed %d, %d interests: %s digest %s, pinned %s", pin.seed, pin.size, part.name, part.got, part.want)
+			}
+		}
+	}
+}
+
+// digest hashes a sequence of fixed-width values and length-prefixed
+// strings, so no two different sequences share an encoding.
+type digest struct{ h hash.Hash }
+
+func newDigest() *digest { return &digest{sha256.New()} }
+
+func (d *digest) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.h.Write(b[:])
+}
+
+func (d *digest) f64(v float64) { d.u64(math.Float64bits(v)) }
+
+func (d *digest) f64s(vs ...[]float64) {
+	for _, v := range vs {
+		d.u64(uint64(len(v)))
+		for _, x := range v {
+			d.f64(x)
+		}
+	}
+}
+
+func (d *digest) str(s string) {
+	d.u64(uint64(len(s)))
+	d.h.Write([]byte(s))
+}
+
+func (d *digest) sum() string { return hex.EncodeToString(d.h.Sum(nil)[:16]) }

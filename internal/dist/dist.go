@@ -109,22 +109,12 @@ type Truncated struct {
 
 const maxRejections = 1000
 
-// Sample implements Sampler.
+// Sample implements Sampler. Over an Inversible base it evaluates the base
+// CDF at both bounds on every call; a caller drawing many variates should
+// sample from Prepare's sampler, which draws the same values.
 func (t Truncated) Sample(r *rng.Rand) float64 {
 	if inv, ok := t.Base.(Inversible); ok {
-		pLo, pHi := inv.CDF(t.Lo), inv.CDF(t.Hi)
-		if pHi <= pLo {
-			return t.Lo
-		}
-		v := inv.Quantile(pLo + r.Float64()*(pHi-pLo))
-		// Guard the interval against floating-point round-trip error.
-		if v < t.Lo {
-			v = t.Lo
-		}
-		if v > t.Hi {
-			v = t.Hi
-		}
-		return v
+		return prepareInverse(inv, t.Lo, t.Hi).Sample(r)
 	}
 	var v float64
 	for i := 0; i < maxRejections; i++ {
@@ -138,6 +128,47 @@ func (t Truncated) Sample(r *rng.Rand) float64 {
 	}
 	if v > t.Hi {
 		return t.Hi
+	}
+	return v
+}
+
+// Prepare returns a sampler that draws exactly what Sample draws, stream
+// value for stream value. Over an Inversible base it computes the base CDF
+// at Lo and Hi once instead of once per draw; any other base samples by
+// rejection as before.
+func (t Truncated) Prepare() Sampler {
+	if inv, ok := t.Base.(Inversible); ok {
+		return prepareInverse(inv, t.Lo, t.Hi)
+	}
+	return t
+}
+
+// truncatedInverse is truncated inverse-CDF sampling with the base CDF's
+// values at the bounds precomputed: Truncated.Sample's only path over an
+// Inversible base.
+type truncatedInverse struct {
+	inv      Inversible
+	lo, hi   float64
+	pLo, pHi float64
+}
+
+func prepareInverse(inv Inversible, lo, hi float64) truncatedInverse {
+	return truncatedInverse{inv: inv, lo: lo, hi: hi, pLo: inv.CDF(lo), pHi: inv.CDF(hi)}
+}
+
+// Sample implements Sampler. An empty probability interval returns lo
+// without consuming a stream value.
+func (s truncatedInverse) Sample(r *rng.Rand) float64 {
+	if s.pHi <= s.pLo {
+		return s.lo
+	}
+	v := s.inv.Quantile(s.pLo + r.Float64()*(s.pHi-s.pLo))
+	// Guard the interval against floating-point round-trip error.
+	if v < s.lo {
+		v = s.lo
+	}
+	if v > s.hi {
+		v = s.hi
 	}
 	return v
 }

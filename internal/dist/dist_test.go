@@ -63,6 +63,100 @@ func TestTruncatedSampleStaysInBounds(t *testing.T) {
 	}
 }
 
+// perDrawTruncated is truncated inverse-CDF sampling as it was written
+// before the bound CDFs were hoisted: both evaluated on every draw. It is
+// the reference Prepare's sampler must match bit for bit.
+func perDrawTruncated(inv Inversible, lo, hi float64, r *rng.Rand) float64 {
+	pLo, pHi := inv.CDF(lo), inv.CDF(hi)
+	if pHi <= pLo {
+		return lo
+	}
+	v := inv.Quantile(pLo + r.Float64()*(pHi-pLo))
+	if v < lo {
+		v = lo
+	}
+	if v > hi {
+		v = hi
+	}
+	return v
+}
+
+// skewedUniform is Uniform(0, 10) whose quantile is off by Shift, so
+// inverse-CDF draws land outside the truncation bounds and exercise the
+// round-trip clamps.
+type skewedUniform struct{ Shift float64 }
+
+func (u skewedUniform) Sample(r *rng.Rand) float64 { return 10 * r.Float64() }
+func (u skewedUniform) CDF(x float64) float64      { return math.Min(math.Max(x/10, 0), 1) }
+func (u skewedUniform) Quantile(p float64) float64 { return 10*p + u.Shift }
+
+// TestPreparedTruncatedDrawsLikeSample pins that the prepared sampler the
+// catalog draws from returns exactly what Truncated.Sample returns, and
+// what per-draw CDF evaluation returned, and leaves the stream in the same
+// state, for every branch: the catalog's log-normal, an empty probability
+// interval (no stream value consumed), and the low and high clamps.
+func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
+	catalog, err := FitLogNormalQuantiles(113_193, 0.25, 1_719_925, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		inv    Inversible
+		lo, hi float64
+		// clamp is the bound some draws must be clamped to (0: none).
+		clamp float64
+	}{
+		{"catalog log-normal", catalog, 2, 0.20 * 1_500_000_000, 0},
+		{"empty interval pHi < pLo", catalog, 5000, 2, 0},
+		{"empty interval pHi == pLo", catalog, -5, 0, 0},
+		{"low clamp", skewedUniform{Shift: -1}, 2, 8, 2},
+		{"high clamp", skewedUniform{Shift: 1}, 2, 8, 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := Truncated{Base: c.inv.(Sampler), Lo: c.lo, Hi: c.hi}
+			prepared := tr.Prepare()
+			a, b, ref := rng.New(7), rng.New(7), rng.New(7)
+			clamped := 0
+			for i := 0; i < 2000; i++ {
+				got, want := prepared.Sample(a), tr.Sample(b)
+				old := perDrawTruncated(c.inv, c.lo, c.hi, ref)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(old) {
+					t.Fatalf("draw %d: prepared %v, Sample %v, per-draw CDFs %v", i, got, want, old)
+				}
+				if c.clamp != 0 && got == c.clamp {
+					clamped++
+				}
+			}
+			if x, y, z := a.Uint64(), b.Uint64(), ref.Uint64(); x != y || x != z {
+				t.Fatal("samplers consumed different numbers of stream values")
+			}
+			if c.clamp != 0 && clamped == 0 {
+				t.Fatalf("no draw was clamped to %v", c.clamp)
+			}
+		})
+	}
+}
+
+// TestPrepareKeepsRejectionSampling pins that a base without an inverse
+// CDF is still sampled by rejection, drawing what Sample draws.
+func TestPrepareKeepsRejectionSampling(t *testing.T) {
+	tr := Truncated{Base: rejectOnly{}, Lo: 0.2, Hi: 0.6}
+	prepared := tr.Prepare()
+	a, b := rng.New(3), rng.New(3)
+	for i := 0; i < 1000; i++ {
+		if got, want := prepared.Sample(a), tr.Sample(b); got != want {
+			t.Fatalf("draw %d: prepared %v, Sample %v", i, got, want)
+		}
+	}
+}
+
+// rejectOnly is Uniform(0, 1) without an inverse CDF.
+type rejectOnly struct{}
+
+func (rejectOnly) Sample(r *rng.Rand) float64 { return r.Float64() }
+
 func TestPoissonMoments(t *testing.T) {
 	// Both regimes: exact inversion (λ=4) and normal approximation (λ=400).
 	for _, lambda := range []float64{4, 400} {

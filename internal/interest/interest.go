@@ -14,7 +14,8 @@ package interest
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"strconv"
 
 	"nanotarget/internal/dist"
 	"nanotarget/internal/rng"
@@ -128,36 +129,84 @@ func Generate(cfg Config, r *rng.Rand) (*Catalog, error) {
 		return nil, fmt.Errorf("interest: calibrating popularity: %w", err)
 	}
 	pop := float64(cfg.Population)
-	tr := dist.Truncated{Base: ln, Lo: 2, Hi: cfg.MaxShare * pop}
+	sizes := dist.Truncated{Base: ln, Lo: 2, Hi: cfg.MaxShare * pop}.Prepare()
 
 	c := &Catalog{
-		interests:  make([]Interest, cfg.Size),
-		byName:     make(map[string]ID, cfg.Size),
-		idsByShare: make([]ID, cfg.Size),
+		interests: make([]Interest, cfg.Size),
+		byName:    make(map[string]ID, cfg.Size),
 	}
 	for i := 0; i < cfg.Size; i++ {
-		size := tr.Sample(r)
-		share := size / pop
 		id := ID(i)
 		name := makeName(i)
 		c.interests[i] = Interest{
 			ID:       id,
 			Name:     name,
 			Category: Categories[i%len(Categories)],
-			Share:    share,
+			Share:    sizes.Sample(r) / pop,
 		}
 		c.byName[name] = id
-		c.idsByShare[i] = id
 	}
-	sort.Slice(c.idsByShare, func(a, b int) bool {
-		sa := c.interests[c.idsByShare[a]].Share
-		sb := c.interests[c.idsByShare[b]].Share
-		if sa != sb {
-			return sa < sb
-		}
-		return c.idsByShare[a] < c.idsByShare[b]
-	})
+	c.idsByShare = popularityOrder(c.interests)
 	return c, nil
+}
+
+// popularityOrder returns the interests' IDs by ascending share, ties broken
+// by ascending ID. That is a strict total order on (share, ID), so every
+// correct sort yields this one order. interests must be in ascending ID
+// order (a catalog's are) and hold no NaN share.
+//
+// It is an LSD radix sort over order-preserving share bits: a few linear
+// counting passes, no comparisons and no reflection. Each pass is stable, so
+// equal shares keep the ascending IDs they start in.
+func popularityOrder(interests []Interest) []ID {
+	const digitBits = 11
+	n := len(interests)
+	keys, ids := make([]uint64, n), make([]ID, n)
+	for i := range interests {
+		keys[i], ids[i] = orderedBits(interests[i].Share), interests[i].ID
+	}
+	if n == 0 {
+		return ids
+	}
+	nextKeys, nextIDs := make([]uint64, n), make([]ID, n)
+	var pos [1 << digitBits]int
+	const mask = len(pos) - 1
+	for shift := 0; shift < 64; shift += digitBits {
+		clear(pos[:])
+		for _, k := range keys {
+			pos[int(k>>shift)&mask]++
+		}
+		if pos[int(keys[0]>>shift)&mask] == n {
+			continue // every key has this digit: the pass would not move anything
+		}
+		sum := 0
+		for d, c := range pos {
+			pos[d] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			d := int(k>>shift) & mask
+			nextKeys[pos[d]], nextIDs[pos[d]] = k, ids[i]
+			pos[d]++
+		}
+		keys, nextKeys = nextKeys, keys
+		ids, nextIDs = nextIDs, ids
+	}
+	return ids
+}
+
+// orderedBits maps a non-NaN float64 to a uint64 that orders the same way:
+// negatives have every bit flipped, non-negatives their sign bit set, and
+// -0 maps to +0's key because the two compare equal.
+func orderedBits(f float64) uint64 {
+	if f == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(f)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // makeName builds a unique, plausible interest name for index i.
@@ -166,9 +215,9 @@ func makeName(i int) string {
 	mod := nameModifiers[(i/len(nameStems))%len(nameModifiers)]
 	serial := i / (len(nameStems) * len(nameModifiers))
 	if serial == 0 {
-		return fmt.Sprintf("%s %s", mod, stem)
+		return mod + " " + stem
 	}
-	return fmt.Sprintf("%s %s (%d)", mod, stem, serial+1)
+	return mod + " " + stem + " (" + strconv.Itoa(serial+1) + ")"
 }
 
 // Len returns the number of interests.

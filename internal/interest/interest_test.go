@@ -1,7 +1,9 @@
 package interest
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -146,6 +148,9 @@ func TestRarestFirstSorted(t *testing.T) {
 			}
 		}
 	}
+	if !slices.Equal(ids, sortSliceOrder(c.interests)) {
+		t.Fatal("RarestFirst differs from the sort.Slice order by (share, ID)")
+	}
 }
 
 func TestRarestFirstIsCopy(t *testing.T) {
@@ -204,9 +209,73 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate10k(b *testing.B) {
-	cfg := testConfig(10000)
-	for i := 0; i < b.N; i++ {
-		_, _ = Generate(cfg, rng.New(uint64(i)))
+// TestMakeNameMatchesFormat pins the concatenated names to the
+// fmt.Sprintf formatting they replaced, across the serial boundaries of the
+// paper's 98,982-interest catalog and beyond.
+func TestMakeNameMatchesFormat(t *testing.T) {
+	period := len(nameStems) * len(nameModifiers)
+	for _, i := range []int{0, 1, 49, 50, period - 1, period, period + 1, 2*period - 1, 2 * period, 98_981, 199 * period, 1_000_000} {
+		stem := nameStems[i%len(nameStems)]
+		mod := nameModifiers[(i/len(nameStems))%len(nameModifiers)]
+		want := fmt.Sprintf("%s %s", mod, stem)
+		if serial := i / period; serial > 0 {
+			want = fmt.Sprintf("%s %s (%d)", mod, stem, serial+1)
+		}
+		if got := makeName(i); got != want {
+			t.Errorf("makeName(%d) = %q, want %q", i, got, want)
+		}
 	}
+}
+
+// sortSliceOrder is the popularity order as sort.Slice computed it over the
+// catalog's IDs before popularityOrder: the reference FuzzPopularityOrder
+// compares against.
+func sortSliceOrder(interests []Interest) []ID {
+	ids := make([]ID, len(interests))
+	for i := range ids {
+		ids[i] = ID(i)
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		sa := interests[ids[a]].Share
+		sb := interests[ids[b]].Share
+		if sa != sb {
+			return sa < sb
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}
+
+// FuzzPopularityOrder checks popularityOrder against sort.Slice with the
+// catalog's old comparator on share vectors full of ties: each input byte
+// is one interest, and its share takes one of 64 values (negatives, -0, +0,
+// positives and both infinities), so long inputs repeat shares many times
+// over.
+func FuzzPopularityOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{7})
+	f.Add([]byte{3, 3, 3, 3, 3})
+	f.Add([]byte{0, 31, 0, 31, 63, 62, 2, 9, 0})
+	f.Add([]byte("popularity order with ties: aaaa bbbb"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		interests := make([]Interest, len(data))
+		for i, b := range data {
+			var share float64
+			switch v := b % 64; v {
+			case 0:
+				share = math.Copysign(0, -1)
+			case 62:
+				share = math.Inf(-1)
+			case 63:
+				share = math.Inf(1)
+			default:
+				share = float64(int(v)-31) / 16
+			}
+			interests[i] = Interest{ID: ID(i), Share: share}
+		}
+		got, want := popularityOrder(interests), sortSliceOrder(interests)
+		if !slices.Equal(got, want) {
+			t.Fatalf("popularityOrder = %v, sort.Slice order = %v", got, want)
+		}
+	})
 }

@@ -32,15 +32,18 @@
 package population
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"nanotarget/internal/dist"
 	"nanotarget/internal/geo"
 	"nanotarget/internal/interest"
+	"nanotarget/internal/parallel"
 	"nanotarget/internal/rng"
 )
 
@@ -124,8 +127,14 @@ type Model struct {
 	demo demoModel
 }
 
-// NewModel calibrates the world model. Cost is dominated by the per-interest
-// rate calibration (one log-grid interpolation per interest).
+// NewModel calibrates the world model. Two fixed-size grids dominate its
+// cost at serving catalog sizes: the 1,600-point share table that calibrateRates
+// inverts (512 exp per point at the default activity grid) and the 600-point
+// count table (up to 1,024 exp per point). Both are spread over GOMAXPROCS
+// goroutines; every point is the same expression on its own inputs, so the
+// model is bit-identical at any GOMAXPROCS. The per-interest work on top,
+// one log-grid interpolation, one exp and one log per interest, stays on
+// the caller's goroutine.
 func NewModel(cfg Config) (*Model, error) {
 	if cfg.Catalog == nil {
 		return nil, errors.New("population: Config.Catalog is required")
@@ -215,10 +224,10 @@ func (m *Model) calibrateRates() error {
 	)
 	logLambda := make([]float64, points)
 	shares := make([]float64, points)
-	for j := 0; j < points; j++ {
+	forEachPoint(points, func(j int) {
 		logLambda[j] = logLo + (logHi-logLo)*float64(j)/float64(points-1)
 		shares[j] = m.marginalShare(math.Exp(logLambda[j]))
-	}
+	})
 	n := m.catalog.Len()
 	m.lambda = make([]float64, n)
 	sumLog := 0.0
@@ -270,9 +279,11 @@ func (m *Model) tiltedLambda(i int, beta float64) float64 {
 // the cost is independent of catalog size beyond the initial bucketing.
 func (m *Model) buildCountTable(beta float64) *countTable {
 	const buckets = 1024
+	logs := make([]float64, len(m.lambda))
 	minLog, maxLog := math.Inf(1), math.Inf(-1)
 	for i := range m.lambda {
 		lg := math.Log(m.tiltedLambda(i, beta))
+		logs[i] = lg
 		if lg < minLog {
 			minLog = lg
 		}
@@ -289,8 +300,7 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 	for b := 0; b < buckets; b++ {
 		centers[b] = math.Exp(minLog + (float64(b)+0.5)*width)
 	}
-	for i := range m.lambda {
-		lg := math.Log(m.tiltedLambda(i, beta))
+	for _, lg := range logs {
 		b := int((lg - minLog) / width)
 		if b >= buckets {
 			b = buckets - 1
@@ -308,7 +318,7 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 		n:    make([]float64, tPoints),
 	}
 	tLo, tHi := math.Log(1e-9), math.Log(1e9)
-	for j := 0; j < tPoints; j++ {
+	forEachPoint(tPoints, func(j int) {
 		lt := tLo + (tHi-tLo)*float64(j)/float64(tPoints-1)
 		t := math.Exp(lt)
 		n := 0.0
@@ -320,7 +330,7 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 		}
 		tbl.logT[j] = lt
 		tbl.n[j] = n
-	}
+	})
 	// Enforce strict monotonicity for safe inversion.
 	for j := 1; j < tPoints; j++ {
 		if tbl.n[j] <= tbl.n[j-1] {
@@ -328,6 +338,18 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 		}
 	}
 	return tbl
+}
+
+// forEachPoint computes the points [0, n) of a calibration grid on
+// GOMAXPROCS goroutines. fn(j) must write only point j's outputs, from
+// inputs no point writes; the grid is then the same at any GOMAXPROCS.
+func forEachPoint(n int, fn func(j int)) {
+	// Nothing can fail: fn returns no error and the context is never
+	// cancelled, so ForEach always returns nil.
+	_ = parallel.ForEach(context.Background(), n, 0, func(j int) error {
+		fn(j)
+		return nil
+	})
 }
 
 // activityForCount inverts n(t) = want on the table.
@@ -420,6 +442,20 @@ func (m *Model) Config() Config { return m.cfg }
 // Lambda returns the calibrated rate of an interest (exposed for tests and
 // diagnostics).
 func (m *Model) Lambda(id interest.ID) float64 { return m.lambda[id] }
+
+// ActivityGrid returns copies of the activity quadrature grid: the points
+// t_k and their probability masses (exposed for tests and diagnostics).
+func (m *Model) ActivityGrid() (t, p []float64) {
+	return slices.Clone(m.actT), slices.Clone(m.actP)
+}
+
+// CountTable returns copies of the n(t) table for tilt beta, building it on
+// first use: the log-activity grid and the expected profile size at each
+// point (exposed for tests and diagnostics).
+func (m *Model) CountTable(beta float64) (logT, n []float64) {
+	tbl := m.table(beta)
+	return slices.Clone(tbl.logT), slices.Clone(tbl.n)
+}
 
 // MarginalShare returns the model-implied audience share of a single
 // interest (approximately the catalog share, up to calibration error).

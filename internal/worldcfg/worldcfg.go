@@ -66,7 +66,10 @@ type Config struct {
 	Cache      CacheParams
 	// Parallelism is the worker count for studies and experiments
 	// (0 = one per core, 1 = sequential). Results are byte-identical for
-	// any value under a fixed seed.
+	// any value under a fixed seed. World construction does not read it:
+	// BuildModel spreads the model's calibration grids over GOMAXPROCS
+	// whatever this field holds, and every build is byte-identical at any
+	// GOMAXPROCS.
 	Parallelism int
 }
 
