@@ -32,8 +32,9 @@ bench-smoke:
 # reach RPC, the proxy-to-replica hop, the API edge (one country and the
 # Table 1 top-50 list) and the study client's half of a reach estimate.
 # World construction's catalog build follows at a fixed 20 iterations per
-# catalog size (each is a whole catalog, up to ~50 ms); CI gates its
-# allocs/op at 1.1 per interest.
+# catalog size (each is a whole catalog, up to ~10 ms); CI gates its
+# allocs/op at 16 at either size, since a catalog allocates nothing per
+# interest.
 bench-allocs:
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardReachShares|ProxyReachHop|ReachEstimateEdge|ReachEstimateEdgeTop50|SourceReachURL)$$' \
 		-benchtime 2000x -benchmem ./internal/serving ./internal/adsapi > bench-allocs.txt || { cat bench-allocs.txt; exit 1; }
@@ -104,7 +105,8 @@ FUZZ_TARGETS = \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \
 	FuzzColumnarVAS:./internal/core \
-	FuzzPopularityOrder:./internal/interest
+	FuzzPopularityOrder:./internal/interest \
+	FuzzCatalogByName:./internal/interest
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -854,8 +854,9 @@ func worldBuildConfig(size int) WorldConfig {
 }
 
 // BenchmarkBuildCatalog measures interest-catalog generation (§3, Fig 2):
-// the truncated log-normal shares, the names and their index, and the
-// popularity order. Every replica and the API process pay it at start-up.
+// the truncated log-normal shares, which are the whole catalog (names,
+// categories and the popularity order are derived from them on demand).
+// Every replica and the API process pay it at start-up.
 func BenchmarkBuildCatalog(b *testing.B) {
 	for _, size := range worldBuildSizes {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {

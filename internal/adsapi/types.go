@@ -175,7 +175,7 @@ func (t TargetingSpec) validate(era Era, cat *interest.Catalog, clauses [][]inte
 	}
 	for _, clause := range clauses {
 		for _, id := range clause {
-			if _, err := cat.Get(id); err != nil {
+			if !cat.Has(id) {
 				// A parsed ID is canonical, so FBInterestID gives back the
 				// string the spec carried.
 				return &APIError{Code: 100, Type: "OAuthException",

@@ -71,8 +71,8 @@ func Import(r io.Reader, cat *interest.Catalog) (*Panel, error) {
 		u.Interests = make([]interest.ID, len(rec.Interest))
 		for i, raw := range rec.Interest {
 			id := interest.ID(raw)
-			if _, err := cat.Get(id); err != nil {
-				return nil, fmt.Errorf("fdvt: import record %d: %w", line, err)
+			if !cat.Has(id) {
+				return nil, fmt.Errorf("fdvt: import record %d: interest: unknown id %d", line, id)
 			}
 			u.Interests[i] = id
 			if i > 0 && u.Interests[i] <= u.Interests[i-1] {

@@ -54,6 +54,11 @@ func TestImportRejectsGarbage(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	const unknown = `{"id":1,"country":"ES","gender":"male","interests":[3,99999999]}`
+	if _, err := Import(strings.NewReader(unknown), m.Catalog()); err == nil ||
+		err.Error() != "fdvt: import record 1: interest: unknown id 99999999" {
+		t.Errorf("unknown interest: error %v", err)
+	}
 	if _, err := Import(strings.NewReader(""), m.Catalog()); err == nil {
 		t.Error("empty input accepted")
 	}

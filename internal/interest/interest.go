@@ -1,6 +1,8 @@
 // Package interest models the Facebook interest (ad-preference) ecosystem:
-// a catalog of ~99k targetable interests with human-readable names, FB-style
-// categories, and a global popularity (audience share) for each.
+// a catalog of ~99k targetable interests, each with a global popularity
+// (audience share), a human-readable name and an FB-style category. Only
+// the shares are drawn and stored; names and categories are functions of
+// the interest's ID.
 //
 // The popularity distribution is calibrated against the paper's Fig 2: the
 // audience sizes of the 98,982 unique interests held by the panel have
@@ -15,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 
 	"nanotarget/internal/dist"
 	"nanotarget/internal/rng"
@@ -78,13 +82,13 @@ var nameModifiers = []string{
 	"Casual", "Gourmet", "Budget", "Luxury", "Minimalist", "Collectors'",
 }
 
-// Catalog is an immutable set of interests with popularity lookup.
+// Catalog is an immutable set of interests. It holds each interest's
+// share, indexed by ID, and nothing else (8 bytes per interest): an
+// interest's name (makeName) and category (Categories[id%len(Categories)])
+// are functions of its ID, which Get builds on demand and ByName inverts,
+// and RarestFirst sorts the popularity order afresh on each call.
 type Catalog struct {
-	interests []Interest
-	byName    map[string]ID
-	// idsByShare holds interest IDs sorted by ascending share, used for
-	// popularity-weighted operations.
-	idsByShare []ID
+	shares []float64
 }
 
 // Config controls catalog generation.
@@ -131,39 +135,27 @@ func Generate(cfg Config, r *rng.Rand) (*Catalog, error) {
 	pop := float64(cfg.Population)
 	sizes := dist.Truncated{Base: ln, Lo: 2, Hi: cfg.MaxShare * pop}.Prepare()
 
-	c := &Catalog{
-		interests: make([]Interest, cfg.Size),
-		byName:    make(map[string]ID, cfg.Size),
+	shares := make([]float64, cfg.Size)
+	for i := range shares {
+		shares[i] = sizes.Sample(r) / pop
 	}
-	for i := 0; i < cfg.Size; i++ {
-		id := ID(i)
-		name := makeName(i)
-		c.interests[i] = Interest{
-			ID:       id,
-			Name:     name,
-			Category: Categories[i%len(Categories)],
-			Share:    sizes.Sample(r) / pop,
-		}
-		c.byName[name] = id
-	}
-	c.idsByShare = popularityOrder(c.interests)
-	return c, nil
+	return &Catalog{shares: shares}, nil
 }
 
-// popularityOrder returns the interests' IDs by ascending share, ties broken
-// by ascending ID. That is a strict total order on (share, ID), so every
-// correct sort yields this one order. interests must be in ascending ID
-// order (a catalog's are) and hold no NaN share.
+// popularityOrder returns the IDs of shares (indexed by ID) by ascending
+// share, ties broken by ascending ID. That is a strict total order on
+// (share, ID), so every correct sort yields this one order. shares must hold
+// no NaN.
 //
 // It is an LSD radix sort over order-preserving share bits: a few linear
 // counting passes, no comparisons and no reflection. Each pass is stable, so
 // equal shares keep the ascending IDs they start in.
-func popularityOrder(interests []Interest) []ID {
+func popularityOrder(shares []float64) []ID {
 	const digitBits = 11
-	n := len(interests)
+	n := len(shares)
 	keys, ids := make([]uint64, n), make([]ID, n)
-	for i := range interests {
-		keys[i], ids[i] = orderedBits(interests[i].Share), interests[i].ID
+	for i, share := range shares {
+		keys[i], ids[i] = orderedBits(share), ID(i)
 	}
 	if n == 0 {
 		return ids
@@ -209,26 +201,45 @@ func orderedBits(f float64) uint64 {
 	return b | 1<<63
 }
 
-// makeName builds a unique, plausible interest name for index i.
+// makeName builds a unique, plausible interest name for index i:
+// "<modifier> <stem>", then " (n)" with n = serial+1 once the 2,000
+// modifier-stem pairs are used up.
 func makeName(i int) string {
-	stem := nameStems[i%len(nameStems)]
-	mod := nameModifiers[(i/len(nameStems))%len(nameModifiers)]
-	serial := i / (len(nameStems) * len(nameModifiers))
-	if serial == 0 {
-		return mod + " " + stem
+	var buf [64]byte
+	return string(appendName(buf[:0], i))
+}
+
+// appendName appends makeName(i) to dst.
+func appendName(dst []byte, i int) []byte {
+	dst = append(dst, nameModifiers[(i/len(nameStems))%len(nameModifiers)]...)
+	dst = append(dst, ' ')
+	dst = append(dst, nameStems[i%len(nameStems)]...)
+	if serial := i / (len(nameStems) * len(nameModifiers)); serial > 0 {
+		dst = append(dst, " ("...)
+		dst = strconv.AppendInt(dst, int64(serial+1), 10)
+		dst = append(dst, ')')
 	}
-	return mod + " " + stem + " (" + strconv.Itoa(serial+1) + ")"
+	return dst
 }
 
 // Len returns the number of interests.
-func (c *Catalog) Len() int { return len(c.interests) }
+func (c *Catalog) Len() int { return len(c.shares) }
 
-// Get returns the interest with the given ID.
+// Has reports whether id is in the catalog. Unlike Get it builds nothing,
+// so request paths validate IDs with it.
+func (c *Catalog) Has(id ID) bool { return int(id) < len(c.shares) }
+
+// Get returns the interest with the given ID, its name built afresh.
 func (c *Catalog) Get(id ID) (Interest, error) {
-	if int(id) >= len(c.interests) {
+	if !c.Has(id) {
 		return Interest{}, fmt.Errorf("interest: unknown id %d", id)
 	}
-	return c.interests[id], nil
+	return Interest{
+		ID:       id,
+		Name:     makeName(int(id)),
+		Category: Categories[int(id)%len(Categories)],
+		Share:    c.shares[id],
+	}, nil
 }
 
 // MustGet is Get for IDs known to be valid; it panics on unknown IDs.
@@ -240,53 +251,64 @@ func (c *Catalog) MustGet(id ID) Interest {
 	return in
 }
 
-// ByName finds an interest by exact name.
+// ByName finds an interest by exact name. It inverts makeName: the
+// modifier is the first word, the stem the rest up to an optional " (n)"
+// serial with n >= 2, and the ID they give must be in the catalog and name
+// back to exactly name, which rejects any other spelling of the serial.
 func (c *Catalog) ByName(name string) (Interest, bool) {
-	id, ok := c.byName[name]
+	mod, stem, ok := strings.Cut(name, " ")
 	if !ok {
 		return Interest{}, false
 	}
-	return c.interests[id], true
+	serial := 0
+	if s, num, ok := strings.Cut(stem, " ("); ok {
+		num, ok = strings.CutSuffix(num, ")")
+		n, err := strconv.Atoi(num)
+		if !ok || err != nil || n < 2 || n-1 >= len(c.shares) {
+			return Interest{}, false
+		}
+		stem, serial = s, n-1
+	}
+	m, st := slices.Index(nameModifiers, mod), slices.Index(nameStems, stem)
+	if m < 0 || st < 0 {
+		return Interest{}, false
+	}
+	i := (serial*len(nameModifiers)+m)*len(nameStems) + st
+	var buf [64]byte
+	if i >= len(c.shares) || string(appendName(buf[:0], i)) != name {
+		return Interest{}, false
+	}
+	return c.MustGet(ID(i)), true
 }
 
 // Share returns the marginal audience share for id. Panics on unknown id.
-func (c *Catalog) Share(id ID) float64 { return c.interests[id].Share }
-
-// Shares returns the share of every interest indexed by ID.
-// The returned slice is owned by the catalog and must not be modified.
-func (c *Catalog) Shares() []float64 {
-	out := make([]float64, len(c.interests))
-	for i := range c.interests {
-		out[i] = c.interests[i].Share
-	}
-	return out
-}
+func (c *Catalog) Share(id ID) float64 { return c.shares[id] }
 
 // AudienceSize converts an interest's share into an audience count for a
 // user base of pop users.
 func (c *Catalog) AudienceSize(id ID, pop int64) int64 {
-	return int64(c.interests[id].Share * float64(pop))
+	return int64(c.shares[id] * float64(pop))
 }
 
-// RarestFirst returns interest IDs sorted by ascending share.
-// The returned slice is a copy.
-func (c *Catalog) RarestFirst() []ID {
-	out := make([]ID, len(c.idsByShare))
-	copy(out, c.idsByShare)
-	return out
-}
+// RarestFirst returns interest IDs sorted by ascending share, ties by
+// ascending ID, in a new slice. It sorts the whole catalog on every call
+// (about 1 ms at 20,000 interests); tests and diagnostics are its only
+// callers.
+func (c *Catalog) RarestFirst() []ID { return popularityOrder(c.shares) }
 
 // Search returns up to limit interests whose names contain the query
-// (case-sensitive substring match), mimicking the Ads Manager's
-// type=adinterest search endpoint.
+// (ASCII case-insensitive substring match), mimicking the Ads Manager's
+// type=adinterest search endpoint. It formats each candidate's name into
+// one reused buffer, so only hits allocate.
 func (c *Catalog) Search(query string, limit int) []Interest {
 	if limit <= 0 {
 		limit = 25
 	}
 	var out []Interest
-	for i := range c.interests {
-		if containsFold(c.interests[i].Name, query) {
-			out = append(out, c.interests[i])
+	var buf [64]byte
+	for i := range c.shares {
+		if containsFold(appendName(buf[:0], i), query) {
+			out = append(out, c.MustGet(ID(i)))
 			if len(out) >= limit {
 				break
 			}
@@ -296,7 +318,7 @@ func (c *Catalog) Search(query string, limit int) []Interest {
 }
 
 // containsFold is a simple ASCII case-insensitive substring test.
-func containsFold(s, sub string) bool {
+func containsFold(s []byte, sub string) bool {
 	if len(sub) == 0 {
 		return true
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"nanotarget/internal/rng"
@@ -105,13 +106,15 @@ func TestSharesSpanBroadRange(t *testing.T) {
 	}
 }
 
+// TestByNameRoundtrip resolves every name of the paper's 98,982-interest
+// catalog back to its interest.
 func TestByNameRoundtrip(t *testing.T) {
-	c, _ := Generate(testConfig(1000), rng.New(5))
-	for i := 0; i < 100; i++ {
+	c, _ := Generate(DefaultConfig(), rng.New(5))
+	for i := 0; i < c.Len(); i++ {
 		in := c.MustGet(ID(i))
 		got, ok := c.ByName(in.Name)
-		if !ok || got.ID != in.ID {
-			t.Fatalf("ByName(%q) failed", in.Name)
+		if !ok || got != in {
+			t.Fatalf("ByName(%q) = %+v, %v; want %+v", in.Name, got, ok, in)
 		}
 	}
 	if _, ok := c.ByName("definitely not an interest"); ok {
@@ -119,10 +122,50 @@ func TestByNameRoundtrip(t *testing.T) {
 	}
 }
 
+// FuzzCatalogByName checks that ByName accepts exactly the catalog's names:
+// it succeeds on s if and only if s is MustGet(id).Name for some id < Len.
+// The catalog is the paper's 98,982 interests, so its last serial, 50,
+// holds only some modifier-stem pairs.
+func FuzzCatalogByName(f *testing.F) {
+	c, err := Generate(DefaultConfig(), rng.New(11))
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := make(map[string]ID, c.Len())
+	for i := 0; i < c.Len(); i++ {
+		names[c.MustGet(ID(i)).Name] = ID(i)
+	}
+	for _, s := range []string{
+		"", " ", "(1)", "Classic", "Classic ", "Classic Artisanal coffee",
+		"Classic Artisanal coffee ", "Classic  Artisanal coffee", " Classic Artisanal coffee",
+		"Classic Artisanal coffee (1)", "Classic Artisanal coffee (2)", "Classic Artisanal coffee (02)",
+		"Classic Artisanal coffee (+2)", "Classic Artisanal coffee (-2)", "Classic Artisanal coffee (0)",
+		"Classic Artisanal coffee (2) ", "Classic Artisanal coffee (2", "Classic Artisanal coffee 2)",
+		"Classic Artisanal coffee (50)", "Collectors' Thrifting (49)", "Collectors' Thrifting (50)",
+		"Classic Artisanal coffee (51)", "Classic Artisanal coffee (99999999999999999999)",
+		"Classic Unknown stem", "Unknown Artisanal coffee", "Classic artisanal coffee",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, ok := c.ByName(s)
+		id, want := names[s]
+		if ok != want {
+			t.Fatalf("ByName(%q) ok = %v, want %v", s, ok, want)
+		}
+		if ok && got != c.MustGet(id) {
+			t.Fatalf("ByName(%q) = %+v, want %+v", s, got, c.MustGet(id))
+		}
+	})
+}
+
 func TestGetErrors(t *testing.T) {
 	c, _ := Generate(testConfig(10), rng.New(6))
 	if _, err := c.Get(ID(10)); err == nil {
 		t.Fatal("out-of-range ID accepted")
+	}
+	if !c.Has(ID(9)) || c.Has(ID(10)) {
+		t.Fatal("Has disagrees with the catalog's ID range [0, 10)")
 	}
 	defer func() {
 		if recover() == nil {
@@ -148,7 +191,7 @@ func TestRarestFirstSorted(t *testing.T) {
 			}
 		}
 	}
-	if !slices.Equal(ids, sortSliceOrder(c.interests)) {
+	if !slices.Equal(ids, sortSliceOrder(c.shares)) {
 		t.Fatal("RarestFirst differs from the sort.Slice order by (share, ID)")
 	}
 }
@@ -173,23 +216,33 @@ func TestAudienceSize(t *testing.T) {
 	}
 }
 
+// TestSearch compares Search with a scan over MustGet's names, and checks
+// that a scan with no hits allocates nothing.
 func TestSearch(t *testing.T) {
-	c, _ := Generate(testConfig(3000), rng.New(10))
-	res := c.Search("coffee", 10)
-	if len(res) == 0 {
+	c, _ := Generate(testConfig(5000), rng.New(10))
+	if len(c.Search("coffee", 10)) == 0 {
 		t.Fatal("expected some coffee interests")
 	}
-	if len(res) > 10 {
-		t.Fatalf("limit not honored: %d", len(res))
-	}
-	for _, in := range res {
-		if !containsFold(in.Name, "coffee") {
-			t.Fatalf("result %q does not match query", in.Name)
+	for _, q := range []string{"", "coffee", "COFFEE", "cLaSsIc aRt", "Nordic", " (2)", "(3)", "s (", "no such interest"} {
+		for _, limit := range []int{-1, 0, 1, 7, 25, 10_000} {
+			var want []Interest
+			wantLen := limit
+			if wantLen <= 0 {
+				wantLen = 25
+			}
+			for i := 0; i < c.Len() && len(want) < wantLen; i++ {
+				in := c.MustGet(ID(i))
+				if strings.Contains(strings.ToLower(in.Name), strings.ToLower(q)) {
+					want = append(want, in)
+				}
+			}
+			if got := c.Search(q, limit); !slices.Equal(got, want) {
+				t.Errorf("Search(%q, %d) = %d interests, reference scan %d", q, limit, len(got), len(want))
+			}
 		}
 	}
-	// Case-insensitive.
-	if len(c.Search("COFFEE", 5)) == 0 {
-		t.Fatal("search should be case-insensitive")
+	if allocs := testing.AllocsPerRun(5, func() { c.Search("no such interest", 5) }); allocs != 0 {
+		t.Errorf("Search with no hits: %v allocs, want 0", allocs)
 	}
 }
 
@@ -230,14 +283,14 @@ func TestMakeNameMatchesFormat(t *testing.T) {
 // sortSliceOrder is the popularity order as sort.Slice computed it over the
 // catalog's IDs before popularityOrder: the reference FuzzPopularityOrder
 // compares against.
-func sortSliceOrder(interests []Interest) []ID {
-	ids := make([]ID, len(interests))
+func sortSliceOrder(shares []float64) []ID {
+	ids := make([]ID, len(shares))
 	for i := range ids {
 		ids[i] = ID(i)
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		sa := interests[ids[a]].Share
-		sb := interests[ids[b]].Share
+		sa := shares[ids[a]]
+		sb := shares[ids[b]]
 		if sa != sb {
 			return sa < sb
 		}
@@ -258,7 +311,7 @@ func FuzzPopularityOrder(f *testing.F) {
 	f.Add([]byte{0, 31, 0, 31, 63, 62, 2, 9, 0})
 	f.Add([]byte("popularity order with ties: aaaa bbbb"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		interests := make([]Interest, len(data))
+		shares := make([]float64, len(data))
 		for i, b := range data {
 			var share float64
 			switch v := b % 64; v {
@@ -271,9 +324,9 @@ func FuzzPopularityOrder(f *testing.F) {
 			default:
 				share = float64(int(v)-31) / 16
 			}
-			interests[i] = Interest{ID: ID(i), Share: share}
+			shares[i] = share
 		}
-		got, want := popularityOrder(interests), sortSliceOrder(interests)
+		got, want := popularityOrder(shares), sortSliceOrder(shares)
 		if !slices.Equal(got, want) {
 			t.Fatalf("popularityOrder = %v, sort.Slice order = %v", got, want)
 		}

@@ -434,7 +434,7 @@ func (s *ShardServer) parseShareBody(body []byte) (shardShareRequest, error) {
 	cat := s.backend.Catalog()
 	for _, clause := range req.Clauses {
 		for _, id := range clause {
-			if _, err := cat.Get(id); err != nil {
+			if !cat.Has(id) {
 				return req, fmt.Errorf("unknown interest %d", id)
 			}
 		}
