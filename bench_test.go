@@ -872,8 +872,9 @@ func BenchmarkBuildCatalog(b *testing.B) {
 }
 
 // BenchmarkBuildModel measures population-model calibration over a
-// prebuilt catalog: the activity grid, the per-interest rates and their
-// share table, and the untilted count table.
+// prebuilt catalog: the activity grid, the span of the share table that
+// brackets the catalog's shares, and the per-interest rates. No count
+// table is built: the panel builds each on first touch.
 func BenchmarkBuildModel(b *testing.B) {
 	for _, size := range worldBuildSizes {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {

@@ -103,15 +103,13 @@ type Model struct {
 	// Geometric mean of lambda, the reference for popularity tilts.
 	lambdaGeo float64
 
-	// Monotone table for expected interest count n(t), untilted.
-	countTable *countTable
-
 	// tiltMu guards first-touch inserts into tiltTables and
 	// tiltedRateCache, so an unwarmed tilt may be hit concurrently (the
 	// read path takes an RLock; entries are immutable once published —
 	// the map analogue of rows.go's one-slot-per-interest interning).
 	tiltMu sync.RWMutex
-	// Cached tilted count tables, built lazily on first touch per tilt.
+	// Count tables n(t), the untilted one included, built lazily on first
+	// touch per tilt.
 	tiltTables map[float64]*countTable
 	// Cached tilted rate vectors, keyed by tilt (lazy; see WarmTilts).
 	tiltedRateCache map[float64][]float64
@@ -127,14 +125,15 @@ type Model struct {
 	demo demoModel
 }
 
-// NewModel calibrates the world model. Two fixed-size grids dominate its
-// cost at serving catalog sizes: the 1,600-point share table that calibrateRates
-// inverts (512 exp per point at the default activity grid) and the 600-point
-// count table (up to 1,024 exp per point). Both are spread over GOMAXPROCS
-// goroutines; every point is the same expression on its own inputs, so the
-// model is bit-identical at any GOMAXPROCS. The per-interest work on top,
-// one log-grid interpolation, one exp and one log per interest, stays on
-// the caller's goroutine.
+// NewModel calibrates the world model. Its cost at serving catalog sizes is
+// the span of the 1,600-point share table that calibrateRates inverts (512
+// exp per point at the default activity grid): about 550 points at 20,000
+// interests, spread over GOMAXPROCS goroutines. Every point is the same
+// expression on its own inputs, so the model is bit-identical at any
+// GOMAXPROCS. The per-interest work on top, one log-grid interpolation and
+// one exp per interest, stays on the caller's goroutine. No count table is
+// built here: each tilt's, the untilted one included, is built on first
+// touch, which no reach estimate makes.
 func NewModel(cfg Config) (*Model, error) {
 	if cfg.Catalog == nil {
 		return nil, errors.New("population: Config.Catalog is required")
@@ -165,7 +164,6 @@ func NewModel(cfg Config) (*Model, error) {
 	if !cfg.DisableRowKernel {
 		m.initRows()
 	}
-	m.countTable = m.buildCountTable(0)
 	var err error
 	m.demo, err = newDemoModel(cfg.Demographics)
 	if err != nil {
@@ -215,41 +213,62 @@ func (m *Model) marginalShare(lambda float64) float64 {
 
 // calibrateRates inverts marginalShare for every catalog interest using a
 // precomputed monotone log-grid (share as a function of log λ), interpolated
-// log-linearly. Max relative error is far below sampling noise.
+// log-linearly. Max relative error is far below sampling noise. Only the
+// span of the grid that the catalog's shares need is computed: from the
+// point below the first point at or above the smallest share to the first
+// point at or above the largest, found by two bisections of about 11
+// points each. A point's inputs depend on its index alone, so each share's
+// search in the span picks the same neighbouring points, and the same bits,
+// as a search of the whole grid.
 func (m *Model) calibrateRates() error {
 	const (
 		logLo  = -28.0 // λ = e^-28 ≈ 7e-13
 		logHi  = 14.0  // λ = e^14 ≈ 1.2e6
 		points = 1600
 	)
-	logLambda := make([]float64, points)
-	shares := make([]float64, points)
-	forEachPoint(points, func(j int) {
-		logLambda[j] = logLo + (logHi-logLo)*float64(j)/float64(points-1)
-		shares[j] = m.marginalShare(math.Exp(logLambda[j]))
-	})
 	n := m.catalog.Len()
-	m.lambda = make([]float64, n)
-	sumLog := 0.0
+	minShare, maxShare := 1.0, 0.0
 	for i := 0; i < n; i++ {
 		target := m.catalog.Share(interest.ID(i))
-		if target <= 0 || target >= 1 {
+		if !(target > 0 && target < 1) {
 			return fmt.Errorf("population: interest %d share %v out of (0,1)", i, target)
 		}
-		j := sort.SearchFloat64s(shares, target)
+		minShare, maxShare = min(minShare, target), max(maxShare, target)
+	}
+	logLambdaAt := func(j int) float64 {
+		return logLo + (logHi-logLo)*float64(j)/float64(points-1)
+	}
+	first := func(target float64) int {
+		return sort.Search(points, func(j int) bool {
+			return m.marginalShare(math.Exp(logLambdaAt(j))) >= target
+		})
+	}
+	lo := max(first(minShare)-1, 0)
+	hi := max(min(first(maxShare), points-1), lo) // lo when the catalog is empty
+	logLambda := make([]float64, hi-lo+1)
+	shares := make([]float64, hi-lo+1)
+	forEachPoint(len(shares), func(k int) {
+		logLambda[k] = logLambdaAt(lo + k)
+		shares[k] = m.marginalShare(math.Exp(logLambda[k]))
+	})
+	m.lambda = make([]float64, n)
+	sumLog := 0.0
+	for i := range m.lambda {
+		target := m.catalog.Share(interest.ID(i))
+		k := sort.SearchFloat64s(shares, target)
 		var lg float64
-		switch {
+		switch j := lo + k; {
 		case j == 0:
 			lg = logLambda[0]
 		case j >= points:
-			lg = logLambda[points-1]
+			lg = logLambda[len(logLambda)-1]
 		default:
-			s0, s1 := shares[j-1], shares[j]
+			s0, s1 := shares[k-1], shares[k]
 			frac := 0.0
 			if s1 > s0 {
 				frac = (target - s0) / (s1 - s0)
 			}
-			lg = logLambda[j-1] + frac*(logLambda[j]-logLambda[j-1])
+			lg = logLambda[k-1] + frac*(logLambda[k]-logLambda[k-1])
 		}
 		m.lambda[i] = math.Exp(lg)
 		sumLog += lg
@@ -373,9 +392,6 @@ func (tbl *countTable) activityForCount(want float64) float64 {
 // immutable table (racing first touches serialize; both would build
 // identical bits, only one is interned).
 func (m *Model) table(beta float64) *countTable {
-	if beta == 0 {
-		return m.countTable
-	}
 	m.tiltMu.RLock()
 	t, ok := m.tiltTables[beta]
 	m.tiltMu.RUnlock()
@@ -392,10 +408,10 @@ func (m *Model) table(beta float64) *countTable {
 	return t
 }
 
-// WarmTilts precomputes count tables for the given tilts. Since the tilt
-// caches became first-touch safe this is purely a latency optimization
-// (skip the one-time build under load), no longer a correctness
-// requirement.
+// WarmTilts precomputes count tables for the given tilts, 0 (untilted)
+// included. Since the tilt caches became first-touch safe this is purely a
+// latency optimization (skip the one-time build under load), no longer a
+// correctness requirement.
 func (m *Model) WarmTilts(betas ...float64) {
 	for _, b := range betas {
 		_ = m.table(b)

@@ -378,6 +378,39 @@ func TestWarmTilts(t *testing.T) {
 	}
 }
 
+// TestCountTablesBuiltOnFirstTouch gates the deferred count tables: a
+// model serves reach estimates (conjunction, union and demographic shares,
+// row-kernel queries) without building any count table, untilted included,
+// and planting a panel user builds exactly the one its tilt needs.
+func TestCountTablesBuiltOnFirstTouch(t *testing.T) {
+	m := testModel(t, 21)
+	if n := len(m.tiltTables); n != 0 {
+		t.Fatalf("NewModel built %d count tables, want 0", n)
+	}
+	ids := []interest.ID{5, 40, 300, 2999}
+	f := DemoFilter{Countries: []string{"ES"}, Genders: []Gender{GenderFemale}, AgeMin: 20, AgeMax: 39}
+	for range 3 {
+		_ = m.ConjunctionShare(ids)
+		_ = m.UnionConjunctionShare([][]interest.ID{ids[:2], ids[2:]})
+		_ = m.DemoShare(f)
+		_ = m.ExpectedAudienceConditional(f, ids)
+		q := m.BorrowQuery()
+		for _, id := range ids {
+			q.And(id)
+		}
+		_ = q.Share()
+		q.Release()
+		_ = m.NewQuery().And(ids[0]).Share()
+	}
+	if n := len(m.tiltTables); n != 0 {
+		t.Fatalf("reach queries built %d count tables, want 0", n)
+	}
+	_ = m.PlantUser(1, "ES", GenderFemale, 30, 120, rng.New(1))
+	if n := len(m.tiltTables); n != 1 {
+		t.Fatalf("PlantUser built %d count tables, want 1", n)
+	}
+}
+
 func BenchmarkConjunctionShare25(b *testing.B) {
 	icfg := interest.DefaultConfig()
 	icfg.Size = 3000

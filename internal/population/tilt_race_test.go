@@ -31,7 +31,7 @@ func TestTiltFirstTouchConcurrent(t *testing.T) {
 	}
 
 	const goroutines = 8
-	betas := []float64{0.15, -0.1, 0.3} // never warmed: first touch happens inside the race
+	betas := []float64{0.15, -0.1, 0.3, 0} // never warmed, untilted included: first touch happens inside the race
 	results := make([][]float64, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -66,8 +66,8 @@ func TestTiltFirstTouchConcurrent(t *testing.T) {
 	}
 
 	// The warm path still returns the identical interned values.
-	for _, beta := range betas {
-		if got, want := m.ActivityForCount(150, beta), results[0][0]; beta == betas[0] && got != want {
+	for i, beta := range betas {
+		if got, want := m.ActivityForCount(150, beta), results[0][2*i]; got != want {
 			t.Fatalf("post-race ActivityForCount(150, %v) = %v, want %v", beta, got, want)
 		}
 	}

@@ -67,9 +67,9 @@ type Config struct {
 	// Parallelism is the worker count for studies and experiments
 	// (0 = one per core, 1 = sequential). Results are byte-identical for
 	// any value under a fixed seed. World construction does not read it:
-	// BuildModel spreads the model's calibration grids over GOMAXPROCS
-	// whatever this field holds, and every build is byte-identical at any
-	// GOMAXPROCS.
+	// the span of the model's share table (BuildModel) and each count table
+	// the panel first touches are spread over GOMAXPROCS whatever this
+	// field holds, and every build is byte-identical at any GOMAXPROCS.
 	Parallelism int
 }
 
