@@ -34,7 +34,8 @@ bench-smoke:
 # World construction's catalog build follows at a fixed 20 iterations per
 # catalog size (each is a whole catalog, up to ~10 ms); CI gates its
 # allocs/op at 16 at either size, since a catalog allocates nothing per
-# interest.
+# interest (6 on one core plus one per further core for the quantile
+# transform's block fan-out: 10 on four).
 bench-allocs:
 	$(GO) test -run '^$$' -bench '^Benchmark(ShardReachShares|ProxyReachHop|ReachEstimateEdge|ReachEstimateEdgeTop50|SourceReachURL)$$' \
 		-benchtime 2000x -benchmem ./internal/serving ./internal/adsapi > bench-allocs.txt || { cat bench-allocs.txt; exit 1; }

@@ -77,18 +77,21 @@ import (
 
 // DefaultCapacity is the default number of cached ordered conjunctions.
 // At the default 512-point activity grid one entry holds ~4 KiB of survivor
-// weights, so the default cache tops out around 32 MiB.
+// weights, so the default cache tops out around 32 MiB. Like every level,
+// it starts empty and grows to its capacity as entries arrive; only then
+// does it evict.
 const DefaultCapacity = 8192
 
 // DefaultSetCapacity is the default number of cached canonical sets
 // (ModeCanonical). Set entries hold only a key and a share — tens of bytes —
 // so the set level can afford an order of magnitude more entries than the
-// survivor-vector level.
+// survivor-vector level. The level grows to this bound as sets arrive, so
+// an engine that serves a few hundred sets holds a few hundred entries.
 const DefaultSetCapacity = 65536
 
 // DefaultDemoCapacity is the default number of cached demographic values
 // (filter shares plus composite conditional audiences); entries are as small
-// as set entries.
+// as set entries, and the level grows to this bound as they arrive.
 const DefaultDemoCapacity = 16384
 
 // DefaultShards is the default lock-domain count of each cache level.

@@ -3,6 +3,7 @@ package audience
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -256,6 +257,74 @@ func TestConcurrentMixedAccess(t *testing.T) {
 	}
 }
 
+// TestEveryLevelStaysWithinCapacity overfills the prefix, set and demo
+// levels of a canonical engine from several goroutines. The levels' maps
+// start empty and grow as entries arrive, so this is the check that each
+// still evicts at its bound: every level must report evictions and no more
+// entries than its capacity, and every answer must keep the model's bits.
+func TestEveryLevelStaysWithinCapacity(t *testing.T) {
+	m := testModel(t)
+	eng := New(m, Options{Mode: ModeCanonical, Capacity: 32, SetCapacity: 32, DemoCapacity: 32, Shards: 4})
+	conjs := randomConjunctions(m, 80, 12, rng.New(37))
+	filters := []population.DemoFilter{
+		{Countries: []string{"ES"}},
+		{Countries: []string{"US", "FR"}, AgeMin: 20, AgeMax: 39},
+	}
+	wantShare := make([]float64, len(conjs))
+	wantCond := make([][]float64, len(conjs))
+	for i, ids := range conjs {
+		sorted := slices.Clone(ids)
+		slices.Sort(sorted)
+		wantShare[i] = m.ConjunctionShare(sorted)
+		for _, f := range filters {
+			wantCond[i] = append(wantCond[i], m.ExpectedAudienceConditional(f, sorted))
+		}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for i, ids := range conjs {
+					if got := eng.ConjunctionShare(ids); !sameBits(got, wantShare[i]) {
+						errc <- errMismatch(g, i, got, wantShare[i])
+						return
+					}
+					for fi, f := range filters {
+						if got := eng.ExpectedAudienceConditional(f, ids); !sameBits(got, wantCond[i][fi]) {
+							errc <- errMismatch(g, i, got, wantCond[i][fi])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	for _, level := range []struct {
+		name string
+		st   LevelStats
+	}{{"prefix", st.Prefix}, {"set", st.Set}, {"demo", st.Demo}} {
+		if level.st.Capacity != 32 {
+			t.Fatalf("%s level: capacity %d, want 32", level.name, level.st.Capacity)
+		}
+		if level.st.Evictions == 0 {
+			t.Fatalf("%s level: no evictions after overfilling it: %+v", level.name, level.st)
+		}
+		if level.st.Entries > level.st.Capacity {
+			t.Fatalf("%s level overflowed: %+v", level.name, level.st)
+		}
+	}
+}
+
 func errMismatch(g, i int, got, want float64) error {
 	return fmt.Errorf("goroutine %d conj %d: engine %v != model %v", g, i, got, want)
 }
@@ -445,5 +514,21 @@ func TestKeyRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeKey([]byte{1, 2, 3}); err == nil {
 		t.Fatal("ragged key should not decode")
+	}
+}
+
+// BenchmarkNewEngine measures building an engine with the default options,
+// which every replica and the API process do once at start-up. Its cost is
+// the cache levels' shard maps, which start empty and grow as entries
+// arrive.
+func BenchmarkNewEngine(b *testing.B) {
+	m := testModel(b)
+	for _, mode := range []Mode{ModeExact, ModeCanonical} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				New(m, Options{Mode: mode})
+			}
+		})
 	}
 }

@@ -50,7 +50,7 @@ func newCache(capacity, shards int) *cache {
 	}
 	c := &cache{shards: make([]*shard, shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{m: make(map[string]*entry, per), capacity: per}
+		c.shards[i] = &shard{m: make(map[string]*entry), capacity: per}
 	}
 	return c
 }

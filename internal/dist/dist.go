@@ -114,7 +114,7 @@ const maxRejections = 1000
 // sample from Prepare's sampler, which draws the same values.
 func (t Truncated) Sample(r *rng.Rand) float64 {
 	if inv, ok := t.Base.(Inversible); ok {
-		return prepareInverse(inv, t.Lo, t.Hi).Sample(r)
+		return PrepareInverse(inv, t.Lo, t.Hi).Sample(r)
 	}
 	var v float64
 	for i := 0; i < maxRejections; i++ {
@@ -138,31 +138,49 @@ func (t Truncated) Sample(r *rng.Rand) float64 {
 // rejection as before.
 func (t Truncated) Prepare() Sampler {
 	if inv, ok := t.Base.(Inversible); ok {
-		return prepareInverse(inv, t.Lo, t.Hi)
+		return PrepareInverse(inv, t.Lo, t.Hi)
 	}
 	return t
 }
 
-// truncatedInverse is truncated inverse-CDF sampling with the base CDF's
+// TruncatedInverse is truncated inverse-CDF sampling with the base CDF's
 // values at the bounds precomputed: Truncated.Sample's only path over an
-// Inversible base.
-type truncatedInverse struct {
+// Inversible base. Sample(r) is At(r.Float64()), except that an empty
+// probability interval draws nothing, so a caller may draw its uniforms in
+// stream order and map them with At on any goroutine.
+type TruncatedInverse struct {
 	inv      Inversible
 	lo, hi   float64
 	pLo, pHi float64
 }
 
-func prepareInverse(inv Inversible, lo, hi float64) truncatedInverse {
-	return truncatedInverse{inv: inv, lo: lo, hi: hi, pLo: inv.CDF(lo), pHi: inv.CDF(hi)}
+// PrepareInverse truncates inv to [lo, hi], computing its CDF at both
+// bounds once.
+func PrepareInverse(inv Inversible, lo, hi float64) TruncatedInverse {
+	return TruncatedInverse{inv: inv, lo: lo, hi: hi, pLo: inv.CDF(lo), pHi: inv.CDF(hi)}
 }
+
+// Empty reports whether the truncated probability interval is empty. Every
+// variate is then lo, and Sample consumes no stream value.
+func (s TruncatedInverse) Empty() bool { return s.pHi <= s.pLo }
 
 // Sample implements Sampler. An empty probability interval returns lo
 // without consuming a stream value.
-func (s truncatedInverse) Sample(r *rng.Rand) float64 {
-	if s.pHi <= s.pLo {
+func (s TruncatedInverse) Sample(r *rng.Rand) float64 {
+	if s.Empty() {
 		return s.lo
 	}
-	v := s.inv.Quantile(s.pLo + r.Float64()*(s.pHi-s.pLo))
+	return s.At(r.Float64())
+}
+
+// At returns the variate that uniform u in [0, 1) maps to: the base
+// quantile at u's position in the truncated probability interval, clamped
+// to [lo, hi], or lo when the interval is empty.
+func (s TruncatedInverse) At(u float64) float64 {
+	if s.Empty() {
+		return s.lo
+	}
+	v := s.inv.Quantile(s.pLo + u*(s.pHi-s.pLo))
 	// Guard the interval against floating-point round-trip error.
 	if v < s.lo {
 		v = s.lo

@@ -90,11 +90,13 @@ func (u skewedUniform) Sample(r *rng.Rand) float64 { return 10 * r.Float64() }
 func (u skewedUniform) CDF(x float64) float64      { return math.Min(math.Max(x/10, 0), 1) }
 func (u skewedUniform) Quantile(p float64) float64 { return 10*p + u.Shift }
 
-// TestPreparedTruncatedDrawsLikeSample pins that the prepared sampler the
-// catalog draws from returns exactly what Truncated.Sample returns, and
-// what per-draw CDF evaluation returned, and leaves the stream in the same
-// state, for every branch: the catalog's log-normal, an empty probability
-// interval (no stream value consumed), and the low and high clamps.
+// TestPreparedTruncatedDrawsLikeSample pins that the prepared sampler
+// returns exactly what Truncated.Sample returns, and what per-draw CDF
+// evaluation returned, and leaves the stream in the same state, for every
+// branch: the catalog's log-normal, an empty probability interval (no
+// stream value consumed), and the low and high clamps. So does the split
+// the catalog uses: a uniform drawn per variate (none when Empty) and
+// mapped with At.
 func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 	catalog, err := FitLogNormalQuantiles(113_193, 0.25, 1_719_925, 0.75)
 	if err != nil {
@@ -117,7 +119,8 @@ func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tr := Truncated{Base: c.inv.(Sampler), Lo: c.lo, Hi: c.hi}
 			prepared := tr.Prepare()
-			a, b, ref := rng.New(7), rng.New(7), rng.New(7)
+			inv := PrepareInverse(c.inv, c.lo, c.hi)
+			a, b, ref, split := rng.New(7), rng.New(7), rng.New(7), rng.New(7)
 			clamped := 0
 			for i := 0; i < 2000; i++ {
 				got, want := prepared.Sample(a), tr.Sample(b)
@@ -125,11 +128,18 @@ func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(old) {
 					t.Fatalf("draw %d: prepared %v, Sample %v, per-draw CDFs %v", i, got, want, old)
 				}
+				u := 0.0
+				if !inv.Empty() {
+					u = split.Float64()
+				}
+				if at := inv.At(u); math.Float64bits(at) != math.Float64bits(got) {
+					t.Fatalf("draw %d: At %v, Sample %v", i, at, got)
+				}
 				if c.clamp != 0 && got == c.clamp {
 					clamped++
 				}
 			}
-			if x, y, z := a.Uint64(), b.Uint64(), ref.Uint64(); x != y || x != z {
+			if x, y, z, w := a.Uint64(), b.Uint64(), ref.Uint64(), split.Uint64(); x != y || x != z || x != w {
 				t.Fatal("samplers consumed different numbers of stream values")
 			}
 			if c.clamp != 0 && clamped == 0 {

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"nanotarget/internal/dist"
+	"nanotarget/internal/parallel"
 	"nanotarget/internal/rng"
 )
 
@@ -117,7 +118,11 @@ func DefaultConfig() Config {
 }
 
 // Generate builds a catalog of cfg.Size interests with shares drawn from the
-// Fig-2-calibrated log-normal, deterministically from r.
+// Fig-2-calibrated log-normal, deterministically from r. It draws one
+// uniform per interest from r in ID order, exactly what a Sample per
+// interest would draw, and maps them through the truncated quantile in
+// contiguous blocks on GOMAXPROCS goroutines, so the catalog, and r's state
+// after the call, are the same bits at any GOMAXPROCS.
 func Generate(cfg Config, r *rng.Rand) (*Catalog, error) {
 	if cfg.Size <= 0 {
 		return nil, errors.New("interest: catalog size must be positive")
@@ -133,12 +138,21 @@ func Generate(cfg Config, r *rng.Rand) (*Catalog, error) {
 		return nil, fmt.Errorf("interest: calibrating popularity: %w", err)
 	}
 	pop := float64(cfg.Population)
-	sizes := dist.Truncated{Base: ln, Lo: 2, Hi: cfg.MaxShare * pop}.Prepare()
+	sizes := dist.PrepareInverse(ln, 2, cfg.MaxShare*pop)
 
+	// The uniforms are drawn in stream order first (none for an empty
+	// interval, where Sample draws none), then mapped in place.
 	shares := make([]float64, cfg.Size)
-	for i := range shares {
-		shares[i] = sizes.Sample(r) / pop
+	if !sizes.Empty() {
+		for i := range shares {
+			shares[i] = r.Float64()
+		}
 	}
+	parallel.Blocks(len(shares), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			shares[i] = sizes.At(shares[i]) / pop
+		}
+	})
 	return &Catalog{shares: shares}, nil
 }
 

@@ -1,6 +1,7 @@
 // Package parallel is the deterministic fan-out engine behind every hot
 // path of the uniqueness pipeline: per-user sample collection, bootstrap
-// resampling, campaign fan-out and panel risk scans.
+// resampling, campaign fan-out and panel risk scans, plus the block loops
+// of world construction (Blocks).
 //
 // # Determinism contract
 //
@@ -139,6 +140,36 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// Blocks splits [0, n) into at most GOMAXPROCS contiguous blocks of near
+// equal length and calls fn(lo, hi) once per block, each on its own
+// goroutine, the caller's goroutine taking the first block; it returns when
+// every block is done. With one block (GOMAXPROCS 1, or n 1) it calls
+// fn(0, n) and starts no goroutine. It is ForEach for loops whose
+// iterations are uniform, independent and cannot fail: no context, no
+// per-item claim, and one goroutine per block. Each index lands in exactly
+// one block, so a loop whose iteration i writes only slot i gives the same
+// bits at any GOMAXPROCS.
+func Blocks(n int, fn func(lo, hi int)) {
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for b := 1; b < w; b++ {
+		lo, hi := n*b/w, n*(b+1)/w
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	}
+	fn(0, n/w)
+	wg.Wait()
 }
 
 // Map runs fn for every index and returns the results in index order.

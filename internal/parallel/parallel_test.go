@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -158,5 +159,88 @@ func TestForEachZeroTasks(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBlocksCoversEachIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 1000} {
+			hits := make([]atomic.Int32, n)
+			var blocks atomic.Int32
+			Blocks(n, func(lo, hi int) {
+				if lo >= hi {
+					t.Errorf("procs=%d n=%d: empty block [%d, %d)", procs, n, lo, hi)
+				}
+				blocks.Add(1)
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("procs=%d n=%d: index %d covered %d times", procs, n, i, got)
+				}
+			}
+			if got, want := int(blocks.Load()), min(procs, n); got != want {
+				t.Fatalf("procs=%d n=%d: %d blocks, want %d", procs, n, got, want)
+			}
+		}
+	}
+}
+
+// TestBlocksStartsNoGoroutineOnOneCore pins the sequential path: at
+// GOMAXPROCS 1 the whole range runs on the caller's goroutine.
+func TestBlocksStartsNoGoroutineOnOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := runtime.NumGoroutine()
+	calls := 0
+	Blocks(1000, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != 1000 {
+			t.Errorf("block [%d, %d), want [0, 1000)", lo, hi)
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Errorf("%d goroutines inside the block, %d before the call", got, before)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("%d calls, want 1", calls)
+	}
+}
+
+// TestBlocksAllocations bounds the fan-out's own allocations, which every
+// world build pays: none on one core, and beyond it the WaitGroup plus one
+// closure per started goroutine. (testing.AllocsPerRun would pin
+// GOMAXPROCS to 1, so the count is read off the heap statistics.)
+func TestBlocksAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sink := make([]float64, 1000)
+	fn := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sink[i]++
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		const runs = 200
+		Blocks(len(sink), fn) // warm the runtime's goroutine free list
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			Blocks(len(sink), fn)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / runs
+		want := float64(procs)
+		if procs == 1 {
+			want = 0
+		}
+		// Half an alloc of slack absorbs the runtime's occasional own
+		// allocation (a fresh goroutine record) over the runs.
+		if got > want+0.5 {
+			t.Errorf("GOMAXPROCS %d: %.2f allocs per call, want at most %v", procs, got, want)
+		}
 	}
 }

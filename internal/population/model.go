@@ -32,7 +32,6 @@
 package population
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -128,12 +127,13 @@ type Model struct {
 // NewModel calibrates the world model. Its cost at serving catalog sizes is
 // the span of the 1,600-point share table that calibrateRates inverts (512
 // exp per point at the default activity grid): about 550 points at 20,000
-// interests, spread over GOMAXPROCS goroutines. Every point is the same
-// expression on its own inputs, so the model is bit-identical at any
-// GOMAXPROCS. The per-interest work on top, one log-grid interpolation and
-// one exp per interest, stays on the caller's goroutine. No count table is
-// built here: each tilt's, the untilted one included, is built on first
-// touch, which no reach estimate makes.
+// interests. Those points, and then the per-interest work (one search and
+// interpolation in the span and one exp per interest), run in contiguous
+// blocks on GOMAXPROCS goroutines. Every point and every rate is the same
+// expression on its own inputs, and the log-rates are summed in ID order on
+// the caller's goroutine, so the model is bit-identical at any GOMAXPROCS.
+// No count table is built here: each tilt's, the untilted one included, is
+// built on first touch, which no reach estimate makes.
 func NewModel(cfg Config) (*Model, error) {
 	if cfg.Catalog == nil {
 		return nil, errors.New("population: Config.Catalog is required")
@@ -219,7 +219,10 @@ func (m *Model) marginalShare(lambda float64) float64 {
 // point at or above the largest, found by two bisections of about 11
 // points each. A point's inputs depend on its index alone, so each share's
 // search in the span picks the same neighbouring points, and the same bits,
-// as a search of the whole grid.
+// as a search of the whole grid. The span's points and the per-interest
+// inversions each run in contiguous blocks on GOMAXPROCS goroutines (every
+// one writes only its own slot); the log-rates behind lambdaGeo are summed
+// afterwards in ID order, so the sum keeps its bits at any GOMAXPROCS.
 func (m *Model) calibrateRates() error {
 	const (
 		logLo  = -28.0 // λ = e^-28 ≈ 7e-13
@@ -247,30 +250,38 @@ func (m *Model) calibrateRates() error {
 	hi := max(min(first(maxShare), points-1), lo) // lo when the catalog is empty
 	logLambda := make([]float64, hi-lo+1)
 	shares := make([]float64, hi-lo+1)
-	forEachPoint(len(shares), func(k int) {
-		logLambda[k] = logLambdaAt(lo + k)
-		shares[k] = m.marginalShare(math.Exp(logLambda[k]))
+	parallel.Blocks(len(shares), func(from, to int) {
+		for k := from; k < to; k++ {
+			logLambda[k] = logLambdaAt(lo + k)
+			shares[k] = m.marginalShare(math.Exp(logLambda[k]))
+		}
 	})
 	m.lambda = make([]float64, n)
-	sumLog := 0.0
-	for i := range m.lambda {
-		target := m.catalog.Share(interest.ID(i))
-		k := sort.SearchFloat64s(shares, target)
-		var lg float64
-		switch j := lo + k; {
-		case j == 0:
-			lg = logLambda[0]
-		case j >= points:
-			lg = logLambda[len(logLambda)-1]
-		default:
-			s0, s1 := shares[k-1], shares[k]
-			frac := 0.0
-			if s1 > s0 {
-				frac = (target - s0) / (s1 - s0)
+	logs := make([]float64, n)
+	parallel.Blocks(n, func(from, to int) {
+		for i := from; i < to; i++ {
+			target := m.catalog.Share(interest.ID(i))
+			k := sort.SearchFloat64s(shares, target)
+			var lg float64
+			switch j := lo + k; {
+			case j == 0:
+				lg = logLambda[0]
+			case j >= points:
+				lg = logLambda[len(logLambda)-1]
+			default:
+				s0, s1 := shares[k-1], shares[k]
+				frac := 0.0
+				if s1 > s0 {
+					frac = (target - s0) / (s1 - s0)
+				}
+				lg = logLambda[k-1] + frac*(logLambda[k]-logLambda[k-1])
 			}
-			lg = logLambda[k-1] + frac*(logLambda[k]-logLambda[k-1])
+			m.lambda[i] = math.Exp(lg)
+			logs[i] = lg
 		}
-		m.lambda[i] = math.Exp(lg)
+	})
+	sumLog := 0.0
+	for _, lg := range logs {
 		sumLog += lg
 	}
 	m.lambdaGeo = math.Exp(sumLog / float64(n))
@@ -337,18 +348,20 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 		n:    make([]float64, tPoints),
 	}
 	tLo, tHi := math.Log(1e-9), math.Log(1e9)
-	forEachPoint(tPoints, func(j int) {
-		lt := tLo + (tHi-tLo)*float64(j)/float64(tPoints-1)
-		t := math.Exp(lt)
-		n := 0.0
-		for b := 0; b < buckets; b++ {
-			if counts[b] == 0 {
-				continue
+	parallel.Blocks(tPoints, func(from, to int) {
+		for j := from; j < to; j++ {
+			lt := tLo + (tHi-tLo)*float64(j)/float64(tPoints-1)
+			t := math.Exp(lt)
+			n := 0.0
+			for b := 0; b < buckets; b++ {
+				if counts[b] == 0 {
+					continue
+				}
+				n += counts[b] * (1 - math.Exp(-t*centers[b]))
 			}
-			n += counts[b] * (1 - math.Exp(-t*centers[b]))
+			tbl.logT[j] = lt
+			tbl.n[j] = n
 		}
-		tbl.logT[j] = lt
-		tbl.n[j] = n
 	})
 	// Enforce strict monotonicity for safe inversion.
 	for j := 1; j < tPoints; j++ {
@@ -357,18 +370,6 @@ func (m *Model) buildCountTable(beta float64) *countTable {
 		}
 	}
 	return tbl
-}
-
-// forEachPoint computes the points [0, n) of a calibration grid on
-// GOMAXPROCS goroutines. fn(j) must write only point j's outputs, from
-// inputs no point writes; the grid is then the same at any GOMAXPROCS.
-func forEachPoint(n int, fn func(j int)) {
-	// Nothing can fail: fn returns no error and the context is never
-	// cancelled, so ForEach always returns nil.
-	_ = parallel.ForEach(context.Background(), n, 0, func(j int) error {
-		fn(j)
-		return nil
-	})
 }
 
 // activityForCount inverts n(t) = want on the table.

@@ -67,9 +67,11 @@ type Config struct {
 	// Parallelism is the worker count for studies and experiments
 	// (0 = one per core, 1 = sequential). Results are byte-identical for
 	// any value under a fixed seed. World construction does not read it:
-	// the span of the model's share table (BuildModel) and each count table
-	// the panel first touches are spread over GOMAXPROCS whatever this
-	// field holds, and every build is byte-identical at any GOMAXPROCS.
+	// the catalog's quantile transform (BuildCatalog), the span of the
+	// model's share table and its per-interest rates (BuildModel), and each
+	// count table the panel first touches run in blocks on GOMAXPROCS
+	// goroutines whatever this field holds, and every build is
+	// byte-identical at any GOMAXPROCS.
 	Parallelism int
 }
 
