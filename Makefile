@@ -101,7 +101,7 @@ FUZZ_TARGETS = \
 	FuzzShardShareRequest:./internal/serving \
 	FuzzShardFrame:./internal/serving \
 	FuzzDeadlineHeader:./internal/serving \
-	FuzzParseRetryAfter:./internal/serving \
+	FuzzParseRetryAfter:./internal/adsapi \
 	FuzzConjunctionKey:./internal/audience \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \

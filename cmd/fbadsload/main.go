@@ -142,8 +142,8 @@ func printHealth(st *serving.HealthStats) {
 	if st == nil {
 		return
 	}
-	fmt.Printf("  proxy health: %d replicas up, %d down; hedged %d (wins %d), failovers %d, retry budget exhausted %d\n",
-		st.Up, st.Down, st.Hedged, st.HedgeWins, st.Failovers, st.RetryBudgetExhausted)
+	fmt.Printf("  proxy health: %d replicas up, %d down; hedged %d (wins %d), failovers %d\n",
+		st.Up, st.Down, st.Hedged, st.HedgeWins, st.Failovers)
 }
 
 // cpuModel best-effort reads the host CPU model for the baseline's recorded

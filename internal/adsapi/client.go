@@ -7,14 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"nanotarget/internal/interest"
-	"nanotarget/internal/serving"
 )
 
 // ClientConfig configures the typed Marketing API client.
@@ -132,7 +133,7 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		if resp.StatusCode == http.StatusTooManyRequests {
 			// Admission throttling: always retryable regardless of the body's
 			// error code, waiting as long as the server advertises.
-			if ra := serving.ParseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
+			if ra := ParseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
 				wait = ra
 			}
 			var env errorEnvelope
@@ -166,6 +167,18 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, out
 		return nil
 	}
 	return fmt.Errorf("adsapi: retries exhausted: %w", lastErr)
+}
+
+// ParseRetryAfter reads a delay-seconds Retry-After value — the only form
+// this repository's servers emit (Gate, Admission) — for the client's
+// retries. Unparseable or negative values, and values too large for a
+// time.Duration, mean "no advice" (0).
+func ParseRetryAfter(h string) time.Duration {
+	secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64)
+	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }
 
 func truncateBody(b []byte) string {

@@ -13,12 +13,16 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
@@ -347,6 +351,30 @@ func FuzzReachAnswerScan(f *testing.F) {
 		var ref reachResponse
 		if json.Unmarshal(body, &ref) == nil && ref.Data.EstimateReady && bytes.Equal(body, marshalJSON(ref)) {
 			t.Fatalf("scan refused encoding/json's encoding %q of %+v", body, ref)
+		}
+	})
+}
+
+// FuzzParseRetryAfter checks ParseRetryAfter against big-integer arithmetic:
+// the result is never negative, it is secs·1s whenever that product fits in
+// a time.Duration, and 0 ("no advice") for anything else.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, seed := range []string{"3", "", "-1", "abc", " 7 ", "20000000000", "9223372036", "9223372037", "+4"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		got := ParseRetryAfter(h)
+		if got < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v < 0", h, got)
+		}
+		var want time.Duration
+		if secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64); err == nil && secs >= 0 {
+			if d := new(big.Int).Mul(big.NewInt(secs), big.NewInt(int64(time.Second))); d.IsInt64() {
+				want = time.Duration(d.Int64())
+			}
+		}
+		if got != want {
+			t.Fatalf("ParseRetryAfter(%q) = %v, want %v", h, got, want)
 		}
 	})
 }

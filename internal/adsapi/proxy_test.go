@@ -113,7 +113,7 @@ func startProxyAPI(t *testing.T) (string, []*replicaProcess) {
 	cfg := proxyWorld()
 	urls, replicas := startReplicas(t, cfg)
 	base, _ := startAPI(t, cfg, serving.ProxyConfig{
-		URLs: urls, MaxRetries: 1, RetryBase: time.Millisecond,
+		URLs:  urls,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
 	})
 	return base, replicas

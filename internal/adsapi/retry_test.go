@@ -97,3 +97,25 @@ func TestClientRetriesExhaust(t *testing.T) {
 		t.Fatal("persistent failure produced a result")
 	}
 }
+
+// TestParseRetryAfter pins the client's Retry-After parser: delay-seconds
+// only, and anything unparseable, negative or too large for a
+// time.Duration is "no advice" — a wrapped conversion would otherwise sleep
+// until the caller's context ends.
+func TestParseRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+	}{
+		{"3", 3 * time.Second},
+		{" 3 ", 3 * time.Second},
+		{"", 0},
+		{"-1", 0},
+		{"abc", 0},
+		{"20000000000", 0},
+	} {
+		if got := ParseRetryAfter(tc.in); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

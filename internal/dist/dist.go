@@ -29,11 +29,6 @@ func NormQuantile(p float64) float64 {
 	return math.Sqrt2 * math.Erfinv(2*p-1)
 }
 
-// Sampler draws one variate from a distribution.
-type Sampler interface {
-	Sample(r *rng.Rand) float64
-}
-
 // LogNormal is the distribution of exp(Normal(Mu, Sigma)).
 type LogNormal struct {
 	Mu, Sigma float64
@@ -69,7 +64,7 @@ func FitLogNormalQuantiles(x1, p1, x2, p2 float64) (LogNormal, error) {
 	return LogNormal{Mu: mu, Sigma: sigma}, nil
 }
 
-// Sample implements Sampler.
+// Sample draws one variate.
 func (d LogNormal) Sample(r *rng.Rand) float64 {
 	return math.Exp(d.Mu + d.Sigma*r.NormFloat64())
 }
@@ -90,64 +85,20 @@ func (d LogNormal) CDF(x float64) float64 {
 	return NormCDF((math.Log(x) - d.Mu) / d.Sigma)
 }
 
-// CDF exposes the cumulative distribution; distributions implementing both
-// Sampler and CDF/Quantile support exact one-draw truncated sampling.
+// Inversible is a distribution with a CDF and its inverse, which
+// PrepareInverse truncates for exact one-draw sampling.
 type Inversible interface {
 	CDF(x float64) float64
 	Quantile(p float64) float64
 }
 
-// Truncated restricts a base distribution to [Lo, Hi]. When the base is
-// Inversible (the log-normal is), sampling maps ONE uniform draw through the
-// truncated inverse CDF — exact, and it consumes a fixed number of stream
-// values, which keeps downstream derivations stable. Other bases fall back
-// to rejection with a deterministic clamp after maxRejections attempts.
-type Truncated struct {
-	Base   Sampler
-	Lo, Hi float64
-}
-
-const maxRejections = 1000
-
-// Sample implements Sampler. Over an Inversible base it evaluates the base
-// CDF at both bounds on every call; a caller drawing many variates should
-// sample from Prepare's sampler, which draws the same values.
-func (t Truncated) Sample(r *rng.Rand) float64 {
-	if inv, ok := t.Base.(Inversible); ok {
-		return PrepareInverse(inv, t.Lo, t.Hi).Sample(r)
-	}
-	var v float64
-	for i := 0; i < maxRejections; i++ {
-		v = t.Base.Sample(r)
-		if v >= t.Lo && v <= t.Hi {
-			return v
-		}
-	}
-	if v < t.Lo {
-		return t.Lo
-	}
-	if v > t.Hi {
-		return t.Hi
-	}
-	return v
-}
-
-// Prepare returns a sampler that draws exactly what Sample draws, stream
-// value for stream value. Over an Inversible base it computes the base CDF
-// at Lo and Hi once instead of once per draw; any other base samples by
-// rejection as before.
-func (t Truncated) Prepare() Sampler {
-	if inv, ok := t.Base.(Inversible); ok {
-		return PrepareInverse(inv, t.Lo, t.Hi)
-	}
-	return t
-}
-
-// TruncatedInverse is truncated inverse-CDF sampling with the base CDF's
-// values at the bounds precomputed: Truncated.Sample's only path over an
-// Inversible base. Sample(r) is At(r.Float64()), except that an empty
-// probability interval draws nothing, so a caller may draw its uniforms in
-// stream order and map them with At on any goroutine.
+// TruncatedInverse restricts an Inversible base to [lo, hi] by mapping ONE
+// uniform draw through the truncated inverse CDF — exact, and it consumes a
+// fixed number of stream values, which keeps downstream derivations
+// stable. The base CDF's values at the bounds are computed once. Sample(r)
+// is At(r.Float64()), except that an empty probability interval draws
+// nothing, so a caller may draw its uniforms in stream order and map them
+// with At on any goroutine.
 type TruncatedInverse struct {
 	inv      Inversible
 	lo, hi   float64
@@ -164,7 +115,7 @@ func PrepareInverse(inv Inversible, lo, hi float64) TruncatedInverse {
 // variate is then lo, and Sample consumes no stream value.
 func (s TruncatedInverse) Empty() bool { return s.pHi <= s.pLo }
 
-// Sample implements Sampler. An empty probability interval returns lo
+// Sample draws one variate. An empty probability interval returns lo
 // without consuming a stream value.
 func (s TruncatedInverse) Sample(r *rng.Rand) float64 {
 	if s.Empty() {

@@ -53,19 +53,20 @@ func TestNewLogNormalFromMedian(t *testing.T) {
 
 func TestTruncatedSampleStaysInBounds(t *testing.T) {
 	ln, _ := NewLogNormalFromMedian(100, 2)
-	tr := Truncated{Base: ln, Lo: 2, Hi: 5000}
+	const lo, hi = 2, 5000
+	tr := PrepareInverse(ln, lo, hi)
 	r := rng.New(1)
 	for i := 0; i < 10000; i++ {
 		v := tr.Sample(r)
-		if v < tr.Lo || v > tr.Hi {
-			t.Fatalf("sample %v outside [%v, %v]", v, tr.Lo, tr.Hi)
+		if v < lo || v > hi {
+			t.Fatalf("sample %v outside [%v, %v]", v, lo, hi)
 		}
 	}
 }
 
 // perDrawTruncated is truncated inverse-CDF sampling as it was written
 // before the bound CDFs were hoisted: both evaluated on every draw. It is
-// the reference Prepare's sampler must match bit for bit.
+// the reference PrepareInverse's sampler must match bit for bit.
 func perDrawTruncated(inv Inversible, lo, hi float64, r *rng.Rand) float64 {
 	pLo, pHi := inv.CDF(lo), inv.CDF(hi)
 	if pHi <= pLo {
@@ -86,17 +87,15 @@ func perDrawTruncated(inv Inversible, lo, hi float64, r *rng.Rand) float64 {
 // round-trip clamps.
 type skewedUniform struct{ Shift float64 }
 
-func (u skewedUniform) Sample(r *rng.Rand) float64 { return 10 * r.Float64() }
 func (u skewedUniform) CDF(x float64) float64      { return math.Min(math.Max(x/10, 0), 1) }
 func (u skewedUniform) Quantile(p float64) float64 { return 10*p + u.Shift }
 
 // TestPreparedTruncatedDrawsLikeSample pins that the prepared sampler
-// returns exactly what Truncated.Sample returns, and what per-draw CDF
-// evaluation returned, and leaves the stream in the same state, for every
-// branch: the catalog's log-normal, an empty probability interval (no
-// stream value consumed), and the low and high clamps. So does the split
-// the catalog uses: a uniform drawn per variate (none when Empty) and
-// mapped with At.
+// returns exactly what per-draw CDF evaluation returned, and leaves the
+// stream in the same state, for every branch: the catalog's log-normal, an
+// empty probability interval (no stream value consumed), and the low and
+// high clamps. So does the split the catalog uses: a uniform drawn per
+// variate (none when Empty) and mapped with At.
 func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 	catalog, err := FitLogNormalQuantiles(113_193, 0.25, 1_719_925, 0.75)
 	if err != nil {
@@ -117,16 +116,13 @@ func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := Truncated{Base: c.inv.(Sampler), Lo: c.lo, Hi: c.hi}
-			prepared := tr.Prepare()
 			inv := PrepareInverse(c.inv, c.lo, c.hi)
-			a, b, ref, split := rng.New(7), rng.New(7), rng.New(7), rng.New(7)
+			a, ref, split := rng.New(7), rng.New(7), rng.New(7)
 			clamped := 0
 			for i := 0; i < 2000; i++ {
-				got, want := prepared.Sample(a), tr.Sample(b)
-				old := perDrawTruncated(c.inv, c.lo, c.hi, ref)
-				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(old) {
-					t.Fatalf("draw %d: prepared %v, Sample %v, per-draw CDFs %v", i, got, want, old)
+				got, old := inv.Sample(a), perDrawTruncated(c.inv, c.lo, c.hi, ref)
+				if math.Float64bits(got) != math.Float64bits(old) {
+					t.Fatalf("draw %d: Sample %v, per-draw CDFs %v", i, got, old)
 				}
 				u := 0.0
 				if !inv.Empty() {
@@ -139,7 +135,7 @@ func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 					clamped++
 				}
 			}
-			if x, y, z, w := a.Uint64(), b.Uint64(), ref.Uint64(), split.Uint64(); x != y || x != z || x != w {
+			if x, z, w := a.Uint64(), ref.Uint64(), split.Uint64(); x != z || x != w {
 				t.Fatal("samplers consumed different numbers of stream values")
 			}
 			if c.clamp != 0 && clamped == 0 {
@@ -148,24 +144,6 @@ func TestPreparedTruncatedDrawsLikeSample(t *testing.T) {
 		})
 	}
 }
-
-// TestPrepareKeepsRejectionSampling pins that a base without an inverse
-// CDF is still sampled by rejection, drawing what Sample draws.
-func TestPrepareKeepsRejectionSampling(t *testing.T) {
-	tr := Truncated{Base: rejectOnly{}, Lo: 0.2, Hi: 0.6}
-	prepared := tr.Prepare()
-	a, b := rng.New(3), rng.New(3)
-	for i := 0; i < 1000; i++ {
-		if got, want := prepared.Sample(a), tr.Sample(b); got != want {
-			t.Fatalf("draw %d: prepared %v, Sample %v", i, got, want)
-		}
-	}
-}
-
-// rejectOnly is Uniform(0, 1) without an inverse CDF.
-type rejectOnly struct{}
-
-func (rejectOnly) Sample(r *rng.Rand) float64 { return r.Float64() }
 
 func TestPoissonMoments(t *testing.T) {
 	// Both regimes: exact inversion (λ=4) and normal approximation (λ=400).

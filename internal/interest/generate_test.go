@@ -19,7 +19,7 @@ func sequentialGenerate(t *testing.T, cfg Config, r *rng.Rand) []float64 {
 		t.Fatal(err)
 	}
 	pop := float64(cfg.Population)
-	sizes := dist.Truncated{Base: ln, Lo: 2, Hi: cfg.MaxShare * pop}.Prepare()
+	sizes := dist.PrepareInverse(ln, 2, cfg.MaxShare*pop)
 	shares := make([]float64, cfg.Size)
 	for i := range shares {
 		shares[i] = sizes.Sample(r) / pop

@@ -260,7 +260,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 // FetchServingHealth scrapes GET /<version>/serving/health from a running
 // fbadsd and returns the proxy's replica-level health and hedging tallies
-// (Hedged, HedgeWins, Failovers, RetryBudgetExhausted). Servers whose
+// (Hedged, HedgeWins, Failovers). Servers whose
 // backend is not a replica proxy answer 404; that is reported as (nil, nil)
 // so callers can skip the tallies rather than fail the run.
 func FetchServingHealth(ctx context.Context, client *http.Client, baseURL, accessToken string) (*serving.HealthStats, error) {

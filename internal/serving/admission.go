@@ -135,9 +135,9 @@ func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			cost = a.cfg.Burst
 		}
 	}
-	retryAfter, ok := a.admit(key, cost)
+	wait, ok := a.admit(key, cost)
 	if !ok {
-		seconds := math.Ceil(retryAfter.Seconds())
+		seconds := math.Ceil(wait.Seconds())
 		if seconds < 1 {
 			seconds = 1
 		}
@@ -163,7 +163,7 @@ func (a *Admission) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // admit charges cost tokens from key's bucket (cost is pre-clamped to
 // [1, Burst] by the caller). When the bucket cannot cover the cost it
 // reports how long until enough tokens accrue.
-func (a *Admission) admit(key string, cost float64) (retryAfter time.Duration, ok bool) {
+func (a *Admission) admit(key string, cost float64) (wait time.Duration, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	now := a.cfg.Now()
@@ -180,8 +180,8 @@ func (a *Admission) admit(key string, cost float64) (retryAfter time.Duration, o
 	b.last = now
 	if b.tokens < cost {
 		a.stats.Rejected++
-		wait := (cost - b.tokens) / a.cfg.Rate
-		return time.Duration(wait * float64(time.Second)), false
+		secs := (cost - b.tokens) / a.cfg.Rate
+		return time.Duration(secs * float64(time.Second)), false
 	}
 	b.tokens -= cost
 	a.stats.Admitted++

@@ -39,8 +39,8 @@ import (
 // Every query method takes the caller's context — the adsapi handler passes
 // its request context so cancellation and deadlines propagate through the
 // whole serving stack. Local (CPU-bound) backends accept and ignore it;
-// network backends (ProxyBackend) thread it into every replica RPC, retry
-// sleep and backoff. Failure is a returned error, never a fabricated share:
+// network backends (ProxyBackend) thread it into every replica RPC and the
+// hedge delay. Failure is a returned error, never a fabricated share:
 // *CanceledError when the caller's context ends mid-query, *UnavailableError
 // when no replica answers. Values are
 // unaffected by the context: for any ctx that stays live, results are

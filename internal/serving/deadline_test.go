@@ -273,8 +273,8 @@ func TestShardServerAbandonsDeadCaller(t *testing.T) {
 
 // TestProxyTreats504AsPermanent: a shard's 504 means the forwarded deadline
 // expired — retrying burns budget the caller no longer has, so the proxy
-// must fail the RPC immediately (zero backoff sleeps), and the replica is
-// marked down.
+// must fail the RPC immediately (zero sleeps), and the replica is marked
+// down.
 func TestProxyTreats504AsPermanent(t *testing.T) {
 	cfg := smallConfig(1)
 	srv504 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +284,6 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 
 	var slept []time.Duration
 	proxy := newTestProxy(t, cfg, []string{srv504.URL}, ProxyConfig{
-		MaxRetries: 3,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -293,7 +292,7 @@ func TestProxyTreats504AsPermanent(t *testing.T) {
 	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, [][]interest.ID{{1}})
 	wantErr[*UnavailableError](t, err)
 	if len(slept) != 0 {
-		t.Fatalf("the proxy retried a 504 (%d backoff sleeps) — it must be permanent", len(slept))
+		t.Fatalf("the proxy retried a 504 (%d sleeps) — it must be permanent", len(slept))
 	}
 	// The spurious 504 (the caller's ctx was live) counted as a data-path
 	// failure: the replica is down.

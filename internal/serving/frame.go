@@ -14,7 +14,9 @@ import (
 )
 
 // reachProtocol is the framed reach RPC's Upgrade token ("Connections").
-const reachProtocol = "nanotarget-reach-frames/1"
+// A shard answers a token it does not speak over plain HTTP, so a proxy and
+// a shard of different frame versions still interoperate.
+const reachProtocol = "nanotarget-reach-frames/2"
 
 // shardIdleConnTimeout is how long the proxy keeps an idle connection.
 const shardIdleConnTimeout = 90 * time.Second
@@ -64,43 +66,33 @@ func readRequestFrame(r *bufio.Reader, buf []byte) (deadline time.Time, body []b
 }
 
 // appendAnswerFrame appends an answer frame: the HTTP status in two bytes
-// big-endian, Retry-After in seconds and the payload's length as uvarints,
-// then the payload.
-func appendAnswerFrame(b []byte, status int, retryAfterSecs uint64, payload []byte) []byte {
+// big-endian, the payload's length as a uvarint, then the payload.
+func appendAnswerFrame(b []byte, status int, payload []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(status))
-	b = binary.AppendUvarint(b, retryAfterSecs)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	return append(b, payload...)
 }
 
 // readAnswerFrame reads an answer frame. A status outside [200, 599], a
-// payload above maxAnswerBody and a truncated frame are errors; a
-// Retry-After too large for a time.Duration reads as 0, as in
-// ParseRetryAfter.
-func readAnswerFrame(r *bufio.Reader) (data []byte, status int, retryAfter time.Duration, err error) {
+// payload above maxAnswerBody and a truncated frame are errors.
+func readAnswerFrame(r *bufio.Reader) (data []byte, status int, err error) {
 	var st [2]byte
 	if _, err = io.ReadFull(r, st[:]); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	status = int(binary.BigEndian.Uint16(st[:]))
-	secs, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, 0, 0, err
-	}
 	n, err := binary.ReadUvarint(r)
 	switch {
 	case err != nil:
-		return nil, 0, 0, err
+		return nil, 0, err
 	case status < 200 || status > 599 || n > maxAnswerBody:
-		return nil, 0, 0, errBadFrame
-	case secs <= math.MaxInt64/uint64(time.Second):
-		retryAfter = time.Duration(secs) * time.Second
+		return nil, 0, errBadFrame
 	}
 	data = make([]byte, n)
 	if _, err = io.ReadFull(r, data); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return data, status, retryAfter, nil
+	return data, status, nil
 }
 
 // upgrade switches a reach RPC's connection to frames, the RPC's answer
@@ -112,7 +104,7 @@ func (s *ShardServer) upgrade(w http.ResponseWriter, r *http.Request, status int
 		return false
 	}
 	rw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + reachProtocol + "\r\n\r\n")
-	rw.Write(appendAnswerFrame(nil, status, 0, payload))
+	rw.Write(appendAnswerFrame(nil, status, payload))
 	var idle time.Duration // between frames, as between HTTP requests
 	if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
 		idle = srv.IdleTimeout
@@ -140,7 +132,7 @@ func (s *ShardServer) serveFrames(ctx context.Context, conn net.Conn, rw *bufio.
 		fctx, cancel := context.WithDeadline(ctx, deadline)
 		status, payload := s.shareAnswer(fctx, body)
 		cancel()
-		out = appendAnswerFrame(out[:0], status, 0, payload)
+		out = appendAnswerFrame(out[:0], status, payload)
 		rw.Write(out)
 	}
 }
@@ -157,7 +149,7 @@ type frameConn struct {
 // answer while ctx lasts: ctx ending closes c and fails the RPC with ctx's
 // error. After an answer c goes back to pool; after any error it is closed.
 // A failure before any answer byte to a sent frame wraps errStaleConn.
-func (c *frameConn) exchange(ctx context.Context, pool framePool, frame []byte) (data []byte, status int, retryAfter time.Duration, err error) {
+func (c *frameConn) exchange(ctx context.Context, pool framePool, frame []byte) (data []byte, status int, err error) {
 	stop := context.AfterFunc(ctx, func() { c.rwc.Close() })
 	if frame != nil {
 		if _, err = c.rwc.Write(frame); err == nil {
@@ -168,17 +160,17 @@ func (c *frameConn) exchange(ctx context.Context, pool framePool, frame []byte) 
 		}
 	}
 	if err == nil {
-		data, status, retryAfter, err = readAnswerFrame(c.br)
+		data, status, err = readAnswerFrame(c.br)
 	}
 	if !stop() {
 		err = fmt.Errorf("serving: reach frame: %w", ctx.Err())
 	}
 	if err != nil {
 		c.rwc.Close()
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	pool.put(c)
-	return data, status, retryAfter, nil
+	return data, status, nil
 }
 
 // framePool is one replica's idle upgraded connections, oldest first, with

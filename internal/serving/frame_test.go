@@ -86,11 +86,55 @@ func TestReachRPCUpgradesToFrames(t *testing.T) {
 	}
 }
 
+// TestShardAnswersOtherFrameVersionOverHTTP: a reach RPC offering version
+// 1 of the frame protocol, as a proxy from before version 2 does, gets its
+// answer as a plain HTTP 200 with the share body — no 101 — and the
+// connection stays with net/http, which serves the next request on it. A
+// rollout that mixes versions therefore keeps answering, over HTTP.
+func TestShardAnswersOtherFrameVersionOverHTTP(t *testing.T) {
+	cfg := smallConfig(1)
+	srv, b0 := replicaHandler(t, cfg)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	clauses := [][]interest.ID{{1, 2}, {3}}
+	body := shardShareRequest{Clauses: clauses}.encode()
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: shard\r\nContent-Length: %d\r\nConnection: Upgrade\r\nUpgrade: nanotarget-reach-frames/1\r\n\r\n%s",
+		shardPathReach, len(body), body)
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Upgrade") != "" {
+		t.Fatalf("a version-1 upgrade offer answered HTTP %d, Upgrade %q, %v; want a plain 200", resp.StatusCode, resp.Header.Get("Upgrade"), err)
+	}
+	var demo, union float64
+	if err := decodeShares(data, &demo, &union); err != nil {
+		t.Fatal(err)
+	}
+	if wantD, wantU, _ := b0.ReachShares(context.Background(), population.DemoFilter{}, clauses); demo != wantD || union != wantU {
+		t.Fatalf("shares over HTTP = (%v, %v), LocalBackend (%v, %v)", demo, union, wantD, wantU)
+	}
+	// Not hijacked: the same connection carries a second HTTP request.
+	fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: shard\r\n\r\n", shardPathHealth)
+	if resp, err = http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("the next request on the connection: %v, %v", resp, err)
+	}
+	resp.Body.Close()
+}
+
 // TestShardIdleTimeoutRetiresFrameConn: a shard whose IdleTimeout is a few
 // milliseconds closes a pooled upgraded connection while it idles. The next
 // estimate finds the connection stale before any answer byte and re-sends
-// on a fresh one (the shard accepts a second connection), with no retry
-// backoff, no failover, the replica up, and the answer exact.
+// on a fresh one (the shard accepts a second connection), with no sleep, no
+// failover, the replica up, and the answer exact.
 func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	cfg := smallConfig(1)
 	srv, b0 := replicaHandler(t, cfg)
@@ -102,7 +146,6 @@ func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	t.Cleanup(ts.Close)
 	var sleeps atomic.Int64
 	proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{
-		MaxRetries: 1,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			sleeps.Add(1)
 			return nil
@@ -132,7 +175,7 @@ func TestShardIdleTimeoutRetiresFrameConn(t *testing.T) {
 	}
 	st := proxy.HealthStats()
 	if n := sleeps.Load(); n != 0 || st.Failovers != 0 || st.Down != 0 {
-		t.Fatalf("a stale pooled connection cost %d retry sleeps: %+v", n, st)
+		t.Fatalf("a stale pooled connection cost %d sleeps: %+v", n, st)
 	}
 }
 
@@ -197,7 +240,7 @@ func frameShard(t *testing.T, answer func(k int, body []byte) (int, []byte)) (ur
 				io.Copy(io.Discard, rw) // until the proxy closes
 				return
 			}
-			rw.Write(appendAnswerFrame(nil, status, 0, payload))
+			rw.Write(appendAnswerFrame(nil, status, payload))
 			if rw.Flush() != nil {
 				return
 			}
@@ -233,14 +276,14 @@ func TestFramed504IsPermanent(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
 		t.Fatalf("upgrade answered %v, %v", resp, err)
 	}
-	if _, status, _, err := readAnswerFrame(br); err != nil || status != http.StatusOK {
+	if _, status, err := readAnswerFrame(br); err != nil || status != http.StatusOK {
 		t.Fatalf("upgrading RPC answered %d, %v", status, err)
 	}
 	frame := appendRequestFrame(nil, 1, body)
 	conn.Write(frame[:1])
 	time.Sleep(100 * time.Millisecond)
 	conn.Write(frame[1:])
-	data, status, _, err := readAnswerFrame(br)
+	data, status, err := readAnswerFrame(br)
 	if err != nil || status != http.StatusGatewayTimeout || !strings.Contains(string(data), "deadline exhausted before compute") {
 		t.Fatalf("a frame past its budget answered %d %q, %v; want a 504", status, data, err)
 	}
@@ -254,7 +297,6 @@ func TestFramed504IsPermanent(t *testing.T) {
 	})
 	var slept atomic.Int64
 	proxy := newTestProxy(t, cfg, []string{url}, ProxyConfig{
-		MaxRetries: 3,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept.Add(1)
 			return nil
@@ -267,7 +309,7 @@ func TestFramed504IsPermanent(t *testing.T) {
 	wantErr[*UnavailableError](t, err)
 	st := proxy.HealthStats()
 	if slept.Load() != 0 || st.Shards[0].RPCs != 2 {
-		t.Fatalf("the proxy retried a framed 504 (%d backoff sleeps, %d RPCs for 2 estimates)", slept.Load(), st.Shards[0].RPCs)
+		t.Fatalf("the proxy retried a framed 504 (%d sleeps, %d RPCs for 2 estimates)", slept.Load(), st.Shards[0].RPCs)
 	}
 	if st.Shards[0].Up || !strings.Contains(st.Shards[0].LastError, "HTTP 504") {
 		t.Fatalf("a framed 504 should mark the replica down: %+v", st.Shards[0])
@@ -343,7 +385,7 @@ func TestProxyKillMidFloodOverFrames(t *testing.T) {
 	sa, _ := replicaHandler(t, cfg)
 	sb, _ := replicaHandler(t, cfg)
 	a, b := startRestartableShard(t, sa), startRestartableShard(t, sb)
-	proxy := newTestProxy(t, cfg, []string{a.URL(), b.URL()}, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep})
+	proxy := newTestProxy(t, cfg, []string{a.URL(), b.URL()}, ProxyConfig{Sleep: immediateSleep})
 	const callers, perCaller, killAt = 4, 60, 80
 	var done atomic.Int64
 	var kill sync.Once

@@ -71,9 +71,6 @@ type HealthStats struct {
 	HedgeWins int64 `json:"hedge_wins,omitempty"`
 	// Failovers counts sequential replica failovers (hedging disarmed).
 	Failovers int64 `json:"failovers,omitempty"`
-	// RetryBudgetExhausted counts RPCs abandoned because their query's
-	// shared retry budget ran dry (each counts as that replica's failure).
-	RetryBudgetExhausted int64 `json:"retry_budget_exhausted,omitempty"`
 	// Shards holds one row per replica, in ProxyConfig.URLs order.
 	Shards []ShardHealth `json:"shards"`
 }
@@ -182,7 +179,6 @@ func (p *ProxyBackend) HealthStats() HealthStats {
 	st.Hedged = p.hedged.Load()
 	st.HedgeWins = p.hedgeWins.Load()
 	st.Failovers = p.failovers.Load()
-	st.RetryBudgetExhausted = p.budgetExhausted.Load()
 	return st
 }
 
@@ -268,7 +264,7 @@ func (p *ProxyBackend) probeReplica(ctx context.Context, replica int) error {
 	case info.World != p.world:
 		return fmt.Errorf("health probe: world digest %q, proxy world has %q", info.World, p.world)
 	}
-	data, status, _, err := p.attempt(ctx, replica, http.MethodPost, shardPathReach, probeBody)
+	data, status, err := p.attempt(ctx, replica, http.MethodPost, shardPathReach, probeBody)
 	switch {
 	case err != nil:
 		return fmt.Errorf("health probe: reach check: %w", err)

@@ -166,7 +166,7 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 		urls[i] = replicas[i].URL()
 	}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	proxy := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{Sleep: immediateSleep, Now: clock.Now})
 
 	f := population.DemoFilter{Countries: []string{"ES"}, AgeMin: 25, AgeMax: 40}
 	clauses := [][]interest.ID{{4, 5}, {6}}
@@ -193,12 +193,12 @@ func TestProxyFailsOverAcrossShards(t *testing.T) {
 
 	replicas[1].Kill()
 	clock.Advance(time.Second)
-	// Estimate k's turn is replica k mod 3. Replica 1 refuses both attempts
-	// of estimate 1, which moves on to replica 2; estimate 4 skips the
-	// replica marked down without touching its wire.
+	// Estimate k's turn is replica k mod 3. Replica 1 refuses the one
+	// attempt of estimate 1, which moves on to replica 2; estimate 4 skips
+	// the replica marked down without touching its wire.
 	for k, want := range [][]int64{
 		{1, 0, 0},
-		{0, 2, 1},
+		{0, 1, 1},
 		{0, 0, 1},
 		{1, 0, 0},
 		{0, 0, 1},
@@ -249,8 +249,8 @@ func TestProxyFailoverRenormalizeVsFail(t *testing.T) {
 	wantD, wantU, _ := local.ReachShares(ctx, f, clauses) // a LocalBackend never fails
 
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	dataPath := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
-	probed := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep, Now: clock.Now})
+	dataPath := newTestProxy(t, cfg, urls, ProxyConfig{Sleep: immediateSleep, Now: clock.Now})
+	probed := newTestProxy(t, cfg, urls, ProxyConfig{Sleep: immediateSleep, Now: clock.Now})
 	proxies := []*ProxyBackend{dataPath, probed}
 	exact := func(what string, p *ProxyBackend) []int64 {
 		t.Helper()
@@ -341,7 +341,7 @@ func TestProxyAllShardsDown(t *testing.T) {
 	srvB, _ := replicaHandler(t, cfg)
 	a, bb := startRestartableShard(t, srvA), startRestartableShard(t, srvB)
 	urls := []string{a.URL(), bb.URL()}
-	proxy := newTestProxy(t, cfg, urls, ProxyConfig{MaxRetries: 1, Sleep: immediateSleep})
+	proxy := newTestProxy(t, cfg, urls, ProxyConfig{Sleep: immediateSleep})
 	f := population.DemoFilter{Countries: []string{"ES"}}
 	clauses := [][]interest.ID{{1, 2}, {3}}
 	wantD, wantU, _ := b.ReachShares(ctx, f, clauses) // a LocalBackend never fails
@@ -440,7 +440,7 @@ func TestProbeKeepsFlappingReplicaDown(t *testing.T) {
 	healthy := httptest.NewServer(srv)
 	t.Cleanup(healthy.Close)
 	proxy := newTestProxy(t, cfg, []string{flapping.URL, healthy.URL}, ProxyConfig{
-		Timeout: 50 * time.Millisecond, MaxRetries: 1, Sleep: immediateSleep,
+		Timeout: 50 * time.Millisecond, Sleep: immediateSleep,
 	})
 
 	f := population.DemoFilter{Countries: []string{"US"}, AgeMin: 21}
@@ -456,8 +456,8 @@ func TestProbeKeepsFlappingReplicaDown(t *testing.T) {
 		return rpcDelta(proxy, before)
 	}
 
-	if got := estimate("estimate 0"); got[0] != 2 {
-		t.Fatalf("estimate 0 sent the flapping replica %d RPCs, want both attempts", got[0])
+	if got := estimate("estimate 0"); got[0] != 1 {
+		t.Fatalf("estimate 0 sent the flapping replica %d RPCs, want its one attempt", got[0])
 	}
 	if st := proxy.HealthStats(); st.Shards[0].Up {
 		t.Fatalf("the timed-out replica is still up: %+v", st.Shards[0])
@@ -504,7 +504,6 @@ func TestStartHealthRecoversShard(t *testing.T) {
 	shard := startRestartableShard(t, s0)
 	proxy := newTestProxy(t, cfg, []string{shard.URL()}, ProxyConfig{
 		ProbeInterval: 2 * time.Millisecond,
-		MaxRetries:    0,
 		Sleep:         func(ctx context.Context, d time.Duration) error { return nil },
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,8 +3,9 @@
 // primitives over a small HTTP RPC with binary share bodies; a ProxyBackend
 // implements ReachBackend over a flat list of such replica processes by
 // sending each estimate to one replica in rotation, with per-RPC timeouts,
-// bounded jittered retry, hedged requests and health-checked failover
-// (health.go).
+// hedged requests and health-checked failover (health.go). Each replica gets
+// one attempt per estimate: the next live replica, the same world bit for
+// bit, is the only retry.
 //
 // # Replication and hedging
 //
@@ -21,13 +22,12 @@
 //
 // # Deadline propagation
 //
-// Every proxy query threads the caller's context end to end: retry backoff
-// sleeps select on it, each RPC attempt runs under min(caller deadline,
-// per-RPC timeout), and the remaining budget crosses the wire — in an
-// X-Deadline-Ms header, or in a reach frame's header — so a ShardServer
-// abandons work whose caller has already given up (responding 504, which
-// the proxy treats as permanent). An attempt whose context ends closes its
-// framed connection.
+// Every proxy query threads the caller's context end to end: the hedge delay
+// selects on it, each RPC runs under min(caller deadline, per-RPC timeout),
+// and the remaining budget crosses the wire — in an X-Deadline-Ms header, or
+// in a reach frame's header — so a ShardServer abandons work whose caller
+// has already given up (responding 504, which counts as that replica's
+// failure). An RPC whose context ends closes its framed connection.
 //
 // # Exactness
 //
@@ -66,8 +66,8 @@
 // proxy pools the connection, so later estimates are length-prefixed
 // frames that skip net/http at both ends. A request frame is the budget in
 // ms, the share body's length and the body; an answer frame is a 2-byte
-// status, Retry-After in seconds, the payload's length and the payload
-// (share bits on 200, the JSON error body otherwise) — numbers as uvarints.
+// status, the payload's length and the payload (share bits on 200, the JSON
+// error body otherwise) — numbers as uvarints.
 // A malformed frame closes the connection. A shard that cannot hijack (a
 // ResponseWriter wrapper without Hijack, an older build) answers over HTTP.
 package serving
@@ -94,7 +94,6 @@ import (
 	"nanotarget/internal/interest"
 	"nanotarget/internal/parallel"
 	"nanotarget/internal/population"
-	"nanotarget/internal/rng"
 	"nanotarget/internal/worldcfg"
 )
 
@@ -374,8 +373,8 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // deadlineMessage is the 504 body's message for an RPC whose context is
 // already dead when its handler reaches the compute step: the caller
 // stopped waiting (forwarded deadline expired or connection dropped), so
-// computing is pure waste. The proxy treats the 504 as a permanent RPC
-// failure (no retry).
+// computing is pure waste. The proxy counts the 504 as the replica's
+// failure.
 func deadlineMessage(err error) string { return "deadline exhausted before compute: " + err.Error() }
 
 // Backend exposes the shard's LocalBackend (test and wiring use).
@@ -505,34 +504,14 @@ type ProxyConfig struct {
 	// world (ProbeNow verifies each one against the proxy's config and marks
 	// a mismatch down); estimates rotate over them in this order.
 	URLs []string
-	// Timeout bounds each replica RPC attempt (default 10s).
+	// Timeout bounds each replica RPC (default 10s).
 	Timeout time.Duration
-	// MaxRetries bounds per-RPC retries after the first attempt, on network
-	// errors, 5xx and 429 (default 2).
-	MaxRetries int
-	// RetryBase is the initial retry backoff, doubled per retry and
-	// stretched by Jitter (default 50ms).
-	RetryBase time.Duration
-	// RetryBudget caps the TOTAL retries one query may spend across every
-	// replica it tries, so a brownout cannot amplify incoming load by
-	// replicas × MaxRetries. Exhaustion fails the RPC that wanted the retry
-	// (tallied as HealthStats.RetryBudgetExhausted) and counts as that
-	// replica's failure. 0 defaults to 2 × MaxRetries; negative disables the
-	// cap.
-	RetryBudget int
 	// HedgeAfter arms hedged requests: an RPC still unanswered after this
 	// delay is duplicated to the next live replica, first success wins,
 	// losers are canceled. Zero (the default) disables hedging; replicas
 	// then give sequential failover only. The hedge timer sleeps through
 	// Sleep, so tests drive it deterministically.
 	HedgeAfter time.Duration
-	// Jitter supplies the backoff jitter fraction in [0, 1) for a given
-	// (replica, attempt); the retry wait is stretched to
-	// wait · (1 + jitter/2), i.e. [wait, 1.5·wait), so concurrent queries
-	// retrying against the same recovering replica decorrelate instead of
-	// arriving in synchronized bursts. Nil uses a deterministic source
-	// derived from the world seed; tests inject a constant.
-	Jitter func(replica, attempt int) float64
 	// ProbeInterval is StartHealth's probe period (default 1s).
 	ProbeInterval time.Duration
 	// Client overrides the HTTP client — tests inject flaky transports
@@ -543,17 +522,16 @@ type ProxyConfig struct {
 	Client *http.Client
 	// Now supplies time for health bookkeeping; defaults to time.Now.
 	Now func() time.Time
-	// Sleep is the retry-backoff and hedge-delay sleep, swappable for
-	// tests; defaults to a context-aware sleep.
+	// Sleep is the hedge-delay sleep, swappable for tests; defaults to a
+	// context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // ProxyBackend implements ReachBackend over replica PROCESSES, each serving
 // the whole world. Every reach estimate is ONE reachshares RPC to the
-// replica whose turn it is (per-RPC timeout, bounded jittered retry under a
-// per-query budget), and the answer is that replica's, unchanged —
-// byte-identical to LocalBackend (see the package comment's exactness
-// argument).
+// replica whose turn it is (per-RPC timeout, no same-replica retry), and the
+// answer is that replica's, unchanged — byte-identical to LocalBackend (see
+// the package comment's exactness argument).
 //
 // Each replica carries one up/down state (health.go). Replicas marked down
 // are skipped, RPC failures mark replicas down, only a probe that passes
@@ -569,11 +547,7 @@ type ProxyBackend struct {
 	turn    rotation
 
 	timeout       time.Duration
-	maxRetries    int
-	retryBase     time.Duration
-	retryBudget   int // per-query retry cap; <= 0 means uncapped
 	hedgeAfter    time.Duration
-	jitter        func(replica, attempt int) float64
 	probeInterval time.Duration
 	client        *http.Client
 	sleep         func(ctx context.Context, d time.Duration) error
@@ -582,10 +556,9 @@ type ProxyBackend struct {
 	frames []framePool    // each replica's idle upgraded connections
 	rpcs   []atomic.Int64 // data-RPC attempts per replica
 
-	hedged          atomic.Int64
-	hedgeWins       atomic.Int64
-	failovers       atomic.Int64
-	budgetExhausted atomic.Int64
+	hedged    atomic.Int64
+	hedgeWins atomic.Int64
+	failovers atomic.Int64
 }
 
 // NewProxyBackend builds the proxy's local view of the world described by
@@ -601,23 +574,8 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 	if pc.Timeout <= 0 {
 		pc.Timeout = 10 * time.Second
 	}
-	if pc.MaxRetries < 0 {
-		return nil, fmt.Errorf("serving: negative MaxRetries %d", pc.MaxRetries)
-	}
-	if pc.MaxRetries == 0 {
-		pc.MaxRetries = 2
-	}
-	if pc.RetryBase <= 0 {
-		pc.RetryBase = 50 * time.Millisecond
-	}
-	if pc.RetryBudget == 0 {
-		pc.RetryBudget = 2 * pc.MaxRetries
-	}
 	if pc.HedgeAfter < 0 {
 		return nil, fmt.Errorf("serving: negative HedgeAfter %v", pc.HedgeAfter)
-	}
-	if pc.Jitter == nil {
-		pc.Jitter = defaultJitter(cfg.Population.Seed)
 	}
 	if pc.ProbeInterval <= 0 {
 		pc.ProbeInterval = time.Second
@@ -664,11 +622,7 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		world:         worldDigest(cfg),
 		urls:          urls,
 		timeout:       pc.Timeout,
-		maxRetries:    pc.MaxRetries,
-		retryBase:     pc.RetryBase,
-		retryBudget:   pc.RetryBudget,
 		hedgeAfter:    pc.HedgeAfter,
-		jitter:        pc.Jitter,
 		probeInterval: pc.ProbeInterval,
 		client:        pc.Client,
 		sleep:         pc.Sleep,
@@ -676,20 +630,6 @@ func NewProxyBackend(cfg worldcfg.Config, pc ProxyConfig) (*ProxyBackend, error)
 		frames:        frames,
 		rpcs:          make([]atomic.Int64, n),
 	}, nil
-}
-
-// defaultJitter derives a deterministic jitter stream from the world seed:
-// draw k for (replica, attempt) comes from the derived stream
-// "<replica>/<attempt>/<k>" of a jitter-dedicated parent. The parent Rand is
-// only ever READ (Derive hashes its state without advancing it), so
-// concurrent retries may draw without a lock.
-func defaultJitter(seed uint64) func(replica, attempt int) float64 {
-	parent := rng.New(seed).Derive("proxy-backoff-jitter")
-	var seq atomic.Uint64
-	return func(replica, attempt int) float64 {
-		k := seq.Add(1)
-		return parent.Derive(fmt.Sprintf("%d/%d/%d", replica, attempt, k)).Float64()
-	}
 }
 
 // Catalog implements ReachBackend: the proxy's locally generated catalog,
@@ -764,9 +704,8 @@ func (p *ProxyBackend) ConditionalAudience(ctx context.Context, f population.Dem
 func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
 	live := p.health.liveFrom(0)
 	stats := make([]audience.Stats, len(live))
-	bud := p.newQueryBudget()
 	_ = parallel.ForEach(ctx, len(live), len(live), func(k int) error {
-		if data, err := p.callReplica(ctx, live[k], http.MethodGet, shardPathStats, nil, bud); err == nil {
+		if data, err := p.callReplica(ctx, live[k], http.MethodGet, shardPathStats, nil); err == nil {
 			var st audience.Stats
 			if json.Unmarshal(data, &st) == nil {
 				stats[k] = st
@@ -786,7 +725,7 @@ func (p *ProxyBackend) AudienceStats(ctx context.Context) audience.Stats {
 // a failover or hedge lands on warm rows too.
 func (p *ProxyBackend) WarmRows(ctx context.Context) {
 	_ = parallel.ForEach(ctx, len(p.urls), len(p.urls), func(r int) error {
-		_, _ = p.callReplica(ctx, r, http.MethodPost, shardPathWarm, nil, nil)
+		_, _ = p.callReplica(ctx, r, http.MethodPost, shardPathWarm, nil)
 		return nil
 	})
 }
@@ -801,14 +740,14 @@ func (r *rotation) pick(n int) int { return int((r.next.Add(1) - 1) % uint64(n))
 
 // ask sends one share RPC body to the live replicas, in rotation order from
 // the one whose turn it is, and returns the first answer's body
-// (callReplicas: failover and hedging under one retry budget). Every
+// (callReplicas: failover and hedging, one attempt per replica). Every
 // replica answers exactly, so whichever answers gives the same bytes.
 // *UnavailableError names every replica when none answers. The caller's ctx
 // threads into every RPC; if it ends first, ask returns *CanceledError, and
 // the failures it caused are not held against the replicas.
 func (p *ProxyBackend) ask(ctx context.Context, path string, body []byte) ([]byte, error) {
 	if live := p.health.liveFrom(p.turn.pick(len(p.urls))); len(live) > 0 {
-		data, err := p.callReplicas(ctx, live, http.MethodPost, path, body, p.newQueryBudget())
+		data, err := p.callReplicas(ctx, live, http.MethodPost, path, body)
 		if err == nil {
 			return data, nil
 		}
@@ -817,27 +756,6 @@ func (p *ProxyBackend) ask(ctx context.Context, path string, body []byte) ([]byt
 		return nil, &CanceledError{Err: err}
 	}
 	return nil, &UnavailableError{Down: slices.Clone(p.urls)}
-}
-
-// queryBudget is one query's shared retry allowance across every replica it
-// tries; a nil budget is uncapped.
-type queryBudget struct{ remaining atomic.Int64 }
-
-func (p *ProxyBackend) newQueryBudget() *queryBudget {
-	if p.retryBudget <= 0 {
-		return nil
-	}
-	b := &queryBudget{}
-	b.remaining.Store(int64(p.retryBudget))
-	return b
-}
-
-// take consumes one retry from the budget.
-func (b *queryBudget) take() bool {
-	if b == nil {
-		return true
-	}
-	return b.remaining.Add(-1) >= 0
 }
 
 // callReplicas is the replica loop over candidates, replica indices in the
@@ -849,9 +767,9 @@ func (b *queryBudget) take() bool {
 // and cancels the rest, whose canceled calls mark no replica down. Replicas
 // being byte-identical worlds — every candidate passed the same identity
 // probe — is what makes failover exact and "first success wins" sound: the
-// bytes cannot depend on the winner. All attempts debit the same shared
-// retry budget, so hedging cannot multiply a brownout's retry load.
-func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
+// bytes cannot depend on the winner. Each candidate gets one attempt, so a
+// query sends at most one RPC per replica, brownout or not.
+func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, method, path string, body []byte) ([]byte, error) {
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -868,7 +786,7 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, metho
 		order, rep := launched, candidates[launched]
 		launched++
 		attempt := func() {
-			data, err := p.callReplica(raceCtx, rep, method, path, body, bud)
+			data, err := p.callReplica(raceCtx, rep, method, path, body)
 			results <- outcome{order: order, data: data, err: err}
 		}
 		// Only a race needs its own goroutine per attempt; failover
@@ -938,132 +856,45 @@ func (p *ProxyBackend) callReplicas(ctx context.Context, candidates []int, metho
 	return nil, fmt.Errorf("serving: %s: every live replica failed: %w", path, lastErr)
 }
 
-// callReplica performs one replica RPC, retries included (callRetrying). A
-// genuine failure marks the replica down, and only a probe brings it back.
-// A failure that is ctx's own error (the caller gone, or this attempt lost a
-// hedge race) says nothing about the replica and marks nothing; one that
-// ended before ctx did still counts.
-func (p *ProxyBackend) callReplica(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	data, err := p.callRetrying(ctx, replica, method, path, body, bud)
-	if err != nil && (ctx.Err() == nil || !errors.Is(err, ctx.Err())) {
+// callReplica performs one replica RPC, counted in the replica's data-RPC
+// tally, and maps its answer: the body on 200, an error otherwise. A 504
+// means the replica honored the forwarded deadline and gave up. A genuine
+// failure marks the replica down, and only a probe brings it back. A failure
+// that is ctx's own error (the caller gone, or this RPC lost a hedge race)
+// says nothing about the replica and marks nothing; one that ended before
+// ctx did — a refusal a race loser saw first — still counts.
+func (p *ProxyBackend) callReplica(ctx context.Context, replica int, method, path string, body []byte) ([]byte, error) {
+	p.rpcs[replica].Add(1)
+	data, status, err := p.attempt(ctx, replica, method, path, body)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("serving: replica %d %s: %w", replica, path, err)
+	case status == http.StatusOK:
+		return data, nil
+	case status == http.StatusGatewayTimeout:
+		err = fmt.Errorf("serving: replica %d %s: HTTP %d: deadline exhausted: %s", replica, path, status, truncate(data))
+	default:
+		msg := truncate(data)
+		var eb shardErrorBody
+		if json.Unmarshal(data, &eb) == nil && eb.Error.Message != "" {
+			msg = eb.Error.Message
+		}
+		err = fmt.Errorf("serving: replica %d %s: HTTP %d: %s", replica, path, status, msg)
+	}
+	if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
 		p.health.markDown(replica, err)
 	}
-	return data, err
-}
-
-// callRetrying is callReplica's retry loop, counting each attempt in the
-// replica's data-RPC tally. Network errors, 5xx and 429 retry up to
-// MaxRetries, each retry also debiting the query's shared budget; the
-// backoff doubles per attempt and is stretched into [wait, 1.5·wait) by the
-// jitter source — UNLESS the shard advertised a Retry-After (the
-// concurrency gate's load-shed 503 and the admission tier's 429 both do),
-// which is honored verbatim. Either wait is capped by the remaining ctx
-// budget: sleeping past the caller's deadline is pure waste. 504 is
-// permanent — the replica abandoned the request because the forwarded
-// deadline expired — as are other 4xx.
-//
-// When ctx ends mid-loop (a lost hedge race, or the caller leaving), the
-// call returns the context's error and callReplica marks nothing. But if
-// the last attempt could not reach the replica at all (refused, reset,
-// timed out), that failure is already proof the replica is gone, so it
-// still marks the replica down: a race loser must not discard it.
-func (p *ProxyBackend) callRetrying(ctx context.Context, replica int, method, path string, body []byte, bud *queryBudget) ([]byte, error) {
-	var lastErr error
-	var serverWait time.Duration // Retry-After from the last failed attempt
-	var unreachable error        // the last attempt's transport failure, if it had one
-	abandon := func(err error) ([]byte, error) {
-		if unreachable != nil {
-			p.health.markDown(replica, unreachable)
-		}
-		return nil, err
-	}
-	for attempt := 0; attempt <= p.maxRetries; attempt++ {
-		if attempt > 0 {
-			if !bud.take() {
-				p.budgetExhausted.Add(1)
-				return nil, fmt.Errorf("serving: replica %d %s: query retry budget exhausted: %w", replica, path, lastErr)
-			}
-			wait := p.backoff(replica, attempt)
-			if serverWait > 0 {
-				wait = serverWait
-			}
-			if d, ok := ctx.Deadline(); ok {
-				if rem := time.Until(d); rem < wait {
-					wait = rem
-				}
-			}
-			if err := p.sleep(ctx, wait); err != nil {
-				return abandon(err)
-			}
-		}
-		p.rpcs[replica].Add(1)
-		data, status, retryAfter, err := p.attempt(ctx, replica, method, path, body)
-		if err != nil {
-			if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-				lastErr, unreachable, serverWait = err, err, 0
-			}
-			if ctx.Err() != nil {
-				// The caller is gone: retrying can only waste replica work. A
-				// failure that came before the cancel still counts above.
-				return abandon(err)
-			}
-			continue
-		}
-		unreachable = nil
-		switch {
-		case status == http.StatusGatewayTimeout:
-			// The replica honored the forwarded deadline and gave up.
-			return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: deadline exhausted: %s",
-				replica, path, status, truncate(data))
-		case status >= 500 || status == http.StatusTooManyRequests:
-			lastErr = fmt.Errorf("HTTP %d: %s", status, truncate(data))
-			serverWait = retryAfter
-			continue
-		case status != http.StatusOK:
-			var eb shardErrorBody
-			if json.Unmarshal(data, &eb) == nil && eb.Error.Message != "" {
-				return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: %s", replica, path, status, eb.Error.Message)
-			}
-			return nil, fmt.Errorf("serving: replica %d %s: HTTP %d: %s", replica, path, status, truncate(data))
-		}
-		return data, nil
-	}
-	return nil, fmt.Errorf("serving: replica %d %s: retries exhausted: %w", replica, path, lastErr)
-}
-
-// backoff is the jittered exponential schedule for retry `attempt` (>= 1):
-// RetryBase · 2^(attempt-1), stretched by the jitter fraction into
-// [wait, 1.5·wait).
-func (p *ProxyBackend) backoff(replica, attempt int) time.Duration {
-	wait := p.retryBase << (attempt - 1)
-	j := p.jitter(replica, attempt)
-	if j < 0 || j >= 1 {
-		j = 0
-	}
-	return wait + time.Duration(j*float64(wait)/2)
-}
-
-// ParseRetryAfter reads a delay-seconds Retry-After value — the only form
-// this repository's servers emit (Gate, Admission). The proxy honours it on
-// shard retries and the adsapi client on API retries. Unparseable or
-// negative values, and values too large for a time.Duration, mean "no
-// advice" (0).
-func ParseRetryAfter(h string) time.Duration {
-	secs, err := strconv.ParseInt(strings.TrimSpace(h), 10, 64)
-	if err != nil || secs < 0 || secs > math.MaxInt64/int64(time.Second) {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return nil, err
 }
 
 // attempt performs one RPC attempt under min(caller deadline, per-RPC
 // timeout) — context.WithTimeout never extends an earlier parent deadline —
 // and forwards the remaining budget. A reach RPC goes as a frame on a
 // pooled upgraded connection when the replica has one, and otherwise as an
-// HTTP round trip offering the upgrade. It returns the answer's body,
-// status and Retry-After, and counts nothing: the probe's reach check
-// comes through here too, and is no data RPC.
-func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path string, body []byte) ([]byte, int, time.Duration, error) {
+// HTTP round trip offering the upgrade. It returns the answer's body and
+// status, and counts nothing: the probe's reach check comes through here
+// too, and is no data RPC.
+func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path string, body []byte) ([]byte, int, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	d, _ := ctx.Deadline()
@@ -1073,13 +904,13 @@ func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path st
 		pool = p.frames[replica]
 		if c := pool.get(); c != nil {
 			c.frame = appendRequestFrame(c.frame[:0], budget, body)
-			data, status, retryAfter, err := c.exchange(ctx, pool, c.frame)
+			data, status, err := c.exchange(ctx, pool, c.frame)
 			if !errors.Is(err, errStaleConn) {
-				return data, status, retryAfter, err
+				return data, status, err
 			}
 			// The shard closed the idle connection, so the RPC never reached
 			// it: re-send it once on a fresh connection, as net/http re-sends
-			// an idempotent request. This attempt debits no retry for it.
+			// an idempotent request.
 		}
 	}
 	return p.roundTrip(ctx, method, p.urls[replica]+path, body, budget, pool)
@@ -1089,14 +920,14 @@ func (p *ProxyBackend) attempt(ctx context.Context, replica int, method, path st
 // DeadlineHeader. With a pool it offers the reach-frame upgrade: a shard
 // answering 101 sends the answer as the first frame, and the connection
 // joins the pool.
-func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body []byte, budget int64, pool framePool) ([]byte, int, time.Duration, error) {
+func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body []byte, budget int64, pool framePool) ([]byte, int, error) {
 	var rdr io.Reader
 	if body != nil {
 		rdr = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rdr)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
@@ -1108,26 +939,22 @@ func (p *ProxyBackend) roundTrip(ctx context.Context, method, url string, body [
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	if resp.StatusCode == http.StatusSwitchingProtocols {
 		rwc, ok := resp.Body.(io.ReadWriteCloser)
 		if !ok || pool == nil || resp.Header.Get("Upgrade") != reachProtocol {
 			resp.Body.Close()
-			return nil, 0, 0, fmt.Errorf("serving: unexpected upgrade to %q", resp.Header.Get("Upgrade"))
+			return nil, 0, fmt.Errorf("serving: unexpected upgrade to %q", resp.Header.Get("Upgrade"))
 		}
 		return (&frameConn{rwc: rwc, br: bufio.NewReader(rwc)}).exchange(ctx, pool, nil)
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxAnswerBody))
 	resp.Body.Close()
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	var retryAfter time.Duration
-	if h := resp.Header.Get("Retry-After"); h != "" {
-		retryAfter = ParseRetryAfter(h)
-	}
-	return data, resp.StatusCode, retryAfter, nil
+	return data, resp.StatusCode, nil
 }
 
 func truncate(b []byte) string {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,9 +58,6 @@ func unionShare(t testing.TB, b ReachBackend, clauses [][]interest.ID) float64 {
 func newTestProxy(t *testing.T, cfg worldcfg.Config, urls []string, pc ProxyConfig) *ProxyBackend {
 	t.Helper()
 	pc.URLs = urls
-	if pc.RetryBase == 0 {
-		pc.RetryBase = time.Millisecond
-	}
 	p, err := NewProxyBackend(cfg, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -238,9 +236,6 @@ func TestNewProxyBackendErrors(t *testing.T) {
 	if _, err := NewProxyBackend(cfg, ProxyConfig{URLs: []string{"a"}, HedgeAfter: -time.Second}); err == nil {
 		t.Fatal("negative HedgeAfter should fail")
 	}
-	if _, err := NewProxyBackend(cfg, ProxyConfig{URLs: []string{"a"}, MaxRetries: -1}); err == nil {
-		t.Fatal("negative MaxRetries should fail")
-	}
 }
 
 // TestShardServerEndpoints exercises the RPC surface directly: health
@@ -328,52 +323,63 @@ func TestShardServerEndpoints(t *testing.T) {
 	}
 }
 
-// TestProxyRetriesTransientFailures verifies the bounded-retry path: a shard
-// that 500s once per request is still served through, with the injected
-// Sleep observing the exponential backoff.
-func TestProxyRetriesTransientFailures(t *testing.T) {
+// TestProxyFailsOverWithoutRetry pins the proxy's failure semantics: each
+// replica gets one attempt per estimate, and the next live replica — the
+// same world bit for bit — is the only retry. Nothing sleeps. A lone
+// replica that answers 500 once fails the estimate with *UnavailableError
+// after one RPC and is down until a probe brings it back; with a second
+// replica, a 429 from the first fails over to an exact answer.
+func TestProxyFailsOverWithoutRetry(t *testing.T) {
 	cfg := smallConfig(1)
-	b, info, err := NewReplicaBackend(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewShardServer(b, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fail := true
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fail {
-			fail = false
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	defer flaky.Close()
-
-	var slept []time.Duration
-	proxy := newTestProxy(t, cfg, []string{flaky.URL}, ProxyConfig{
-		MaxRetries: 2,
-		RetryBase:  time.Millisecond,
-		// Zero jitter pins the schedule so the sleep assertion below is
-		// exact; the default jitter source is covered by
-		// TestDefaultJitterBounds.
-		Jitter: zeroJitter,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	})
-	want := unionShare(t, b, [][]interest.ID{{1}})
-	if got := unionShare(t, proxy, [][]interest.ID{{1}}); got != want {
-		t.Fatalf("share after retry = %v, want %v", got, want)
-	}
-	if len(slept) != 1 || slept[0] != time.Millisecond {
-		t.Fatalf("expected one 1ms backoff sleep, got %v", slept)
-	}
-	if proxy.HealthStats().Down != 0 {
-		t.Fatal("a retried-through transient should not mark the replica down")
+	clauses := [][]interest.ID{{1}, {2, 3}}
+	for _, tc := range []struct {
+		name     string
+		status   int // the first replica's answer to its first reach RPC
+		replicas int
+	}{
+		{"one replica 500", http.StatusInternalServerError, 1},
+		{"two replicas 429", http.StatusTooManyRequests, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, b := replicaHandler(t, cfg)
+			var failed atomic.Bool
+			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == shardPathReach && failed.CompareAndSwap(false, true) {
+					http.Error(w, "transient", tc.status)
+					return
+				}
+				srv.ServeHTTP(w, r)
+			}))
+			t.Cleanup(flaky.Close)
+			urls := append([]string{flaky.URL}, startReplicas(t, cfg, tc.replicas-1, noWrap)...)
+			var sleeps atomic.Int64
+			proxy := newTestProxy(t, cfg, urls, ProxyConfig{
+				Sleep: func(ctx context.Context, d time.Duration) error {
+					sleeps.Add(1)
+					return nil
+				},
+			})
+			ctx := context.Background()
+			want := unionShare(t, b, clauses)
+			_, got, err := proxy.ReachShares(ctx, population.DemoFilter{}, clauses)
+			st := proxy.HealthStats()
+			if sleeps.Load() != 0 || st.Shards[0].RPCs != 1 || st.Shards[0].Up {
+				t.Fatalf("%d sleeps, stats %+v: want no sleep, one RPC to replica 0 and replica 0 down", sleeps.Load(), st)
+			}
+			if tc.replicas == 1 {
+				wantErr[*UnavailableError](t, err)
+				proxy.ProbeNow(ctx)
+				if st := proxy.HealthStats(); st.Down != 0 {
+					t.Fatalf("a probe did not bring the replica back: %+v", st.Shards)
+				}
+				_, got, err = proxy.ReachShares(ctx, population.DemoFilter{}, clauses)
+			} else if st.Failovers != 1 || st.Shards[1].RPCs != 1 {
+				t.Fatalf("want one failover to replica 1: %+v", st)
+			}
+			if err != nil || got != want {
+				t.Fatalf("share = %v, %v; want %v", got, err, want)
+			}
+		})
 	}
 }
 

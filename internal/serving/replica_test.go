@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +13,6 @@ import (
 	"nanotarget/internal/interest"
 	"nanotarget/internal/population"
 )
-
-func zeroJitter(replica, attempt int) float64 { return 0 }
 
 func immediateSleep(ctx context.Context, d time.Duration) error { return nil }
 
@@ -37,20 +34,14 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 	// The hedge timer fires only once the killed replica has refused an
 	// attempt (before the kill it waits out the race). Fired at once, the
 	// hedge can win before the dead replica's dial returns, and then no
-	// call ever sees the replica fail: nothing marks it down. Retry sleeps
-	// return at once.
+	// call ever sees the replica fail: nothing marks it down.
 	const hedgeAfter = time.Microsecond
 	rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(a.URL(), "http://"),
 		failed: make(chan struct{}, 1)}
 	proxy := newTestProxy(t, cfg, []string{a.URL(), bb.URL(), c.URL()}, ProxyConfig{
-		MaxRetries: 1,
 		HedgeAfter: hedgeAfter,
-		Jitter:     zeroJitter,
 		Client:     &http.Client{Transport: rt},
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			if d != hedgeAfter {
-				return nil
-			}
 			select {
 			case <-rt.failed:
 				return nil
@@ -100,11 +91,13 @@ func TestProxyReplicaFailoverExact(t *testing.T) {
 
 // signalFailures is a shard transport that signals failed (without
 // blocking) whenever a round trip to host ends in a transport error, so a
-// test's hedge timer can wait until a dead replica has refused once.
+// test's hedge timer can wait until a dead replica has refused once. With
+// hold set, it then keeps that error until hold is closed.
 type signalFailures struct {
 	base   http.RoundTripper
 	host   string
 	failed chan struct{}
+	hold   chan struct{}
 }
 
 func (s *signalFailures) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -114,15 +107,18 @@ func (s *signalFailures) RoundTrip(r *http.Request) (*http.Response, error) {
 		case s.failed <- struct{}{}:
 		default:
 		}
+		if s.hold != nil {
+			<-s.hold
+		}
 	}
 	return resp, err
 }
 
 // TestProxyHedgeLoserReportsRefusal: a race loser that already saw its
 // replica refuse a connection still marks the replica down. The dead
-// primary refuses attempt 0 and parks in its retry backoff; the hedge then
-// fires and the live replica wins, canceling the primary mid-backoff. The
-// cancellation itself marks nothing, but the refusal it already saw is
+// primary's transport refuses and holds the refusal; the hedge then fires
+// and the live replica wins, canceling the race. Only then is the refusal
+// delivered: the cancellation itself marks nothing, but the refusal is
 // proof the replica is gone and must not be dropped with the lost race.
 func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 	cfg := smallConfig(1)
@@ -134,26 +130,19 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 
 	const hedgeAfter = time.Microsecond
 	rt := &signalFailures{base: NewShardTransport(), host: strings.TrimPrefix(dead.URL, "http://"),
-		failed: make(chan struct{}, 1)}
+		failed: make(chan struct{}, 1), hold: make(chan struct{})}
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
 		URLs:       []string{dead.URL, live.URL},
 		HedgeAfter: hedgeAfter,
-		MaxRetries: 1, RetryBase: time.Millisecond,
-		Jitter: zeroJitter,
-		Client: &http.Client{Transport: rt},
+		Client:     &http.Client{Transport: rt},
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			if d == hedgeAfter {
-				// The hedge fires once the primary has refused.
-				select {
-				case <-rt.failed:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
+			// The hedge fires once the primary has refused.
+			select {
+			case <-rt.failed:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			// The retry backoff outlasts the race.
-			<-ctx.Done()
-			return ctx.Err()
 		},
 	})
 	if err != nil {
@@ -164,6 +153,10 @@ func TestProxyHedgeLoserReportsRefusal(t *testing.T) {
 	if got := unionShare(t, proxy, clauses); got != want {
 		t.Fatalf("hedged share = %v, want %v", got, want)
 	}
+	if st := proxy.HealthStats(); st.Down != 0 {
+		t.Fatalf("the held refusal reached the proxy before the hedge won: %+v", st)
+	}
+	close(rt.hold) // the race is over: deliver the loser's refusal
 	waitFor(t, func() bool { return proxy.HealthStats().Down > 0 })
 	st := proxy.HealthStats()
 	if st.Down != 1 || st.HedgeWins != 1 {
@@ -232,29 +225,24 @@ func TestProxyReplicaKilledMidHedge(t *testing.T) {
 	t.Cleanup(live.Close)
 
 	// The injected Sleep kills the hedge target the first time the proxy
-	// sleeps — which is the hedge arm (the hung primary produces no retries) —
-	// so the hedge launches at a freshly dead replica. Later hedge-delay
-	// sleeps block until the race ends: were the re-armed timer to fire at
-	// once, it could launch the live replica before the victim's dial
-	// fails, and the victim's call would then be canceled by the live win
-	// with no failure seen, instead of marking it down. Retry sleeps return
-	// at once.
+	// sleeps — the hedge arm, the proxy's only sleep — so the hedge
+	// launches at a freshly dead replica. Later hedge-delay sleeps block
+	// until the race ends: were the re-armed timer to fire at once, it
+	// could launch the live replica before the victim's dial fails, and the
+	// victim's call would then be canceled by the live win with no failure
+	// seen, instead of marking it down.
 	const hedgeAfter = time.Microsecond
 	var sleeps atomic.Int32
 	proxy, err := NewProxyBackend(cfg, ProxyConfig{
 		URLs:       []string{hung.URL, victim.URL(), live.URL},
 		HedgeAfter: hedgeAfter,
-		MaxRetries: 1, RetryBase: time.Millisecond,
-		Jitter: zeroJitter,
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			switch {
-			case sleeps.Add(1) == 1:
+			if sleeps.Add(1) == 1 {
 				victim.Kill()
-			case d == hedgeAfter:
-				<-ctx.Done()
-				return ctx.Err()
+				return nil
 			}
-			return nil
+			<-ctx.Done()
+			return ctx.Err()
 		},
 	})
 	if err != nil {
@@ -370,166 +358,5 @@ func TestProbeRejectsOtherSeedReplica(t *testing.T) {
 	proxy2.ProbeNow(ctx)
 	if st := proxy2.HealthStats(); st.Down != 0 {
 		t.Fatalf("a replica differing only in answer-neutral fields was refused: %+v", st.Shards)
-	}
-}
-
-// TestProxyHonorsShardRetryAfter: a shard advertising Retry-After (the
-// concurrency gate's load-shed 503, the admission tier's 429) overrides the
-// proxy's own backoff schedule — and the advertised wait is capped by the
-// caller's remaining deadline budget.
-func TestProxyHonorsShardRetryAfter(t *testing.T) {
-	cfg := smallConfig(1)
-	s0, b0 := replicaHandler(t, cfg)
-	var mu sync.Mutex
-	shedNext := true
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		shed := shedNext
-		shedNext = false
-		mu.Unlock()
-		if shed {
-			w.Header().Set("Retry-After", "3")
-			http.Error(w, "over capacity", http.StatusServiceUnavailable)
-			return
-		}
-		s0.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	var sleptMu sync.Mutex
-	var slept []time.Duration
-	record := func(ctx context.Context, d time.Duration) error {
-		sleptMu.Lock()
-		slept = append(slept, d)
-		sleptMu.Unlock()
-		return nil
-	}
-	proxy := newTestProxy(t, cfg, []string{ts.URL}, ProxyConfig{
-		MaxRetries: 2, Jitter: zeroJitter, Sleep: record,
-	})
-	clauses := [][]interest.ID{{1}}
-	if got, want := unionShare(t, proxy, clauses), unionShare(t, b0, clauses); got != want {
-		t.Fatalf("share after honored Retry-After = %v, want %v", got, want)
-	}
-	if len(slept) != 1 || slept[0] != 3*time.Second {
-		t.Fatalf("expected one 3s Retry-After wait (not the 1ms backoff), got %v", slept)
-	}
-
-	// A Retry-After exceeding the caller's remaining budget is capped to it:
-	// sleeping past the deadline would be pure waste.
-	always := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "60")
-		http.Error(w, "over capacity", http.StatusServiceUnavailable)
-		return
-	}))
-	t.Cleanup(always.Close)
-	slept = nil
-	proxy2 := newTestProxy(t, cfg, []string{always.URL}, ProxyConfig{
-		MaxRetries: 1, Jitter: zeroJitter, Sleep: record,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	_, _, err := proxy2.ReachShares(ctx, population.DemoFilter{}, clauses)
-	wantErr[*UnavailableError](t, err)
-	if len(slept) != 1 || slept[0] <= 0 || slept[0] > 500*time.Millisecond {
-		t.Fatalf("60s Retry-After should be capped by the ~500ms ctx budget, got %v", slept)
-	}
-}
-
-// TestParseRetryAfter pins the one Retry-After parser the proxy and the
-// adsapi client share: delay-seconds only, and anything unparseable,
-// negative or too large for a time.Duration is "no advice" — a wrapped
-// conversion would otherwise sleep until the caller's context ends.
-func TestParseRetryAfter(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want time.Duration
-	}{
-		{"3", 3 * time.Second},
-		{" 3 ", 3 * time.Second},
-		{"", 0},
-		{"-1", 0},
-		{"abc", 0},
-		{"20000000000", 0},
-	} {
-		if got := ParseRetryAfter(tc.in); got != tc.want {
-			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestProxyRetryBudgetExhausted: the per-query budget caps TOTAL retries
-// across every replica an estimate tries — a topology-wide brownout cannot
-// amplify one query into replicas × MaxRetries requests. Exhaustion is
-// tallied and counts as the replica's failure.
-func TestProxyRetryBudgetExhausted(t *testing.T) {
-	cfg := smallConfig(1)
-	brownout := func() *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "brownout", http.StatusInternalServerError)
-		}))
-	}
-	s0, s1 := brownout(), brownout()
-	t.Cleanup(s0.Close)
-	t.Cleanup(s1.Close)
-
-	var sleptMu sync.Mutex
-	sleeps := 0
-	proxy := newTestProxy(t, cfg, []string{s0.URL, s1.URL}, ProxyConfig{
-		MaxRetries:  5,
-		RetryBudget: 2,
-		Jitter:      zeroJitter,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleptMu.Lock()
-			sleeps++
-			sleptMu.Unlock()
-			return nil
-		},
-	})
-	_, _, err := proxy.ReachShares(context.Background(), population.DemoFilter{}, [][]interest.ID{{1}})
-	wantErr[*UnavailableError](t, err)
-	if sleeps > 2 {
-		t.Fatalf("budget 2 allows at most 2 retry sleeps across the replicas, saw %d", sleeps)
-	}
-	st := proxy.HealthStats()
-	if st.RetryBudgetExhausted < 1 {
-		t.Fatalf("exhaustion not tallied: %+v", st)
-	}
-	if st.Down != 2 {
-		t.Fatalf("both browned-out replicas should be marked down: %+v", st)
-	}
-}
-
-// TestDefaultJitterBounds pins the default backoff jitter: deterministic for
-// a fixed world seed, spread across draws, and bounded — attempt k waits in
-// [base·2^(k-1), 1.5·base·2^(k-1)).
-func TestDefaultJitterBounds(t *testing.T) {
-	cfg := smallConfig(42)
-	mk := func() *ProxyBackend {
-		return newTestProxy(t, cfg, []string{"http://127.0.0.1:0"}, ProxyConfig{RetryBase: time.Millisecond})
-	}
-	proxy := mk()
-	base := time.Millisecond
-	seen := map[time.Duration]bool{}
-	var first time.Duration
-	for i := 0; i < 200; i++ {
-		w := proxy.backoff(0, 1)
-		if i == 0 {
-			first = w
-		}
-		if w < base || w >= base+base/2 {
-			t.Fatalf("draw %d: backoff %v outside [%v, %v)", i, w, base, base+base/2)
-		}
-		seen[w] = true
-	}
-	if len(seen) < 10 {
-		t.Fatalf("200 draws landed on only %d distinct waits — jitter is not spreading the schedule", len(seen))
-	}
-	if w := proxy.backoff(0, 2); w < 2*base || w >= 3*base {
-		t.Fatalf("attempt 2 backoff %v outside [%v, %v)", w, 2*base, 3*base)
-	}
-	// Same world seed, fresh proxy: the schedule replays identically.
-	if w := mk().backoff(0, 1); w != first {
-		t.Fatalf("default jitter not deterministic per seed: %v vs %v", w, first)
 	}
 }
