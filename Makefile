@@ -1,5 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations cannot drift:
-# `make lint test` runs exactly the CI gates.
+# `make lint build test world-identity` runs the test job's Go gates, and CI
+# calls bench-smoke, bench-allocs, perfbench-smoke, cover and fuzz-smoke
+# itself.
 
 GO ?= go
 
@@ -9,7 +11,7 @@ GO ?= go
 # Never lower it to make a PR pass — add tests instead.
 COVERAGE_FLOOR ?= 74.7
 
-.PHONY: all build test bench bench-smoke bench-allocs bench-audience bench-uniqueness bench-serving perfbench-smoke cover fuzz-smoke lint fmt clean
+.PHONY: all build test world-identity bench bench-smoke bench-allocs bench-audience bench-uniqueness bench-serving perfbench-smoke cover fuzz-smoke lint fmt clean
 
 all: lint build test
 
@@ -19,7 +21,20 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Full benchmark sweep (minutes); bench-smoke is the 1-iteration CI variant.
+# World construction runs in blocks on GOMAXPROCS goroutines (the catalog's
+# quantile transform, the model's computed share-table span and per-interest
+# rates, its count tables), so these gates run at 1, 2 and 4 of them (CI
+# runs this target): the catalog, model and panel digests pinned at seeds 1
+# and 42; every rate from the bracketed span, compiled or computed, equal to
+# the full 1,600-point table's bit for bit; and the catalog equal to a
+# per-interest Sample loop's, stream position included.
+world-identity:
+	$(GO) test -race -run '^TestWorldBuildIsByteIdentical$$' -cpu 1,2,4 .
+	$(GO) test -race -run '^TestCalibrationMatchesFullShareTable$$' -cpu 1,2,4 ./internal/population
+	$(GO) test -race -run '^TestGenerateMatchesSequentialSample$$' -cpu 1,2,4 ./internal/interest
+
+# Full benchmark sweep (minutes); bench-smoke is the 1-iteration variant CI
+# runs (into bench-smoke.txt, which its speedup and latency gates read).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 

@@ -873,12 +873,14 @@ func BenchmarkBuildCatalog(b *testing.B) {
 
 // BenchmarkBuildModel measures population-model calibration over a
 // prebuilt catalog: the activity grid, the span of the share table that
-// brackets the catalog's shares, and the per-interest rates. No count
-// table is built: the panel builds each on first touch.
+// brackets the catalog's shares, and the per-interest rates. On the default
+// activity grid the span is read from the compiled table; grid128/20000 is
+// the 20,000-interest world on the golden fixture's grid 128, whose span is
+// computed (128 exp per point). No count table is built: the panel builds
+// each on first touch.
 func BenchmarkBuildModel(b *testing.B) {
-	for _, size := range worldBuildSizes {
-		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			cfg := worldBuildConfig(size)
+	run := func(name string, cfg WorldConfig) {
+		b.Run(name, func(b *testing.B) {
 			cat, err := cfg.BuildCatalog()
 			if err != nil {
 				b.Fatal(err)
@@ -891,6 +893,12 @@ func BenchmarkBuildModel(b *testing.B) {
 			}
 		})
 	}
+	for _, size := range worldBuildSizes {
+		run(strconv.Itoa(size), worldBuildConfig(size))
+	}
+	grid128 := worldBuildConfig(20_000)
+	grid128.Population.ActivityGrid = 128
+	run("grid128/20000", grid128)
 }
 
 // BenchmarkNewWorld measures a whole world: catalog, model and the

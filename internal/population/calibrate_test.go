@@ -9,24 +9,6 @@ import (
 	"nanotarget/internal/rng"
 )
 
-// fullShareTable is the reference for calibrateRates: the whole 1,600-point
-// share table, as calibration computed it before it bracketed the catalog's
-// span.
-func fullShareTable(m *Model) (logLambda, shares []float64) {
-	const (
-		logLo  = -28.0
-		logHi  = 14.0
-		points = 1600
-	)
-	logLambda = make([]float64, points)
-	shares = make([]float64, points)
-	for j := range points {
-		logLambda[j] = logLo + (logHi-logLo)*float64(j)/float64(points-1)
-		shares[j] = m.marginalShare(math.Exp(logLambda[j]))
-	}
-	return logLambda, shares
-}
-
 // fullCalibration inverts the full share table for every catalog interest,
 // as calibrateRates did before it bracketed the catalog's span. ends counts
 // the interests that fell at or below the table's first point and beyond
@@ -62,12 +44,15 @@ func fullCalibration(cat *interest.Catalog, logLambda, shares []float64) (lambda
 }
 
 // TestCalibrationMatchesFullShareTable gates the bracketed share table:
-// every λ and lambdaGeo must be bit-identical to inverting the full table,
-// over seeds, catalog sizes and populations (which set the catalog's share
-// range), activity spreads and grid sizes. Two edge configurations follow
-// the matrix: at ActivitySigma 6 the table's first point lies above the
-// rarest shares of a 1.5e9 base and its last point below the top shares of
-// a 1,000-user base whose MaxShare is 1, so both end branches run.
+// every λ and lambdaGeo must be bit-identical to inverting the full table
+// that Model.ShareTable computes, over seeds, catalog sizes and populations
+// (which set the catalog's share range), activity spreads and grid sizes.
+// The matrix holds DefaultConfig's activity grid, whose span is read from
+// the compiled table, and grids whose span is computed; both kinds must
+// run. Two edge configurations follow the matrix: at ActivitySigma 6 the
+// table's first point lies above the rarest shares of a 1.5e9 base and its
+// last point below the top shares of a 1,000-user base whose MaxShare is 1,
+// so both end branches run.
 func TestCalibrationMatchesFullShareTable(t *testing.T) {
 	type catKey struct {
 		seed     uint64
@@ -104,6 +89,7 @@ func TestCalibrationMatchesFullShareTable(t *testing.T) {
 	}
 	tables := map[gridKey][2][]float64{}
 	var ends [2]int
+	compiled := 0 // configs whose span is read from the compiled table
 	for _, c := range configs {
 		cat, ok := catalogs[c.catKey]
 		if !ok {
@@ -123,9 +109,12 @@ func TestCalibrationMatchesFullShareTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
+		if compiledShareTable(c.sigma, c.grid) != nil {
+			compiled++
+		}
 		tbl, ok := tables[gridKey{c.sigma, c.grid}]
 		if !ok {
-			logLambda, shares := fullShareTable(m)
+			logLambda, shares := m.ShareTable()
 			tbl = [2][]float64{logLambda, shares}
 			tables[gridKey{c.sigma, c.grid}] = tbl
 		}
@@ -144,5 +133,52 @@ func TestCalibrationMatchesFullShareTable(t *testing.T) {
 	if ends[0] == 0 || ends[1] == 0 {
 		t.Fatalf("interests at or below the table's first point: %d, beyond its last: %d; want both > 0", ends[0], ends[1])
 	}
-	t.Logf("%d configs; %d interests at or below the first point, %d beyond the last", len(configs), ends[0], ends[1])
+	if compiled == 0 || compiled == len(configs) {
+		t.Fatalf("%d of %d configs read the compiled share table; want both kinds", compiled, len(configs))
+	}
+	t.Logf("%d configs (%d on the compiled table); %d interests at or below the first point, %d beyond the last", len(configs), compiled, ends[0], ends[1])
+}
+
+// TestCompiledShareTableChoice pins which activity grids read the compiled
+// share table: DefaultConfig's alone. The golden fixture's grid 128 and
+// other activity spreads compute their span.
+func TestCompiledShareTableChoice(t *testing.T) {
+	cfg := DefaultConfig(nil)
+	if got := compiledShareTable(cfg.ActivitySigma, cfg.ActivityGridSize); len(got) != shareTablePoints {
+		t.Fatalf("DefaultConfig's grid (σ %v, %d points): compiled table of %d points, want %d",
+			cfg.ActivitySigma, cfg.ActivityGridSize, len(got), shareTablePoints)
+	}
+	for _, g := range []struct {
+		sigma float64
+		grid  int
+	}{{DefaultActivitySigma, 128}, {0.5, DefaultActivityGridSize}, {2.0, DefaultActivityGridSize}} {
+		if compiledShareTable(g.sigma, g.grid) != nil {
+			t.Errorf("σ %v, grid %d reads the compiled table; want its span computed", g.sigma, g.grid)
+		}
+	}
+}
+
+// TestDefaultShareTable recomputes every point of the compiled share table
+// with marginalShare on DefaultConfig's activity grid and wants the same
+// bits.
+func TestDefaultShareTable(t *testing.T) {
+	icfg := interest.DefaultConfig()
+	icfg.Size = 1000 // the table depends on the activity grid alone
+	cat, err := interest.Generate(icfg, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(DefaultConfig(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shares := m.ShareTable()
+	for j, want := range shares {
+		if got := defaultShareTable[j]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("compiled share table point %d = %x, marginalShare gives %x. The table was recorded "+
+				"with amd64's FMA path of math.Exp, on the kind of host the pinned golden digests were "+
+				"recorded on; elsewhere those digests differ too. If marginalShare or the activity grid "+
+				"changed on purpose, regenerate it with go generate ./internal/population", j, got, want)
+		}
+	}
 }

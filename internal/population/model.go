@@ -74,14 +74,22 @@ type Config struct {
 	DisableRowKernel bool
 }
 
+// The paper-calibrated activity grid of DefaultConfig. Its share table is
+// compiled in (default_share_table.go), so a model on this grid computes
+// none of its points.
+const (
+	DefaultActivitySigma    = 1.12
+	DefaultActivityGridSize = 512
+)
+
 // DefaultConfig returns the paper-calibrated world configuration for the
 // provided catalog.
 func DefaultConfig(cat *interest.Catalog) Config {
 	return Config{
 		Catalog:          cat,
 		Population:       1_500_000_000,
-		ActivitySigma:    1.12,
-		ActivityGridSize: 512,
+		ActivitySigma:    DefaultActivitySigma,
+		ActivityGridSize: DefaultActivityGridSize,
 		Demographics:     DefaultDemographics(),
 	}
 }
@@ -124,14 +132,15 @@ type Model struct {
 	demo demoModel
 }
 
-// NewModel calibrates the world model. Its cost at serving catalog sizes is
-// the span of the 1,600-point share table that calibrateRates inverts (512
-// exp per point at the default activity grid): about 550 points at 20,000
-// interests. Those points, and then the per-interest work (one search and
-// interpolation in the span and one exp per interest), run in contiguous
-// blocks on GOMAXPROCS goroutines. Every point and every rate is the same
-// expression on its own inputs, and the log-rates are summed in ID order on
-// the caller's goroutine, so the model is bit-identical at any GOMAXPROCS.
+// NewModel calibrates the world model. On DefaultConfig's activity grid the
+// share table that calibrateRates inverts is compiled in, so its cost is the
+// per-interest work (one search and interpolation in the catalog's span of
+// the table and one exp per interest). On any other grid it first computes
+// that span, one exp per activity-grid point for each of its points: about
+// 550 of the 1,600 points at 20,000 interests. Both loops run in blocks on
+// GOMAXPROCS goroutines. Every point and every rate is the same expression
+// on its own inputs, and the log-rates are summed in ID order on the
+// caller's goroutine, so the model is bit-identical at any GOMAXPROCS.
 // No count table is built here: each tilt's, the untilted one included, is
 // built on first touch, which no reach estimate makes.
 func NewModel(cfg Config) (*Model, error) {
@@ -211,24 +220,69 @@ func (m *Model) marginalShare(lambda float64) float64 {
 	return s
 }
 
+// The share table: marginalShare at shareTablePoints values of log λ,
+// evenly spaced over [shareTableLogLo, shareTableLogHi].
+const (
+	shareTableLogLo  = -28.0 // λ = e^-28 ≈ 7e-13
+	shareTableLogHi  = 14.0  // λ = e^14 ≈ 1.2e6
+	shareTablePoints = 1600
+)
+
+// shareTableLogLambda returns log λ at point j of the share table.
+func shareTableLogLambda(j int) float64 {
+	return shareTableLogLo + (shareTableLogHi-shareTableLogLo)*float64(j)/float64(shareTablePoints-1)
+}
+
+//go:generate go run gen_share_table.go
+
+// compiledShareTable returns the compiled share table when (sigma, grid) is
+// DefaultConfig's activity grid, whose points it holds bit for bit, and nil
+// for any other grid, whose points calibrateRates computes.
+func compiledShareTable(sigma float64, grid int) []float64 {
+	if sigma != DefaultActivitySigma || grid != DefaultActivityGridSize {
+		return nil
+	}
+	return defaultShareTable[:]
+}
+
+// sharePoint returns point j of the share table: compiled's when it is not
+// nil, computed on the model's activity grid otherwise.
+func (m *Model) sharePoint(compiled []float64, j int) float64 {
+	if compiled != nil {
+		return compiled[j]
+	}
+	return m.marginalShare(math.Exp(shareTableLogLambda(j)))
+}
+
+// ShareTable returns the model's whole share table, computed point by point
+// on its activity grid: log λ and marginalShare(λ) at each of the 1,600
+// points (exposed for tests and for the generator of the compiled default
+// table).
+func (m *Model) ShareTable() (logLambda, shares []float64) {
+	logLambda = make([]float64, shareTablePoints)
+	shares = make([]float64, shareTablePoints)
+	for j := range shareTablePoints {
+		logLambda[j] = shareTableLogLambda(j)
+		shares[j] = m.marginalShare(math.Exp(logLambda[j]))
+	}
+	return logLambda, shares
+}
+
 // calibrateRates inverts marginalShare for every catalog interest using a
-// precomputed monotone log-grid (share as a function of log λ), interpolated
-// log-linearly. Max relative error is far below sampling noise. Only the
-// span of the grid that the catalog's shares need is computed: from the
-// point below the first point at or above the smallest share to the first
-// point at or above the largest, found by two bisections of about 11
-// points each. A point's inputs depend on its index alone, so each share's
-// search in the span picks the same neighbouring points, and the same bits,
-// as a search of the whole grid. The span's points and the per-interest
-// inversions each run in contiguous blocks on GOMAXPROCS goroutines (every
-// one writes only its own slot); the log-rates behind lambdaGeo are summed
-// afterwards in ID order, so the sum keeps its bits at any GOMAXPROCS.
+// monotone log-grid (share as a function of log λ), interpolated
+// log-linearly. Max relative error is far below sampling noise. On
+// DefaultConfig's activity grid the grid's points are read from the
+// compiled table; on any other they are computed. Only the span of the grid
+// that the catalog's shares need is read or computed: from the point below
+// the first point at or above the smallest share to the first point at or
+// above the largest, found by two bisections of about 11 points each. A
+// point's inputs depend on its index alone, so each share's search in the
+// span picks the same neighbouring points, and the same bits, as a search
+// of the whole grid. The span's points and the per-interest inversions each
+// run in contiguous blocks on GOMAXPROCS goroutines (every one writes only
+// its own slot); the log-rates behind lambdaGeo are summed afterwards in ID
+// order, so the sum keeps its bits at any GOMAXPROCS.
 func (m *Model) calibrateRates() error {
-	const (
-		logLo  = -28.0 // λ = e^-28 ≈ 7e-13
-		logHi  = 14.0  // λ = e^14 ≈ 1.2e6
-		points = 1600
-	)
 	n := m.catalog.Len()
 	minShare, maxShare := 1.0, 0.0
 	for i := 0; i < n; i++ {
@@ -238,22 +292,18 @@ func (m *Model) calibrateRates() error {
 		}
 		minShare, maxShare = min(minShare, target), max(maxShare, target)
 	}
-	logLambdaAt := func(j int) float64 {
-		return logLo + (logHi-logLo)*float64(j)/float64(points-1)
-	}
+	compiled := compiledShareTable(m.cfg.ActivitySigma, m.cfg.ActivityGridSize)
 	first := func(target float64) int {
-		return sort.Search(points, func(j int) bool {
-			return m.marginalShare(math.Exp(logLambdaAt(j))) >= target
-		})
+		return sort.Search(shareTablePoints, func(j int) bool { return m.sharePoint(compiled, j) >= target })
 	}
 	lo := max(first(minShare)-1, 0)
-	hi := max(min(first(maxShare), points-1), lo) // lo when the catalog is empty
+	hi := max(min(first(maxShare), shareTablePoints-1), lo) // lo when the catalog is empty
 	logLambda := make([]float64, hi-lo+1)
 	shares := make([]float64, hi-lo+1)
 	parallel.Blocks(len(shares), func(from, to int) {
 		for k := from; k < to; k++ {
-			logLambda[k] = logLambdaAt(lo + k)
-			shares[k] = m.marginalShare(math.Exp(logLambda[k]))
+			logLambda[k] = shareTableLogLambda(lo + k)
+			shares[k] = m.sharePoint(compiled, lo+k)
 		}
 	})
 	m.lambda = make([]float64, n)
@@ -266,7 +316,7 @@ func (m *Model) calibrateRates() error {
 			switch j := lo + k; {
 			case j == 0:
 				lg = logLambda[0]
-			case j >= points:
+			case j >= shareTablePoints:
 				lg = logLambda[len(logLambda)-1]
 			default:
 				s0, s1 := shares[k-1], shares[k]

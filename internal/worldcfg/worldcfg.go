@@ -83,7 +83,7 @@ func Default() Config {
 			CatalogSize:   98_982,
 			Population:    1_500_000_000,
 			ActivitySigma: 0, // 0 = package default
-			ActivityGrid:  512,
+			ActivityGrid:  population.DefaultActivityGridSize,
 			PanelSize:     2390,
 			ProfileMedian: 426,
 		},
