@@ -121,6 +121,7 @@ FUZZ_TARGETS = \
 	FuzzKeyOrderSensitivity:./internal/audience \
 	FuzzCompositeKey:./internal/audience \
 	FuzzColumnarVAS:./internal/core \
+	FuzzRowKernel:./internal/population \
 	FuzzPopularityOrder:./internal/interest \
 	FuzzCatalogByName:./internal/interest
 

@@ -584,33 +584,8 @@ func BenchmarkAudiencePermuted(b *testing.B) {
 	}
 }
 
-// getExpModel builds (once) a model over the bench world's catalog with the
-// inclusion-row kernel DISABLED — the legacy inline-exp() evaluation the
-// kernel benchmarks compare against. Same catalog, population and grid as
-// the bench world, so ns/op are directly comparable.
-func getExpModel(b *testing.B) *population.Model {
-	b.Helper()
-	w := getBenchWorld(b)
-	expModelOnce.Do(func() {
-		cfg := population.DefaultConfig(w.Model().Catalog())
-		cfg.ActivityGridSize = 256
-		cfg.DisableRowKernel = true
-		m, err := population.NewModel(cfg)
-		if err != nil {
-			panic(err)
-		}
-		expModel = m
-	})
-	return expModel
-}
-
-var (
-	expModelOnce sync.Once
-	expModel     *population.Model
-)
-
 // benchConjunction returns the 18-interest probe the kernel benches share —
-// the ISSUE's motivating shape: a cache-cold conjunction whose evaluation
+// the motivating shape: a cache-cold conjunction whose evaluation
 // under inline exp() costs one transcendental per (interest, grid point).
 func benchConjunction(cat *interest.Catalog) []interest.ID {
 	ids := make([]interest.ID, 18)
@@ -622,9 +597,10 @@ func benchConjunction(cat *interest.Catalog) []interest.ID {
 
 // BenchmarkAudienceKernel measures the evaluation inner loop itself — the
 // cost of a conjunction the audience CACHE has never seen — in three
-// regimes: legacy inline exp() (the row kernel disabled), the kernel with
-// rows still unmaterialized (first touch: pays the exp() hoist once), and
-// the kernel with rows warm (the steady state: contiguous multiply loops).
+// regimes: inline exp() (the test reference newInlineExp in
+// reference_test.go, over the same model), the kernel with rows still
+// unmaterialized (first touch: pays the exp() hoist once), and the kernel
+// with rows warm (the steady state: contiguous multiply loops).
 // exp vs rows-warm is the headline `cold_kernel_vs_exp` ratio in
 // BENCH_audience.json; CI gates it at >= 2x.
 func BenchmarkAudienceKernel(b *testing.B) {
@@ -632,10 +608,10 @@ func BenchmarkAudienceKernel(b *testing.B) {
 	m := w.Model()
 	ids := benchConjunction(m.Catalog())
 	b.Run("exp", func(b *testing.B) {
-		exp := getExpModel(b)
+		exp := newInlineExp(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if exp.ConjunctionShare(ids) < 0 {
+			if exp.conjunctionShare(ids) < 0 {
 				b.Fatal("negative share")
 			}
 		}
@@ -663,7 +639,9 @@ func BenchmarkAudienceKernel(b *testing.B) {
 // (UnionConjunctionShare) — before the kernel, the only evaluation with
 // per-call exp() in a triple loop, and previously unbenchmarked. Clause
 // shape: four genuine 3-interest OR clauses plus three single-interest
-// clauses, the mixed spec an Ads-Manager flexible_spec produces.
+// clauses, the mixed spec an Ads-Manager flexible_spec produces. The exp
+// arm runs that triple loop as the test reference inlineExp.unionShare
+// (reference_test.go).
 func BenchmarkAudienceUnion(b *testing.B) {
 	w := getBenchWorld(b)
 	m := w.Model()
@@ -684,10 +662,10 @@ func BenchmarkAudienceUnion(b *testing.B) {
 		flat = append(flat, id)
 	}
 	b.Run("exp", func(b *testing.B) {
-		exp := getExpModel(b)
+		exp := newInlineExp(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if exp.UnionConjunctionShare(clauses) < 0 {
+			if exp.unionShare(clauses) < 0 {
 				b.Fatal("negative share")
 			}
 		}
@@ -799,24 +777,25 @@ func BenchmarkAudienceEndToEnd(b *testing.B) {
 // bootstrap kernel: one full EstimateNP (point fit + 1,000-iteration
 // bootstrap CI; the paper runs 10,000) on pre-collected bench-world
 // samples, with the kernel's presorted counting quantiles versus the naive
-// gather-copy-sort resample path. Both produce byte-identical estimates
+// gather-copy-sort resample path (the test reference naiveEstimateNP in
+// reference_test.go). Both produce byte-identical estimates
 // (TestColumnKernelIsByteIdentical); this bench records what the kernel
 // buys in wall time — the kernel/naive ratio is the headline number in
 // BENCH_uniqueness.json, CI-gated at >= 2x.
 func BenchmarkUniquenessEstimate(b *testing.B) {
 	w := getBenchWorld(b)
 	src := core.NewModelSource(w.Model())
-	collect := func(naive bool) *core.Samples {
+	collect := func() *core.Samples {
 		s, err := core.Collect(w.PanelUsers(), core.Random{}, src, core.CollectConfig{Seed: rng.New(1)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.DisableColumnKernel = naive
 		return s
 	}
-	run := func(b *testing.B, s *core.Samples) {
+	type estimator func(*core.Samples, float64, core.EstimateConfig) (core.Estimate, error)
+	run := func(b *testing.B, s *core.Samples, estimate estimator) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.EstimateNP(s, 0.9, core.EstimateConfig{
+			if _, err := estimate(s, 0.9, core.EstimateConfig{
 				BootstrapIters: 1000,
 				CILevel:        0.95,
 				Rand:           rng.New(uint64(i)),
@@ -826,17 +805,17 @@ func BenchmarkUniquenessEstimate(b *testing.B) {
 		}
 	}
 	b.Run("kernel", func(b *testing.B) {
-		s := collect(false)
+		s := collect()
 		if _, err := core.EstimateNP(s, 0.9, core.EstimateConfig{}); err != nil {
 			b.Fatal(err) // warm: build the column index outside the timer
 		}
 		b.ResetTimer()
-		run(b, s)
+		run(b, s, core.EstimateNP)
 	})
 	b.Run("naive", func(b *testing.B) {
-		s := collect(true)
+		s := collect()
 		b.ResetTimer()
-		run(b, s)
+		run(b, s, naiveEstimateNP)
 	})
 }
 

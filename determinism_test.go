@@ -293,33 +293,24 @@ func TestAudienceCachePolicyEvaluationIsByteIdentical(t *testing.T) {
 }
 
 // TestRowKernelIsByteIdentical gates the inclusion-row kernel: a world
-// evaluating on precomputed rows (the default) must produce byte-identical
-// output to the same model rebuilt with population.Config.DisableRowKernel
-// (exp() computed inline), across the full §4 pipeline — sample collection
-// for both selection strategies over the same panel, N_P estimation — plus
-// the flexible_spec union path, which is the one evaluation shape the
-// audience cache never covers. This is the "hoisted, not reformulated"
-// contract of internal/population/rows.go.
+// evaluating on precomputed rows must produce byte-identical output to the
+// same model evaluated by the inline-exp() reference (inlineExpSource in
+// reference_test.go), across the full §4 pipeline — sample collection for
+// both selection strategies over the same panel, N_P estimation — plus the
+// flexible_spec union path, which is the one evaluation shape the audience
+// cache never covers. This is the "hoisted, not reformulated" contract of
+// internal/population/rows.go.
 func TestRowKernelIsByteIdentical(t *testing.T) {
 	for _, seed := range determinismSeeds {
 		wOn := detWorld(t, seed)
-		mcfg := wOn.Model().Config()
-		mcfg.DisableRowKernel = true
-		off, err := population.NewModel(mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wOn.Model().RowKernelEnabled() || off.RowKernelEnabled() {
-			t.Fatal("row-kernel switch did not take effect")
-		}
-		offEngine := audience.Cached(off)
+		off := newInlineExp(wOn.Model())
 		for _, sel := range []core.Selector{core.LeastPopular{}, core.Random{}} {
 			rows, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(wOn.Audience()),
 				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			exp, err := core.Collect(wOn.PanelUsers(), sel, core.NewEngineSource(offEngine),
+			exp, err := core.Collect(wOn.PanelUsers(), sel, inlineExpSource{off},
 				core.CollectConfig{Seed: rng.New(seed), Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -351,6 +342,21 @@ func TestRowKernelIsByteIdentical(t *testing.T) {
 					seed, sel.Name(), estRows, estExp)
 			}
 		}
+		// The collected reaches are rounded, so a kernel drifting by an ulp
+		// can hide behind them; gate the unrounded prefix shares the world
+		// served directly.
+		for _, u := range wOn.PanelUsers()[:30] {
+			ids := u.Interests[:min(len(u.Interests), core.MaxCombinationInterests)]
+			got := wOn.Audience().AppendPrefixShares(nil, ids)
+			partial := off.survivors()
+			for i, id := range ids {
+				off.and(partial, id)
+				if want := off.share(partial); !sameFloat(got[i], want) {
+					t.Fatalf("seed %d user %d prefix %d: kernel share %v != inline-exp %v",
+						seed, u.ID, i+1, got[i], want)
+				}
+			}
+		}
 		// flexible_spec unions (mixed clause widths) evaluate through the
 		// dedicated kernel restructure; gate them directly.
 		r := rng.New(seed ^ 0xBEEF)
@@ -364,7 +370,7 @@ func TestRowKernelIsByteIdentical(t *testing.T) {
 				clauses[c] = clause
 			}
 			a := wOn.Model().UnionConjunctionShare(clauses)
-			b := off.UnionConjunctionShare(clauses)
+			b := off.unionShare(clauses)
 			if !sameFloat(a, b) {
 				t.Fatalf("seed %d trial %d: union kernel %v != inline-exp %v", seed, trial, a, b)
 			}
@@ -376,14 +382,14 @@ func TestRowKernelIsByteIdentical(t *testing.T) {
 }
 
 // TestColumnKernelIsByteIdentical gates the columnar bootstrap kernel:
-// samples estimated on presorted panel columns with counting quantiles (the
-// default) must produce byte-identical output to the same samples run down
-// the naive gather-copy-sort resample path (core.Samples.DisableColumnKernel)
-// — VAS vectors at every study quantile, N_P point estimates and bootstrap
-// percentile CIs, for both selection strategies, at workers 1 and 4, and
-// every row of the façade's §4 study. This is the "multiset quantile of a
-// resample equals the quantile of its sorted expansion" contract of
-// internal/core/columns.go.
+// samples estimated on presorted panel columns with counting quantiles must
+// produce byte-identical output to the same samples run down the naive
+// gather-copy-sort resample path (naiveVAS and naiveEstimateNP in
+// reference_test.go) — VAS vectors at every study quantile, N_P point
+// estimates and bootstrap percentile CIs, for both selection strategies, at
+// workers 1 and 4, and every row of the façade's §4 study. This is the
+// "multiset quantile of a resample equals the quantile of its sorted
+// expansion" contract of internal/core/columns.go.
 func TestColumnKernelIsByteIdentical(t *testing.T) {
 	for _, seed := range determinismSeeds {
 		w := detWorld(t, seed)
@@ -393,9 +399,8 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive := naiveColumns(kernel)
 			for _, q := range []float64{0.5, 0.8, 0.9, 0.95} {
-				a, b := kernel.VAS(q), naive.VAS(q)
+				a, b := kernel.VAS(q), naiveVAS(kernel, q, nil)
 				for n := range a {
 					if !sameFloat(a[n], b[n]) {
 						t.Fatalf("seed %d %s: VAS(%v)[%d] = %v kernel vs %v naive",
@@ -409,7 +414,7 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				en, err := core.EstimateNP(naive, 0.9, core.EstimateConfig{
+				en, err := naiveEstimateNP(kernel, 0.9, core.EstimateConfig{
 					BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(seed), Parallelism: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -420,8 +425,8 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 						seed, sel.Name(), workers, ek, en)
 				}
 			}
-			if kernel.SampleCountAt(1) != naive.SampleCountAt(1) ||
-				kernel.SampleCountAt(kernel.MaxN) != naive.SampleCountAt(naive.MaxN) {
+			if kernel.SampleCountAt(1) != scanSampleCount(kernel, 1) ||
+				kernel.SampleCountAt(kernel.MaxN) != scanSampleCount(kernel, kernel.MaxN) {
 				t.Fatalf("seed %d %s: SampleCountAt diverged between index and scan", seed, sel.Name())
 			}
 		}
@@ -440,7 +445,7 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 			t.Fatalf("seed %d: study produced no rows", seed)
 		}
 		for _, row := range rows {
-			est, err := core.EstimateNP(naiveColumns(study.samples[row.Strategy]), row.P, core.EstimateConfig{
+			est, err := naiveEstimateNP(study.samples[row.Strategy], row.P, core.EstimateConfig{
 				BootstrapIters: iters, CILevel: 0.95,
 				Rand: w.root.Derive("uniqueness").Derive(fmt.Sprintf("boot/%s/%.3f", row.Strategy, row.P)),
 			})
@@ -453,15 +458,6 @@ func TestColumnKernelIsByteIdentical(t *testing.T) {
 					seed, row.Strategy, row.P, row, est)
 			}
 		}
-	}
-}
-
-// naiveColumns returns samples sharing s's collected audience sizes whose
-// quantiles take the naive sort-per-resample path.
-func naiveColumns(s *core.Samples) *core.Samples {
-	return &core.Samples{
-		AS: s.AS, MaxN: s.MaxN, FloorValue: s.FloorValue, Strategy: s.Strategy,
-		DisableColumnKernel: true,
 	}
 }
 

@@ -29,11 +29,12 @@ package core
 // placed at the lo/hi order statistics, and the interpolation arithmetic
 // applied to them is QuantileSorted's own expression. VAS vectors, FitVAS
 // outputs, N_P point estimates and bootstrap percentile CIs are
-// byte-identical with the kernel on or off — gated by
-// TestColumnKernelIsByteIdentical (determinism_test.go, seeds {0,1,42},
-// workers 1 vs 4), a differential fuzz target (FuzzColumnarVAS) and the
-// golden pins, which must not move. Samples.DisableColumnKernel restores
-// the naive sort-per-resample path.
+// byte-identical to the naive sort-per-resample path, which survives only
+// as test references: vasIdx (columns_test.go), which FuzzColumnarVAS and
+// the in-package tests compare against, and naiveEstimateNP (the module
+// root's reference_test.go), which TestColumnKernelIsByteIdentical
+// (determinism_test.go) compares against at seeds {0,1,42} and workers 1
+// vs 4. The golden pins must not move either.
 //
 // # Memory envelope
 //
@@ -161,10 +162,10 @@ func (s *Samples) releaseResample(sc *resampleScratch) {
 	s.resamplePool.Put(sc)
 }
 
-// vasResample is vasIdx on the column index: the q-quantile VAS vector of
-// the resample idx (a multiset of panel-row indices), written into sc.out.
-// Byte-identical to the naive gather-copy-sort path; O(MaxN·U), zero
-// allocations.
+// vasResample is the q-quantile VAS vector of the resample idx (a multiset
+// of panel-row indices) on the column index, written into sc.out.
+// Byte-identical to the naive gather-copy-sort path (the test reference
+// vasIdx in columns_test.go); O(MaxN·U), zero allocations.
 func (s *Samples) vasResample(q float64, idx []int, sc *resampleScratch) []float64 {
 	cols := s.columns()
 	box := s.countsPool.Borrow(len(s.AS))
@@ -203,21 +204,5 @@ func (s *Samples) vasResample(q float64, idx []int, sc *resampleScratch) []float
 		out[n] = stats.CountingQuantileSorted(cols.vals[n], cols.users[n], counts, sc.totals[n], q)
 	}
 	s.countsPool.Release(box)
-	return out
-}
-
-// vasFull is VAS on the column index: with every row's multiplicity one, the
-// per-N quantile is QuantileSorted over the presorted column directly —
-// O(MaxN) after the one-time index build.
-func (s *Samples) vasFull(q float64) []float64 {
-	cols := s.columns()
-	out := make([]float64, s.MaxN)
-	for n := range out {
-		if len(cols.vals[n]) == 0 {
-			out[n] = math.NaN()
-			continue
-		}
-		out[n] = stats.QuantileSorted(cols.vals[n], q)
-	}
 	return out
 }

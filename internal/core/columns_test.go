@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nanotarget/internal/rng"
+	"nanotarget/internal/stats"
 )
 
 // syntheticSamples builds a Samples table with controllable NaN structure:
@@ -36,6 +37,73 @@ func syntheticSamples(t testing.TB, users, maxN int, seed uint64, ragged bool) *
 		s.AS[u] = row
 	}
 	return s
+}
+
+// vasIdx computes VAS over a subset of user rows (nil = all rows); idx may
+// contain repeats (bootstrap resamples). It is the naive gather-copy-sort
+// path the columnar kernel (columns.go) replaced, kept as the reference the
+// kernel is tested, fuzzed and benchmarked against.
+func (s *Samples) vasIdx(q float64, idx []int) []float64 {
+	out := make([]float64, s.MaxN)
+	col := make([]float64, 0, len(s.AS))
+	for n := 0; n < s.MaxN; n++ {
+		col = col[:0]
+		if idx == nil {
+			for _, row := range s.AS {
+				if n < len(row) && !math.IsNaN(row[n]) {
+					col = append(col, row[n])
+				}
+			}
+		} else {
+			for _, ui := range idx {
+				row := s.AS[ui]
+				if n < len(row) && !math.IsNaN(row[n]) {
+					col = append(col, row[n])
+				}
+			}
+		}
+		v, err := stats.Quantile(col, q)
+		if err != nil {
+			v = math.NaN() // an empty column
+		}
+		out[n] = v
+	}
+	return out
+}
+
+// naiveEstimateNP is EstimateNP on the naive path: the point fit and every
+// bootstrap resample take vasIdx's gather-copy-sort quantiles, over the same
+// stats.BootstrapCIParallel streams the kernel path draws.
+func naiveEstimateNP(s *Samples, p float64, cfg EstimateConfig) (Estimate, error) {
+	point, err := FitVAS(s.vasIdx(p, nil), s.FloorValue)
+	if err != nil {
+		return Estimate{}, err
+	}
+	ci, _, err := stats.BootstrapCIParallel(s.NumUsers(), cfg.BootstrapIters, cfg.Parallelism, cfg.CILevel, cfg.Rand,
+		func(idx []int) (float64, error) {
+			fit, err := FitVAS(s.vasIdx(p, idx), s.FloorValue)
+			if err != nil {
+				return 0, err
+			}
+			return fit.NP, nil
+		})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return Estimate{P: p, NP: point.NP, CI: ci, R2: point.R2, Fit: point,
+		Strategy: s.Strategy, BootstrapIters: cfg.BootstrapIters}, nil
+}
+
+// scanSampleCount is SampleCountAt by the O(U) row scan the column index
+// replaced.
+func scanSampleCount(s *Samples, n int) int {
+	count := 0
+	for _, row := range s.AS {
+		if n-1 >= 0 && n-1 < len(row) && !math.IsNaN(row[n-1]) {
+			count++
+		}
+	}
+	return count
 }
 
 func resampleIdx(r *rng.Rand, users int) []int {
@@ -73,7 +141,7 @@ func TestColumnarResampleMatchesNaive(t *testing.T) {
 			// Full-panel VAS must agree too.
 			for _, q := range []float64{0.25, 0.5, 0.9} {
 				naive := s.vasIdx(q, nil)
-				kernel := s.vasFull(q)
+				kernel := s.VAS(q)
 				for n := range naive {
 					if !bitsEqual(naive[n], kernel[n]) {
 						t.Fatalf("ragged=%v seed=%d VAS q=%v n=%d: naive %v != kernel %v",
@@ -117,27 +185,22 @@ func TestResamplePermutationMetamorphic(t *testing.T) {
 	}
 }
 
-// TestEstimateNPKnobIsByteIdentical flips Samples.DisableColumnKernel on
-// one collected table: point estimate, CI bounds and R² must not move by a
-// bit, at workers 1 and 4.
+// TestEstimateNPKnobIsByteIdentical runs one collected table through
+// EstimateNP and through the naive reference naiveEstimateNP: point
+// estimate, CI bounds and R² must not move by a bit, at workers 1 and 4.
 func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
 	users := panelUsers(40, 30)
 	src := powerLawSource(1.7, 1e7, 20)
 	for _, workers := range []int{1, 4} {
-		kernel, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
+		samples, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := Collect(users, Random{}, src, CollectConfig{Seed: rng.New(11)})
+		ek, err := EstimateNP(samples, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive.DisableColumnKernel = true
-		ek, err := EstimateNP(kernel, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		en, err := EstimateNP(naive, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
+		en, err := naiveEstimateNP(samples, 0.9, EstimateConfig{BootstrapIters: 300, CILevel: 0.95, Rand: rng.New(12), Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,15 +212,13 @@ func TestEstimateNPKnobIsByteIdentical(t *testing.T) {
 }
 
 // TestSampleCountAtMatchesScan: the column-index-derived counts must equal
-// the legacy O(U·N) rescan for every N, in and out of range, on both NaN
-// shapes.
+// the O(U) row scan (scanSampleCount) for every N, in and out of range, on
+// both NaN shapes.
 func TestSampleCountAtMatchesScan(t *testing.T) {
 	for _, ragged := range []bool{false, true} {
 		s := syntheticSamples(t, 70, 25, 3, ragged)
-		naive := syntheticSamples(t, 70, 25, 3, ragged)
-		naive.DisableColumnKernel = true
 		for n := -1; n <= s.MaxN+2; n++ {
-			if got, want := s.SampleCountAt(n), naive.SampleCountAt(n); got != want {
+			if got, want := s.SampleCountAt(n), scanSampleCount(s, n); got != want {
 				t.Fatalf("ragged=%v SampleCountAt(%d) = %d, legacy scan says %d", ragged, n, got, want)
 			}
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzColumnarVAS is the differential fuzz target for the columnar
-// bootstrap kernel (the 7th target in the CI fuzz-smoke job): random sample
+// bootstrap kernel (one of the CI fuzz-smoke job's targets): random sample
 // tables — arbitrary values, arbitrary NaN hole patterns, prefix-shaped and
 // not — and random resample multiplicities, fed to both the
 // counting-quantile kernel and the naive gather-copy-sort oracle, asserting
@@ -73,7 +73,7 @@ func FuzzColumnarVAS(f *testing.F) {
 
 		// The full-panel fast path must agree with the naive scan too.
 		fullNaive := s.vasIdx(q, nil)
-		fullKernel := s.vasFull(q)
+		fullKernel := s.VAS(q)
 		for n := range fullNaive {
 			a, b := fullNaive[n], fullKernel[n]
 			if math.IsNaN(a) && math.IsNaN(b) {

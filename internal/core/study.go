@@ -31,16 +31,6 @@ type Samples struct {
 	FloorValue float64
 	// Strategy is the selector name that produced the samples.
 	Strategy string
-	// DisableColumnKernel turns off the presorted columnar bootstrap kernel
-	// (columns.go) and restores the naive gather-copy-sort quantile path.
-	// Results are bit-identical either way (the kernel hoists the sort out
-	// of the loop, it does not reformulate the quantile — gated in
-	// determinism_test.go); only wall time and the column-index memory
-	// (12 bytes per non-NaN cell) change. The kernel is ON by default; this
-	// field is its only switch, which tests and benchmarks flip to run the
-	// naive path as their reference. Must not be flipped concurrently with
-	// quantile queries.
-	DisableColumnKernel bool
 
 	// Columnar-kernel state: the lazily built presorted index and the
 	// pooled per-resample scratch (see columns.go). Zero values are ready;
@@ -143,66 +133,30 @@ func catalogOf(src AudienceSource) *interest.Catalog {
 func (s *Samples) NumUsers() int { return len(s.AS) }
 
 // SampleCountAt returns how many users contribute a sample at combination
-// size n (1-based). With the column kernel active the count is read off the
-// presorted index (one slice length) instead of rescanning every row — the
-// per-N O(U) scan the report and figure paths used to pay.
+// size n (1-based), and 0 for n outside [1, MaxN]. The count is read off the
+// column kernel's presorted index (one slice length) instead of rescanning
+// every row; TestSampleCountAtMatchesScan checks it against that scan.
 func (s *Samples) SampleCountAt(n int) int {
-	if !s.DisableColumnKernel && n >= 1 && n <= s.MaxN {
-		return len(s.columns().vals[n-1])
+	if n < 1 || n > s.MaxN {
+		return 0
 	}
-	count := 0
-	for _, row := range s.AS {
-		if n-1 >= 0 && n-1 < len(row) && !math.IsNaN(row[n-1]) {
-			count++
-		}
-	}
-	return count
+	return len(s.columns().vals[n-1])
 }
 
 // VAS computes the vector VAS(Q) = [AS(Q,1), ..., AS(Q,MaxN)] for quantile
 // q in (0,1): the per-N q-quantile of audience size across users (§4.1).
-// Index i holds AS(Q, i+1). Entries with no samples are NaN.
+// Index i holds AS(Q, i+1). Entries with no samples are NaN. Each entry is
+// QuantileSorted over the column kernel's presorted column (columns.go):
+// O(MaxN) after the one-time index build.
 func (s *Samples) VAS(q float64) []float64 {
-	if !s.DisableColumnKernel {
-		return s.vasFull(q)
-	}
-	return s.vasIdx(q, nil)
-}
-
-// vasIdx computes VAS over a subset of user rows (nil = all rows); idx may
-// contain repeats (bootstrap resamples). This is the naive
-// gather-copy-sort path the columnar kernel (columns.go) replaces; it is
-// kept as the DisableColumnKernel fallback and as the differential oracle
-// the kernel is fuzzed against.
-func (s *Samples) vasIdx(q float64, idx []int) []float64 {
+	cols := s.columns()
 	out := make([]float64, s.MaxN)
-	col := make([]float64, 0, len(s.AS))
-	for n := 0; n < s.MaxN; n++ {
-		col = col[:0]
-		if idx == nil {
-			for _, row := range s.AS {
-				if n < len(row) && !math.IsNaN(row[n]) {
-					col = append(col, row[n])
-				}
-			}
-		} else {
-			for _, ui := range idx {
-				row := s.AS[ui]
-				if n < len(row) && !math.IsNaN(row[n]) {
-					col = append(col, row[n])
-				}
-			}
-		}
-		if len(col) == 0 {
+	for n := range out {
+		if len(cols.vals[n]) == 0 {
 			out[n] = math.NaN()
 			continue
 		}
-		v, err := stats.Quantile(col, q)
-		if err != nil {
-			out[n] = math.NaN()
-			continue
-		}
-		out[n] = v
+		out[n] = stats.QuantileSorted(cols.vals[n], q)
 	}
 	return out
 }
@@ -331,14 +285,7 @@ func EstimateNP(s *Samples, p float64, cfg EstimateConfig) (Estimate, error) {
 		}
 		ci, _, err := stats.BootstrapCIParallel(s.NumUsers(), cfg.BootstrapIters, cfg.Parallelism, level, cfg.Rand,
 			func(idx []int) (float64, error) {
-				if s.DisableColumnKernel {
-					fit, err := FitVAS(s.vasIdx(p, idx), s.FloorValue)
-					if err != nil {
-						return 0, err
-					}
-					return fit.NP, nil
-				}
-				// The columnar kernel path: pooled counting scratch, the
+				// The columnar kernel: pooled counting scratch, the
 				// presorted index, pooled fit buffers — zero allocations
 				// per warm iteration (TestWarmResampleZeroAllocs).
 				sc := s.borrowResample()

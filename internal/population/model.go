@@ -65,13 +65,6 @@ type Config struct {
 	// Demographics describes the population's marginal distributions.
 	// Zero value means DefaultDemographics().
 	Demographics Demographics
-	// DisableRowKernel turns off the precomputed inclusion-row kernel
-	// (rows.go) and restores the legacy per-call exp() inner loops. Results
-	// are bit-identical either way (the kernel hoists, it does not
-	// reformulate — gated in determinism_test.go); only wall time and the
-	// row-table memory (grid × 8 bytes per touched interest) change. The
-	// kernel is ON by default.
-	DisableRowKernel bool
 }
 
 // The paper-calibrated activity grid of DefaultConfig. Its share table is
@@ -122,7 +115,7 @@ type Model struct {
 	tiltedRateCache map[float64][]float64
 
 	// rows is the inclusion-row kernel: lazily interned per-interest
-	// survival-factor rows (nil when Config.DisableRowKernel; see rows.go).
+	// survival-factor rows (see rows.go).
 	rows *rowKernel
 	// queryPool and vecPool recycle grid-length evaluation scratch —
 	// the allocation-free warm query path (see rows.go).
@@ -170,9 +163,7 @@ func NewModel(cfg Config) (*Model, error) {
 	if err := m.calibrateRates(); err != nil {
 		return nil, err
 	}
-	if !cfg.DisableRowKernel {
-		m.initRows()
-	}
+	m.initRows()
 	var err error
 	m.demo, err = newDemoModel(cfg.Demographics)
 	if err != nil {

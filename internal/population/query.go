@@ -1,8 +1,6 @@
 package population
 
 import (
-	"math"
-
 	"nanotarget/internal/dist"
 	"nanotarget/internal/interest"
 	"nanotarget/internal/rng"
@@ -53,21 +51,15 @@ func (m *Model) NewQuery() *Query {
 
 // And narrows the conjunction with one more interest and returns the query.
 //
-// With the row kernel enabled (the default) the survivor update is a
-// contiguous multiply loop over the interest's interned row: the factor
-// 1 − e equals the legacy 1 − exp(−t·λ) bit for bit because the row holds
-// exactly the exp the legacy loop computed inline (see rows.go).
+// The survivor update is a contiguous multiply loop over the interest's
+// interned row: the factor 1 − e equals the inline 1 − exp(−t·λ) bit for
+// bit because the row holds exactly that exp (see rows.go; the inline loop
+// survives as the test reference inlineExpShares in rows_test.go).
 func (q *Query) And(id interest.ID) *Query {
-	if row := q.m.row(id); row != nil {
-		p := q.partial[:len(row)]
-		for k, e := range row {
-			p[k] *= 1 - e
-		}
-	} else {
-		lambda := q.m.lambda[id]
-		for k, t := range q.m.actT {
-			q.partial[k] *= 1 - math.Exp(-t*lambda)
-		}
+	row := q.m.row(id)
+	p := q.partial[:len(row)]
+	for k, e := range row {
+		p[k] *= 1 - e
 	}
 	q.n++
 	return q
@@ -95,25 +87,14 @@ func (q *Query) Clone() *Query {
 
 // Survivors returns a copy of the per-grid-point survivor products — the
 // complete evaluation state of the conjunction built so far. A caller can
-// store it and later rebuild the query with Model.ResumeQuery; because the
-// vector captures the exact floating-point state, resuming and extending is
-// bit-identical to having evaluated the longer conjunction directly.
+// store it and later rebuild the query with Model.BorrowResumeQuery;
+// because the vector captures the exact floating-point state, resuming and
+// extending is bit-identical to having evaluated the longer conjunction
+// directly.
 func (q *Query) Survivors() []float64 {
 	out := make([]float64, len(q.partial))
 	copy(out, q.partial)
 	return out
-}
-
-// ResumeQuery reconstructs a query from a survivor vector previously
-// obtained via Survivors (n is the number of interests it accumulated).
-// The slice is copied; the caller's copy stays untouched.
-func (m *Model) ResumeQuery(survivors []float64, n int) *Query {
-	if len(survivors) != len(m.actT) {
-		panic("population: ResumeQuery survivor vector does not match the activity grid")
-	}
-	q := &Query{m: m, partial: make([]float64, len(survivors)), n: n}
-	copy(q.partial, survivors)
-	return q
 }
 
 // ConjunctionShare evaluates the audience share of an interest set directly.
@@ -130,40 +111,17 @@ func (m *Model) ConjunctionShare(ids []interest.ID) float64 {
 // interests within a clause ORed). A single-interest clause degenerates to
 // ConjunctionShare behaviour.
 //
-// With the row kernel enabled this runs as clause-major contiguous multiply
-// loops over interned rows instead of a per-grid-point exp() triple loop.
-// The restructure is bit-identical: per grid point the very same factors are
-// multiplied in the very same order (rows hold the exact exp(−t·λ) bits the
-// legacy loop computed inline; the legacy early-break only ever skipped
-// multiplications of the form 0·x with x ∈ [0,1], which cannot change the
-// product), and the final probability-weighted sum accumulates in the same
-// grid order. Gated with the rest of the kernel in determinism_test.go.
+// It runs as clause-major contiguous multiply loops over interned rows, and
+// is bit-identical to the per-grid-point exp() triple loop it replaced
+// (kept as the test reference inlineExpUnionShare in rows_test.go): per
+// grid point the very same factors are multiplied in the very same order
+// (rows hold the exact exp(−t·λ) bits that loop computed inline; its
+// early-break only ever skipped multiplications of the form 0·x with
+// x ∈ [0,1], which cannot change the product), and the final
+// probability-weighted sum accumulates in the same grid order. Scratch
+// vectors come from the model's pool, so a warm call allocates only when a
+// clause's row is still unmaterialized.
 func (m *Model) UnionConjunctionShare(clauses [][]interest.ID) float64 {
-	if m.rows != nil {
-		return m.unionShareKernel(clauses)
-	}
-	s := 0.0
-	for k, t := range m.actT {
-		prod := 1.0
-		for _, clause := range clauses {
-			miss := 1.0
-			for _, id := range clause {
-				miss *= math.Exp(-t * m.lambda[id])
-			}
-			prod *= 1 - miss
-			if prod == 0 {
-				break
-			}
-		}
-		s += m.actP[k] * prod
-	}
-	return s
-}
-
-// unionShareKernel is the row-kernel evaluation of UnionConjunctionShare.
-// Scratch vectors come from the model's pool, so a warm call allocates only
-// when a clause's row is still unmaterialized.
-func (m *Model) unionShareKernel(clauses [][]interest.ID) float64 {
 	prodp := m.borrowVec()
 	prod := *prodp
 	for k := range prod {

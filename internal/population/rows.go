@@ -25,8 +25,12 @@ package population
 //     the same "math.Exp(-t * m.lambda[id])" as before.
 //
 // Because the identical expression over identical inputs is evaluated (just
-// earlier, and once), every result is bit-identical to the un-hoisted code;
-// determinism_test.go gates rows-on ≡ rows-off across the full pipeline.
+// earlier, and once), every result is bit-identical to the un-hoisted code.
+// That code lives on only as test references: inlineExpShares and
+// inlineExpUnionShare (rows_test.go), which TestRowKernelBitIdentical and
+// FuzzRowKernel compare against bit for bit, and inlineExpSource (the
+// module root's reference_test.go), against which
+// TestRowKernelIsByteIdentical gates the full pipeline.
 // Storing the miss factor rather than the inclusion probability is what lets
 // ONE row serve both paths: 1−(1−x) is not an identity in floating point,
 // so an inclusion-probability row could not reproduce the union path's bits.
@@ -58,8 +62,7 @@ import (
 )
 
 // rowKernel is the lazily materialized, interned row table (see the file
-// comment). A nil *rowKernel on the Model means the kernel is disabled and
-// every path falls back to inline exp() evaluation.
+// comment).
 type rowKernel struct {
 	slots []atomic.Pointer[[]float64]
 	count atomic.Int64 // materialized rows, for RowStats
@@ -72,13 +75,10 @@ func (m *Model) initRows() {
 }
 
 // row returns interest id's survival-factor row e[k] = exp(−t_k·λ), building
-// and interning it on first touch, or nil when the kernel is disabled.
-// Returned rows are immutable and safe to hold without synchronization.
+// and interning it on first touch. Returned rows are immutable and safe to
+// hold without synchronization.
 func (m *Model) row(id interest.ID) []float64 {
 	rk := m.rows
-	if rk == nil {
-		return nil
-	}
 	slot := &rk.slots[id]
 	if p := slot.Load(); p != nil {
 		return *p
@@ -96,17 +96,10 @@ func (m *Model) row(id interest.ID) []float64 {
 	return *slot.Load()
 }
 
-// RowKernelEnabled reports whether the inclusion-row kernel is active
-// (Config.DisableRowKernel unset).
-func (m *Model) RowKernelEnabled() bool { return m.rows != nil }
-
 // WarmRows materializes the rows of the given interests so subsequent
-// evaluations touching them pay no first-touch exp() cost. No-op when the
-// kernel is disabled. Safe for concurrent use.
+// evaluations touching them pay no first-touch exp() cost. Safe for
+// concurrent use.
 func (m *Model) WarmRows(ids ...interest.ID) {
-	if m.rows == nil {
-		return
-	}
 	for _, id := range ids {
 		m.row(id)
 	}
@@ -117,9 +110,6 @@ func (m *Model) WarmRows(ids ...interest.ID) {
 // paper scale, so reach for WarmRows with a hot set first). Cost is one
 // exp() per (interest, grid point); ~1s for the full paper catalog.
 func (m *Model) WarmAllRows() {
-	if m.rows == nil {
-		return
-	}
 	for id := 0; id < len(m.rows.slots); id++ {
 		m.row(interest.ID(id))
 	}
@@ -128,9 +118,6 @@ func (m *Model) WarmAllRows() {
 // RowStats reports how many rows are materialized and the bytes they hold
 // (diagnostics; the lazy/prewarm trade documented above).
 func (m *Model) RowStats() (rows int, bytes int64) {
-	if m.rows == nil {
-		return 0, 0
-	}
 	n := int(m.rows.count.Load())
 	return n, int64(n) * int64(len(m.actT)) * 8
 }
@@ -138,12 +125,7 @@ func (m *Model) RowStats() (rows int, bytes int64) {
 // ResetRows drops every materialized row (bench/test use: measuring the
 // first-touch cost repeatably) by swapping in a fresh empty table. Not safe
 // to call concurrently with queries.
-func (m *Model) ResetRows() {
-	if m.rows == nil {
-		return
-	}
-	m.initRows()
-}
+func (m *Model) ResetRows() { m.initRows() }
 
 // --- Pooled query and scratch vectors (the zero-allocation warm path) ---
 
@@ -160,9 +142,11 @@ func (m *Model) BorrowQuery() *Query {
 	return q
 }
 
-// BorrowResumeQuery is ResumeQuery backed by the query pool: the survivor
-// vector is copied into recycled storage (one copy — the mutation And
-// performs requires it — but no allocation).
+// BorrowResumeQuery reconstructs a query from a survivor vector previously
+// obtained via Query.Survivors (n is the number of interests it
+// accumulated), backed by the query pool: the survivor vector is copied
+// into recycled storage (one copy — the mutation And performs requires
+// it — but no allocation), so the caller's copy stays untouched.
 func (m *Model) BorrowResumeQuery(survivors []float64, n int) *Query {
 	if len(survivors) != len(m.actT) {
 		panic("population: BorrowResumeQuery survivor vector does not match the activity grid")
@@ -182,7 +166,7 @@ func (m *Model) pooledQuery() *Query {
 
 // Release returns a borrowed query to its model's pool. The query (and any
 // survivor view of it) must not be used afterwards. Calling Release on a
-// query from NewQuery/ResumeQuery is allowed and simply donates it.
+// query from NewQuery is allowed and simply donates it.
 func (q *Query) Release() {
 	if q.m == nil {
 		return

@@ -9,8 +9,9 @@ import (
 	"nanotarget/internal/rng"
 )
 
-// rowTestModels builds a kernel-on / kernel-off model pair over one catalog.
-func rowTestModels(t *testing.T) (on, off *Model) {
+// rowTestModel builds a model over a 1,500-interest catalog on a
+// 128-point activity grid.
+func rowTestModel(t testing.TB) *Model {
 	t.Helper()
 	icfg := interest.DefaultConfig()
 	icfg.Size = 1500
@@ -18,32 +19,75 @@ func rowTestModels(t *testing.T) (on, off *Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(disable bool) *Model {
-		cfg := DefaultConfig(cat)
-		cfg.ActivityGridSize = 128
-		cfg.DisableRowKernel = disable
-		m, err := NewModel(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	cfg := DefaultConfig(cat)
+	cfg.ActivityGridSize = 128
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return build(false), build(true)
+	return m
 }
 
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// inlineExpShares returns the shares of ids[:1], ids[:2], ..., ids[:len(ids)]
+// by the per-call exp() loop the row kernel hoisted: every And multiplies
+// 1 − exp(−t_k·λ) into the survivor product at each grid point, and every
+// Share sums the probability-weighted survivors in grid order. It reads only
+// the model's exported rates and grid, so it is the reference the kernel is
+// checked against bit for bit.
+func inlineExpShares(m *Model, ids []interest.ID) []float64 {
+	t, p := m.ActivityGrid()
+	partial := make([]float64, len(t))
+	for k := range partial {
+		partial[k] = 1
+	}
+	out := make([]float64, len(ids))
+	for i, id := range ids {
+		lambda := m.Lambda(id)
+		for k, tk := range t {
+			partial[k] *= 1 - math.Exp(-tk*lambda)
+		}
+		s := 0.0
+		for k, pk := range p {
+			s += pk * partial[k]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// inlineExpUnionShare is UnionConjunctionShare by the per-grid-point exp()
+// triple loop the row kernel replaced, early break on a zero product
+// included.
+func inlineExpUnionShare(m *Model, clauses [][]interest.ID) float64 {
+	t, p := m.ActivityGrid()
+	s := 0.0
+	for k, tk := range t {
+		prod := 1.0
+		for _, clause := range clauses {
+			miss := 1.0
+			for _, id := range clause {
+				miss *= math.Exp(-tk * m.Lambda(id))
+			}
+			prod *= 1 - miss
+			if prod == 0 {
+				break
+			}
+		}
+		s += p[k] * prod
+	}
+	return s
+}
+
 // TestRowKernelBitIdentical is the hoisting contract at the model level:
 // every evaluation path — incremental And, whole conjunctions, resumed
 // queries and flexible_spec unions — must return the exact bits of the
-// legacy inline-exp() code.
+// inline-exp() references above.
 func TestRowKernelBitIdentical(t *testing.T) {
-	on, off := rowTestModels(t)
-	if !on.RowKernelEnabled() || off.RowKernelEnabled() {
-		t.Fatal("row-kernel knob did not take effect")
-	}
+	on := rowTestModel(t)
 	r := rng.New(21)
 	catLen := on.Catalog().Len()
 	randIDs := func(n int) []interest.ID {
@@ -56,16 +100,16 @@ func TestRowKernelBitIdentical(t *testing.T) {
 	// Whole conjunctions and per-prefix shares.
 	for trial := 0; trial < 60; trial++ {
 		ids := randIDs(1 + r.Intn(25))
-		qOn, qOff := on.NewQuery(), off.NewQuery()
+		want := inlineExpShares(on, ids)
+		qOn := on.NewQuery()
 		for i, id := range ids {
 			qOn.And(id)
-			qOff.And(id)
-			if a, b := qOn.Share(), qOff.Share(); !bitsEqual(a, b) {
-				t.Fatalf("trial %d prefix %d: kernel %v != legacy %v", trial, i+1, a, b)
+			if a, b := qOn.Share(), want[i]; !bitsEqual(a, b) {
+				t.Fatalf("trial %d prefix %d: kernel %v != inline exp %v", trial, i+1, a, b)
 			}
 		}
-		if a, b := on.ConjunctionShare(ids), off.ConjunctionShare(ids); !bitsEqual(a, b) {
-			t.Fatalf("trial %d: ConjunctionShare kernel %v != legacy %v", trial, a, b)
+		if a, b := on.ConjunctionShare(ids), want[len(ids)-1]; !bitsEqual(a, b) {
+			t.Fatalf("trial %d: ConjunctionShare kernel %v != inline exp %v", trial, a, b)
 		}
 		// Resuming mid-conjunction must agree too (the audience engine's
 		// extension path).
@@ -75,13 +119,14 @@ func TestRowKernelBitIdentical(t *testing.T) {
 			for _, id := range ids[:half] {
 				qh.And(id)
 			}
-			res := on.ResumeQuery(qh.Survivors(), half)
+			res := on.BorrowResumeQuery(qh.Survivors(), half)
 			for _, id := range ids[half:] {
 				res.And(id)
 			}
-			if a, b := res.Share(), off.ConjunctionShare(ids); !bitsEqual(a, b) {
-				t.Fatalf("trial %d: resumed kernel %v != legacy %v", trial, a, b)
+			if a, b := res.Share(), want[len(ids)-1]; !bitsEqual(a, b) {
+				t.Fatalf("trial %d: resumed kernel %v != inline exp %v", trial, a, b)
 			}
+			res.Release()
 		}
 	}
 	// flexible_spec unions: mixed single- and multi-interest clauses,
@@ -91,8 +136,8 @@ func TestRowKernelBitIdentical(t *testing.T) {
 		for c := range clauses {
 			clauses[c] = randIDs(1 + r.Intn(4))
 		}
-		if a, b := on.UnionConjunctionShare(clauses), off.UnionConjunctionShare(clauses); !bitsEqual(a, b) {
-			t.Fatalf("trial %d: union kernel %v != legacy %v (clauses %v)", trial, a, b, clauses)
+		if a, b := on.UnionConjunctionShare(clauses), inlineExpUnionShare(on, clauses); !bitsEqual(a, b) {
+			t.Fatalf("trial %d: union kernel %v != inline exp %v (clauses %v)", trial, a, b, clauses)
 		}
 	}
 }
@@ -101,7 +146,7 @@ func TestRowKernelBitIdentical(t *testing.T) {
 // one row per touched interest, full table after WarmAllRows, empty after
 // ResetRows.
 func TestRowKernelLaziness(t *testing.T) {
-	on, off := rowTestModels(t)
+	on := rowTestModel(t)
 	if n, b := on.RowStats(); n != 0 || b != 0 {
 		t.Fatalf("fresh model has %d rows (%d bytes) materialized", n, b)
 	}
@@ -123,17 +168,11 @@ func TestRowKernelLaziness(t *testing.T) {
 	if n, b := on.RowStats(); n != 0 || b != 0 {
 		t.Fatalf("after ResetRows: %d rows, %d bytes", n, b)
 	}
-	// Disabled kernel: everything is a no-op and stats stay zero.
-	off.WarmAllRows()
-	off.ConjunctionShare(ids)
-	if n, b := off.RowStats(); n != 0 || b != 0 {
-		t.Fatalf("disabled kernel materialized %d rows (%d bytes)", n, b)
-	}
 }
 
 // TestRowInterning checks concurrent first touches intern one canonical row.
 func TestRowInterning(t *testing.T) {
-	on, _ := rowTestModels(t)
+	on := rowTestModel(t)
 	const goroutines = 8
 	rows := make([][]float64, goroutines)
 	var wg sync.WaitGroup
@@ -158,7 +197,7 @@ func TestRowInterning(t *testing.T) {
 // TestBorrowQueryPool checks the pooled query API matches the allocating one
 // and that released state cannot leak into the next borrow.
 func TestBorrowQueryPool(t *testing.T) {
-	on, _ := rowTestModels(t)
+	on := rowTestModel(t)
 	ids := []interest.ID{10, 20, 30, 40}
 	want := on.ConjunctionShare(ids)
 

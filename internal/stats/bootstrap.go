@@ -15,28 +15,23 @@ type CI struct {
 	Level  float64 // e.g. 0.95
 }
 
-// Bootstrap draws iters resamples (with replacement) of indices [0, n) and
-// applies stat to each resample's index set, returning the statistic values.
-// The statistic receives a reusable index slice; it must not retain it.
+// BootstrapParallel draws iters resamples (with replacement) of indices
+// [0, n) and applies stat to each resample's index set, returning the
+// statistic values. The statistic receives a reusable index slice; it must
+// not retain it.
 //
 // This mirrors the paper's procedure: "we repeat the data aggregation and
 // model fit in 10,000 bootstrap samples" over the 2,390 panel users.
 // Resamples on which stat reports an error are skipped (rare degenerate
 // resamples, e.g. a constant-x fit); at least one success is required.
 //
-// Every iteration resamples from its own stream, derived from r and the
-// iteration index — never from a shared sequential stream — so the result
-// is identical under any worker count. Bootstrap runs sequentially; use
-// BootstrapParallel to spread iterations across cores.
-func Bootstrap(n, iters int, r *rng.Rand, stat func(idx []int) (float64, error)) ([]float64, error) {
-	return BootstrapParallel(n, iters, 1, r, stat)
-}
-
-// BootstrapParallel is Bootstrap across `workers` goroutines (0 = one per
-// core, 1 = the sequential path). Output is byte-identical for every worker
-// count under a fixed r. When workers != 1 the statistic must be safe for
-// concurrent calls (pure functions of the index set are; the repository's
-// fit statistics only read the collected samples).
+// Iterations run across `workers` goroutines (0 = one per core, 1 = the
+// sequential path). Every iteration resamples from its own stream, derived
+// from r and the iteration index — never from a shared sequential stream —
+// so the output is byte-identical for every worker count under a fixed r.
+// When workers != 1 the statistic must be safe for concurrent calls (pure
+// functions of the index set are; the repository's fit statistics only
+// read the collected samples).
 func BootstrapParallel(n, iters, workers int, r *rng.Rand, stat func(idx []int) (float64, error)) ([]float64, error) {
 	if n <= 0 {
 		return nil, ErrEmpty
@@ -104,14 +99,10 @@ func PercentileCI(boot []float64, level float64) (CI, error) {
 	}, nil
 }
 
-// BootstrapCI composes Bootstrap and PercentileCI and also returns the point
-// cloud so callers can inspect the bootstrap distribution.
-func BootstrapCI(n, iters int, level float64, r *rng.Rand, stat func(idx []int) (float64, error)) (CI, []float64, error) {
-	return BootstrapCIParallel(n, iters, 1, level, r, stat)
-}
-
-// BootstrapCIParallel is BootstrapCI across `workers` goroutines, with the
-// same determinism guarantee as BootstrapParallel.
+// BootstrapCIParallel composes BootstrapParallel and PercentileCI and also
+// returns the point cloud so callers can inspect the bootstrap
+// distribution. Same workers semantics and determinism guarantee as
+// BootstrapParallel.
 func BootstrapCIParallel(n, iters, workers int, level float64, r *rng.Rand, stat func(idx []int) (float64, error)) (CI, []float64, error) {
 	boot, err := BootstrapParallel(n, iters, workers, r, stat)
 	if err != nil {

@@ -239,7 +239,7 @@ func TestBootstrapMeanCI(t *testing.T) {
 	for i := range data {
 		data[i] = 10 + r.NormFloat64()
 	}
-	ci, boot, err := BootstrapCI(len(data), 2000, 0.95, r, func(idx []int) (float64, error) {
+	ci, boot, err := BootstrapCIParallel(len(data), 2000, 1, 0.95, r, func(idx []int) (float64, error) {
 		s := 0.0
 		for _, i := range idx {
 			s += data[i]
@@ -269,11 +269,11 @@ func TestBootstrapDeterministic(t *testing.T) {
 		}
 		return s, nil
 	}
-	a, err := Bootstrap(len(data), 50, rng.New(5), stat)
+	a, err := BootstrapParallel(len(data), 50, 1, rng.New(5), stat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Bootstrap(len(data), 50, rng.New(5), stat)
+	b, _ := BootstrapParallel(len(data), 50, 1, rng.New(5), stat)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("bootstrap not deterministic under fixed seed")
@@ -409,7 +409,7 @@ func BenchmarkBootstrap1k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Bootstrap(len(data), 1000, rng.New(uint64(i)), stat)
+		_, _ = BootstrapParallel(len(data), 1000, 1, rng.New(uint64(i)), stat)
 	}
 }
 
